@@ -177,10 +177,10 @@ def cmd_graph_analyze(args):
     rep.put("old_dim", dims["old"])
     rep.put("new_dim", dims["new"])
     rep.check("old_new_direct_sum", dims["direct_sum"] and dims["orthogonal"])
-    ker = cosets.kernel_eigenvalue_check(g)
+    ker = cosets.kernel_eigenvalue_check(block)
     rep.put("composite_kernel_dim", ker["kernel_dim"])
     rep.check("kernel_walk_eigenvalue", ker["ok"])
-    det = cosets.det_identity_check(g)
+    det = cosets.det_identity_check(block)
     rep.put("det_lhs", det["lhs"])
     rep.check("det_identity", det["ok"])
     if args.prime:
@@ -288,10 +288,9 @@ def cmd_satake_ve_check(args):
 def cmd_moduli_components(args):
     s = parse_diag(args.diag, args.l)
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
-    comps = lparam.components_through(s, args.l)
-    rep.put("partitions", sorted(comps, reverse=True))
-    rep.put("degenerate", lparam.is_degenerate_satake(s, args.l))
     witnesses = lparam.stratum_witnesses(s, args.l)
+    rep.put("partitions", list(witnesses))
+    rep.put("degenerate", lparam.is_degenerate_satake(s, args.l))
     rep.put(
         "witnesses",
         {
@@ -303,7 +302,7 @@ def cmd_moduli_components(args):
         "every_partition_witnessed",
         all(w is not None and w["verified"] for w in witnesses.values()),
     )
-    nontrivial = any(len(p) < s.nrows for p in comps)
+    nontrivial = any(len(p) < s.nrows for p in witnesses)
     rep.check("degeneracy_matches_components", nontrivial == lparam.is_degenerate_satake(s, args.l))
     return rep
 
@@ -314,6 +313,8 @@ def cmd_moduli_witness(args):
     N = Matrix.zeros(n, n)
     for pair in args.nilpotent.split(";"):
         i, j = (int(x) for x in pair.split(","))
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"nilpotent entry ({i}, {j}) lies outside a {n}x{n} matrix")
         N.rows[i][j] = Fraction(1)
     rep = Report(
         "moduli witness",

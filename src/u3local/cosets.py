@@ -149,6 +149,13 @@ class CosetGraph:
         )
 
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"expected an integer, got {token!r}", lineno) from None
+
+
 def load_graph(text: str) -> CosetGraph:
     """Parse the line-oriented graph format; see ``CosetGraph.describe`` for the shape."""
     l = n0 = n1 = None
@@ -161,15 +168,18 @@ def load_graph(text: str) -> CosetGraph:
         if parts[0] == "coset-graph":
             if len(parts) != 2 or not parts[1].startswith("l="):
                 raise GraphFormatError("header must read 'coset-graph l=<prime>'", lineno)
-            l = int(parts[1][2:])
-        elif parts[0] == "v0":
-            n0 = int(parts[1])
-        elif parts[0] == "v1":
-            n1 = int(parts[1])
+            l = _int(parts[1][2:], lineno)
+        elif parts[0] in ("v0", "v1"):
+            if len(parts) != 2:
+                raise GraphFormatError(f"count lines read '{parts[0]} <count>'", lineno)
+            if parts[0] == "v0":
+                n0 = _int(parts[1], lineno)
+            else:
+                n1 = _int(parts[1], lineno)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise GraphFormatError("edge lines read 'e <v0-index> <v1-index>'", lineno)
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_int(parts[1], lineno), _int(parts[2], lineno)))
         else:
             raise GraphFormatError(f"unrecognized directive {parts[0]!r}", lineno)
     if l is None or n0 is None or n1 is None:
@@ -388,19 +398,20 @@ def old_new_decomposition(g: CosetGraph):
     return old_basis, new_basis, dims
 
 
-def kernel_eigenvalue_check(g: CosetGraph) -> dict:
+def kernel_eigenvalue_check(block: BlockHeckeOperator) -> dict:
     """Every rational kernel vector of the composite has walk eigenvalue l(l^3+1).
 
-    For each basis vector (f0, f1) of ker(i+ o i) the V0 part satisfies
-    (T0 - l(l^3+1)) f0 = 0 and the V1 part (T1 - l^3(l+1)) f1 = 0, exactly.
+    Takes the operator built by ``level_matrix``.  For each basis vector
+    (f0, f1) of ker(i+ o i) the V0 part satisfies (T0 - l(l^3+1)) f0 = 0 and
+    the V1 part (T1 - l^3(l+1)) f1 = 0, exactly.
     """
-    block = level_matrix(g)
+    l = block.l
     kernel = block.composite.kernel_basis()
-    lam0 = Fraction(g.l * (g.l**3 + 1))
-    lam1 = Fraction(g.l**3 * (g.l + 1))
+    lam0 = Fraction(l * (l**3 + 1))
+    lam1 = Fraction(l**3 * (l + 1))
     failures = []
     for vec in kernel:
-        t = FormTriple.from_stacked(vec, g.n0)
+        t = FormTriple.from_stacked(vec, block.n0)
         if block.T0.apply(t.f0) != [lam0 * x for x in t.f0]:
             failures.append(("v0", vec))
         if block.T1.apply(t.f1) != [lam1 * x for x in t.f1]:
@@ -415,24 +426,19 @@ def kernel_eigenvalue_check(g: CosetGraph) -> dict:
     }
 
 
-def det_identity_check(g: CosetGraph) -> dict:
+def det_identity_check(block: BlockHeckeOperator) -> dict:
     """det(composite) = (l+1)^(|V1|-|V0|) * det(l(l^3+1) Id - T0), exactly.
 
-    A Schur-complement consequence of the block shape; |V1| >= |V0| required so
-    the exponent is nonnegative.
+    Takes the operator built by ``level_matrix``.  A Schur-complement
+    consequence of the block shape; |V1| >= |V0| required so the exponent is
+    nonnegative.
     """
-    if g.n1 < g.n0:
+    l, n0, n1 = block.l, block.n0, block.n1
+    if n1 < n0:
         raise ValueError("requires |V1| >= |V0|")
-    block = level_matrix(g)
     lhs = int_matrix_det(block.composite.to_int_rows())
-    lam = g.l * (g.l**3 + 1)
-    shifted = [
-        [(lam if i == j else 0) - block.T0.rows[i][j] for j in range(g.n0)]
-        for i in range(g.n0)
-    ]
-    rhs = (g.l + 1) ** (g.n1 - g.n0) * int_matrix_det(
-        [[int(x) for x in row] for row in shifted]
-    )
+    shifted = Matrix.identity(n0).scale(l * (l**3 + 1)) - block.T0
+    rhs = (l + 1) ** (n1 - n0) * int_matrix_det(shifted.to_int_rows())
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 
@@ -927,14 +933,19 @@ def load_labeling(text: str, g: CosetGraph) -> DetLabeling:
             continue
         parts = line.split()
         if parts[0] == "labels":
-            kv = dict(p.split("=", 1) for p in parts[1:])
-            order = int(kv["order"])
-            gshift = int(kv["gshift"])
+            kv = dict(p.partition("=")[::2] for p in parts[1:])
+            if "order" not in kv or "gshift" not in kv:
+                raise GraphFormatError("header must read 'labels order=<n> gshift=<k>'", lineno)
+            order = _int(kv["order"], lineno)
+            gshift = _int(kv["gshift"], lineno)
         elif parts[0] in ("v0", "v1"):
             if len(parts) != 3:
                 raise GraphFormatError("label lines read '<class> <index> <label>'", lineno)
-            idx, val = int(parts[1]), int(parts[2])
-            (v0 if parts[0] == "v0" else v1)[idx] = val
+            idx, val = _int(parts[1], lineno), _int(parts[2], lineno)
+            row = v0 if parts[0] == "v0" else v1
+            if not 0 <= idx < len(row):
+                raise GraphFormatError(f"{parts[0]} index {idx} is not in the graph", lineno)
+            row[idx] = val
         else:
             raise GraphFormatError(f"unrecognized directive {parts[0]!r}", lineno)
     if order is None:

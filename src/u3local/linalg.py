@@ -309,22 +309,39 @@ class Matrix:
         return Matrix([r[n:] for r in red.rows], self.field)
 
     def char_poly(self):
-        """Coefficients of det(xI - M), degree-ascending, exact (Faddeev-LeVerrier)."""
+        """Coefficients of det(xI - M), degree-ascending, exact.
+
+        Reduces M to upper Hessenberg form by similarity, then expands along the
+        subdiagonal (Cohen, Alg. 2.2.9).  It divides only by pivots, so it is
+        valid over every field, GF(p) with p <= n included.
+        """
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        n = self.nrows
-        field = self.field
-        coeffs = [field.zero] * (n + 1)
-        coeffs[n] = field.one
-        M = Matrix.zeros(n, n, field)
-        ident = Matrix.identity(n, field)
-        c = field.one
-        for k in range(1, n + 1):
-            M = self @ (M + ident.scale(c))
-            tr = sum((M.rows[i][i] for i in range(n)), field.zero)
-            c = -(tr / field.of(k))
-            coeffs[n - k] = c
-        return coeffs
+        n, zero, one = self.nrows, self.field.zero, self.field.one
+        h = self.copy().rows
+        for m in range(1, n - 1):
+            piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+            if piv is None:
+                continue
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+            for i in range(m + 1, n):
+                u = h[i][m - 1] / h[m][m - 1]
+                h[i] = [a - u * b for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] += u * row[i]
+        polys = [[one]]  # polys[k]: char poly of the leading k x k block
+        for k in range(n):
+            nxt, prod = [zero] + polys[k], one
+            for i in range(k, -1, -1):
+                c = h[i][k] * prod
+                for d, x in enumerate(polys[i]):
+                    nxt[d] -= c * x
+                if i:
+                    prod *= h[i][i - 1]
+            polys.append(nxt)
+        return polys[n]
 
     def to_int_rows(self):
         out = []

@@ -156,41 +156,8 @@ def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return True
 
 
-def components_through(s: Matrix, l) -> set[tuple[int, ...]]:
-    """Jordan types of strata whose closures contain the point (s, 0).
-
-    Enumerates the types of all 0/1 combinations of the solution-space basis,
-    then closes downward under dominance.  Exact for diagonal s whose entry
-    ratios are powers of l; heuristic otherwise (the basis need not consist of
-    matrix units then).
-    """
-    _require_diagonal(s)
-    n = s.nrows
-    basis = solution_space(s, l)
-    realized = set()
-    for bits in itertools.product((0, 1), repeat=len(basis)):
-        N = Matrix.zeros(n, n)
-        for b, mat in zip(bits, basis):
-            if b:
-                N = N + mat
-        realized.add(jordan_partition(N))
-    closed = set(realized)
-    for lam in realized:
-        for mu in partitions_of(n):
-            if dominates(lam, mu):
-                closed.add(mu)
-    return closed
-
-
-def stratum_witnesses(s: Matrix, l) -> dict:
-    """For each reported Jordan type, a 0/1-combination representative in the
-    solution space together with its verified degeneration witness.
-
-    In the power-of-l diagonal regime every reported type is realized by a
-    0/1 combination; a type reachable only through dominance closure (possible
-    off that regime) is mapped to None.
-    """
-    _require_diagonal(s)
+def _jordan_types(s: Matrix, l) -> dict[tuple[int, ...], Matrix]:
+    """The first 0/1 combination of the solution-space basis of each Jordan type."""
     n = s.nrows
     basis = solution_space(s, l)
     reps: dict[tuple[int, ...], Matrix] = {}
@@ -200,8 +167,40 @@ def stratum_witnesses(s: Matrix, l) -> dict:
             if b:
                 N = N + mat
         reps.setdefault(jordan_partition(N), N)
+    return reps
+
+
+def _dominance_closure(realized, n: int) -> set[tuple[int, ...]]:
+    """The partitions of n dominated by a realized one (dominance is reflexive)."""
+    return {mu for mu in partitions_of(n) if any(dominates(lam, mu) for lam in realized)}
+
+
+def components_through(s: Matrix, l) -> set[tuple[int, ...]]:
+    """Jordan types of strata whose closures contain the point (s, 0).
+
+    Enumerates the types of all 0/1 combinations of the solution-space basis,
+    then closes downward under dominance.  Exact for diagonal s whose entry
+    ratios are powers of l; heuristic otherwise (the basis need not consist of
+    matrix units then).
+    """
+    _require_diagonal(s)
+    return _dominance_closure(_jordan_types(s, l), s.nrows)
+
+
+def stratum_witnesses(s: Matrix, l) -> dict:
+    """For each reported Jordan type, a 0/1-combination representative in the
+    solution space together with its verified degeneration witness.
+
+    The keys are the types of ``components_through``, in decreasing order.  In
+    the power-of-l diagonal regime every reported type is realized by a 0/1
+    combination; a type reachable only through dominance closure (possible off
+    that regime) is mapped to None.
+    """
+    _require_diagonal(s)
+    n = s.nrows
+    reps = _jordan_types(s, l)
     out = {}
-    for part in sorted(components_through(s, l), reverse=True):
+    for part in sorted(_dominance_closure(reps, n), reverse=True):
         N = reps.get(part)
         if N is None:
             out[part] = None
@@ -259,9 +258,9 @@ def degeneration_witness(s: Matrix, N: Matrix, l) -> DegenerationWitness:
     _require_diagonal(s)
     n = N.nrows
     support = [(i, j) for i in range(n) for j in range(n) if N.rows[i][j] != 0]
-    if not lattice_consistent(support, n):
-        raise NoWitnessError("support carries a cycle with nonzero weight sum")
     mu = _solve_weights(support, n)
+    if mu is None:
+        raise NoWitnessError("support carries a cycle with nonzero weight sum")
     # symbolic check: exponent of t on entry (i, j) is mu_i - mu_j; need 1 on support
     scaling = all(mu[i] - mu[j] == 1 for i, j in support)
     # the path (s, tN): Ad(s)(tN) = t * Ad(s)(N) = t * l * N = l * (tN), any t
@@ -272,31 +271,9 @@ def degeneration_witness(s: Matrix, N: Matrix, l) -> DegenerationWitness:
     return DegenerationWitness(tuple(mu), scaling, on_stratum, True)
 
 
-def lattice_consistent(support, n) -> bool:
-    """Whether mu_i - mu_j = 1 for all (i, j) in support admits an integer solution."""
-    color = [None] * n
-    for start in range(n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        adj = {}
-        for i, j in support:
-            adj.setdefault(i, []).append((j, -1))
-            adj.setdefault(j, []).append((i, +1))
-        while stack:
-            v = stack.pop()
-            for w, delta in adj.get(v, []):
-                want = color[v] + delta
-                if color[w] is None:
-                    color[w] = want
-                    stack.append(w)
-                elif color[w] != want:
-                    return False
-    return True
-
-
 def _solve_weights(support, n):
+    """Integer weights with mu_i - mu_j = 1 on the support, shifted to minimum 0;
+    None when the support carries a cycle with nonzero weight sum."""
     mu = [None] * n
     adj = {}
     for i, j in support:
@@ -310,10 +287,12 @@ def _solve_weights(support, n):
         while stack:
             v = stack.pop()
             for w, delta in adj.get(v, []):
+                want = mu[v] + delta
                 if mu[w] is None:
-                    mu[w] = mu[v] + delta
+                    mu[w] = want
                     stack.append(w)
-    # normalize each component to nonnegative weights with min 0
+                elif mu[w] != want:
+                    return None
     return [x - min(mu) for x in mu] if n else []
 
 

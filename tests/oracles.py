@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with different algorithms from the
 package under test: determinantal divisors instead of elementary reduction,
-cofactor expansion instead of Faddeev-LeVerrier, literal subspace enumeration
+cofactor expansion instead of Hessenberg reduction, literal subspace enumeration
 instead of product formulas, explicit neighbour walks instead of operator
 algebra.  Slow is fine; these run on tiny inputs.
 """

@@ -92,7 +92,7 @@ def test_criterion_03_level_matrix(test_graphs):
 
 def test_criterion_04_kernel_eigenvalue(test_graphs):
     named, randoms = test_graphs
-    ok = all(kernel_eigenvalue_check(g)["ok"] for g in named + randoms)
+    ok = all(kernel_eigenvalue_check(level_matrix(g))["ok"] for g in named + randoms)
     record(4, "composite-kernel vectors have walk eigenvalue l(l^3+1)", ok)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from u3local import cosets
 from u3local.cli import main
 from u3local.cosets import complete_biregular, parallel_multigraph
 
@@ -104,9 +105,56 @@ class TestGraphCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_builds_level_matrix_once(self, capsys, k39_path, monkeypatch):
+        calls = []
+        original = cosets.level_matrix
+        monkeypatch.setattr(cosets, "level_matrix", lambda g: calls.append(g) or original(g))
+        code, _ = run_json(capsys, "graph", "analyze", k39_path, "--prime", "3")
+        assert code == 0 and len(calls) == 1
+
     def test_missing_file(self, capsys):
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "graph_text, labels_text, argv, message",
+    [
+        pytest.param(
+            "coset-graph l=2\nv0\nv1 9\n", None, ["graph", "analyze", "{graph}"], "line 2",
+            id="v0-without-count",
+        ),
+        pytest.param(
+            "coset-graph l=2\nv0 3\nv1 x\n", None, ["graph", "analyze", "{graph}"], "line 3",
+            id="count-not-an-integer",
+        ),
+        pytest.param(
+            None, "labels order=1\n",
+            ["graph", "levelraise", "{graph}", "--prime", "3", "--labels", "{labels}"],
+            "line 1", id="labels-without-gshift",
+        ),
+        pytest.param(
+            None, "labels order=1 gshift=0\nv0 7 1\n",
+            ["graph", "levelraise", "{graph}", "--prime", "3", "--labels", "{labels}"],
+            "line 2", id="label-index-out-of-range",
+        ),
+        pytest.param(
+            None, None,
+            ["moduli", "witness", "--diag", "l,1", "--l", "2", "--nilpotent", "0,5"],
+            "outside", id="nilpotent-entry-outside-matrix",
+        ),
+    ],
+)
+def test_malformed_input_is_an_error(capsys, tmp_path, graph_text, labels_text, argv, message):
+    graph = tmp_path / "in.graph"
+    graph.write_text(graph_text or complete_biregular(2).describe())
+    labels = tmp_path / "in.labels"
+    labels.write_text(labels_text or "")
+    code = main([a.format(graph=graph, labels=labels) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 class TestSatakeCommands:

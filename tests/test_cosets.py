@@ -193,7 +193,7 @@ class TestLevelMatrix:
         rng = random.Random(33)
         h = random_biregular_graph(3, 1, rng)
         assert level_matrix(h).report["ok"]
-        assert kernel_eigenvalue_check(h)["ok"]
+        assert kernel_eigenvalue_check(level_matrix(h))["ok"]
         assert ihara_kernel_test(h, 5)["ok"]
 
 
@@ -215,7 +215,7 @@ class TestOldNew:
 
 class TestKernelEigenvalue:
     def test_k39(self, k39):
-        rep = kernel_eigenvalue_check(k39)
+        rep = kernel_eigenvalue_check(level_matrix(k39))
         assert rep["ok"] and rep["kernel_dim"] == 1
         (vec,) = rep["kernel_basis"]
         t = FormTriple.from_stacked(vec, k39.n0)
@@ -224,30 +224,30 @@ class TestKernelEigenvalue:
         assert {Fraction(x) / Fraction(t.f0[0]) for x in t.f1} == {-1}
 
     def test_m13(self, m13):
-        rep = kernel_eigenvalue_check(m13)
+        rep = kernel_eigenvalue_check(level_matrix(m13))
         assert rep["ok"] and rep["kernel_dim"] == 1
 
     def test_random(self):
         rng = random.Random(99)
         for _ in range(4):
             g = random_biregular_graph(2, 2, rng)
-            assert kernel_eigenvalue_check(g)["ok"]
+            assert kernel_eigenvalue_check(level_matrix(g))["ok"]
 
 
 class TestDetIdentity:
     def test_k39_both_sides_zero(self, k39):
-        rep = det_identity_check(k39)
+        rep = det_identity_check(level_matrix(k39))
         assert rep["ok"] and rep["lhs"] == 0 == rep["rhs"]
 
     def test_m13_nonzero(self, m13):
-        rep = det_identity_check(m13)
+        rep = det_identity_check(level_matrix(m13))
         assert rep["ok"]
 
     def test_random(self):
         rng = random.Random(17)
         for _ in range(4):
             g = random_biregular_graph(2, 2, rng)
-            assert det_identity_check(g)["ok"]
+            assert det_identity_check(level_matrix(g))["ok"]
 
 
 class TestIharaKernel:

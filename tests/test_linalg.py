@@ -103,6 +103,17 @@ class TestCharPoly:
             rows = rand_int_rows(rng, n, n)
             assert Matrix(rows).char_poly() == charpoly_cofactor(rows)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_prime_field_against_cofactor_oracle(self, p):
+        # n >= p included: a method that divides by k = 1..n fails there
+        rng = random.Random(29 + p)
+        gf = PrimeField(p)
+        for n in range(1, 6):
+            for _ in range(8):
+                rows = rand_int_rows(rng, n, n, -4, 4)
+                want = [int(c) % p for c in charpoly_cofactor(rows)]
+                assert [c.v for c in Matrix(rows, gf).char_poly()] == want
+
     def test_cayley_hamilton(self):
         rng = random.Random(23)
         for n in range(1, 7):

@@ -20,6 +20,7 @@ from u3local.lparam import (
     partitions_of,
     pgl2_check,
     solution_space,
+    stratum_witnesses,
     verify_point,
 )
 
@@ -132,6 +133,32 @@ class TestComponentsThrough:
                     assert ((1,) * n in comps)
                     nontrivial = any(p != (1,) * n for p in comps)
                     assert nontrivial == is_degenerate_satake(s, l)
+
+    @pytest.mark.parametrize(
+        "entries, l",
+        [
+            ((2, 1), 2),
+            ((1, 1), 2),
+            ((4, 2, 1), 2),
+            ((8, 2, 1), 2),
+            ((9, 3, 1), 3),
+            ((4, 2, 2, 1), 2),
+        ],
+    )
+    def test_witness_keys_match(self, entries, l):
+        s = diag(*entries)
+        witnesses = stratum_witnesses(s, l)
+        assert set(witnesses) == components_through(s, l)
+        assert list(witnesses) == sorted(witnesses, reverse=True)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the dominance closure runs over the whole nilpotent cone, not the "
+        "solution space: N = a*E01 + b*E12 + c*E13 has N^2 = ab*E02 + ac*E03, so "
+        "no N in it has type 2|2",
+    )
+    def test_closure_stays_in_solution_space(self):
+        assert (2, 2) not in components_through(diag(4, 2, 1, 1), 2)
 
 
 class TestDegenerateSatake:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from u3local import tree
 from u3local.tree import (
     HYPERSPECIAL,
     SPECIAL,
@@ -139,10 +140,30 @@ class TestCompositionIdentity:
             assert report["ok"], report["violations"][:3]
             assert report["checked_deltas"] == 1 + b.l * (b.l**3 + 1)
 
-    def test_mirror_identity(self, ball2):
-        report = verify_mirror_composition(ball2)
-        assert report["ok"]
-        assert report["checked_deltas"] == 9  # specials at distance <= 2 sit at distance 1
+    @pytest.mark.parametrize("name", ["ball2", "ball3"])
+    def test_mirror_identity(self, name, request):
+        b = request.getfixturevalue(name)
+        report = verify_mirror_composition(b)
+        assert report["ok"], report["violations"][:3]
+        # specials at distance <= 2 sit at distance 1
+        assert report["checked_deltas"] == b.l**3 + 1
+
+    def test_dropped_term_is_reported(self, ball2, monkeypatch):
+        root, dropped = 0, next(v for v in range(ball2.size) if ball2.dist[v] == 2)
+        original = tree.op_Tl
+
+        def lossy_Tl(f, ball):
+            out = original(f, ball)
+            if f.support() == {root}:
+                del out.values[dropped]
+            return out
+
+        monkeypatch.setattr(tree, "op_Tl", lossy_Tl)
+        report = verify_composition(ball2)
+        assert not report["ok"]
+        assert report["violations"] == [
+            {"delta_at": root, "vertex": dropped, "lhs": Fraction(1), "rhs": Fraction(0)}
+        ]
 
     def test_random_function_identity(self):
         rng = random.Random(17)
