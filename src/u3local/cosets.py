@@ -693,19 +693,8 @@ class AuxOperatorFamily:
     def __init__(self, g: CosetGraph, members: list[AuxOperator]):
         self.graph = g
         self.members = list(members)
-        inc = Matrix(g.incidence_rows())
         for op in self.members:
-            v0 = Matrix(op.on_v0)
-            v1 = Matrix(op.on_v1)
-            oe = Matrix(op.on_edges)
-            both = Matrix.zeros(g.n0 + g.n1, g.n0 + g.n1)
-            for i in range(g.n0):
-                for j in range(g.n0):
-                    both.rows[i][j] = v0.rows[i][j]
-            for i in range(g.n1):
-                for j in range(g.n1):
-                    both.rows[g.n0 + i][g.n0 + j] = v1.rows[i][j]
-            if oe @ inc != inc @ both or both @ inc.transpose() != inc.transpose() @ oe:
+            if not _commutes_with_level_maps(g, op):
                 raise ValueError(f"operator {op.name!r} does not commute with the level maps")
 
     @classmethod
@@ -743,6 +732,42 @@ class AuxOperatorFamily:
     @classmethod
     def empty(cls, g: CosetGraph):
         return cls(g, [])
+
+
+def _commutes_with_level_maps(g: CosetGraph, op: AuxOperator) -> bool:
+    """Whether oe·inc = inc·(v0 ⊕ v1) and (v0 ⊕ v1)·inc^T = inc^T·oe, where inc is
+    the edge-incidence matrix (`incidence_rows`) and oe, v0, v1 are the operator's
+    matrices on edges, V0 and V1.
+
+    Edge row e of inc has exactly two 1s, at its ends v(e) and n0 + w(e), so each
+    product is a sum over edge ends, formed in exact integer arithmetic.
+    """
+    n0, n1, ne = g.n0, g.n1, g.nedges
+    for mat, n in ((op.on_v0, n0), (op.on_v1, n1), (op.on_edges, ne)):
+        if len(mat) != n or any(len(r) != n for r in mat):
+            raise ValueError(
+                f"operator {op.name!r} needs {n0}x{n0}, {n1}x{n1} and {ne}x{ne} matrices"
+            )
+    ends, oe = g.edges, op.on_edges
+    # Row e of oe·inc adds each entry oe[e][f] at both ends of edge f; row e of
+    # inc·(v0 ⊕ v1) is row v(e) of v0 next to row w(e) of v1.  Row v of inc^T·oe
+    # is the sum of the rows of oe at the edges at v.
+    at_v0 = [[0] * ne for _ in range(n0)]
+    at_v1 = [[0] * ne for _ in range(n1)]
+    for e, (v, w) in enumerate(ends):
+        row_v0, row_v1 = [0] * n0, [0] * n1
+        for f, x in enumerate(oe[e]):
+            if x:
+                row_v0[ends[f][0]] += x
+                row_v1[ends[f][1]] += x
+                at_v0[v][f] += x
+                at_v1[w][f] += x
+        if row_v0 != list(op.on_v0[v]) or row_v1 != list(op.on_v1[w]):
+            return False
+    # Row v of (v0 ⊕ v1)·inc^T reads row v of v0 at the V0 end of every edge.
+    return all(at_v0[v] == [op.on_v0[v][a] for a, _ in ends] for v in range(n0)) and all(
+        at_v1[w] == [op.on_v1[w][b] for _, b in ends] for w in range(n1)
+    )
 
 
 def _perm_matrix_inverse(perm):

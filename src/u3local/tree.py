@@ -54,6 +54,7 @@ class TreeBall:
         self.dist = [0]
         self.child_start = [0]
         self.child_count = [0]
+        self._shell_counts = [1]
         frontier = [0]
         for d in range(1, radius + 1):
             nxt = []
@@ -74,8 +75,8 @@ class TreeBall:
                     self.child_count.append(0)
                     nxt.append(idx)
             frontier = nxt
+            self._shell_counts.append(len(nxt))
         self.size = len(self.parent)
-        self._shell_counts = None
 
     def kind(self, v: int) -> str:
         return HYPERSPECIAL if self.dist[v] % 2 == 0 else SPECIAL
@@ -97,17 +98,20 @@ class TreeBall:
                     yield u
 
     def shell_counts(self) -> list[int]:
-        if self._shell_counts is None:
-            counts = [0] * (self.radius + 1)
-            for d in self.dist:
-                counts[d] += 1
-            self._shell_counts = counts
         return list(self._shell_counts)
 
     def vertices_of_kind(self, kind: str, max_dist: int | None = None):
+        """Vertices of one kind up to a distance, read off the shells: BFS order
+        numbers each shell as one consecutive block after the shells inside it."""
         lim = self.radius if max_dist is None else max_dist
         want = 0 if kind == HYPERSPECIAL else 1
-        return [v for v in range(self.size) if self.dist[v] % 2 == want and self.dist[v] <= lim]
+        out = []
+        start = 0
+        for d, n in enumerate(self._shell_counts[: max(lim + 1, 0)]):
+            if d % 2 == want:
+                out.extend(range(start, start + n))
+            start += n
+        return out
 
     def __repr__(self):
         return f"TreeBall(l={self.l}, radius={self.radius}, {self.size} vertices)"
@@ -128,22 +132,27 @@ def expected_shell_counts(l: int, radius: int) -> list[int]:
 
 @dataclass
 class VertexFunction:
-    """Finitely supported exact-valued function on one stratum of the ball."""
+    """Finitely supported exact-valued function on one stratum of the ball.
+
+    Values are ints or Fractions and are kept as given, so integer input stays
+    integer and Fraction input stays exact; zeros are dropped from the support.
+    The operators refuse any other value type, such as a float.
+    """
 
     kind: str
-    values: dict[int, Fraction] = field(default_factory=dict)
+    values: dict[int, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in (HYPERSPECIAL, SPECIAL, "edge"):
             raise ValueError(f"unknown stratum {self.kind!r}")
-        self.values = {v: Fraction(c) for v, c in self.values.items() if c != 0}
+        self.values = {v: c for v, c in self.values.items() if c != 0}
 
     @classmethod
     def delta(cls, ball: TreeBall, v: int) -> "VertexFunction":
-        return cls(ball.kind(v), {v: Fraction(1)})
+        return cls(ball.kind(v), {v: 1})
 
-    def __call__(self, v: int) -> Fraction:
-        return self.values.get(v, Fraction(0))
+    def __call__(self, v: int) -> int | Fraction:
+        return self.values.get(v, 0)
 
     def support(self):
         return set(self.values)
@@ -153,7 +162,7 @@ class VertexFunction:
             raise ValueError("stratum mismatch")
         vals = dict(self.values)
         for v, x in other.values.items():
-            vals[v] = vals.get(v, Fraction(0)) + Fraction(c) * x
+            vals[v] = vals.get(v, 0) + c * x
         return VertexFunction(self.kind, vals)
 
     def __eq__(self, other):
@@ -167,8 +176,10 @@ class VertexFunction:
 def _check_support(f: VertexFunction, ball: TreeBall, kind: str, max_dist: int):
     if f.kind != kind:
         raise ValueError(f"expected a {kind} function, got {f.kind}")
-    for v in f.values:
-        if v >= ball.size:
+    for v, c in f.values.items():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"value {c!r} at vertex {v} is not an int or a Fraction")
+        if not 0 <= v < ball.size:
             raise ValueError(f"vertex {v} is not in the ball")
         if ball.kind(v) != kind:
             raise ValueError(f"vertex {v} is not {kind}")
@@ -182,20 +193,20 @@ def _check_support(f: VertexFunction, ball: TreeBall, kind: str, max_dist: int):
 def vertex_op_A(f: VertexFunction, ball: TreeBall) -> VertexFunction:
     """(Af)(w) = sum of f over the hyperspecial neighbours of each special w."""
     _check_support(f, ball, HYPERSPECIAL, ball.radius - 1)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for v, c in f.values.items():
         for w in ball.neighbors(v):
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
     return VertexFunction(SPECIAL, out)
 
 
 def vertex_op_B(g: VertexFunction, ball: TreeBall) -> VertexFunction:
     """(Bg)(v) = sum of g over the special neighbours of each hyperspecial v."""
     _check_support(g, ball, SPECIAL, ball.radius - 1)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for w, c in g.values.items():
         for v in ball.neighbors(w):
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
     return VertexFunction(HYPERSPECIAL, out)
 
 
@@ -208,10 +219,10 @@ def op_Tl(f: VertexFunction, ball: TreeBall) -> VertexFunction:
     if f.kind not in (HYPERSPECIAL, SPECIAL):
         raise ValueError("distance-2 operator acts on vertex functions")
     _check_support(f, ball, f.kind, ball.radius - 2)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for v, c in f.values.items():
         for u in ball.distance_two(v):
-            out[u] = out.get(u, Fraction(0)) + c
+            out[u] = out.get(u, 0) + c
     return VertexFunction(f.kind, out)
 
 

@@ -221,3 +221,31 @@ def tree_distance2_values(ball, v: int, values_by_shell) -> Fraction:
             if u != v:
                 total += values_by_shell[ball.dist[u]]
     return total
+
+
+# --- auxiliary operators and the level maps ----------------------------------
+
+
+def commutes_with_level_maps_dense(g, on_v0, on_v1, on_edges) -> bool:
+    """Whether an operator triple commutes with the raising map and its transpose,
+    checked as dense rational matrix products: with I the |E| x (|V0|+|V1|)
+    incidence matrix written out entry by entry, test on_edges.I = I.(on_v0 + on_v1)
+    and (on_v0 + on_v1).I^T = I^T.on_edges."""
+    n0, n1 = g.n0, g.n1
+    inc = [
+        [Fraction(int(j == v or j == n0 + w)) for j in range(n0 + n1)] for v, w in g.edges
+    ]
+    both = [[Fraction(0)] * (n0 + n1) for _ in range(n0 + n1)]
+    for i in range(n0):
+        for j in range(n0):
+            both[i][j] = Fraction(on_v0[i][j])
+    for i in range(n1):
+        for j in range(n1):
+            both[n0 + i][n0 + j] = Fraction(on_v1[i][j])
+    oe = [[Fraction(x) for x in row] for row in on_edges]
+    inc_t = [list(col) for col in zip(*inc)]
+    return _matmul(oe, inc) == _matmul(inc, both) and _matmul(both, inc_t) == _matmul(inc_t, oe)
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from u3local.cosets import (
+    AuxOperator,
     AuxOperatorFamily,
     CosetGraph,
     DetLabeling,
@@ -34,6 +35,8 @@ from u3local.cosets import (
     walk_operator_v0,
 )
 from u3local.linalg import Matrix
+
+from .oracles import commutes_with_level_maps_dense
 
 # frozen by tests/freeze_congruence_fixtures.py (oracle SNF, run before the build)
 K39_CONGRUENCE = {
@@ -360,6 +363,56 @@ class TestAutomorphismsAndSearch:
         )
         with pytest.raises(ValueError):
             AuxOperatorFamily(k39, [bad])
+
+    def test_family_rejects_v0_swap_without_edge_map(self, k39):
+        swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        ident = [[int(i == j) for j in range(27)] for i in range(27)]
+        bad = AuxOperator("swap", swap, [row[:9] for row in ident[:9]], ident)
+        with pytest.raises(ValueError, match="does not commute"):
+            AuxOperatorFamily(k39, [bad])
+
+    def test_family_rejects_misshapen_operator(self, k39):
+        ident = [[int(i == j) for j in range(28)] for i in range(28)]
+        for blocks in ((3, 9, 28), (3, 8, 27), (2, 9, 27)):
+            on_v0, on_v1, on_edges = ([row[:n] for row in ident[:n]] for n in blocks)
+            with pytest.raises(ValueError, match="needs 3x3, 9x9 and 27x27"):
+                AuxOperatorFamily(k39, [AuxOperator("shape", on_v0, on_v1, on_edges)])
+
+    def test_family_checks_the_lowering_map(self, k39):
+        # Row 0 of the edge operator is a signed 4-cycle, which sums to zero at
+        # every vertex: the raising-map side holds with zero vertex maps, the
+        # lowering-map side does not.
+        cycle = [0] * 27
+        cycle[0], cycle[1], cycle[10], cycle[9] = 1, -1, 1, -1  # edges (0,0) (0,1) (1,1) (1,0)
+        on_edges = [cycle] + [[0] * 27 for _ in range(26)]
+        zero0, zero1 = [[0] * 3 for _ in range(3)], [[0] * 9 for _ in range(9)]
+        assert not commutes_with_level_maps_dense(k39, zero0, zero1, on_edges)
+        with pytest.raises(ValueError, match="does not commute"):
+            AuxOperatorFamily(k39, [AuxOperator("cycle", zero0, zero1, on_edges)])
+
+    @pytest.mark.parametrize("name", ["k39", "twisted", "random4"])
+    def test_commutation_matches_dense_oracle(self, name, k39):
+        g = {
+            "k39": k39,
+            "twisted": twisted_complete(2),
+            "random4": random_biregular_graph(2, 4, random.Random(1)),
+        }[name]
+        fam = AuxOperatorFamily.from_automorphisms(g, find_automorphisms(g, limit=4))
+        assert len(fam.members) >= 2
+        for op in fam.members:
+            assert commutes_with_level_maps_dense(g, op.on_v0, op.on_v1, op.on_edges)
+        # an integer combination of two members still commutes; a perturbed one does not
+        a, b = fam.members[0], fam.members[1]
+        combo = [
+            [[x - 3 * y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+            for ma, mb in ((a.on_v0, b.on_v0), (a.on_v1, b.on_v1), (a.on_edges, b.on_edges))
+        ]
+        assert commutes_with_level_maps_dense(g, *combo)
+        AuxOperatorFamily(g, [AuxOperator("combo", *combo)])
+        combo[2][0][1] += 1
+        assert not commutes_with_level_maps_dense(g, *combo)
+        with pytest.raises(ValueError, match="does not commute"):
+            AuxOperatorFamily(g, [AuxOperator("perturbed", *combo)])
 
     def test_search_p3_has_candidates(self, k39):
         perms = find_automorphisms(k39, limit=3)

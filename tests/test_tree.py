@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from u3local import tree
+from u3local.cli import main
 from u3local.tree import (
     HYPERSPECIAL,
     SPECIAL,
@@ -132,6 +134,72 @@ class TestOperators:
         with pytest.raises(ValueError):
             vertex_op_A(VertexFunction(SPECIAL, {1: 1}), ball2)
 
+    @pytest.mark.parametrize("v", [-1, "minus size"])
+    def test_negative_index_rejected(self, v):
+        b = TreeBall(2, 3)
+        v = -b.size if v == "minus size" else v
+        f = VertexFunction(HYPERSPECIAL, {v: 1})
+        for op in (vertex_op_A, op_Tl):
+            with pytest.raises(ValueError, match="not in the ball"):
+                op(f, b)
+        with pytest.raises(ValueError, match="not in the ball"):
+            vertex_op_B(VertexFunction(SPECIAL, {v: 1}), b)
+
+
+# The tree ladder of the benchmark's `tree` workload, without the desk-scale ball.
+LADDER = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3)]
+
+
+class TestValueTypes:
+    def test_int_input_stays_int(self, ball3):
+        f = VertexFunction(HYPERSPECIAL, {0: 2, 5 + ball3.l**3: -3})
+        delta = VertexFunction.delta(ball3, 0)
+        outputs = [
+            vertex_op_A(f, ball3),
+            vertex_op_B(vertex_op_A(f, ball3), ball3),
+            op_Tl(f, ball3),
+            op_Tl(f, ball3).add_scaled(delta, ball3.l**3 + 1),
+        ]
+        for out in outputs:
+            assert out.values
+            assert all(type(c) is int for c in out.values.values())
+        assert type(delta(0)) is int and type(delta(1)) is int
+
+    def test_fraction_input_stays_exact(self, ball3):
+        half = Fraction(1, 2)
+        other = Fraction(-3, 7)
+        at_dist2 = 1 + ball3.l**3 + 1  # first vertex of the distance-2 shell
+        f = VertexFunction(HYPERSPECIAL, {0: half, at_dist2: other})
+        lhs = vertex_op_B(vertex_op_A(f, ball3), ball3)
+        rhs = op_Tl(f, ball3).add_scaled(f, ball3.l**3 + 1)
+        assert lhs == rhs
+        assert lhs(0) == (ball3.l**3 + 1) * half + other
+        assert any(type(c) is Fraction and c.denominator == 14 for c in lhs.values.values())
+        scaled = VertexFunction.delta(ball3, 0).add_scaled(f, half)
+        assert scaled(0) == Fraction(5, 4) and type(scaled(0)) is Fraction
+
+    def test_zero_values_dropped(self, ball2):
+        f = VertexFunction(HYPERSPECIAL, {0: 0, 10: Fraction(0), 11: 4})
+        assert f.support() == {11}
+        assert f.add_scaled(f, -1).values == {}
+        # the two +1 and -1 contributions at the root cancel
+        g = VertexFunction(SPECIAL, {1: 1, 2: -1})
+        assert 0 not in vertex_op_B(g, ball2).support()
+
+    def test_float_values_rejected(self, ball2):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            vertex_op_A(VertexFunction(HYPERSPECIAL, {0: 0.5}), ball2)
+
+    @pytest.mark.parametrize("l,radius", LADDER)
+    def test_vertices_of_kind_brute_force(self, l, radius):
+        b = TreeBall(l, radius)
+        assert b.shell_counts() == [b.dist.count(d) for d in range(radius + 1)]
+        for kind, want in ((HYPERSPECIAL, 0), (SPECIAL, 1)):
+            for max_dist in (None, -1, 0, 1, radius - 2, radius, radius + 1):
+                lim = radius if max_dist is None else max_dist
+                brute = [v for v in range(b.size) if b.dist[v] % 2 == want and b.dist[v] <= lim]
+                assert b.vertices_of_kind(kind, max_dist) == brute
+
 
 class TestCompositionIdentity:
     def test_exhaustive_l2_l3(self, ball2, ball3):
@@ -177,3 +245,12 @@ class TestCompositionIdentity:
 
     def test_trivial_radius(self):
         assert verify_composition(TreeBall(2, 0))["checked_deltas"] == 0
+
+
+def test_desk_scale_ball(capsys):
+    code = main(["tree", "verify", "--l", "3", "--radius", "6"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"]
+    assert doc["results"]["vertices"] == 744017
+    assert doc["results"]["composition_checked_deltas"] == 6889
+    assert doc["results"]["mirror_checked_deltas"] == 2296
