@@ -362,9 +362,9 @@ def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
 
     expected = Matrix.zeros(n0 + n1, n0 + n1)
     for i in range(n0):
-        expected.rows[i][i] = Fraction(l**3 + 1)
+        expected.rows[i][i] = l**3 + 1
     for j in range(n1):
-        expected.rows[n0 + j][n0 + j] = Fraction(l + 1)
+        expected.rows[n0 + j][n0 + j] = l + 1
     for i in range(n0):
         for j in range(n1):
             expected.rows[i][n0 + j] = B.rows[i][j]
@@ -386,13 +386,14 @@ def old_new_decomposition(g: CosetGraph):
     inc = Matrix(g.incidence_rows())
     old_basis = inc.column_space_basis()
     new_basis = inc.transpose().kernel_basis()
+    old_supports = [[(e, x) for e, x in enumerate(o) if x] for o in old_basis]
     dims = {
         "old": len(old_basis),
         "new": len(new_basis),
         "edges": g.nedges,
         "direct_sum": len(old_basis) + len(new_basis) == g.nedges,
         "orthogonal": all(
-            sum(x * y for x, y in zip(o, n)) == 0 for o in old_basis for n in new_basis
+            sum(x * n[e] for e, x in o) == 0 for o in old_supports for n in new_basis
         ),
     }
     return old_basis, new_basis, dims
@@ -407,8 +408,8 @@ def kernel_eigenvalue_check(block: BlockHeckeOperator) -> dict:
     """
     l = block.l
     kernel = block.composite.kernel_basis()
-    lam0 = Fraction(l * (l**3 + 1))
-    lam1 = Fraction(l**3 * (l + 1))
+    lam0 = l * (l**3 + 1)
+    lam1 = l**3 * (l + 1)
     failures = []
     for vec in kernel:
         t = FormTriple.from_stacked(vec, block.n0)
@@ -513,23 +514,23 @@ def _abelian_kernel_span(g: CosetGraph, p: int, lab: DetLabeling | None):
     gf = PrimeField(p)
     vecs = []
     for comp in range(g.n_components):
-        vec = [gf.zero] * (g.n0 + g.n1)
+        vec = [0] * (g.n0 + g.n1)
         for v in range(g.n0):
             if g.components[v] == comp:
-                vec[v] = gf.one
+                vec[v] = 1
         for w in range(g.n1):
             if g.components[g.n0 + w] == comp:
-                vec[g.n0 + w] = -gf.one
+                vec[g.n0 + w] = gf.of(-1)
         vecs.append(vec)
     if lab is not None and lab.order > 1:
         for z in lab.characters_mod_p(p):
             if z == 1:
                 continue
-            cand = [gf.of(pow(z, lab.v0_labels[v], p)) for v in range(g.n0)] + [
-                -gf.of(pow(z, lab.v1_labels[w], p)) for w in range(g.n1)
+            cand = [pow(z, lab.v0_labels[v], p) for v in range(g.n0)] + [
+                gf.of(-pow(z, lab.v1_labels[w], p)) for w in range(g.n1)
             ]
             # keep it only if it actually lies in ker(i)
-            if all(cand[v] + cand[g.n0 + w] == 0 for v, w in g.edges):
+            if all((cand[v] + cand[g.n0 + w]) % p == 0 for v, w in g.edges):
                 vecs.append(cand)
     return vecs
 
@@ -579,7 +580,7 @@ def ihara_kernel_test(g: CosetGraph, p: int, lab: DetLabeling | None = None) -> 
         "dim_matches_components": len(kernel) == g.n_components,
         "spanned_by_abelian": abelian_ok,
         "per_component": per_component,
-        "kernel_basis": [[x.v for x in vec] for vec in kernel],
+        "kernel_basis": kernel,
         "ok": len(kernel) == g.n_components and abelian_ok,
     }
 
@@ -837,14 +838,14 @@ def _intersect_with_eigenspace(basis, op_rows, eigenvalue, gf):
     shifted = op - Matrix.identity(n, gf).scale(eigenvalue)
     # solve shifted @ (sum c_k basis_k) = 0 in the coefficients c
     cols = [shifted.apply(vec) for vec in basis]
-    coeff = Matrix([[cols[k][i] for k in range(len(basis))] for i in range(n)], gf)
+    coeff = Matrix(cols, gf).transpose()
     out = []
     for c in coeff.kernel_basis():
-        vec = [gf.zero] * n
+        vec = [0] * n
         for k, ck in enumerate(c):
             if ck:
                 vec = [x + ck * y for x, y in zip(vec, basis[k])]
-        out.append(vec)
+        out.append(gf.reduce_row(vec))
     return out
 
 
@@ -890,7 +891,7 @@ def level_raising_search(
     gf = PrimeField(p)
     lam = (g.l * (g.l**3 + 1)) % p
     t0 = walk_operator_v0(g)
-    id_basis = [[gf.one if i == k else gf.zero for i in range(g.n0)] for k in range(g.n0)]
+    id_basis = [[int(i == k) for i in range(g.n0)] for k in range(g.n0)]
     base = _intersect_with_eigenspace(id_basis, t0, gf.of(lam), gf)
 
     # exact eigenvalue bookkeeping for the report; integer eigenvalues are

@@ -2,7 +2,14 @@
 
 Matrices are small (at most a few hundred rows) so everything uses plain
 elimination with exact arithmetic; there is deliberately no floating point
-anywhere in this module.
+anywhere in this module, and a float entry is refused with ``TypeError``.
+
+Entries are plain Python numbers.  Over QQ they are ``int`` or ``Fraction``:
+ints stay ints through addition, multiplication and exact division, and a
+``Fraction`` appears only where a division is inexact (or where the input
+already held one).  Every division goes through ``field.div``, never ``/``,
+so two ints never meet true division.  Over GF(p) entries are ints in
+[0, p), reduced after every operation.
 """
 
 from __future__ import annotations
@@ -13,96 +20,58 @@ from math import gcd
 from .scalars import require_prime
 
 
-class FpElement:
-    """Element of the prime field F_p.  Arithmetic stays reduced mod p."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else FpElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.v * pow(o.v, -1, self.p))
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return isinstance(other, FpElement) and other.p == self.p and other.v == self.v
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
 class RationalField:
-    zero = Fraction(0)
-    one = Fraction(1)
+    characteristic = 0
 
     @staticmethod
     def of(x):
-        return Fraction(x)
+        """An exact rational entry: ints and Fractions are kept as given."""
+        if type(x) is int or type(x) is Fraction:
+            return x
+        if isinstance(x, int):
+            return int(x)
+        raise TypeError(f"not an exact rational: {x!r}")
+
+    @staticmethod
+    def div(a, b):
+        """a / b, as an int when the quotient is integral, else as a Fraction."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        q = a / b  # a Fraction, since at most one side is an int
+        return q.numerator if q.denominator == 1 else q
+
+    @staticmethod
+    def reduce_row(row):
+        return row
 
     def __repr__(self):
         return "QQ"
 
 
 class PrimeField:
+    """F_p with elements represented by the ints 0, ..., p-1."""
+
     def __init__(self, p: int):
-        self.p = require_prime(p)
-        self.zero = FpElement(p, 0)
-        self.one = FpElement(p, 1)
+        self.p = self.characteristic = require_prime(p)
 
     def of(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValueError("mixed characteristics")
-            return x
+        if isinstance(x, int):
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return FpElement(self.p, x.numerator * pow(x.denominator, -1, self.p))
-        return FpElement(self.p, int(x))
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        raise TypeError(f"not an element of GF({self.p}): {x!r}")
+
+    def div(self, a, b):
+        if b % self.p == 0:
+            raise ZeroDivisionError(f"division by zero in GF({self.p})")
+        return a * pow(b, -1, self.p) % self.p
+
+    def reduce_row(self, row):
+        p = self.p
+        return [x % p for x in row]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -115,23 +84,29 @@ class Matrix:
     """Dense matrix over an exact field (rationals by default)."""
 
     def __init__(self, rows, field=QQ):
+        of = field.of
         self.field = field
-        self.rows = [[field.of(x) for x in r] for r in rows]
+        self.rows = [[of(x) for x in r] for r in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
     @classmethod
+    def _wrap(cls, rows, field, ncols=0):
+        """A matrix on rows that already hold valid entries of the field."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.nrows = field, rows, len(rows)
+        m.ncols = len(rows[0]) if rows else ncols
+        return m
+
+    @classmethod
     def identity(cls, n, field=QQ):
-        return cls(
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-            field,
-        )
+        return cls._wrap([[int(i == j) for j in range(n)] for i in range(n)], field)
 
     @classmethod
     def zeros(cls, m, n, field=QQ):
-        return cls([[field.zero] * n for _ in range(m)], field)
+        return cls._wrap([[0] * n for _ in range(m)], field, n)
 
     @property
     def shape(self):
@@ -141,77 +116,78 @@ class Matrix:
         return self.nrows == self.ncols
 
     def copy(self):
-        m = Matrix.__new__(Matrix)
-        m.field = self.field
-        m.rows = [list(r) for r in self.rows]
-        m.nrows, m.ncols = self.nrows, self.ncols
-        return m
+        return Matrix._wrap([list(r) for r in self.rows], self.field, self.ncols)
 
     def transpose(self):
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.field,
-        )
+        if not self.nrows:
+            return Matrix._wrap([[] for _ in range(self.ncols)], self.field)
+        return Matrix._wrap([list(c) for c in zip(*self.rows)], self.field)
+
+    def _check_operand(self, other, need_same_shape=True):
+        # QQ and the GF(p) are told apart by their characteristic
+        if self.field.characteristic != other.field.characteristic:
+            raise ValueError("mixed characteristics")
+        if need_same_shape and self.shape != other.shape:
+            raise ValueError("shape mismatch")
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
+            and self.field.characteristic == other.field.characteristic
             and self.shape == other.shape
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.nrows)
-                for j in range(self.ncols)
-            )
+            and self.rows == other.rows
         )
 
     def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
+        self._check_operand(other)
+        red = self.field.reduce_row
+        return Matrix._wrap(
+            [red([a + b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)],
             self.field,
+            self.ncols,
         )
 
     def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
+        self._check_operand(other)
+        red = self.field.reduce_row
+        return Matrix._wrap(
+            [red([a - b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)],
             self.field,
+            self.ncols,
         )
 
     def scale(self, c):
         c = self.field.of(c)
-        return Matrix([[c * x for x in r] for r in self.rows], self.field)
+        red = self.field.reduce_row
+        return Matrix._wrap([red([c * x for x in r]) for r in self.rows], self.field, self.ncols)
 
     def __matmul__(self, other):
+        self._check_operand(other, need_same_shape=False)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        z = self.field.zero
+        red = self.field.reduce_row
         out = []
-        bt = other.transpose().rows
         for r in self.rows:
-            out.append([sum((r[k] * col[k] for k in range(self.ncols)), z) for col in bt])
-        return Matrix(out, self.field)
+            acc = [0] * other.ncols
+            for a, orow in zip(r, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            out.append(red(acc))
+        return Matrix._wrap(out, self.field, other.ncols)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         if len(vec) != self.ncols:
             raise ValueError("length mismatch")
-        z = self.field.zero
-        vec = [self.field.of(x) for x in vec]
-        return [sum((r[k] * vec[k] for k in range(self.ncols)), z) for r in self.rows]
+        of = self.field.of
+        support = [(k, x) for k, x in enumerate(map(of, vec)) if x]
+        return self.field.reduce_row([sum(r[k] * x for k, x in support) for r in self.rows])
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         m = self.copy()
         rows, ncols = m.rows, m.ncols
+        p, div = self.field.characteristic, self.field.div
         pivots = []
         r = 0
         for c in range(ncols):
@@ -220,11 +196,20 @@ class Matrix:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
             pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
+            if pv != 1:
+                rows[r] = [div(x, pv) if x else 0 for x in rows[r]]
+            # the pivot row is zero left of c; eliminate with its nonzero entries only
+            support = [(j, x) for j, x in enumerate(rows[r]) if x]
             for i in range(m.nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                row = rows[i]
+                f = row[c]
+                if f and i != r:
+                    if p:
+                        for j, x in support:
+                            row[j] = (row[j] - f * x) % p
+                    else:
+                        for j, x in support:
+                            row[j] -= f * x
             pivots.append(c)
             r += 1
             if r == m.nrows:
@@ -238,14 +223,15 @@ class Matrix:
         """Basis of the right kernel {v : M v = 0}, as lists of field elements."""
         red, pivots = self.rref()
         pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
+        of = self.field.of
         basis = []
-        zero, one = self.field.zero, self.field.one
-        for fc in free:
-            v = [zero] * self.ncols
-            v[fc] = one
+        for fc in range(self.ncols):
+            if fc in pivset:
+                continue
+            v = [0] * self.ncols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
+                v[pc] = of(-red.rows[r][fc])
             basis.append(v)
         return basis
 
@@ -258,55 +244,55 @@ class Matrix:
         """One solution of M x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("length mismatch")
-        aug = Matrix(
-            [list(r) + [self.field.of(b[i])] for i, r in enumerate(self.rows)], self.field
+        of = self.field.of
+        aug = Matrix._wrap(
+            [list(r) + [of(b[i])] for i, r in enumerate(self.rows)], self.field
         )
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
-        x = [self.field.zero] * self.ncols
+        x = [0] * self.ncols
         for r, pc in enumerate(pivots):
             x[pc] = red.rows[r][self.ncols]
         return x
 
     def det(self):
+        """Determinant by Bareiss elimination: every division is exact, so an
+        integer matrix stays integral throughout."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        m = self.copy()
-        rows = m.rows
-        n = m.nrows
-        det = self.field.one
-        for c in range(n):
-            pr = next((i for i in range(c, n) if rows[i][c]), None)
+        a = self.copy().rows
+        n = self.nrows
+        div = self.field.div
+        sign, prev = 1, 1
+        for k in range(n):
+            pr = next((i for i in range(k, n) if a[i][k]), None)
             if pr is None:
-                return self.field.zero
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = self.field.one / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+                return 0
+            if pr != k:
+                a[k], a[pr] = a[pr], a[k]
+                sign = -sign
+            pk, rowk = a[k][k], a[k]
+            for i in range(k + 1, n):
+                f, row = a[i][k], a[i]
+                a[i] = [0] * (k + 1) + [
+                    div(x * pk - f * y, prev) for x, y in zip(row[k + 1 :], rowk[k + 1 :])
+                ]
+            prev = pk
+        return self.field.of(sign * prev)
 
     def inverse(self):
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = Matrix(
-            [
-                list(self.rows[i])
-                + [self.field.one if j == i else self.field.zero for j in range(n)]
-                for i in range(n)
-            ],
+        aug = Matrix._wrap(
+            [list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(self.rows)],
             self.field,
         )
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([r[n:] for r in red.rows], self.field)
+        return Matrix._wrap([r[n:] for r in red.rows], self.field, n)
 
     def char_poly(self):
         """Coefficients of det(xI - M), degree-ascending, exact.
@@ -317,7 +303,7 @@ class Matrix:
         """
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        n, zero, one = self.nrows, self.field.zero, self.field.one
+        n, of, div, red = self.nrows, self.field.of, self.field.div, self.field.reduce_row
         h = self.copy().rows
         for m in range(1, n - 1):
             piv = next((i for i in range(m, n) if h[i][m - 1]), None)
@@ -327,33 +313,28 @@ class Matrix:
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
             for i in range(m + 1, n):
-                u = h[i][m - 1] / h[m][m - 1]
-                h[i] = [a - u * b for a, b in zip(h[i], h[m])]
+                u = div(h[i][m - 1], h[m][m - 1])
+                if not u:
+                    continue
+                h[i] = red([a - u * b for a, b in zip(h[i], h[m])])
                 for row in h:
-                    row[m] += u * row[i]
-        polys = [[one]]  # polys[k]: char poly of the leading k x k block
+                    row[m] = of(row[m] + u * row[i])
+        polys = [[1]]  # polys[k]: char poly of the leading k x k block
         for k in range(n):
-            nxt, prod = [zero] + polys[k], one
+            nxt, prod = [0] + polys[k], 1
             for i in range(k, -1, -1):
                 c = h[i][k] * prod
                 for d, x in enumerate(polys[i]):
                     nxt[d] -= c * x
                 if i:
                     prod *= h[i][i - 1]
-            polys.append(nxt)
+            polys.append(red(nxt))
         return polys[n]
 
     def to_int_rows(self):
-        out = []
-        for r in self.rows:
-            row = []
-            for x in r:
-                f = Fraction(x)
-                if f.denominator != 1:
-                    raise ValueError("matrix is not integral")
-                row.append(f.numerator)
-            out.append(row)
-        return out
+        if any(type(x) is not int and x.denominator != 1 for r in self.rows for x in r):
+            raise ValueError("matrix is not integral")
+        return [[int(x) for x in r] for r in self.rows]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -548,11 +529,10 @@ def lattice_quotient_invariants(big: list[list[int]], small: list[list[int]]) ->
     """
     if not big and not small:
         return []
-    amb = len(big[0])
-    B = Matrix([[Fraction(big[j][i]) for j in range(len(big))] for i in range(amb)])
+    B = Matrix(big).transpose()
     coords = []
     for col in small:
-        x = B.solve([Fraction(c) for c in col])
+        x = B.solve(col)
         if x is None:
             raise ValueError("second lattice does not lie inside the first")
         if any(f.denominator != 1 for f in x):
@@ -565,13 +545,11 @@ def lattice_quotient_invariants(big: list[list[int]], small: list[list[int]]) ->
 def lattice_contains(basis_cols: list[list[int]], vec: list[int]) -> bool:
     if not basis_cols:
         return all(v == 0 for v in vec)
-    amb = len(basis_cols[0])
-    B = Matrix([[Fraction(basis_cols[j][i]) for j in range(len(basis_cols))] for i in range(amb)])
-    x = B.solve([Fraction(v) for v in vec])
+    x = Matrix(basis_cols).transpose().solve(vec)
     return x is not None and all(f.denominator == 1 for f in x)
 
 
 def _int_inverse(rows: list[list[int]]) -> list[list[int]]:
     """Inverse of a unimodular integer matrix, returned with integer entries."""
-    inv = Matrix([[Fraction(x) for x in r] for r in rows]).inverse()
+    inv = Matrix(rows).inverse()
     return [[f.numerator for f in r] for r in inv.rows]

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: rationals, primality, p-adic valuations and scalars.
 
 The rational type is the standard library ``fractions.Fraction`` (always
-stored reduced, positive denominator), re-exported as ``Rat``.  A fixed
-prime-field element type lives in ``linalg`` next to the matrix code; this
+stored reduced, positive denominator), re-exported as ``Rat``.  Prime-field
+elements are plain ints in [0, p), handled by ``linalg.PrimeField``; this
 module holds everything valuation-flavoured.
 """
 

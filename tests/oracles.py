@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms from the
 package under test: determinantal divisors instead of elementary reduction,
-cofactor expansion instead of Hessenberg reduction, literal subspace enumeration
+cofactor expansion instead of Hessenberg reduction or Bareiss elimination,
+adjugates instead of Gauss-Jordan inverses, literal subspace enumeration
 instead of product formulas, explicit neighbour walks instead of operator
 algebra.  Slow is fine; these run on tiny inputs.
 """
@@ -162,6 +163,60 @@ def _polydet(mat):
             for i in range(max(len(total), len(term)))
         ]
     return total
+
+
+# --- rational linear algebra on Fractions only -------------------------------
+
+
+def fraction_rank(rows) -> int:
+    """Rank by forward elimination on Fractions: pivots are not normalized and
+    rows above a pivot are left alone (no reduced echelon form)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Laplace expansion along the first row, in Fractions."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(n):
+        if rows[0][j]:
+            minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
+            total += (-1) ** j * Fraction(rows[0][j]) * fraction_det(minor)
+    return total
+
+
+def fraction_inverse(rows):
+    """Inverse as the adjugate over the determinant (Cramer); None if singular."""
+    n = len(rows)
+    d = fraction_det(rows)
+    if d == 0:
+        return None
+    cof = [
+        [
+            (-1) ** (i + j)
+            * fraction_det([[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return [[cof[j][i] / d for j in range(n)] for i in range(n)]
+
+
+def fraction_matvec(rows, vec) -> list[Fraction]:
+    return [sum((Fraction(x) * Fraction(y) for x, y in zip(r, vec)), Fraction(0)) for r in rows]
 
 
 # --- subspace counting over small prime fields -------------------------------

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u3local.linalg import (
+    QQ,
     Matrix,
     PrimeField,
     int_matrix_det,
@@ -14,7 +16,15 @@ from u3local.linalg import (
     smith_normal_form,
 )
 
-from .oracles import charpoly_cofactor, snf_minor_gcd, snf_reduction
+from .oracles import (
+    charpoly_cofactor,
+    fraction_det,
+    fraction_inverse,
+    fraction_matvec,
+    fraction_rank,
+    snf_minor_gcd,
+    snf_reduction,
+)
 
 
 def rand_int_rows(rng, m, n, lo=-9, hi=9):
@@ -112,7 +122,7 @@ class TestCharPoly:
             for _ in range(8):
                 rows = rand_int_rows(rng, n, n, -4, 4)
                 want = [int(c) % p for c in charpoly_cofactor(rows)]
-                assert [c.v for c in Matrix(rows, gf).char_poly()] == want
+                assert Matrix(rows, gf).char_poly() == want
 
     def test_cayley_hamilton(self):
         rng = random.Random(23)
@@ -184,3 +194,164 @@ class TestLattices:
         big = lattice_basis([[2, 0], [0, 2]], 2)
         with pytest.raises(ValueError):
             lattice_quotient_invariants(big, [[1, 0]])
+
+
+class TestEntryTypes:
+    def test_ints_stay_ints(self):
+        M = Matrix([[2, 4], [6, 8]])
+        assert all(type(x) is int for r in M.rows for x in r)
+        assert type(M.det()) is int and M.det() == -8
+        red, _ = Matrix([[2, 4], [1, 3]]).rref()
+        assert all(type(x) is int for r in red.rows for x in r)
+
+    def test_fraction_only_after_inexact_division(self):
+        assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
+        assert QQ.div(1, 3) == Fraction(1, 3)
+        assert type(QQ.div(Fraction(4), 2)) is int
+        assert Matrix([[3, 1]]).kernel_basis() == [[Fraction(-1, 3), 1]]
+
+    def test_fractions_kept_as_given(self):
+        assert type(Matrix([[Fraction(2)]]).rows[0][0]) is Fraction
+
+    def test_rational_field_refuses_float(self):
+        with pytest.raises(TypeError):
+            QQ.of(0.1)
+        with pytest.raises(TypeError):
+            Matrix([[1, 0.5]])
+
+    def test_prime_field_refuses_float(self):
+        gf = PrimeField(5)
+        with pytest.raises(TypeError):
+            gf.of(2.5)
+        with pytest.raises(TypeError):
+            Matrix([[1, 2.0]], gf)
+
+    def test_prime_field_entries(self):
+        gf = PrimeField(5)
+        assert gf.of(-1) == 4 and gf.of(Fraction(1, 2)) == 3
+        with pytest.raises(ZeroDivisionError):
+            gf.of(Fraction(1, 5))
+        assert Matrix([[7, -1]], gf).rows == [[2, 4]]
+
+    @pytest.mark.parametrize("op", ["add", "sub", "matmul"])
+    @pytest.mark.parametrize("fields", [(3, 5), (None, 3)], ids=["gf3-gf5", "qq-gf3"])
+    def test_mixed_characteristics_rejected(self, op, fields):
+        a, b = (QQ if p is None else PrimeField(p) for p in fields)
+        x, y = Matrix([[1, 2], [0, 1]], a), Matrix([[1, 0], [2, 1]], b)
+        apply = {"add": lambda: x + y, "sub": lambda: x - y, "matmul": lambda: x @ y}[op]
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            apply()
+
+    def test_equal_primes_combine(self):
+        x = Matrix([[1, 2]], PrimeField(3))
+        y = Matrix([[2, 2]], PrimeField(3))
+        assert (x + y).rows == [[0, 1]]
+
+
+def _square(max_n=6, lo=-5, hi=5):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def _rect(max_n=6, lo=-5, hi=5):
+    return st.tuples(st.integers(1, max_n), st.integers(1, max_n)).flatmap(
+        lambda mn: st.lists(
+            st.lists(st.integers(lo, hi), min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0],
+            max_size=mn[0],
+        )
+    )
+
+
+def _entries(x):
+    """Every scalar inside a matrix, vector, list of vectors or scalar."""
+    if isinstance(x, Matrix):
+        return [e for r in x.rows for e in r]
+    if isinstance(x, list):
+        return [e for v in x for e in _entries(v)]
+    return [x]
+
+
+class TestRationalProperties:
+    """Over QQ on random integer matrices, against Fraction-only oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rect())
+    def test_rank_and_kernel(self, rows):
+        M = Matrix(rows)
+        n = len(rows[0])
+        rank = fraction_rank(rows)
+        ker = M.kernel_basis()
+        assert M.rank() == rank
+        assert len(ker) == n - rank
+        assert all(fraction_matvec(rows, v) == [0] * len(rows) for v in ker)
+        assert not ker or fraction_rank(ker) == len(ker)
+        assert not any(isinstance(x, float) for x in _entries(ker))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_square())
+    def test_det_inverse_and_char_poly(self, rows):
+        M = Matrix(rows)
+        d = M.det()
+        assert type(d) is int and d == fraction_det(rows)
+        want = fraction_inverse(rows)
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                M.inverse()
+        else:
+            inv = M.inverse()
+            assert inv.rows == want
+            assert not any(isinstance(x, float) for x in _entries(inv))
+        cp = M.char_poly()
+        assert cp == charpoly_cofactor(rows)
+        assert not any(isinstance(x, float) for x in cp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rect(), st.data())
+    def test_solve(self, rows, data):
+        b = data.draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+        x = Matrix(rows).solve(b)
+        consistent = fraction_rank(rows) == fraction_rank([r + [c] for r, c in zip(rows, b)])
+        assert (x is not None) == consistent
+        if x is not None:
+            assert fraction_matvec(rows, x) == b
+            assert not any(isinstance(v, float) for v in x)
+
+
+class TestPrimeFieldProperties:
+    """Over GF(p): entries stay ints in [0, p) and kernels are kernels."""
+
+    @staticmethod
+    def _reduced(x, p):
+        return all(type(e) is int and 0 <= e < p for e in _entries(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), _rect(lo=-7, hi=7), st.integers(-7, 7))
+    def test_entries_stay_reduced(self, p, rows, c):
+        gf = PrimeField(p)
+        M = Matrix(rows, gf)
+        Mt = M.transpose()
+        outputs = [M, M + M, M - M.scale(c), M.scale(c), M @ Mt, Mt @ M]
+        outputs += [M.apply([c] * M.ncols), M.rref()[0], M.kernel_basis()]
+        outputs += [M.column_space_basis()]
+        x = M.solve([c] * M.nrows)
+        if x is not None:
+            outputs.append(x)
+        S = M @ Mt
+        outputs += [S.det(), S.char_poly()]
+        if S.det():
+            outputs.append(S.inverse())
+        for out in outputs:
+            assert self._reduced(out, p), out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), _rect(lo=-7, hi=7))
+    def test_kernel_and_rank_nullity(self, p, rows):
+        M = Matrix(rows, PrimeField(p))
+        ker = M.kernel_basis()
+        for v in ker:
+            assert all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows)
+        assert M.rank() + len(ker) == len(rows[0])
