@@ -121,10 +121,7 @@ def parse_diag(spec: str, l: int):
         else:
             entries.append(Fraction(tok))
     n = len(entries)
-    m = Matrix.zeros(n, n)
-    for i, x in enumerate(entries):
-        m.rows[i][i] = x
-    return m
+    return Matrix.from_support(n, n, {(i, i): x for i, x in enumerate(entries)})
 
 
 def parse_matrix(spec: str) -> Matrix:
@@ -310,12 +307,11 @@ def cmd_moduli_components(args):
 def cmd_moduli_witness(args):
     s = parse_diag(args.diag, args.l)
     n = s.nrows
-    N = Matrix.zeros(n, n)
+    support = {}
     for pair in args.nilpotent.split(";"):
         i, j = (int(x) for x in pair.split(","))
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"nilpotent entry ({i}, {j}) lies outside a {n}x{n} matrix")
-        N.rows[i][j] = Fraction(1)
+        support[i, j] = Fraction(1)
+    N = Matrix.from_support(n, n, support)
     rep = Report(
         "moduli witness",
         {"diag": args.diag, "l": args.l, "nilpotent": args.nilpotent},
@@ -402,10 +398,7 @@ def cmd_slope_decompose(args):
     rep.put("complement_dim", len(dec.complement_basis))
     rep.put("Q", dec.factorization.Q)
     rep.put("S", dec.factorization.S)
-    rep.put(
-        "polygon_vertices",
-        slope.newton_polygon(slope.fredholm_series(U), args.p).vertices,
-    )
+    rep.put("polygon_vertices", slope.newton_polygon(dec.series, args.p).vertices)
     for name, ok in dec.report.items():
         if name != "ok":
             rep.check(name, ok)
@@ -559,9 +552,16 @@ def build_parser():
     return top
 
 
+_parser = None  # (builder, parser): built by the first call to main, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    # one parser per process; a replaced build_parser (a test's patch, a tracer's
+    # wrapper) gets a parser of its own
+    if _parser is None or _parser[0] is not build_parser:
+        _parser = (build_parser, build_parser())
+    args = _parser[1].parse_args(argv)
     t0 = time.monotonic()
     try:
         report = args.run(args)

@@ -360,15 +360,13 @@ def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
     T0 = Matrix(walk_operator_v0(g))
     T1 = Matrix(walk_operator_v1(g))
 
-    expected = Matrix.zeros(n0 + n1, n0 + n1)
-    for i in range(n0):
-        expected.rows[i][i] = l**3 + 1
-    for j in range(n1):
-        expected.rows[n0 + j][n0 + j] = l + 1
+    support = {(i, i): l**3 + 1 for i in range(n0)}
+    support.update({(n0 + j, n0 + j): l + 1 for j in range(n1)})
     for i in range(n0):
         for j in range(n1):
-            expected.rows[i][n0 + j] = B.rows[i][j]
-            expected.rows[n0 + j][i] = A.rows[j][i]
+            support[i, n0 + j] = B.rows[i][j]
+            support[n0 + j, i] = A.rows[j][i]
+    expected = Matrix.from_support(n0 + n1, n0 + n1, support)
 
     checks = {
         "block_shape": composite == expected,
@@ -383,9 +381,8 @@ def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
 
 def old_new_decomposition(g: CosetGraph):
     """Rational decomposition of the edge space into old = im(i) and new = ker(i+)."""
-    inc = Matrix(g.incidence_rows())
-    old_basis = inc.column_space_basis()
-    new_basis = inc.transpose().kernel_basis()
+    # old = row space of inc^T, new = kernel of inc^T: one row reduction gives both
+    old_basis, new_basis = Matrix(g.incidence_rows()).transpose().row_space_and_kernel()
     old_supports = [[(e, x) for e, x in enumerate(o) if x] for o in old_basis]
     dims = {
         "old": len(old_basis),

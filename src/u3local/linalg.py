@@ -108,6 +108,18 @@ class Matrix:
     def zeros(cls, m, n, field=QQ):
         return cls._wrap([[0] * n for _ in range(m)], field, n)
 
+    @classmethod
+    def from_support(cls, m, n, support, field=QQ):
+        """The m x n matrix with the entries {(i, j): value} and zeros elsewhere;
+        every value goes through ``field.of``."""
+        rows = [[0] * n for _ in range(m)]
+        of = field.of
+        for (i, j), x in support.items():
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) lies outside a {m}x{n} matrix")
+            rows[i][j] = of(x)
+        return cls._wrap(rows, field, n)
+
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -219,12 +231,13 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def kernel_basis(self):
-        """Basis of the right kernel {v : M v = 0}, as lists of field elements."""
+    def row_space_and_kernel(self):
+        """Bases of the row space (the nonzero rows of the rref) and of the right
+        kernel {v : M v = 0}, as lists of field elements, from one row reduction."""
         red, pivots = self.rref()
         pivset = set(pivots)
         of = self.field.of
-        basis = []
+        kernel = []
         for fc in range(self.ncols):
             if fc in pivset:
                 continue
@@ -232,13 +245,16 @@ class Matrix:
             v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = of(-red.rows[r][fc])
-            basis.append(v)
-        return basis
+            kernel.append(v)
+        return red.rows[: len(pivots)], kernel
+
+    def kernel_basis(self):
+        """Basis of the right kernel {v : M v = 0}, as lists of field elements."""
+        return self.row_space_and_kernel()[1]
 
     def column_space_basis(self):
         """Basis of the column space, as lists (vectors in the row-count space)."""
-        red, pivots = self.transpose().rref()
-        return [list(red.rows[i]) for i in range(len(pivots))]
+        return self.transpose().row_space_and_kernel()[0]
 
     def solve(self, b):
         """One solution of M x = b, or None if inconsistent."""

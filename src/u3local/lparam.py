@@ -21,9 +21,7 @@ class NoWitnessError(ValueError):
 
 
 def matrix_unit(n: int, i: int, j: int) -> Matrix:
-    m = Matrix.zeros(n, n)
-    m.rows[i][j] = Fraction(1)
-    return m
+    return Matrix.from_support(n, n, {(i, j): Fraction(1)})
 
 
 @dataclass
@@ -121,14 +119,13 @@ def partitions_of(n: int):
 
 def jordan_representative(partition: tuple[int, ...]) -> Matrix:
     """Block nilpotent matrix in Jordan form with the given block sizes."""
-    n = sum(partition)
-    m = Matrix.zeros(n, n)
+    support = {}
     offset = 0
     for part in partition:
-        for i in range(part - 1):
-            m.rows[offset + i][offset + i + 1] = Fraction(1)
+        for i in range(offset, offset + part - 1):
+            support[i, i + 1] = Fraction(1)
         offset += part
-    return m
+    return Matrix.from_support(offset, offset, support)
 
 
 def nilpotent_orbits(n: int) -> list[tuple[tuple[int, ...], Matrix]]:

@@ -1,14 +1,16 @@
 """p-adic slope machinery at matrix scale.
 
 The characteristic series det(1 - T U) of a square matrix plays the role of
-the Fredholm series; its Newton polygon at p reads off the valuations of the
-eigenvalues of U (one slope per eigenvalue, counted with multiplicity).  For
-a slope bound h the series factors as P = Q S with Q collecting exactly the
-reciprocal roots of valuation <= h, computed by a quadratically convergent
-Hensel/Newton iteration started from the polygon truncation.  When the true
-factor has rational coefficients of moderate height the iteration is snapped
-to it by rational reconstruction and everything downstream is exact; otherwise
-the factors are reported modulo p^precision.
+the Fredholm series.  It is the characteristic polynomial of U, from one
+Hessenberg reduction, with its coefficients reversed.  Its Newton polygon at
+p reads off the valuations of the eigenvalues of U (one slope per eigenvalue,
+counted with multiplicity).  For a slope bound h the series factors as
+P = Q S with Q collecting exactly the reciprocal roots of valuation <= h,
+computed by a quadratically convergent Hensel/Newton iteration started from
+the polygon truncation.  When the true factor has rational coefficients of
+moderate height the iteration is snapped to it by rational reconstruction and
+everything downstream is exact; otherwise the factors are reported modulo
+p^precision.
 
 The decomposition splits the ambient space into ker Qt(U) and its polynomial
 complement, where Qt(T) = T^m Q(1/T); the projector comes from a Bezout
@@ -39,19 +41,15 @@ RECONSTRUCTION_MARGIN = 25
 
 
 def fredholm_series(U: Matrix) -> Poly:
-    """det(1 - T U), computed by exact determinant interpolation at scalar points.
+    """det(1 - T U), the reversed characteristic polynomial T^n det(1/T - U).
 
     Degree <= n with constant term 1; the coefficients are the signed
-    elementary symmetric functions of the eigenvalues.
+    elementary symmetric functions of the eigenvalues.  The characteristic
+    polynomial comes from one Hessenberg reduction (``Matrix.char_poly``).
     """
     if not U.is_square():
         raise ValueError("matrix must be square")
-    n = U.nrows
-    ident = Matrix.identity(n)
-    # interpolate the degree <= n polynomial t -> det(I - t U)
-    points = [(Fraction(t), (ident - U.scale(t)).det()) for t in range(n + 1)]
-    coeffs = _lagrange(points)
-    p = Poly(coeffs)
+    p = Poly(U.char_poly()).reverse(U.nrows)
     assert p(Fraction(0)) == 1
     return p
 
@@ -76,23 +74,6 @@ def padic_matrix(entries: list[list[PAdicScalar]]) -> tuple[Matrix, int, int]:
         )
     rows = [[x.rational_representative() for x in row] for row in entries]
     return Matrix(rows), p, prec
-
-
-def _lagrange(points):
-    xs = [x for x, _ in points]
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        num = Poly([1])
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * Poly([-xj, 1])
-                den *= xi - xj
-        scaled = num * (yi / den)
-        for k, c in enumerate(scaled.coeffs):
-            coeffs[k] += c
-    return coeffs
 
 
 @dataclass
@@ -324,6 +305,7 @@ class SlopeDecomposition:
     complement_basis: list[list[Fraction]]
     projector: Matrix
     factorization: SlopeFactorization
+    series: Poly  # det(1 - T U), the series that was factored
     report: dict = field(default_factory=dict)
 
 
@@ -380,7 +362,7 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
         "u_stable_complement": _stable_under(U, complement),
     }
     return SlopeDecomposition(
-        q_part, complement, projector, fact, {"ok": all(checks.values()), **checks}
+        q_part, complement, projector, fact, P, {"ok": all(checks.values()), **checks}
     )
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written with different algorithms from the
 package under test: determinantal divisors instead of elementary reduction,
 cofactor expansion instead of Hessenberg reduction or Bareiss elimination,
-adjugates instead of Gauss-Jordan inverses, literal subspace enumeration
+adjugates instead of Gauss-Jordan inverses, determinant interpolation
+instead of the reversed characteristic polynomial, literal subspace enumeration
 instead of product formulas, explicit neighbour walks instead of operator
 algebra.  Slow is fine; these run on tiny inputs.
 """
@@ -217,6 +218,30 @@ def fraction_inverse(rows):
 
 def fraction_matvec(rows, vec) -> list[Fraction]:
     return [sum((Fraction(x) * Fraction(y) for x, y in zip(r, vec)), Fraction(0)) for r in rows]
+
+
+def fredholm_interpolation(rows) -> list[Fraction]:
+    """det(1 - tU) by Lagrange interpolation of the determinants at t = 0..n;
+    ascending coefficients without trailing zeros."""
+    n = len(rows)
+    points = []
+    for t in range(n + 1):
+        shifted = [
+            [int(i == j) - t * Fraction(x) for j, x in enumerate(r)] for i, r in enumerate(rows)
+        ]
+        points.append((t, fraction_det(shifted)))
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, (xi, yi) in enumerate(points):
+        basis, den = [Fraction(1)], Fraction(1)
+        for xj, _ in points:
+            if xj != xi:
+                basis = _polymul(basis, [Fraction(-xj), Fraction(1)])
+                den *= xi - xj
+        for k, c in enumerate(basis):
+            coeffs[k] += c * yi / den
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 # --- subspace counting over small prime fields -------------------------------

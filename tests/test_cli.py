@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from u3local import cosets
+from u3local import cli, cosets, slope
 from u3local.cli import main
 from u3local.cosets import complete_biregular, parallel_multigraph
 
@@ -227,6 +230,15 @@ class TestSlopeCommands:
         assert doc["results"]["q_part_dim"] == 1
         assert doc["results"]["polygon_vertices"] == [[0, "0"], [1, "0"], [2, "1"]]
 
+    def test_decompose_computes_the_series_once(self, capsys, monkeypatch):
+        calls = []
+        original = slope.fredholm_series
+        monkeypatch.setattr(slope, "fredholm_series", lambda U: calls.append(U) or original(U))
+        code, _ = run_json(
+            capsys, "slope", "decompose", "--entries", "1,1;0,3", "--p", "3", "--h", "0"
+        )
+        assert code == 0 and len(calls) == 1
+
     def test_series_from_file(self, capsys, tmp_path):
         mf = tmp_path / "u.mat"
         mf.write_text("1,0;0,3\n")
@@ -293,3 +305,55 @@ class TestReportContract:
         # cannot even load, so instead check a passing case end to end
         code, doc = run_json(capsys, "moduli", "pgl2", "--l", "3")
         assert code == 0 and doc["passed"]
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["satake", "eig", "--alpha", "4", "--l", "2"],
+        ["satake", "eig", "--alpha", "4"],  # --l missing: an argparse error
+        ["--budget", "100", "tree", "verify", "--l", "2", "--radius", "4"],
+        ["tree", "verify", "--l", "2", "--radius", "4"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, capsys.readouterr().out
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(self.outcome(capsys, argv))
+        monkeypatch.setattr(cli, "_parser", None)
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert len(built) == 1
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, ("exit", 2), 2, 0]
+        # the last call gets the default budget back, not 100
+        assert json.loads(reused[-1][1])["results"]["vertices"] > 100
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import u3local.cli\n"
+            "print(len(built), u3local.cli._parser)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.split() == ["0", "None"]

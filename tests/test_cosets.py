@@ -215,6 +215,26 @@ class TestOldNew:
         _, _, dims = old_new_decomposition(g2)
         assert dims["old"] == 22 and dims["new"] == 32
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: complete_biregular(2),
+            lambda: parallel_multigraph(2),
+            lambda: random_biregular_graph(2, 4, random.Random(3)),
+        ],
+        ids=["k39", "m13", "random4"],
+    )
+    def test_one_row_reduction_same_bases(self, make, monkeypatch):
+        g = make()
+        inc = Matrix(g.incidence_rows())
+        want = (inc.column_space_basis(), inc.transpose().kernel_basis())
+        calls = []
+        original = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self) or original(self))
+        old, new, _ = old_new_decomposition(g)
+        assert len(calls) == 1
+        assert (old, new) == want
+
 
 class TestKernelEigenvalue:
     def test_k39(self, k39):

@@ -242,6 +242,27 @@ class TestEntryTypes:
         with pytest.raises(ValueError, match="mixed characteristics"):
             apply()
 
+    def test_from_support(self):
+        M = Matrix.from_support(2, 3, {(0, 2): 5, (1, 0): Fraction(1, 2)})
+        assert M.shape == (2, 3) and M.rows == [[0, 0, 5], [Fraction(1, 2), 0, 0]]
+        assert Matrix.from_support(2, 2, {}) == Matrix.zeros(2, 2)
+
+    def test_from_support_reduces_over_prime_field(self):
+        gf = PrimeField(3)
+        M = Matrix.from_support(1, 1, {(0, 0): 5}, gf)
+        assert M.rows == [[2]] and M == Matrix([[2]], gf)
+
+    def test_from_support_refuses_float(self):
+        with pytest.raises(TypeError):
+            Matrix.from_support(2, 2, {(0, 1): 0.5})
+        with pytest.raises(TypeError):
+            Matrix.from_support(2, 2, {(0, 1): 2.0}, PrimeField(3))
+
+    @pytest.mark.parametrize("pos", [(2, 0), (0, 2), (-1, 0)])
+    def test_from_support_refuses_entry_outside(self, pos):
+        with pytest.raises(ValueError, match="outside"):
+            Matrix.from_support(2, 2, {pos: 1})
+
     def test_equal_primes_combine(self):
         x = Matrix([[1, 2]], PrimeField(3))
         y = Matrix([[2, 2]], PrimeField(3))

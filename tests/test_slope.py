@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from u3local.linalg import Matrix
 from u3local.poly import Poly
@@ -16,6 +17,8 @@ from u3local.slope import (
     slope_decomposition,
     slope_factorization,
 )
+
+from .oracles import fredholm_interpolation
 
 
 def diag(*entries):
@@ -49,6 +52,21 @@ class TestFredholm:
             U = Matrix([[Fraction(rng.randint(-4, 4)) for _ in range(n)] for __ in range(n)])
             cp = Poly(U.char_poly())
             assert fredholm_series(U) == cp.reverse(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @example([[0, 1], [0, 0]])
+    @example([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    @example([[0, 0], [0, 0]])
+    @example([[1, 2], [2, 4]])
+    def test_matches_interpolation_oracle(self, rows):
+        assert list(fredholm_series(Matrix(rows)).coeffs) == fredholm_interpolation(rows)
 
     def test_padic_entries(self):
         entries = [
@@ -187,6 +205,12 @@ class TestRationalReconstruction:
 
 
 class TestSlopeDecomposition:
+    def test_exposes_the_factored_series(self):
+        U = Matrix([[1, 2, 0], [0, 3, 1], [0, 0, 9]])
+        dec = slope_decomposition(U, 0, 3)
+        assert dec.series == fredholm_series(U)
+        assert dec.factorization.Q * dec.factorization.S == dec.series
+
     def test_example_diag(self):
         dec = slope_decomposition(diag(1, 3), 0, 3)
         assert dec.report["ok"], dec.report
