@@ -411,11 +411,13 @@ def cmd_analytic_ihara(args):
         {"p": args.p, "m": args.m, "degree": args.degree, "delta": args.delta},
     )
     delta = parse_fraction(args.delta)
+    if args.degree < 0:
+        raise ValueError("--degree must be nonnegative")
     table = {}
     for d in range(args.degree + 1):
         model = analytic.make_model(args.p, args.m, d, budget=args.budget)
         table[d] = analytic.ihara_rank_test(model, delta)
-    rep.put("balls", analytic.make_model(args.p, args.m, 1, budget=args.budget).n_balls)
+    rep.put("balls", model.n_balls)  # (p^m)^3 at every degree
     rep.put("rank_table", table)
     rep.check("full_rank_at_every_degree", all(table.values()))
     return rep

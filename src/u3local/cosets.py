@@ -622,21 +622,33 @@ class GammaChain:
 
 
 def gamma_chain(g: CosetGraph) -> GammaChain:
-    inc_rows = g.incidence_rows()  # |E| x (n0+n1)
-    nv = g.n0 + g.n1
-    gamma0 = lattice_basis([[int(i == j) for i in range(nv)] for j in range(nv)], nv)
-    gamma1 = lattice_basis([list(r) for r in inc_rows], nv)
-    inc_cols = [[r[j] for r in inc_rows] for j in range(nv)]
-    sat = lattice_saturation(inc_cols, g.nedges)
-    lowered_sat = [
-        [sum(inc_rows[e][i] * col[e] for e in range(g.nedges)) for i in range(nv)]
-        for col in sat
-    ]
+    """The chain, each lattice as the Hermite normal form basis of its generators.
+
+    The composite inc^T·inc and the lowered saturation inc^T·sat are formed
+    from the two ends of each edge: row e of the incidence matrix ``inc`` has
+    exactly two 1s, at v(e) and n0 + w(e).
+    """
+    n0, nv = g.n0, g.n0 + g.n1
+    ends = [(v, n0 + w) for v, w in g.edges]
+    gamma0 = [[int(i == j) for i in range(nv)] for j in range(nv)]  # already in HNF
+    gamma1 = lattice_basis(g.incidence_rows(), nv)
+    inc_cols = [[0] * g.nedges for _ in range(nv)]
+    for e, (a, b) in enumerate(ends):
+        inc_cols[a][e] = inc_cols[b][e] = 1
+    lowered_sat = []
+    for col in lattice_saturation(inc_cols, g.nedges):
+        low = [0] * nv
+        for (a, b), x in zip(ends, col):
+            low[a] += x
+            low[b] += x
+        lowered_sat.append(low)
     gamma2 = lattice_basis(lowered_sat, nv)
-    composite = [
-        [sum(inc_rows[e][i] * inc_rows[e][j] for e in range(g.nedges)) for i in range(nv)]
-        for j in range(nv)
-    ]
+    composite = [[0] * nv for _ in range(nv)]  # symmetric, so rows are columns
+    for a, b in ends:
+        composite[a][a] += 1
+        composite[b][b] += 1
+        composite[a][b] += 1
+        composite[b][a] += 1
     gamma3 = lattice_basis(composite, nv)
     return GammaChain(gamma0, gamma1, gamma2, gamma3)
 

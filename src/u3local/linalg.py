@@ -511,19 +511,76 @@ def int_matrix_det(rows) -> int:
 # ---------------------------------------------------------------------------
 # integer lattices, given by generator matrices (columns generate)
 # ---------------------------------------------------------------------------
+#
+# A lattice basis is kept in Hermite normal form (Cohen, A Course in
+# Computational Algebraic Number Theory, Sec. 2.4.2), as a list of basis vectors
+# b_0, ..., b_{r-1}: the first nonzero entry of b_k (its pivot) lies strictly
+# right of the pivot of b_{k-1} and is positive, and every entry of an earlier
+# vector in the pivot column of b_k lies in [0, pivot).  Entries must be kept
+# reduced as the basis is built, or they blow up (Domich-Kannan-Trotter 1987
+# bound them by a determinant modulus, which needs full rank; the chain
+# lattices here have corank one per component).  Membership and coordinates
+# then come from back substitution on the pivots, in integers.
 
 
 def lattice_basis(gen_cols: list[list[int]], ambient_dim: int) -> list[list[int]]:
-    """Basis (as columns) of the lattice generated by the given integer columns."""
-    if not gen_cols:
-        return []
-    rows = [[col[i] for col in gen_cols] for i in range(ambient_dim)]
-    factors, U, _ = smith_normal_form(rows, transforms=True)
-    uinv = _int_inverse(U)
-    basis = []
-    for k, d in enumerate(factors):
-        if d != 0:
-            basis.append([d * uinv[i][k] for i in range(ambient_dim)])
+    """Hermite normal form basis (as columns) of the lattice generated by the
+    given integer columns.
+
+    Each generator is reduced into an echelon basis keyed by pivot column: a
+    multiple of the pivot row clears its leading entry, or a unimodular Bezout
+    step replaces the pivot by the gcd.  A row is stored only after its entries
+    in the later pivot columns are reduced, which keeps the entries of every
+    later reduction bounded.
+    """
+    by_pivot = {}  # pivot column -> basis vector with a positive pivot
+
+    def store(c, h):
+        if h[c] < 0:
+            h = [-x for x in h]
+        for c2 in sorted(k for k in by_pivot if k > c):
+            b = by_pivot[c2]
+            q = h[c2] // b[c2]
+            if q:
+                h[c2:] = [x - q * y for x, y in zip(h[c2:], b[c2:])]
+        by_pivot[c] = h
+
+    for gen in gen_cols:
+        v = [int(x) for x in gen]
+        if len(v) != ambient_dim:
+            raise ValueError("generator length does not match the ambient dimension")
+        c = 0
+        while True:
+            while c < ambient_dim and not v[c]:
+                c += 1
+            if c == ambient_dim:
+                break
+            h = by_pivot.get(c)
+            if h is None:
+                store(c, v)
+                break
+            a, b = h[c], v[c]
+            q, r = divmod(b, a)
+            if r:
+                # [[s, t], [-b/g, a/g]] is unimodular: h gets the pivot g = gcd(a, b)
+                s, t = _bezout(a, b)
+                g = s * a + t * b
+                store(c, [s * x + t * y for x, y in zip(h, v)])
+                v = [(a // g) * y - (b // g) * x for x, y in zip(h, v)]
+            else:
+                v[c:] = [y - q * x for x, y in zip(h[c:], v[c:])]
+            c += 1
+    pivots = sorted(by_pivot)
+    basis = [by_pivot[c] for c in pivots]
+    # reduce above each pivot, left to right: b_k is zero left of its pivot, so
+    # later steps leave the columns already reduced alone
+    for k, c in enumerate(pivots):
+        bk, p = basis[k], basis[k][c]
+        for j in range(k):
+            bj = basis[j]
+            q = bj[c] // p
+            if q:
+                bj[c:] = [x - q * y for x, y in zip(bj[c:], bk[c:])]
     return basis
 
 
@@ -537,32 +594,68 @@ def lattice_saturation(gen_cols: list[list[int]], ambient_dim: int) -> list[list
     return [[uinv[i][k] for i in range(ambient_dim)] for k, d in enumerate(factors) if d != 0]
 
 
+def _echelon(basis_cols: list[list[int]], ambient_dim: int):
+    """(basis, pivot columns) of the lattice: the given columns themselves when
+    they are already in echelon form (as ``lattice_basis`` returns them), else
+    their Hermite normal form."""
+    pivots, c = [], 0
+    for b in basis_cols:
+        if len(b) != ambient_dim or any(b[:c]):
+            break
+        while c < ambient_dim and not b[c]:
+            c += 1
+        if c == ambient_dim:
+            break
+        pivots.append(c)
+        c += 1
+    else:
+        return basis_cols, pivots
+    basis = lattice_basis(basis_cols, ambient_dim)
+    return basis, _echelon(basis, ambient_dim)[1]
+
+
+def _coordinates(basis, pivots, vec) -> list[int]:
+    """Integer coordinates of vec in an echelon basis, by back substitution on
+    its pivots.  Raises ValueError when vec lies outside the lattice."""
+    x = list(vec)
+    coords = []
+    for b, c in zip(basis, pivots):
+        q, r = divmod(x[c], b[c])
+        if r:
+            raise ValueError(f"not contained: entry {c} is not divisible by its pivot")
+        if q:
+            x[c:] = [u - q * w for u, w in zip(x[c:], b[c:])]
+        coords.append(q)
+    if any(x):
+        raise ValueError("not in the span")
+    return coords
+
+
 def lattice_quotient_invariants(big: list[list[int]], small: list[list[int]]) -> list[int]:
     """Invariant factors of (lattice big)/(lattice small); requires small within big.
 
     Both lattices are given by basis columns of equal rank.  The quotient is
-    finite exactly when the ranks agree.
+    finite exactly when the ranks agree.  The invariants are those of the
+    small matrix of coordinates of ``small`` against the echelon basis of
+    ``big``.
     """
     if not big and not small:
         return []
-    B = Matrix(big).transpose()
-    coords = []
-    for col in small:
-        x = B.solve(col)
-        if x is None:
-            raise ValueError("second lattice does not lie inside the first")
-        if any(f.denominator != 1 for f in x):
-            raise ValueError("second lattice is not contained in the first")
-        coords.append([f.numerator for f in x])
-    rows = [[coords[j][i] for j in range(len(coords))] for i in range(len(big))]
-    return [d for d in smith_normal_form(rows) if d != 1]
+    basis, pivots = _echelon(big, len((big or small)[0]))
+    try:
+        coords = [_coordinates(basis, pivots, col) for col in small]
+    except ValueError as exc:
+        raise ValueError(f"second lattice does not lie inside the first: {exc}") from None
+    return [d for d in smith_normal_form([list(r) for r in zip(*coords)]) if d != 1]
 
 
 def lattice_contains(basis_cols: list[list[int]], vec: list[int]) -> bool:
-    if not basis_cols:
-        return all(v == 0 for v in vec)
-    x = Matrix(basis_cols).transpose().solve(vec)
-    return x is not None and all(f.denominator == 1 for f in x)
+    basis, pivots = _echelon(basis_cols, len(vec))
+    try:
+        _coordinates(basis, pivots, vec)
+    except ValueError:
+        return False
+    return True
 
 
 def _int_inverse(rows: list[list[int]]) -> list[list[int]]:

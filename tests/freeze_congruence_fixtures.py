@@ -5,6 +5,7 @@ are frozen into test_cosets.py / test_acceptance.py.  Uses only the oracle SNF
 and self-contained Fraction elimination, none of the package lattice helpers.
 """
 
+import random
 from fractions import Fraction
 
 from oracles import snf_reduction
@@ -23,6 +24,34 @@ def k39_twist_edges():
     edges.remove((0, 0))
     edges.remove((1, 1))
     return edges + [(0, 1), (1, 0)]
+
+
+def random_l2_edges(n0, seed):
+    """Edges of random_biregular_graph(2, n0, random.Random(seed)): the same
+    configuration model with the same draws, retried until connected."""
+    n1 = 3 * n0
+    rng = random.Random(seed)
+    stubs0 = [v for v in range(n0) for _ in range(9)]
+    while True:
+        stubs1 = [w for w in range(n1) for _ in range(3)]
+        rng.shuffle(stubs1)
+        edges = list(zip(stubs0, stubs1))
+        if _connected(edges, n0, n1):
+            return edges
+
+
+def _connected(edges, n0, n1):
+    adj = [[] for _ in range(n0 + n1)]
+    for v, w in edges:
+        adj[v].append(n0 + w)
+        adj[n0 + w].append(v)
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == n0 + n1
 
 
 def incidence(edges, n0, n1):
@@ -161,3 +190,6 @@ if __name__ == "__main__":
     report("K39", k39_edges(), 3, 9)
     report("M13", m13_edges(), 1, 3)
     report("K39_twist", k39_twist_edges(), 3, 9)
+    # the two graphs on which `graph congruence` used to stall
+    report("Random(1) n0=3", random_l2_edges(3, 1), 3, 9)
+    report("Random(2) n0=4", random_l2_edges(4, 2), 4, 12)

@@ -220,6 +220,32 @@ def fraction_matvec(rows, vec) -> list[Fraction]:
     return [sum((Fraction(x) * Fraction(y) for x, y in zip(r, vec)), Fraction(0)) for r in rows]
 
 
+def lattice_coordinates_fraction(basis_cols, vec):
+    """Coordinates of vec against linearly independent integer columns: the
+    unique rational solution of B x = vec by Fraction forward elimination and
+    back substitution, returned as ints when it is integral.  None when vec is
+    outside the rational span or the solution is not integral."""
+    k, n = len(basis_cols), len(vec)
+    aug = [[Fraction(b[i]) for b in basis_cols] + [Fraction(vec[i])] for i in range(n)]
+    for c in range(k):  # independence puts the pivot of column c in row c
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("basis columns are linearly dependent")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(c + 1, n):
+            f = aug[i][c] / aug[c][c]
+            aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    if any(aug[i][k] != 0 for i in range(k, n)):
+        return None
+    x = [Fraction(0)] * k
+    for c in reversed(range(k)):
+        row = aug[c]
+        x[c] = (row[k] - sum(row[j] * x[j] for j in range(c + 1, k))) / row[c]
+    if any(c.denominator != 1 for c in x):
+        return None
+    return [int(c) for c in x]
+
+
 def fredholm_interpolation(rows) -> list[Fraction]:
     """det(1 - tU) by Lagrange interpolation of the determinants at t = 0..n;
     ascending coefficients without trailing zeros."""

@@ -261,6 +261,31 @@ class TestAnalyticCommands:
         assert code == 0 and doc["passed"]
         assert all(doc["results"]["rank_table"].values())
 
+    def test_ihara_builds_one_model_per_degree(self, capsys, monkeypatch):
+        from u3local import analytic
+
+        built = []
+        make_model = analytic.make_model
+        monkeypatch.setattr(
+            analytic, "make_model", lambda *a, **k: built.append(a) or make_model(*a, **k)
+        )
+        code, doc = run_json(
+            capsys, "analytic", "ihara", "--p", "2", "--m", "1", "--degree", "2", "--delta", "3"
+        )
+        assert code == 0 and [a[2] for a in built] == [0, 1, 2]
+        # the same report as when n_balls came from one more model
+        assert doc == {
+            "assertions": [{"name": "full_rank_at_every_degree", "passed": True}],
+            "command": "analytic ihara",
+            "inputs": {"degree": 2, "delta": "3", "m": 1, "p": 2, "seed": 0},
+            "passed": True,
+            "results": {"balls": 8, "rank_table": {"0": True, "1": True, "2": True}},
+        }
+
+    def test_ihara_rejects_negative_degree(self, capsys):
+        assert main(["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "-1"]) == 2
+        assert "--degree must be nonnegative" in capsys.readouterr().err
+
     def test_weight_central(self, capsys):
         code, doc = run_json(
             capsys,

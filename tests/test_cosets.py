@@ -56,6 +56,22 @@ M13_CONGRUENCE = {
     "q23": [],
 }
 K39_TWIST_CONGRUENCE = {"torsion": [], "q12": [3, 3, 3, 3, 3, 3, 621], "q23": []}
+# random_biregular_graph(2, n0, Random(seed)), by (n0, seed): the two graphs on
+# which the congruence module once stalled in the Smith form of q12
+RANDOM_CONGRUENCE = {
+    (3, 1): {
+        "gamma_ranks": (12, 11, 11, 11),
+        "coker_free_rank": 16,
+        "q12": [3] * 6 + [357],
+        "q23": [],
+    },
+    (4, 2): {
+        "gamma_ranks": (16, 15, 15, 15),
+        "coker_free_rank": 21,
+        "q12": [3] * 8 + [5874],
+        "q23": [],
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +339,21 @@ class TestCongruenceModule:
         assert rep["torsion_invariants"] == K39_TWIST_CONGRUENCE["torsion"]
         assert rep["q12_invariants"] == K39_TWIST_CONGRUENCE["q12"]
         assert rep["q23_invariants"] == K39_TWIST_CONGRUENCE["q23"]
+
+    @pytest.mark.parametrize("n0, seed", sorted(RANDOM_CONGRUENCE))
+    def test_random_graph_matches_oracle_fixture(self, n0, seed):
+        want = RANDOM_CONGRUENCE[n0, seed]
+        rep = congruence_module(random_biregular_graph(2, n0, random.Random(seed)))
+        assert tuple(rep["gamma_ranks"].values()) == want["gamma_ranks"]
+        assert rep["coker_free_rank"] == want["coker_free_rank"]
+        assert rep["q12_invariants"] == want["q12"]
+        assert rep["q23_invariants"] == want["q23"]
+        assert rep["containments_ok"]
+
+    def test_desk_scale_graph_passes_containments(self):
+        rep = congruence_module(random_biregular_graph(2, 24, random.Random(1)))
+        assert tuple(rep["gamma_ranks"].values()) == (96, 95, 95, 95)
+        assert rep["containments_ok"]
 
     def test_q01_rank_counts_components(self, k39):
         rep = congruence_module(k39)

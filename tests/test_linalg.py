@@ -22,6 +22,7 @@ from .oracles import (
     fraction_inverse,
     fraction_matvec,
     fraction_rank,
+    lattice_coordinates_fraction,
     snf_minor_gcd,
     snf_reduction,
 )
@@ -376,3 +377,93 @@ class TestPrimeFieldProperties:
         for v in ker:
             assert all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows)
         assert M.rank() + len(ker) == len(rows[0])
+
+
+def _generators(max_n=5, max_k=6, lo=-6, hi=6):
+    """(ambient dimension n, up to max_k integer generators of length n)."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n), max_size=max_k),
+        )
+    )
+
+
+def _combination(coeffs, vecs, n):
+    return [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)]
+
+
+def _torsion_order(rows) -> int:
+    """Index of the lattice spanned by the rows in its saturation."""
+    order = 1
+    for d in snf_reduction(rows):
+        order *= d or 1
+    return order
+
+
+class TestLatticeProperties:
+    """The Hermite normal form lattice layer against a Fraction-solve oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_generators())
+    def test_basis_is_hermite_normal_form(self, gens):
+        n, cols = gens
+        basis = lattice_basis(cols, n)
+        assert len(basis) == fraction_rank(cols)
+        prev = -1
+        for k, b in enumerate(basis):
+            c = next(j for j, x in enumerate(b) if x)
+            assert c > prev and b[c] > 0
+            assert all(0 <= basis[j][c] < b[c] for j in range(k))
+            prev = c
+
+    @settings(max_examples=80, deadline=None)
+    @given(_generators())
+    def test_basis_spans_the_generated_lattice(self, gens):
+        n, cols = gens
+        basis = lattice_basis(cols, n)
+        assert all(lattice_coordinates_fraction(basis, g) is not None for g in cols)
+        if fraction_rank(cols) == len(cols):
+            assert all(lattice_coordinates_fraction(cols, b) is not None for b in basis)
+        elif cols:
+            # generators inside the basis lattice, of the same rank: the two
+            # lattices agree exactly when their indices in the saturation do
+            assert _torsion_order(cols) == _torsion_order(basis)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_generators(), st.data())
+    def test_contains_matches_oracle(self, gens, data):
+        n, cols = gens
+        basis = lattice_basis(cols, n)
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+        member = _combination(coeffs, cols, n)
+        other = data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+        assert lattice_contains(basis, member)
+        for vec in (member, other):
+            want = lattice_coordinates_fraction(basis, vec) is not None
+            assert lattice_contains(basis, vec) == want
+            assert lattice_contains(cols, vec) == want  # generators in no particular form
+
+    @settings(max_examples=80, deadline=None)
+    @given(_generators(max_k=4), st.data())
+    def test_quotient_invariants_match_oracle(self, gens, data):
+        n, cols = gens
+        big = lattice_basis(cols, n)
+        r = len(big)
+        mult = data.draw(
+            st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=r, max_size=r)
+        )
+        small = [_combination(row, big, n) for row in mult]
+        coords = [lattice_coordinates_fraction(big, v) for v in small]
+        want = [d for d in snf_reduction([list(c) for c in zip(*coords)]) if d != 1]
+        assert lattice_quotient_invariants(big, small) == want
+        if fraction_rank(cols) == len(cols):
+            # the invariants do not depend on the basis of the bigger lattice
+            assert lattice_quotient_invariants(cols, small) == want
+
+    def test_quotient_names_why_a_vector_is_outside(self):
+        big = lattice_basis([[2, 0]], 2)
+        with pytest.raises(ValueError, match="not divisible"):
+            lattice_quotient_invariants(big, [[1, 0]])
+        with pytest.raises(ValueError, match="not in the span"):
+            lattice_quotient_invariants(big, [[0, 1]])
