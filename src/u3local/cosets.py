@@ -661,10 +661,11 @@ def congruence_module(g: CosetGraph) -> dict:
     unimodular, so the headline torsion is expected to vanish; the interesting
     finite quotients sit between the chain's lowered lattices.
     """
-    factors = smith_normal_form(g.incidence_rows())
-    torsion = [d for d in factors if d not in (0, 1)]
-    rank = sum(1 for d in factors if d != 0)
     chain = gamma_chain(g)
+    # gamma1 is the Hermite basis of the incidence rows' lattice: its length is
+    # their rank, and its nonzero invariant factors are theirs
+    rank = len(chain.gamma1)
+    torsion = [d for d in smith_normal_form(chain.gamma1) if d != 1]
     return {
         "torsion_invariants": torsion,
         "old_lattice_rank": rank,

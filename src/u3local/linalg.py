@@ -10,6 +10,13 @@ ints stay ints through addition, multiplication and exact division, and a
 already held one).  Every division goes through ``field.div``, never ``/``,
 so two ints never meet true division.  Over GF(p) entries are ints in
 [0, p), reduced after every operation.
+
+The integer layer rests on one elimination, the Hermite normal form routine
+``lattice_basis``.  The Smith form alternates row and column Hermite forms and
+returns the invariant factors only (there are no transform matrices);
+saturation is the integer kernel of the integer kernel; membership and
+quotient coordinates come from back substitution on the Hermite pivots.
+Non-integral input raises rather than being truncated.
 """
 
 from __future__ import annotations
@@ -274,27 +281,29 @@ class Matrix:
 
     def det(self):
         """Determinant by Bareiss elimination: every division is exact, so an
-        integer matrix stays integral throughout."""
+        integer matrix stays integral throughout (and divides with ``//``)."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        a = self.copy().rows
-        n = self.nrows
         div = self.field.div
+        ints = not self.field.characteristic and all(type(x) is int for r in self.rows for x in r)
+        a = self.rows  # the trailing block still to eliminate; rows are never written
         sign, prev = 1, 1
-        for k in range(n):
-            pr = next((i for i in range(k, n) if a[i][k]), None)
+        while a:
+            pr = next((i for i, r in enumerate(a) if r[0]), None)
             if pr is None:
                 return 0
-            if pr != k:
-                a[k], a[pr] = a[pr], a[k]
+            if pr:
+                a = [a[pr]] + a[1:pr] + [a[0]] + a[pr + 1 :]
                 sign = -sign
-            pk, rowk = a[k][k], a[k]
-            for i in range(k + 1, n):
-                f, row = a[i][k], a[i]
-                a[i] = [0] * (k + 1) + [
-                    div(x * pk - f * y, prev) for x, y in zip(row[k + 1 :], rowk[k + 1 :])
-                ]
-            prev = pk
+            pk, tail = a[0][0], a[0][1:]
+            rest = []
+            for r in a[1:]:
+                f = r[0]
+                if ints:
+                    rest.append([(x * pk - f * y) // prev for x, y in zip(r[1:], tail)])
+                else:
+                    rest.append([div(x * pk - f * y, prev) for x, y in zip(r[1:], tail)])
+            a, prev = rest, pk
         return self.field.of(sign * prev)
 
     def inverse(self):
@@ -348,124 +357,61 @@ class Matrix:
         return polys[n]
 
     def to_int_rows(self):
-        if any(type(x) is not int and x.denominator != 1 for r in self.rows for x in r):
-            raise ValueError("matrix is not integral")
-        return [[int(x) for x in r] for r in self.rows]
+        return _as_int_rows(self.rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
+def _int_row(row) -> list[int]:
+    """The entries of row as a new list of ints.  A non-integral ``Fraction``
+    raises ``ValueError``; anything but an int or a ``Fraction`` (a float, a
+    str) raises ``TypeError``, so nothing is silently truncated."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    out = []
+    for x in row:
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                raise ValueError(f"not an integer: {x}")
+            x = x.numerator
+        elif not isinstance(x, int):
+            raise TypeError(f"not an integer: {x!r}")
+        out.append(int(x))
+    return out
+
+
 def _as_int_rows(mat) -> list[list[int]]:
-    if isinstance(mat, Matrix):
-        return mat.to_int_rows()
-    return [[int(x) for x in r] for r in mat]
+    return [_int_row(r) for r in (mat.rows if isinstance(mat, Matrix) else mat)]
 
 
-def smith_normal_form(mat, transforms: bool = False):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(mat) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... | d_min(m,n) of an integer matrix.
 
-    Elementary row/column reduction, pivoting on the smallest nonzero entry.
-    With transforms=True returns (factors, U, V) with U*M*V diagonal and
-    U, V unimodular (as integer row-lists).
+    Alternates Hermite normal forms of the rows and of the columns until the
+    echelon basis is diagonal (Kannan-Bachem, SIAM J. Comput. 8, 1979).  Each
+    round's leading pivot divides the last one, and a round that keeps it
+    leaves its row and column clear, so the rounds end; ``lattice_basis``
+    keeps the entries reduced throughout.  The diagonal then gets its
+    divisibility chain from gcd/lcm exchanges, and zeros pad it to length
+    min(m, n).
     """
-    a = _as_int_rows(mat)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0 or n == 0:
-        return ([], [], []) if transforms else []
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    size = min(m, n)
-    while t < size:
-        # smallest nonzero pivot in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    rows = _as_int_rows(mat)
+    size = min(len(rows), len(rows[0])) if rows else 0
+    if not size:
+        return []
+    width = len(rows[0])
+    while True:
+        rows = lattice_basis(rows, width)
+        if all(r[k] and not any(r[k + 1 :]) for k, r in enumerate(rows)):
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            progressed = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        progressed = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        progressed = True
-            if not progressed:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if y % (x or 1) != 0 or (x == 0 and y != 0):
-                # fold entry i+1 into column i and re-reduce the 2x2 block
-                addmul_col(i, i + 1, 1)
-                g = gcd(x, y)
-                # Bezout: r*x + s*y = g
-                r, s = _bezout(x, y)
-                # new row i := r*row_i + s*row_{i+1}; row_{i+1} adjusted to keep U unimodular
-                ri, rj = a[i][:], a[i + 1][:]
-                ui, uj = U[i][:], U[i + 1][:]
-                a[i] = [r * p + s * q for p, q in zip(ri, rj)]
-                U[i] = [r * p + s * q for p, q in zip(ui, uj)]
-                xg, yg = x // g, y // g
-                a[i + 1] = [-yg * p + xg * q for p, q in zip(ri, rj)]
-                U[i + 1] = [-yg * p + xg * q for p, q in zip(ui, uj)]
-                # clear the off-diagonal residue left in the 2x2 block
-                q = a[i + 1][i] // a[i][i]
-                addmul_row(i + 1, i, -q)
-                q = a[i][i + 1] // a[i][i]
-                addmul_col(i + 1, i, -q)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    factors = [a[i][i] for i in range(size)]
-    return (factors, U, V) if transforms else factors
+        width, rows = len(rows), [list(c) for c in zip(*rows)]
+    diag = [r[k] for k, r in enumerate(rows)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (size - len(diag))
 
 
 def _bezout(x: int, y: int) -> tuple[int, int]:
@@ -484,28 +430,9 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
 
 
 def int_matrix_det(rows) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free elimination)."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of an integer matrix (``Matrix.det`` after an
+    integrality check)."""
+    return Matrix(_as_int_rows(rows)).det()
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +473,7 @@ def lattice_basis(gen_cols: list[list[int]], ambient_dim: int) -> list[list[int]
         by_pivot[c] = h
 
     for gen in gen_cols:
-        v = [int(x) for x in gen]
+        v = _int_row(gen)
         if len(v) != ambient_dim:
             raise ValueError("generator length does not match the ambient dimension")
         c = 0
@@ -584,14 +511,24 @@ def lattice_basis(gen_cols: list[list[int]], ambient_dim: int) -> list[list[int]
     return basis
 
 
+def _integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of {x in Z^ncols : every row . x = 0}.
+
+    The generators (column j, e_j) span {(A x, x)}; in the Hermite normal form
+    of that lattice the vectors with a zero first block span its part with
+    A x = 0.
+    """
+    m = len(rows)
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("row length does not match the number of columns")
+    gens = [[r[j] for r in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return [h[m:] for h in lattice_basis(gens, m + ncols) if not any(h[:m])]
+
+
 def lattice_saturation(gen_cols: list[list[int]], ambient_dim: int) -> list[list[int]]:
-    """Basis of (span_Q of the lattice) intersected with Z^ambient_dim."""
-    if not gen_cols:
-        return []
-    rows = [[col[i] for col in gen_cols] for i in range(ambient_dim)]
-    factors, U, _ = smith_normal_form(rows, transforms=True)
-    uinv = _int_inverse(U)
-    return [[uinv[i][k] for i in range(ambient_dim)] for k, d in enumerate(factors) if d != 0]
+    """Basis of (span_Q of the lattice) intersected with Z^ambient_dim: the
+    integer kernel of the integer kernel of the generators."""
+    return _integer_kernel(_integer_kernel(gen_cols, ambient_dim), ambient_dim)
 
 
 def _echelon(basis_cols: list[list[int]], ambient_dim: int):
@@ -656,9 +593,3 @@ def lattice_contains(basis_cols: list[list[int]], vec: list[int]) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _int_inverse(rows: list[list[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, returned with integer entries."""
-    inv = Matrix(rows).inverse()
-    return [[f.numerator for f in r] for r in inv.rows]

@@ -355,6 +355,19 @@ class TestCongruenceModule:
         assert tuple(rep["gamma_ranks"].values()) == (96, 95, 95, 95)
         assert rep["containments_ok"]
 
+    @pytest.mark.parametrize("graph", ["k39", "random4-2"])
+    def test_runs_in_integers(self, graph, k39, monkeypatch):
+        # no rational elimination anywhere on the congruence path
+        def refuse(*args, **kwargs):
+            raise AssertionError("rational elimination on the congruence path")
+
+        for name in ("rref", "inverse", "solve"):
+            monkeypatch.setattr(Matrix, name, refuse)
+        g = k39 if graph == "k39" else random_biregular_graph(2, 4, random.Random(2))
+        rep = congruence_module(g)
+        want = K39_CONGRUENCE["q12"] if graph == "k39" else RANDOM_CONGRUENCE[4, 2]["q12"]
+        assert rep["q12_invariants"] == want and rep["containments_ok"]
+
     def test_q01_rank_counts_components(self, k39):
         rep = congruence_module(k39)
         assert rep["q01_free_rank"] == k39.n_components == 1

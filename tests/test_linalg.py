@@ -32,6 +32,24 @@ def rand_int_rows(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for __ in range(m)]
 
 
+def _square(max_n=6, lo=-5, hi=5):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def _rect(max_n=6, lo=-5, hi=5):
+    return st.tuples(st.integers(1, max_n), st.integers(1, max_n)).flatmap(
+        lambda mn: st.lists(
+            st.lists(st.integers(lo, hi), min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0],
+            max_size=mn[0],
+        )
+    )
+
+
 class TestSmithNormalForm:
     def test_examples(self):
         assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
@@ -65,18 +83,26 @@ class TestSmithNormalForm:
             twisted = _mm(_mm(left, rows), right)
             assert smith_normal_form(twisted) == base
 
-    def test_transforms_realize_diagonal(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            m, n = rng.randint(1, 5), rng.randint(1, 5)
-            rows = rand_int_rows(rng, m, n)
-            f, U, V = smith_normal_form(rows, transforms=True)
-            D = _mm(_mm(U, rows), V)
-            for i in range(m):
-                for j in range(n):
-                    assert D[i][j] == (f[i] if i == j else 0)
-            assert abs(int_matrix_det(U)) == 1
-            assert abs(int_matrix_det(V)) == 1
+    def test_former_blowup_matrix(self):
+        # the elementary-operation Smith form ran past 60 s here, its entries
+        # reaching thousands of bits
+        rows = [
+            [5, -7, -2, 5, 0, -9],
+            [-4, 8, -9, -3, 0, 0],
+            [2, -8, -9, 5, -7, 0],
+            [-6, -3, -5, -9, -9, 6],
+            [8, 0, -5, -5, 9, 8],
+            [3, -1, 8, 3, 8, -7],
+        ]
+        assert smith_normal_form(rows) == snf_minor_gcd(rows) == [1, 1, 1, 1, 2, 284158]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rect(max_n=5, lo=-9, hi=9))
+    def test_dense_against_minor_gcd_oracle(self, rows):
+        assert smith_normal_form(rows) == snf_minor_gcd(rows)
+
+    def test_matrix_input(self):
+        assert smith_normal_form(Matrix([[2, 0], [0, Fraction(6, 2)]])) == [1, 6]
 
 
 def _mm(a, b):
@@ -173,7 +199,7 @@ class TestKernelAndRank:
         for _ in range(30):
             n = rng.randint(1, 6)
             rows = rand_int_rows(rng, n, n)
-            assert Matrix(rows).det() == int_matrix_det(rows)
+            assert Matrix(rows).det() == fraction_det(rows)
 
 
 class TestLattices:
@@ -195,6 +221,36 @@ class TestLattices:
         big = lattice_basis([[2, 0], [0, 2]], 2)
         with pytest.raises(ValueError):
             lattice_quotient_invariants(big, [[1, 0]])
+
+
+class TestIntegralityGate:
+    """The integer layer refuses what is not an integer instead of truncating it."""
+
+    def test_smith_form_refuses_half(self):
+        with pytest.raises(ValueError):
+            smith_normal_form([[Fraction(1, 2), 0], [0, 3]])
+
+    def test_lattice_basis_refuses_float(self):
+        with pytest.raises(TypeError):
+            lattice_basis([[0.5, 1]], 2)
+
+    def test_int_det_refuses_half(self):
+        with pytest.raises(ValueError):
+            int_matrix_det([[Fraction(1, 2)]])
+
+    def test_int_det_refuses_float(self):
+        with pytest.raises(TypeError):
+            int_matrix_det([[2.5]])
+
+    def test_str_refused(self):
+        with pytest.raises(TypeError):
+            smith_normal_form([["3"]])
+
+    def test_integral_fractions_accepted(self):
+        assert smith_normal_form([[Fraction(4, 2), 0], [0, Fraction(3)]]) == [1, 6]
+        assert int_matrix_det([[Fraction(6, 3), 1], [0, 1]]) == 2
+        assert type(int_matrix_det([[Fraction(6, 3)]])) is int
+        assert lattice_basis([[Fraction(2), 4]], 2) == [[2, 4]]
 
 
 class TestEntryTypes:
@@ -268,24 +324,6 @@ class TestEntryTypes:
         x = Matrix([[1, 2]], PrimeField(3))
         y = Matrix([[2, 2]], PrimeField(3))
         assert (x + y).rows == [[0, 1]]
-
-
-def _square(max_n=6, lo=-5, hi=5):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
-        )
-    )
-
-
-def _rect(max_n=6, lo=-5, hi=5):
-    return st.tuples(st.integers(1, max_n), st.integers(1, max_n)).flatmap(
-        lambda mn: st.lists(
-            st.lists(st.integers(lo, hi), min_size=mn[1], max_size=mn[1]),
-            min_size=mn[0],
-            max_size=mn[0],
-        )
-    )
 
 
 def _entries(x):
@@ -460,6 +498,21 @@ class TestLatticeProperties:
         if fraction_rank(cols) == len(cols):
             # the invariants do not depend on the basis of the bigger lattice
             assert lattice_quotient_invariants(cols, small) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(_generators(max_k=3), st.data())
+    def test_saturation_matches_oracles(self, gens, data):
+        # integer combinations of a few vectors, zero generators among them:
+        # rank-deficient whenever there are more generators than vectors
+        n, base = gens
+        row = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        mult = data.draw(st.lists(row, max_size=6))
+        cols = [_combination(c, base, n) for c in mult] + [[0] * n]
+        sat = lattice_saturation(cols, n)
+        assert len(sat) == fraction_rank(cols)
+        assert all(lattice_contains(sat, g) for g in cols)
+        # rank r, holding the generators, Z^n/sat torsion-free: the saturation
+        assert all(d == 1 for d in snf_minor_gcd(sat))
 
     def test_quotient_names_why_a_vector_is_outside(self):
         big = lattice_basis([[2, 0]], 2)
