@@ -51,6 +51,8 @@ class CosetGraph:
 
     def __init__(self, l: int, n0: int, n1: int, edges: list[tuple[int, int]]):
         require_prime(l)
+        if n0 < 0 or n1 < 0:
+            raise GraphFormatError(f"vertex counts must be nonnegative, got v0 {n0} and v1 {n1}")
         self.l = l
         self.n0 = n0
         self.n1 = n1
@@ -86,6 +88,13 @@ class CosetGraph:
 
     def multiplicity(self, v, w):
         return sum(1 for a, b in self.edges if a == v and b == w)
+
+    def multiplicity_table(self) -> list[list[int]]:
+        """Edge counts between every V0 and V1 vertex, from one pass over the edges."""
+        mult = [[0] * self.n1 for _ in range(self.n0)]
+        for v, w in self.edges:
+            mult[v][w] += 1
+        return mult
 
     def _component_labels(self):
         parent = list(range(self.n0 + self.n1))
@@ -352,10 +361,7 @@ def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
     inc = Matrix(g.incidence_rows())
     composite = inc.transpose() @ inc
     n0, n1, l = g.n0, g.n1, g.l
-    mult = [[0] * n1 for _ in range(n0)]
-    for v, w in g.edges:
-        mult[v][w] += 1
-    B = Matrix(mult)
+    B = Matrix(g.multiplicity_table())
     A = B.transpose()
     T0 = Matrix(walk_operator_v0(g))
     T1 = Matrix(walk_operator_v1(g))
@@ -532,19 +538,6 @@ def _abelian_kernel_span(g: CosetGraph, p: int, lab: DetLabeling | None):
     return vecs
 
 
-def _subspace_rank(vectors, field):
-    if not vectors:
-        return 0
-    return Matrix(vectors, field).rank()
-
-
-def _in_span(vectors, candidate, field):
-    if not vectors:
-        return all(not bool(c) for c in candidate)
-    base = Matrix(vectors, field).rank()
-    return Matrix(vectors + [candidate], field).rank() == base
-
-
 def ihara_kernel_test(g: CosetGraph, p: int, lab: DetLabeling | None = None) -> dict:
     """The mod-p kernel of the raising map is spanned by abelian (pullback) forms.
 
@@ -554,29 +547,22 @@ def ihara_kernel_test(g: CosetGraph, p: int, lab: DetLabeling | None = None) -> 
     """
     require_prime(p)
     gf = PrimeField(p)
-    inc = Matrix(g.incidence_rows(), gf)
-    kernel = inc.kernel_basis()
+    kernel = Matrix(g.incidence_rows(), gf).kernel_basis()
     span = _abelian_kernel_span(g, p, lab)
-    abelian_ok = all(_in_span(span, vec, gf) for vec in kernel)
-    per_component = []
-    for comp in range(g.n_components):
-        cols = [i for i in range(g.n0 + g.n1) if g.components[i] == comp]
-        rows = [
-            [inc.rows[e][i] for i in cols]
-            for e, (v, w) in enumerate(g.edges)
-            if g.components[v] == comp
-        ]
-        sub = Matrix(rows, gf) if rows else None
-        per_component.append(
-            {"component": comp, "kernel_dim": len(sub.kernel_basis()) if sub else 0}
-        )
+    abelian_ok = Matrix(span + kernel, gf).rank() == Matrix(span, gf).rank()
+    # An edge row meets one component, and row reduction only combines rows that
+    # share a column, so every reduced row and every kernel vector lies in one
+    # component: the kernel is the direct sum of the per-component kernels.
+    dims = [0] * g.n_components
+    for vec in kernel:
+        dims[g.components[next(i for i, x in enumerate(vec) if x)]] += 1
     return {
         "prime": p,
         "kernel_dim": len(kernel),
         "components": g.n_components,
         "dim_matches_components": len(kernel) == g.n_components,
         "spanned_by_abelian": abelian_ok,
-        "per_component": per_component,
+        "per_component": [{"component": c, "kernel_dim": d} for c, d in enumerate(dims)],
         "kernel_basis": kernel,
         "ok": len(kernel) == g.n_components and abelian_ok,
     }
@@ -793,7 +779,7 @@ def _perm_matrix_inverse(perm):
 def find_automorphisms(g: CosetGraph, limit: int = 8):
     """Backtracking search for (sigma, tau) vertex permutation pairs preserving
     the multiplicity matrix; returns at most `limit` pairs, identity first."""
-    mult = [[g.multiplicity(v, w) for w in range(g.n1)] for v in range(g.n0)]
+    mult = g.multiplicity_table()
     rows = {v: sorted(mult[v]) for v in range(g.n0)}
     cols = {w: sorted(mult[v][w] for v in range(g.n0)) for w in range(g.n1)}
     found = []
@@ -839,49 +825,42 @@ def find_automorphisms(g: CosetGraph, limit: int = 8):
     return found
 
 
-def _intersect_with_eigenspace(basis, op_rows, eigenvalue, gf):
-    """Intersection of span(basis) with ker(op - eigenvalue) over F_p."""
+def _eigen_part(basis, images, c, gf):
+    """The vectors of span(basis) that an operator scales by c over F_p, given
+    images[k] = op(basis[k]): the combinations sum x_k basis_k with
+    sum x_k (images[k] - c basis[k]) = 0.  An independent basis gives an
+    independent result."""
     if not basis:
         return []
-    n = len(basis[0])
-    op = Matrix(op_rows, gf)
-    shifted = op - Matrix.identity(n, gf).scale(eigenvalue)
-    # solve shifted @ (sum c_k basis_k) = 0 in the coefficients c
-    cols = [shifted.apply(vec) for vec in basis]
-    coeff = Matrix(cols, gf).transpose()
+    p = gf.p
+    shifted = [[(a - c * b) % p for a, b in zip(img, vec)] for img, vec in zip(images, basis)]
     out = []
-    for c in coeff.kernel_basis():
-        vec = [0] * n
-        for k, ck in enumerate(c):
-            if ck:
-                vec = [x + ck * y for x, y in zip(vec, basis[k])]
-        out.append(gf.reduce_row(vec))
+    for x in Matrix(shifted, gf).transpose().kernel_basis():
+        vec = [0] * len(basis[0])
+        for xk, b in zip(x, basis):
+            if xk:
+                vec = [(y + xk * z) % p for y, z in zip(vec, b)]
+        out.append(vec)
     return out
 
 
-def _integer_roots_with_multiplicity(coeffs: list[Fraction], bound: int):
+def _integer_roots_with_multiplicity(coeffs, bound: int):
     """Integer roots (with multiplicity, absolute value <= bound) of a monic
-    integer polynomial, plus the degree of the unsplit remainder."""
-    from .poly import Poly
-
-    p = Poly(coeffs)
+    integer polynomial given degree-ascending, plus the degree of the unsplit
+    remainder.  One ascending pass divides out each candidate while it is a root."""
+    cs = [int(c) for c in coeffs]
     roots = []
-    changed = True
-    while changed and p.degree > 0:
-        changed = False
-        c0 = p.coeffs[0]
-        if c0 == 0:
-            roots.append(0)
-            p = Poly(p.coeffs[1:])
-            changed = True
-            continue
-        for cand in range(-bound, bound + 1):
-            if cand != 0 and c0 % cand == 0 and p(Fraction(cand)) == 0:
-                roots.append(cand)
-                p = p // Poly([-cand, 1])
-                changed = True
+    for r in range(-bound, bound + 1):
+        while len(cs) > 1:
+            acc, quo = 0, []  # synthetic division by x - r, leading coefficient first
+            for c in reversed(cs):
+                acc = acc * r + c
+                quo.append(acc)
+            if acc:  # the remainder, cs evaluated at r
                 break
-    return sorted(roots), p.degree
+            roots.append(r)
+            cs = quo[-2::-1]
+    return roots, len(cs) - 1
 
 
 def level_raising_search(
@@ -894,6 +873,12 @@ def level_raising_search(
     ker(T0 - l(l^3+1)) mod p that is not contained in the span of labeled
     character pullbacks.  For each candidate the search decides whether the
     same auxiliary eigensystem occurs in ker(i+) mod p.
+
+    Every basis here is a kernel basis or its image under ``_eigen_part``, so
+    it is independent and its length is the dimension it spans.  Each auxiliary
+    eigenvalue is found by a scan over the p residues: the members need not
+    commute, so a refined space need not be stable under the next member, and a
+    char poly of a restriction would not be defined.
     """
     require_prime(p)
     if aux.graph is not g:
@@ -901,8 +886,7 @@ def level_raising_search(
     gf = PrimeField(p)
     lam = (g.l * (g.l**3 + 1)) % p
     t0 = walk_operator_v0(g)
-    id_basis = [[int(i == k) for i in range(g.n0)] for k in range(g.n0)]
-    base = _intersect_with_eigenspace(id_basis, t0, gf.of(lam), gf)
+    base = (Matrix(t0, gf) - Matrix.identity(g.n0, gf).scale(lam)).kernel_basis()
 
     # exact eigenvalue bookkeeping for the report; integer eigenvalues are
     # bounded by the constant row sum l(l^3+1) of the walk operator
@@ -910,40 +894,43 @@ def level_raising_search(
     int_roots, unsplit = _integer_roots_with_multiplicity(cp, g.l * (g.l**3 + 1))
     congruent_roots = sorted(set(r for r in int_roots if (r - lam) % p == 0))
 
-    systems = [([], base)]
-    for op in aux.members:
+    # members are carried by position, so equal names cannot mix them up
+    mats = [(Matrix(op.on_v0, gf), Matrix(op.on_edges, gf)) for op in aux.members]
+    systems = [([], base)]  # (list of (member index, eigenvalue), basis)
+    for k, (on_v0, _) in enumerate(mats):
         refined = []
         for eigs, basis in systems:
+            images = [on_v0.apply(vec) for vec in basis]
             for c in range(p):
-                sub = _intersect_with_eigenspace(basis, op.on_v0, gf.of(c), gf)
+                sub = _eigen_part(basis, images, c, gf)
                 if sub:
-                    refined.append((eigs + [(op.name, c)], sub))
+                    refined.append((eigs + [(k, c)], sub))
         systems = refined
 
     span = [vec[: g.n0] for vec in _abelian_kernel_span(g, p, lab)]
+    span_rank = Matrix(span, gf).rank()
     new_kernel = Matrix(g.incidence_rows(), gf).transpose().kernel_basis()
     candidates = []
     for eigs, basis in systems:
-        abelian = all(_in_span(span, vec, gf) for vec in basis)
-        if abelian:
-            continue
+        if Matrix(span + basis, gf).rank() == span_rank:
+            continue  # abelian
         occ_basis = new_kernel
-        for (name, c) in eigs:
-            op = next(o for o in aux.members if o.name == name)
-            occ_basis = _intersect_with_eigenspace(occ_basis, op.on_edges, gf.of(c), gf)
+        for k, c in eigs:
+            on_edges = mats[k][1]
+            occ_basis = _eigen_part(occ_basis, [on_edges.apply(v) for v in occ_basis], c, gf)
         candidates.append(
             {
-                "aux_eigenvalues": eigs,
-                "candidate_dim": _subspace_rank(basis, gf),
+                "aux_eigenvalues": [(aux.members[k].name, c) for k, c in eigs],
+                "candidate_dim": len(basis),
                 "occurs_in_new_space": bool(occ_basis),
-                "matching_new_dim": _subspace_rank(occ_basis, gf),
+                "matching_new_dim": len(occ_basis),
             }
         )
     candidates.sort(key=lambda c: tuple(v for _, v in c["aux_eigenvalues"]))
     return {
         "prime": p,
         "target_eigenvalue_mod_p": lam,
-        "eigenspace_dim": _subspace_rank(base, gf),
+        "eigenspace_dim": len(base),
         "new_space_dim": len(new_kernel),
         "integer_walk_eigenvalues": int_roots,
         "unsplit_degree": unsplit,

@@ -349,7 +349,7 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
         "qt_annihilates_q_part": all(
             all(x == 0 for x in qt_U.apply(v)) for v in q_part
         ),
-        "qt_invertible_on_complement": _restricted_invertible(qt_U, complement),
+        "qt_invertible_on_complement": _invertible_on(qt_U, complement),
         "projector_idempotent": projector @ projector == projector,
         "projector_commutes": projector @ U == U @ projector,
         "projector_fixes_q_part": all(
@@ -366,22 +366,12 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
     )
 
 
-def _restricted_invertible(op: Matrix, basis) -> bool:
-    if not basis:
-        return True
-    span = Matrix([list(v) for v in basis]).transpose()  # columns
-    coords = []
-    for v in basis:
-        img = op.apply(v)
-        x = span.solve(img)
-        if x is None:
-            return False
-        coords.append(x)
-    return Matrix([[coords[j][i] for j in range(len(coords))] for i in range(len(basis))]).det() != 0
+def _stable_under(op: Matrix, basis) -> bool:
+    """Whether op maps the span of the independent vectors ``basis`` into itself."""
+    return Matrix(basis + [op.apply(v) for v in basis]).rank() == len(basis)
 
 
-def _stable_under(U: Matrix, basis) -> bool:
-    if not basis:
-        return True
-    span = Matrix([list(v) for v in basis]).transpose()
-    return all(span.solve(U.apply(v)) is not None for v in basis)
+def _invertible_on(op: Matrix, basis) -> bool:
+    """Whether op maps the span of the independent vectors ``basis`` onto itself."""
+    images = [op.apply(v) for v in basis]
+    return Matrix(images).rank() == len(basis) == Matrix(basis + images).rank()

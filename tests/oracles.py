@@ -186,6 +186,26 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def gf_rank(rows, p: int) -> int:
+    """Rank over F_p by forward elimination on residues: each row below the
+    pivot row is replaced by pivot * row - entry * pivot_row, so no inverse
+    mod p is ever taken."""
+    a = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            if f:
+                a[i] = [(top[c] * x - f * y) % p for x, y in zip(a[i], top)]
+        rank += 1
+    return rank
+
+
 def fraction_det(rows) -> Fraction:
     """Determinant by Laplace expansion along the first row, in Fractions."""
     n = len(rows)
@@ -355,3 +375,21 @@ def commutes_with_level_maps_dense(g, on_v0, on_v1, on_edges) -> bool:
 
 def _matmul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def automorphisms_brute(g, limit: int):
+    """The first `limit` pairs (sigma, tau) of vertex permutations that keep
+    every edge multiplicity, in lexicographic order of (sigma, tau), by trying
+    every pair; multiplicities are counted edge by edge."""
+    def mult(v, w):
+        return sum(1 for e in g.edges if e == (v, w))
+
+    table = {(v, w): mult(v, w) for v in range(g.n0) for w in range(g.n1)}
+    found = []
+    for sigma in itertools.permutations(range(g.n0)):
+        for tau in itertools.permutations(range(g.n1)):
+            if all(table[sigma[v], tau[w]] == m for (v, w), m in table.items()):
+                found.append((list(sigma), list(tau)))
+                if len(found) == limit:
+                    return found
+    return found

@@ -132,6 +132,10 @@ class TestGraphCommands:
             id="count-not-an-integer",
         ),
         pytest.param(
+            "coset-graph l=2\nv0 -1\nv1 -1\n", None, ["graph", "analyze", "{graph}"],
+            "nonnegative", id="negative-vertex-count",
+        ),
+        pytest.param(
             None, "labels order=1\n",
             ["graph", "levelraise", "{graph}", "--prime", "3", "--labels", "{labels}"],
             "line 1", id="labels-without-gshift",

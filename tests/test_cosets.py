@@ -36,7 +36,7 @@ from u3local.cosets import (
 )
 from u3local.linalg import Matrix
 
-from .oracles import commutes_with_level_maps_dense
+from .oracles import automorphisms_brute, commutes_with_level_maps_dense, gf_rank
 
 # frozen by tests/freeze_congruence_fixtures.py (oracle SNF, run before the build)
 K39_CONGRUENCE = {
@@ -84,6 +84,31 @@ def m13():
     return parallel_multigraph(2)
 
 
+# graphs for the rank oracles; every Random(k) graph has n0 <= 4
+ORACLE_GRAPHS = {
+    "k39": lambda: complete_biregular(2),
+    "twisted": lambda: twisted_complete(2),
+    "k39u": lambda: disjoint_union(complete_biregular(2), complete_biregular(2)),
+    "m13": lambda: parallel_multigraph(2),
+    "random2": lambda: random_biregular_graph(2, 2, random.Random(1)),
+    "random3": lambda: random_biregular_graph(2, 3, random.Random(2)),
+    "random4": lambda: random_biregular_graph(2, 4, random.Random(1)),
+}
+
+
+def count_rrefs(monkeypatch):
+    """Record the shape of every ``Matrix.rref`` call from now on."""
+    calls = []
+    original = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self.shape) or original(self))
+    return calls
+
+
+def shifted(rows, c):
+    """rows - c * Id, as integer rows."""
+    return [[x - c * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+
+
 def random_triple(g, rng):
     return FormTriple(
         [Fraction(rng.randint(-9, 9)) for _ in range(g.n0)],
@@ -119,6 +144,17 @@ class TestLoadGraph:
             load_graph("v0 1\nv1 3\n")
         with pytest.raises(GraphFormatError):
             load_graph("coset-graph l=2\nv0 1\nv1 3\nbogus 1\n")
+
+    @pytest.mark.parametrize("n0, n1", [(-1, -1), (-1, 9), (3, -2)])
+    def test_negative_vertex_count_rejected(self, n0, n1):
+        with pytest.raises(GraphFormatError, match="nonnegative"):
+            CosetGraph(2, n0, n1, [])
+
+    @pytest.mark.parametrize("name", ["k39", "twisted", "m13", "random4"])
+    def test_multiplicity_table(self, name):
+        g = ORACLE_GRAPHS[name]()
+        table = g.multiplicity_table()
+        assert table == [[g.multiplicity(v, w) for w in range(g.n1)] for v in range(g.n0)]
 
     def test_nonprime_l_rejected(self):
         with pytest.raises(ValueError):
@@ -308,6 +344,46 @@ class TestIharaKernel:
     def test_m13(self, m13):
         rep = ihara_kernel_test(m13, 5)
         assert rep["ok"] and rep["kernel_dim"] == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    def test_per_component_against_oracle(self, name, p):
+        g = ORACLE_GRAPHS[name]()
+        rep = ihara_kernel_test(g, p)
+        expected = []
+        for comp in range(g.n_components):
+            cols = [i for i in range(g.n0 + g.n1) if g.components[i] == comp]
+            rows = [
+                [r[i] for i in cols]
+                for r, (v, _) in zip(g.incidence_rows(), g.edges)
+                if g.components[v] == comp
+            ]
+            expected.append({"component": comp, "kernel_dim": len(cols) - gf_rank(rows, p)})
+        assert rep["per_component"] == expected
+        assert rep["kernel_dim"] == g.n0 + g.n1 - gf_rank(g.incidence_rows(), p)
+
+    def test_shuffled_union_per_component(self, k39, m13):
+        # interleave the vertices and edges of three components
+        g = disjoint_union(disjoint_union(k39, m13), random_biregular_graph(2, 2, random.Random(1)))
+        rng = random.Random(3)
+        s0, s1 = list(range(g.n0)), list(range(g.n1))
+        rng.shuffle(s0)
+        rng.shuffle(s1)
+        edges = [(s0[v], s1[w]) for v, w in g.edges]
+        rng.shuffle(edges)
+        rep = ihara_kernel_test(CosetGraph(2, g.n0, g.n1, edges), 3)
+        assert [c["kernel_dim"] for c in rep["per_component"]] == [1, 1, 1]
+        assert rep["ok"]
+
+    def test_three_eliminations_whatever_the_components(self, k39, monkeypatch):
+        calls = count_rrefs(monkeypatch)
+        g = k39
+        for n_components in (1, 2, 3):
+            calls.clear()
+            rep = ihara_kernel_test(g, 2)
+            assert rep["components"] == n_components and rep["ok"]
+            assert len(calls) == 3
+            g = disjoint_union(g, k39)
 
 
 class TestCongruenceModule:
@@ -506,6 +582,69 @@ class TestAutomorphismsAndSearch:
         rep = level_raising_search(k39, 3, AuxOperatorFamily.empty(k39), lab)
         assert rep["eigenspace_dim"] == 3  # the walk operator vanishes mod 3
         assert rep["candidates"] and rep["prediction_confirmed"]
+
+    @pytest.mark.parametrize("name, p, matching", [("k39", 3, 12), ("random4", 2, 17)])
+    def test_search_duplicate_names(self, name, p, matching):
+        g = ORACLE_GRAPHS[name]()
+        perms = find_automorphisms(g, limit=4)[1:]
+        distinct = level_raising_search(g, p, AuxOperatorFamily.from_automorphisms(g, perms))
+        same = level_raising_search(
+            g, p, AuxOperatorFamily.from_automorphisms(g, perms, names=["x"] * len(perms))
+        )
+
+        def values(rep):
+            return [
+                {**c, "aux_eigenvalues": [v for _, v in c["aux_eigenvalues"]]}
+                for c in rep["candidates"]
+            ]
+
+        assert values(same) == values(distinct)
+        assert [c["matching_new_dim"] for c in same["candidates"]] == [matching]
+        assert [n for n, _ in same["candidates"][0]["aux_eigenvalues"]] == ["x"] * len(perms)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    def test_search_dims_against_oracle(self, name, p):
+        g = ORACLE_GRAPHS[name]()
+        fam = AuxOperatorFamily.from_automorphisms(g, find_automorphisms(g, limit=4)[1:])
+        rep = level_raising_search(g, p, fam)
+        t0 = shifted(walk_operator_v0(g), rep["target_eigenvalue_mod_p"])
+        inc_t = [list(col) for col in zip(*g.incidence_rows())]
+        assert rep["eigenspace_dim"] == g.n0 - gf_rank(t0, p)
+        assert rep["new_space_dim"] == g.nedges - gf_rank(inc_t, p)
+        ops = {op.name: op for op in fam.members}
+        for cand in rep["candidates"]:
+            on_v0, on_edges = list(t0), list(inc_t)
+            for name, c in cand["aux_eigenvalues"]:
+                on_v0 += shifted(ops[name].on_v0, c)
+                on_edges += shifted(ops[name].on_edges, c)
+            assert cand["candidate_dim"] == g.n0 - gf_rank(on_v0, p)
+            assert cand["matching_new_dim"] == g.nedges - gf_rank(on_edges, p)
+            assert cand["occurs_in_new_space"] == (cand["matching_new_dim"] > 0)
+
+    def test_abelian_test_is_one_elimination(self, k39, monkeypatch):
+        # with no auxiliary members: the T0 eigenspace, the abelian span, the
+        # abelian test and the new space, one elimination each, whatever the
+        # eigenspace dimension
+        calls = count_rrefs(monkeypatch)
+        dims = set()
+        for g, p in ((k39, 5), (k39, 3), (disjoint_union(k39, k39), 3)):
+            calls.clear()
+            rep = level_raising_search(g, p, AuxOperatorFamily.empty(g))
+            dims.add(rep["eigenspace_dim"])
+            assert len(calls) == 4
+        assert len(dims) == 3
+
+    @pytest.mark.parametrize("name", ["k39", "twisted", "m13", "random2"])
+    def test_find_automorphisms_against_brute_force(self, name, monkeypatch):
+        g = ORACLE_GRAPHS[name]()
+        expected = automorphisms_brute(g, 8)
+
+        def no_scan(self, v, w):
+            raise AssertionError("find_automorphisms should read the multiplicity table")
+
+        monkeypatch.setattr(CosetGraph, "multiplicity", no_scan)
+        assert find_automorphisms(g, limit=8) == expected
 
     def test_search_rejects_foreign_family(self, k39, m13):
         fam = AuxOperatorFamily.empty(m13)

@@ -9,6 +9,8 @@ from u3local.poly import Poly
 from u3local.scalars import INF, PAdicScalar, padic_valuation
 from u3local.slope import (
     NoBreakError,
+    _invertible_on,
+    _stable_under,
     SlopePrecisionError,
     fredholm_series,
     newton_polygon,
@@ -279,3 +281,31 @@ class TestSlopeDecomposition:
         U = Matrix([[0, -3], [1, 1]])
         with pytest.raises(SlopePrecisionError):
             slope_decomposition(U, 0, 3)
+
+
+class TestSubspaceChecks:
+    """The rank comparisons behind the stability and invertibility checks of
+    ``slope_decomposition``, on subspaces where they must fail."""
+
+    def test_stable_under(self):
+        U = Matrix([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
+        assert _stable_under(U, [[1, 0, 0]])  # an eigenvector
+        assert _stable_under(U, [[1, 0, 0], [0, 1, 0]])
+        assert not _stable_under(U, [[0, 1, 0]])  # U e2 = e1 + 2 e2
+        assert not _stable_under(U, [[0, 1, 0], [0, 0, 1]])
+        assert _stable_under(U, [])
+
+    def test_invertible_on(self):
+        N = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 2]])
+        assert _invertible_on(N, [[0, 0, 1]])
+        # span(e1, e2) is stable, but N is singular on it
+        assert _stable_under(N, [[1, 0, 0], [0, 1, 0]])
+        assert not _invertible_on(N, [[1, 0, 0], [0, 1, 0]])
+        assert not _invertible_on(N, [[1, 0, 0]])  # N e1 = 0
+        assert _invertible_on(N, [])
+
+    def test_invertible_on_needs_stability(self):
+        # injective on span(e1), but the image e1 + e2 leaves it
+        L = Matrix([[1, 0], [1, 1]])
+        assert not _invertible_on(L, [[1, 0]])
+        assert _invertible_on(L, [[0, 1]])
