@@ -212,6 +212,8 @@ def cmd_graph_congruence(args):
 
 
 def cmd_graph_levelraise(args):
+    if args.aux_limit < 0:
+        raise ValueError("--aux-limit must be nonnegative")
     g, text_digest = _load_graph_file(args.path)
     inputs = {"path_digest": text_digest, "prime": args.prime, "aux": args.aux}
     rep = Report("graph levelraise", inputs)

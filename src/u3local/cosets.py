@@ -777,51 +777,44 @@ def _perm_matrix_inverse(perm):
 
 
 def find_automorphisms(g: CosetGraph, limit: int = 8):
-    """Backtracking search for (sigma, tau) vertex permutation pairs preserving
-    the multiplicity matrix; returns at most `limit` pairs, identity first."""
+    """The first `limit` pairs (sigma, tau) of vertex permutations preserving
+    the multiplicity table, in lexicographic order of (sigma, tau), identity first.
+
+    One depth-first recursion places V0 vertices 0..n0-1, then V1 vertices
+    0..n1-1, trying candidates in ascending order.  A partial sigma on rows
+    0..k-1 extends to a pair exactly when the columns restricted to rows
+    sigma(0..k-1) and the columns restricted to rows 0..k-1 are the same
+    multiset of tuples; a branch failing that is pruned, and no other is, so
+    the order is that of plain backtracking and the tau slots never dead-end."""
+    n0, n1 = g.n0, g.n1
     mult = g.multiplicity_table()
-    rows = {v: sorted(mult[v]) for v in range(g.n0)}
-    cols = {w: sorted(mult[v][w] for v in range(g.n0)) for w in range(g.n1)}
-    found = []
+    cols = [tuple(mult[v][w] for v in range(n0)) for w in range(n1)]
+    prefixes = [sorted(col[:k] for col in cols) for k in range(n0 + 1)]
+    sigma, tau, found = [], [], []
 
-    def extend_tau(sigma):
-        tau = [None] * g.n1
-        used = [False] * g.n1
-
-        def rec(w):
-            if len(found) >= limit:
-                return
-            if w == g.n1:
-                found.append((list(sigma), list(tau)))
-                return
-            for cand in range(g.n1):
-                if used[cand] or cols[w] != cols[cand]:
-                    continue
-                if all(mult[sigma[v]][cand] == mult[v][w] for v in range(g.n0)):
-                    tau[w] = cand
-                    used[cand] = True
-                    rec(w + 1)
-                    used[cand] = False
-                    tau[w] = None
-
-        rec(0)
-
-    def rec_sigma(v, sigma, used):
+    def rec(keys):
+        # keys[c]: column c restricted to rows sigma(0), ..., sigma(len(sigma) - 1)
         if len(found) >= limit:
             return
-        if v == g.n0:
-            extend_tau(sigma)
-            return
-        for cand in range(g.n0):
-            if used[cand] or rows[v] != rows[cand]:
-                continue
-            sigma.append(cand)
-            used[cand] = True
-            rec_sigma(v + 1, sigma, used)
-            used[cand] = False
-            sigma.pop()
+        k = len(sigma)
+        if k < n0:
+            for cand in range(n0):
+                if cand not in sigma:
+                    nxt = [key + (x,) for key, x in zip(keys, mult[cand])]
+                    if sorted(nxt) == prefixes[k + 1]:
+                        sigma.append(cand)
+                        rec(nxt)
+                        sigma.pop()
+        elif len(tau) < n1:
+            for cand in range(n1):
+                if cand not in tau and keys[cand] == cols[len(tau)]:
+                    tau.append(cand)
+                    rec(keys)
+                    tau.pop()
+        else:
+            found.append((list(sigma), list(tau)))
 
-    rec_sigma(0, [], [False] * g.n0)
+    rec([()] * n1)
     return found
 
 

@@ -149,6 +149,8 @@ class SlopeFactorization:
 def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactorization:
     """Split off the slope <= h part of P (constant term 1) at the prime p."""
     require_prime(p)
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     h = Fraction(h)
     if P.is_zero() or P.coeffs[0] != 1:
         raise ValueError("need P(0) = 1")

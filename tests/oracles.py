@@ -393,3 +393,56 @@ def automorphisms_brute(g, limit: int):
                 if len(found) == limit:
                     return found
     return found
+
+
+def automorphisms_two_stage(g, limit: int):
+    """The reference search for the first `limit` pairs (sigma, tau) that keep
+    every edge multiplicity, in lexicographic order of (sigma, tau): enumerate
+    each whole sigma whose sorted rows match, and only then extend it to tau
+    column by column.  Exponential in n0 on graphs with few automorphisms."""
+    mult = [[0] * g.n1 for _ in range(g.n0)]
+    for v, w in g.edges:
+        mult[v][w] += 1
+    rows = {v: sorted(mult[v]) for v in range(g.n0)}
+    cols = {w: sorted(mult[v][w] for v in range(g.n0)) for w in range(g.n1)}
+    found = []
+
+    def extend_tau(sigma):
+        tau = [None] * g.n1
+        used = [False] * g.n1
+
+        def rec(w):
+            if len(found) >= limit:
+                return
+            if w == g.n1:
+                found.append((list(sigma), list(tau)))
+                return
+            for cand in range(g.n1):
+                if used[cand] or cols[w] != cols[cand]:
+                    continue
+                if all(mult[sigma[v]][cand] == mult[v][w] for v in range(g.n0)):
+                    tau[w] = cand
+                    used[cand] = True
+                    rec(w + 1)
+                    used[cand] = False
+                    tau[w] = None
+
+        rec(0)
+
+    def rec_sigma(v, sigma, used):
+        if len(found) >= limit:
+            return
+        if v == g.n0:
+            extend_tau(sigma)
+            return
+        for cand in range(g.n0):
+            if used[cand] or rows[v] != rows[cand]:
+                continue
+            sigma.append(cand)
+            used[cand] = True
+            rec_sigma(v + 1, sigma, used)
+            used[cand] = False
+            sigma.pop()
+
+    rec_sigma(0, [], [False] * g.n0)
+    return found

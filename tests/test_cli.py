@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -115,6 +116,17 @@ class TestGraphCommands:
         code, _ = run_json(capsys, "graph", "analyze", k39_path, "--prime", "3")
         assert code == 0 and len(calls) == 1
 
+    def test_levelraise_auto_on_former_stall(self, capsys, tmp_path, deadline):
+        # the n0=16 graph on which the automorphism search once ran for minutes
+        path = tmp_path / "r16-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 16, random.Random(1)).describe())
+        with deadline(30):
+            code, doc = run_json(
+                capsys, "graph", "levelraise", str(path), "--prime", "3", "--aux", "auto"
+            )
+        assert code == 0
+        assert doc["results"]["aux_members"] == 0
+
     def test_missing_file(self, capsys):
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
         capsys.readouterr()
@@ -149,6 +161,21 @@ class TestGraphCommands:
             None, None,
             ["moduli", "witness", "--diag", "l,1", "--l", "2", "--nilpotent", "0,5"],
             "outside", id="nilpotent-entry-outside-matrix",
+        ),
+        pytest.param(
+            None, None,
+            ["graph", "levelraise", "{graph}", "--prime", "3", "--aux", "auto", "--aux-limit", "-4"],
+            "--aux-limit", id="negative-aux-limit",
+        ),
+        pytest.param(
+            None, None,
+            ["slope", "factor", "--poly=1,-3,2", "--p", "2", "--h", "0", "--precision", "-25"],
+            "precision", id="slope-factor-negative-precision",
+        ),
+        pytest.param(
+            None, None,
+            ["slope", "decompose", "--entries", "1,0;0,3", "--p", "3", "--h", "0", "--precision", "-30"],
+            "precision", id="slope-decompose-negative-precision",
         ),
     ],
 )

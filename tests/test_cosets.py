@@ -36,7 +36,12 @@ from u3local.cosets import (
 )
 from u3local.linalg import Matrix
 
-from .oracles import automorphisms_brute, commutes_with_level_maps_dense, gf_rank
+from .oracles import (
+    automorphisms_brute,
+    automorphisms_two_stage,
+    commutes_with_level_maps_dense,
+    gf_rank,
+)
 
 # frozen by tests/freeze_congruence_fixtures.py (oracle SNF, run before the build)
 K39_CONGRUENCE = {
@@ -93,6 +98,32 @@ ORACLE_GRAPHS = {
     "random2": lambda: random_biregular_graph(2, 2, random.Random(1)),
     "random3": lambda: random_biregular_graph(2, 3, random.Random(2)),
     "random4": lambda: random_biregular_graph(2, 4, random.Random(1)),
+}
+
+
+def shuffled(g, seed):
+    """g with its V0 labels, V1 labels and edge order permuted by Random(seed)."""
+    rng = random.Random(seed)
+    s0, s1 = list(range(g.n0)), list(range(g.n1))
+    rng.shuffle(s0)
+    rng.shuffle(s1)
+    edges = [(s0[v], s1[w]) for v, w in g.edges]
+    rng.shuffle(edges)
+    return CosetGraph(g.l, g.n0, g.n1, edges)
+
+
+# graphs for the two-stage automorphism oracle, by name
+TWO_STAGE_GRAPHS = {
+    **{
+        f"random{n0}-{k}": (lambda n0=n0, k=k: random_biregular_graph(2, n0, random.Random(k)))
+        for n0 in (4, 6, 8)
+        for k in range(1, 6)
+    },
+    "k39u": ORACLE_GRAPHS["k39u"],
+    "shuffled-union": lambda: shuffled(
+        disjoint_union(complete_biregular(2), random_biregular_graph(2, 2, random.Random(1))), 5
+    ),
+    "k4-28": lambda: complete_biregular(3),
 }
 
 
@@ -365,13 +396,7 @@ class TestIharaKernel:
     def test_shuffled_union_per_component(self, k39, m13):
         # interleave the vertices and edges of three components
         g = disjoint_union(disjoint_union(k39, m13), random_biregular_graph(2, 2, random.Random(1)))
-        rng = random.Random(3)
-        s0, s1 = list(range(g.n0)), list(range(g.n1))
-        rng.shuffle(s0)
-        rng.shuffle(s1)
-        edges = [(s0[v], s1[w]) for v, w in g.edges]
-        rng.shuffle(edges)
-        rep = ihara_kernel_test(CosetGraph(2, g.n0, g.n1, edges), 3)
+        rep = ihara_kernel_test(shuffled(g, 3), 3)
         assert [c["kernel_dim"] for c in rep["per_component"]] == [1, 1, 1]
         assert rep["ok"]
 
@@ -645,6 +670,20 @@ class TestAutomorphismsAndSearch:
 
         monkeypatch.setattr(CosetGraph, "multiplicity", no_scan)
         assert find_automorphisms(g, limit=8) == expected
+
+    @pytest.mark.parametrize("limit", [1, 3, 8, 30])
+    @pytest.mark.parametrize("name", list(TWO_STAGE_GRAPHS))
+    def test_find_automorphisms_against_two_stage(self, name, limit):
+        g = TWO_STAGE_GRAPHS[name]()
+        assert find_automorphisms(g, limit) == automorphisms_two_stage(g, limit)
+
+    @pytest.mark.parametrize("n0, count", [(16, 1), (24, 2), (32, 1)])
+    def test_find_automorphisms_former_stall(self, n0, count, deadline):
+        # whole-sigma enumeration ran for minutes on these graphs
+        with deadline(30):
+            perms = find_automorphisms(random_biregular_graph(2, n0, random.Random(1)), 4)
+        assert len(perms) == count
+        assert perms[0] == (list(range(n0)), list(range(3 * n0)))
 
     def test_search_rejects_foreign_family(self, k39, m13):
         fam = AuxOperatorFamily.empty(m13)
