@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import analytic, cosets, lparam, satake, slope, tree
 from .linalg import Matrix
 from .poly import Poly
+from .scalars import require_prime
 
 
 def jsonable(x):
@@ -285,6 +286,7 @@ def cmd_satake_ve_check(args):
 
 
 def cmd_moduli_components(args):
+    require_prime(args.l)
     s = parse_diag(args.diag, args.l)
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
     witnesses = lparam.stratum_witnesses(s, args.l)
@@ -307,6 +309,7 @@ def cmd_moduli_components(args):
 
 
 def cmd_moduli_witness(args):
+    require_prime(args.l)
     s = parse_diag(args.diag, args.l)
     n = s.nrows
     support = {}
@@ -327,6 +330,7 @@ def cmd_moduli_witness(args):
 
 
 def cmd_moduli_pgl2(args):
+    require_prime(args.l)
     rep = Report("moduli pgl2", {"l": args.l})
     data = lparam.pgl2_check(args.l)
     rep.put("solution_dimension", data["solution_dimension"])

@@ -5,11 +5,21 @@ elimination with exact arithmetic; there is deliberately no floating point
 anywhere in this module, and a float entry is refused with ``TypeError``.
 
 Entries are plain Python numbers.  Over QQ they are ``int`` or ``Fraction``:
-ints stay ints through addition, multiplication and exact division, and a
-``Fraction`` appears only where a division is inexact (or where the input
-already held one).  Every division goes through ``field.div``, never ``/``,
-so two ints never meet true division.  Over GF(p) entries are ints in
-[0, p), reduced after every operation.
+ints stay ints through addition, multiplication and exact division, and every
+division goes through ``field.div``, never ``/``, so two ints never meet true
+division.  A ``Fraction`` comes from an inexact division or from the input,
+and arithmetic with it stays a ``Fraction`` even where the value is integral
+(the QQ ``rref`` can leave ``Fraction(-1, 1)``), so compare entries by value.
+Over GF(p) entries are ints in [0, p), reduced after every operation.
+
+A QQ matrix whose entries are all ints goes by way of F_p for its kernel and
+char poly, modulo primes descending from 2^61 - 1 (found on first use, not at
+import).  ``kernel_basis`` combines the GF(p) rref kernels by CRT, lifts them
+by rational reconstruction and keeps the lift only when M w = 0 holds
+exactly, which certifies it as the rational rref kernel basis.  ``char_poly``
+combines the Hessenberg char polys mod p by CRT until the modulus passes a
+bound on the coefficients and returns ints.  Without a certificate by the
+bound, the QQ elimination runs as for every other matrix.
 
 The integer layer rests on one elimination, the Hermite normal form routine
 ``lattice_basis``.  The Smith form alternates row and column Hermite forms and
@@ -22,9 +32,9 @@ Non-integral input raises rather than being truncated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm, prod
 
-from .scalars import require_prime
+from .scalars import is_prime, require_prime
 
 
 class RationalField:
@@ -242,21 +252,17 @@ class Matrix:
         """Bases of the row space (the nonzero rows of the rref) and of the right
         kernel {v : M v = 0}, as lists of field elements, from one row reduction."""
         red, pivots = self.rref()
-        pivset = set(pivots)
-        of = self.field.of
-        kernel = []
-        for fc in range(self.ncols):
-            if fc in pivset:
-                continue
-            v = [0] * self.ncols
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = of(-red.rows[r][fc])
-            kernel.append(v)
-        return red.rows[: len(pivots)], kernel
+        return red.rows[: len(pivots)], _rref_kernel(red.rows, pivots, self.ncols, self.field.of)
 
     def kernel_basis(self):
-        """Basis of the right kernel {v : M v = 0}, as lists of field elements."""
+        """Basis of the right kernel {v : M v = 0}, as lists of field elements:
+        the vector of each free column of the rref, 1 there and 0 on the other
+        free columns.  An integer matrix over QQ takes the modular route
+        (``_modular_kernel``); its result is that same basis."""
+        if self._is_integral_qq():
+            kernel = _modular_kernel(self.rows, self.ncols)
+            if kernel is not None:
+                return kernel
         return self.row_space_and_kernel()[1]
 
     def column_space_basis(self):
@@ -324,43 +330,216 @@ class Matrix:
 
         Reduces M to upper Hessenberg form by similarity, then expands along the
         subdiagonal (Cohen, Alg. 2.2.9).  It divides only by pivots, so it is
-        valid over every field, GF(p) with p <= n included.
+        valid over every field, GF(p) with p <= n included.  An integer matrix
+        over QQ gets its char poly modulo word-size primes, combined by CRT
+        (``_modular_char_poly``), as ints.
         """
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        n, of, div, red = self.nrows, self.field.of, self.field.div, self.field.reduce_row
-        h = self.copy().rows
-        for m in range(1, n - 1):
-            piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-            if piv is None:
-                continue
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-            for i in range(m + 1, n):
-                u = div(h[i][m - 1], h[m][m - 1])
-                if not u:
-                    continue
-                h[i] = red([a - u * b for a, b in zip(h[i], h[m])])
-                for row in h:
-                    row[m] = of(row[m] + u * row[i])
-        polys = [[1]]  # polys[k]: char poly of the leading k x k block
-        for k in range(n):
-            nxt, prod = [0] + polys[k], 1
-            for i in range(k, -1, -1):
-                c = h[i][k] * prod
-                for d, x in enumerate(polys[i]):
-                    nxt[d] -= c * x
-                if i:
-                    prod *= h[i][i - 1]
-            polys.append(red(nxt))
-        return polys[n]
+        if self._is_integral_qq():
+            coeffs = _modular_char_poly(self.rows)
+            if coeffs is not None:
+                return coeffs
+        return _hessenberg_char_poly([list(r) for r in self.rows], self.field)
+
+    def _is_integral_qq(self):
+        """A nonempty matrix over QQ whose entries are all ints."""
+        return (
+            not self.field.characteristic
+            and self.nrows > 0
+            and all(type(x) is int for r in self.rows for x in r)
+        )
 
     def to_int_rows(self):
         return _as_int_rows(self.rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def _rref_kernel(red_rows, pivots, ncols, of):
+    """The kernel basis read off a reduced row echelon form: for each free
+    column fc, the vector that is 1 at fc and -red[r][fc] at the r-th pivot."""
+    pivset = set(pivots)
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = of(-red_rows[r][fc])
+        kernel.append(v)
+    return kernel
+
+
+def _hessenberg_char_poly(h, field):
+    """det(xI - H) for the square rows h (overwritten), degree-ascending: the
+    Hessenberg reduction and subdiagonal expansion of ``Matrix.char_poly``."""
+    n, of, div, red = len(h), field.of, field.div, field.reduce_row
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        h[piv], h[m] = h[m], h[piv]
+        for row in h:
+            row[piv], row[m] = row[m], row[piv]
+        for i in range(m + 1, n):
+            u = div(h[i][m - 1], h[m][m - 1])
+            if not u:
+                continue
+            h[i] = red([a - u * b for a, b in zip(h[i], h[m])])
+            for row in h:
+                row[m] = of(row[m] + u * row[i])
+    polys = [[1]]  # polys[k]: char poly of the leading k x k block
+    for k in range(n):
+        nxt, prod = [0] + polys[k], 1
+        for i in range(k, -1, -1):
+            c = h[i][k] * prod
+            for d, x in enumerate(polys[i]):
+                nxt[d] -= c * x
+            if i:
+                prod *= h[i][i - 1]
+        polys.append(red(nxt))
+    return polys[n]
+
+
+# ---------------------------------------------------------------------------
+# integer matrices over QQ by way of F_p
+# ---------------------------------------------------------------------------
+#
+# An integer matrix is reduced modulo word-size primes, and the results are
+# combined by the Chinese remainder theorem and lifted to Q (von zur Gathen-
+# Gerhard, Modern Computer Algebra, ch. 5).  The kernel lift is certified by
+# an exact check, the char poly lift by a coefficient bound; past the bound
+# without a certificate, or when the primes run out, the QQ elimination runs.
+
+_WORD_PRIMES = []  # the primes below 2^61, descending, as far as found so far
+
+
+def _word_primes():
+    """The primes from 2^61 - 1 downward.  One scan finds each prime the first
+    time any caller needs it; later callers reuse the list."""
+    k = 0
+    while True:
+        if k == len(_WORD_PRIMES):
+            q = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else (1 << 61) - 1
+            while not is_prime(q):
+                q -= 2
+            _WORD_PRIMES.append(q)
+        yield _WORD_PRIMES[k]
+        k += 1
+
+
+def rational_reconstruction(c: int, modulus: int) -> Fraction | None:
+    """Small fraction a/b with a = c b (mod modulus), via half extended Euclid."""
+    c %= modulus
+    bound = isqrt(modulus // 2)
+    a0, a1 = modulus, c
+    b0, b1 = 0, 1
+    while a1 > bound:
+        if a1 == 0:
+            return None
+        q = a0 // a1
+        a0, a1 = a1, a0 - q * a1
+        b0, b1 = b1, b0 - q * b1
+    if b1 == 0 or abs(b1) > bound or gcd(abs(b1), modulus) != 1:
+        return None
+    frac = Fraction(a1, b1)
+    if (frac.numerator - c * frac.denominator) % modulus != 0:
+        return None
+    return frac
+
+
+def _crt(a: int, m: int, b: int, p: int) -> int:
+    """The x in [0, m p) with x = a (mod m) and x = b (mod p), for a prime p not
+    dividing m and a in [0, m)."""
+    return a + m * ((b - a) * pow(m, -1, p) % p)
+
+
+def _modular_kernel(rows, ncols):
+    """The rref kernel basis of a nonempty integer matrix, or None.
+
+    Each prime's GF(p) rref is ranked by (rank, pivot columns): the rational
+    pivots give the largest rank and, at that rank, the earliest pivots, so a
+    better prime restarts the combination and a worse one is skipped.  After
+    each prime the combined entries are lifted by rational reconstruction and
+    accepted when M w = 0 holds exactly for every lifted w.  That check is a
+    certificate: w is 1 on its free column, 0 on the other free columns and
+    supported on pivots to its left, so every free column mod p is free over Q;
+    as dim_Q ker <= dim_Fp ker the free sets agree, and the lift is the unique
+    rref kernel basis.  Entries of that basis are ratios of minors, so a
+    modulus past 2 H^2 (H the Hadamard bound) reconstructs them; past it
+    without a certificate, None.
+    """
+    bound = 2 * prod(max(1, sum(x * x for x in r)) for r in rows)
+    best, modulus, residues = None, 1, []
+    for p in _word_primes():
+        field = PrimeField(p)
+        red, pivots = Matrix._wrap([[x % p for x in r] for r in rows], field, ncols).rref()
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus = key, 1
+            residues = [[0] * len(pivots) for _ in range(ncols - len(pivots))]
+        elif key > best:
+            continue
+        kernel = _rref_kernel(red.rows, pivots, ncols, field.of)
+        residues = [
+            [_crt(a, modulus, v[pc], p) for a, pc in zip(res, pivots)]
+            for res, v in zip(residues, kernel)
+        ]
+        modulus *= p
+        lifted = _lift_kernel(rows, ncols, pivots, residues, modulus)
+        if lifted is not None:
+            return lifted
+        if modulus > bound:
+            return None
+    return None
+
+
+def _lift_kernel(rows, ncols, pivots, residues, modulus):
+    """The kernel vectors with the reconstructed pivot entries, if every entry
+    reconstructs and M w = 0 holds exactly for each; else None."""
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    kernel = []
+    for fc, res in zip(free, residues):
+        v = [0] * ncols
+        v[fc] = 1
+        for pc, a in zip(pivots, res):
+            x = rational_reconstruction(a, modulus)
+            if x is None:
+                return None
+            v[pc] = x.numerator if x.denominator == 1 else x
+        # M (d v) = 0 in integers, d the common denominator of v
+        d = lcm(*(x.denominator for x in v if type(x) is Fraction))
+        support = [(j, int(d * x)) for j, x in enumerate(v) if x]
+        if any(sum(r[j] * x for j, x in support) for r in rows):
+            return None
+        kernel.append(v)
+    return kernel
+
+
+def _modular_char_poly(rows):
+    """det(xI - M) of a nonempty square integer matrix as ints, or None when the
+    primes run out first.
+
+    The Hessenberg reduction is valid over every field, so every prime gives
+    the char poly mod p.  The combined coefficients are lifted to (-m/2, m/2]
+    once the modulus m exceeds 2 (1 + R)^n, R the largest absolute row sum:
+    every eigenvalue has |lambda| <= R (Gershgorin), so the coefficient of x^k
+    is at most binomial(n, k) R^(n-k) <= (1 + R)^n in absolute value.
+    """
+    n = len(rows)
+    bound = 2 * (1 + max(sum(abs(x) for x in r) for r in rows)) ** n
+    modulus, coeffs = 1, [0] * (n + 1)
+    for p in _word_primes():
+        cp = _hessenberg_char_poly([[x % p for x in r] for r in rows], PrimeField(p))
+        coeffs = [_crt(a, modulus, b, p) for a, b in zip(coeffs, cp)]
+        modulus *= p
+        if modulus > bound:
+            return [c - modulus if 2 * c > modulus else c for c in coeffs]
+    return None
 
 
 def _int_row(row) -> list[int]:

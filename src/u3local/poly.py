@@ -4,19 +4,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import QQ, Matrix
 
 
 class Poly:
     """Immutable polynomial with exact rational coefficients.
 
     The stored tuple never has a trailing zero; the zero polynomial is ().
+    Coefficients are ints or Fractions, stored as Fractions; a float or a str
+    raises ``TypeError``, as ``QQ.of`` does.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(QQ.of(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

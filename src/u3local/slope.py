@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
 
-from .linalg import Matrix
+from .linalg import Matrix, rational_reconstruction
 from .poly import Poly, xgcd
 from .scalars import INF, PAdicScalar, PrecisionLossError, padic_valuation, require_prime
 
@@ -234,26 +233,6 @@ def _reduce_if_integral(f: Poly, p: int, k: int) -> Poly:
             return f  # leave non-integral iterates untouched
         out.append(Fraction(c.numerator * pow(c.denominator, -1, q) % q))
     return Poly(out)
-
-
-def rational_reconstruction(c: int, modulus: int) -> Fraction | None:
-    """Small fraction a/b with a = c b (mod modulus), via half extended Euclid."""
-    c %= modulus
-    bound = isqrt(modulus // 2)
-    a0, a1 = modulus, c
-    b0, b1 = 0, 1
-    while a1 > bound:
-        if a1 == 0:
-            return None
-        q = a0 // a1
-        a0, a1 = a1, a0 - q * a1
-        b0, b1 = b1, b0 - q * b1
-    if b1 == 0 or abs(b1) > bound or gcd(abs(b1), modulus) != 1:
-        return None
-    frac = Fraction(a1, b1)
-    if (frac.numerator - c * frac.denominator) % modulus != 0:
-        return None
-    return frac
 
 
 def _try_exact_snap(P, Q, h, p, work, integral):

@@ -186,6 +186,36 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def fraction_kernel(rows) -> list[list[Fraction]]:
+    """The normalized kernel basis: for each free column f of the echelon
+    form, the kernel vector that is 1 at f and 0 at the other free columns.
+
+    Forward elimination on Fractions (pivots not normalized, rows above a
+    pivot left alone), then back substitution from the last pivot row up."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a[0])
+    pivots = []
+    for c in range(n):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        for i in range(k + 1, len(a)):
+            f = a[i][c] / a[k][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for k in reversed(range(len(pivots))):
+            pc = pivots[k]
+            v[pc] = -sum(a[k][j] * v[j] for j in range(pc + 1, n)) / a[k][pc]
+        basis.append(v)
+    return basis
+
+
 def gf_rank(rows, p: int) -> int:
     """Rank over F_p by forward elimination on residues: each row below the
     pivot row is replaced by pivot * row - entry * pivot_row, so no inverse

@@ -127,6 +127,16 @@ class TestGraphCommands:
         assert code == 0
         assert doc["results"]["aux_members"] == 0
 
+    def test_analyze_at_desk_scale(self, capsys, tmp_path, deadline):
+        # 128 vertices; the integer kernel and char poly go by way of F_p
+        g = cosets.random_biregular_graph(2, 32, random.Random(1))
+        path = tmp_path / "r32-1.graph"
+        path.write_text(g.describe())
+        with deadline(30):
+            code, doc = run_json(capsys, "graph", "analyze", str(path), "--prime", "3")
+        assert code == 0 and doc["passed"]
+        assert doc["results"]["composite_kernel_dim"] == g.n_components
+
     def test_missing_file(self, capsys):
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
         capsys.readouterr()
@@ -176,6 +186,18 @@ class TestGraphCommands:
             None, None,
             ["slope", "decompose", "--entries", "1,0;0,3", "--p", "3", "--h", "0", "--precision", "-30"],
             "precision", id="slope-decompose-negative-precision",
+        ),
+        pytest.param(
+            None, None, ["moduli", "pgl2", "--l", "4"], "4 is not prime", id="moduli-pgl2-composite-l",
+        ),
+        pytest.param(
+            None, None, ["moduli", "components", "--diag", "l,1", "--l", "1"], "1 is not prime",
+            id="moduli-components-l-one",
+        ),
+        pytest.param(
+            None, None,
+            ["moduli", "witness", "--diag", "l,1", "--l", "6", "--nilpotent", "0,1"],
+            "6 is not prime", id="moduli-witness-composite-l",
         ),
     ],
 )

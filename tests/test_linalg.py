@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from u3local import cosets, linalg
 from u3local.linalg import (
     QQ,
     Matrix,
@@ -20,6 +23,7 @@ from .oracles import (
     charpoly_cofactor,
     fraction_det,
     fraction_inverse,
+    fraction_kernel,
     fraction_matvec,
     fraction_rank,
     lattice_coordinates_fraction,
@@ -415,6 +419,127 @@ class TestPrimeFieldProperties:
         for v in ker:
             assert all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows)
         assert M.rank() + len(ker) == len(rows[0])
+
+
+def _rows(m, n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+def _near_2_40(max_m=3, max_n=5):
+    """Wide matrices (so with a kernel) whose entries are +-(2^40 + d), |d| <= 2^10."""
+    entry = st.tuples(st.sampled_from([1, -1]), st.integers(-(2**10), 2**10)).map(
+        lambda sd: sd[0] * (2**40 + sd[1])
+    )
+    return st.integers(1, max_m).flatmap(
+        lambda m: st.integers(m + 1, max_n).flatmap(lambda n: _rows(m, n, entry))
+    )
+
+
+def _prime_source(used, primes=None):
+    """A stand-in for ``linalg._word_primes`` that records every prime it hands
+    out: the given primes only, or else the real ones."""
+    real = linalg._word_primes
+
+    def source():
+        for p in real() if primes is None else primes:
+            used.append(p)
+            yield p
+
+    return source
+
+
+def _composite_graph(which):
+    if which == "K39":
+        return cosets.complete_biregular(2)
+    if which == "K39+K39":
+        return cosets.disjoint_union(cosets.complete_biregular(2), cosets.complete_biregular(2))
+    return cosets.random_biregular_graph(2, which, random.Random(1))
+
+
+class TestModularRoute:
+    """Integer matrices over QQ go through F_p; the results must equal the
+    Fraction oracles in value (the lift gives ints where the QQ rref may leave
+    an integral Fraction)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_kernel_of_rank_deficient_products(self, data):
+        m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(0, min(m, n) - 1))
+        a = data.draw(_rows(m, k, st.integers(-9, 9)))
+        b = data.draw(_rows(k, n, st.integers(-9, 9)))
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @example(rows=[[2**40 + 1, 2**40 + 3, -(2**40)]])
+    @given(_near_2_40())
+    def test_kernel_with_entries_near_2_40(self, rows):
+        used = []
+        with mock.patch.object(linalg, "_word_primes", _prime_source(used)):
+            kernel = Matrix(rows).kernel_basis()
+        want = fraction_kernel(rows)
+        assert kernel == want
+        height = max(max(abs(x.numerator), x.denominator) for v in want for x in v)
+        if height > 2**31:  # one 61-bit prime reconstructs heights up to about 2^30
+            assert len(used) > 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.one_of(st.sampled_from(["K39", "K39+K39"]), st.integers(1, 16)))
+    def test_kernel_of_the_level_composite(self, which):
+        rows = cosets.level_matrix(_composite_graph(which)).composite.rows
+        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
+
+    @staticmethod
+    def _rref_fields(monkeypatch):
+        """The field of every ``Matrix.rref`` call from here on."""
+        fields, rref = [], Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda m: fields.append(m.field) or rref(m))
+        return fields
+
+    def test_certificate_rejects_an_unlucky_first_prime(self, monkeypatch):
+        # mod 3 the matrix has rank 1 and the kernel vector (1, 0), which M sends to (3, 0)
+        used, fields = [], self._rref_fields(monkeypatch)
+        primes = itertools.chain([3], linalg._word_primes())
+        monkeypatch.setattr(linalg, "_word_primes", _prime_source(used, primes))
+        rows = [[3, 0], [0, 1]]
+        assert Matrix(rows).kernel_basis() == fraction_kernel(rows) == []
+        assert used[0] == 3 and len(used) == 2
+        assert all(f.characteristic for f in fields)  # no QQ fallback
+
+    def test_a_prime_with_later_pivots_is_skipped(self, monkeypatch):
+        # the kernel entries have height about 2^41, so two good primes are needed;
+        # mod 3 the first column vanishes and the pivot moves right
+        used, fields = [], self._rref_fields(monkeypatch)
+        real = linalg._word_primes()
+        primes = itertools.chain([next(real), 3], real)
+        monkeypatch.setattr(linalg, "_word_primes", _prime_source(used, primes))
+        rows = [[3 * 2**40, 2**40 + 1, 7]]
+        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
+        assert used[1] == 3 and len(used) == 3
+        assert all(f.characteristic for f in fields)
+
+    @pytest.mark.parametrize("rows", [[[6, 0], [0, 1]], [[6, 12, 0], [0, 0, 1]]])
+    def test_fraction_fallback_when_the_primes_run_out(self, monkeypatch, rows):
+        used, fields = [], self._rref_fields(monkeypatch)
+        monkeypatch.setattr(linalg, "_word_primes", _prime_source(used, [2, 3]))
+        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
+        assert used == [2, 3] and fields[-1] is QQ
+
+    @settings(max_examples=60, deadline=None)
+    @given(_square(max_n=6, lo=-(10**6), hi=10**6))
+    def test_char_poly_of_integer_matrices(self, rows):
+        cp = Matrix(rows).char_poly()
+        assert cp == charpoly_cofactor(rows)
+        assert all(type(c) is int for c in cp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_square(max_n=5), st.data())
+    def test_char_poly_with_a_fraction_entry(self, rows, data):
+        n = len(rows)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9)))
+        assert Matrix(rows).char_poly() == charpoly_cofactor(rows)
 
 
 def _generators(max_n=5, max_k=6, lo=-6, hi=6):

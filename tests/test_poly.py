@@ -17,6 +17,18 @@ def test_normalization_strips_trailing_zeros():
     assert Poly([]).degree == -1
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/2", 1.0])
+def test_float_and_str_coefficients_refused(bad):
+    with pytest.raises(TypeError):
+        Poly([bad, 1])
+
+
+def test_int_and_fraction_coefficients_stored_as_fractions():
+    p = Poly([2, Fraction(1, 2), True])
+    assert p.coeffs == (2, Fraction(1, 2), 1)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
 def test_arithmetic_ring_axioms_spot():
     rng = random.Random(2)
     for _ in range(50):

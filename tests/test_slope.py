@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from u3local.linalg import Matrix
+from u3local.linalg import Matrix, rational_reconstruction
 from u3local.poly import Poly
 from u3local.scalars import INF, PAdicScalar, padic_valuation
 from u3local.slope import (
@@ -15,7 +15,6 @@ from u3local.slope import (
     fredholm_series,
     newton_polygon,
     padic_matrix,
-    rational_reconstruction,
     slope_decomposition,
     slope_factorization,
 )
