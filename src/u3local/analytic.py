@@ -73,8 +73,9 @@ class AnalyticModel:
 
 def make_model(p: int, m: int, degree_bound: int, budget: int = DEFAULT_BALL_BUDGET):
     model = AnalyticModel(p, m, degree_bound)
-    if model.n_balls > budget:
-        raise ModelSizeError(f"{model.n_balls} balls exceed the budget {budget}")
+    # p >= 2: past the budget's bit length, 3m is past the budget without the power
+    if 3 * m > budget.bit_length() or model.n_balls > budget:
+        raise ModelSizeError(f"{p}^{3 * m} balls exceed the budget {budget}")
     return model
 
 
@@ -232,30 +233,29 @@ def ihara_rank_test(model: AnalyticModel, delta) -> bool:
 
     Working inside one ball, form T(Z^beta) - Z^beta for all monomials of
     total degree <= D+1 with 21-exponent >= 1, where T substitutes
-    Z21 + delta.  Each difference lands in degree <= D; the test computes the
-    exact rank of their span and compares with the dimension of the truncated
-    space.  True for every nonzero delta over the rationals.
+    Z21 + delta.  Each difference lands in degree <= D and keeps the Z31, Z32
+    exponents (j, k) of beta, so the differences form square blocks by (j, k)
+    of side D+1-j-k; they span the truncated space exactly when every block
+    has full rank.  True for every nonzero delta over the rationals.
     """
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    monos = model.monomials()
-    index = {m: t for t, m in enumerate(monos)}
-    rows = []
-    for i in range(1, model.degree_bound + 2):
-        for j in range(model.degree_bound + 2 - i):
-            for k in range(model.degree_bound + 2 - i - j):
+    d = model.degree_bound
+    for j in range(d + 1):
+        for k in range(d + 1 - j):
+            side = d + 1 - j - k
+            rows = [[0] * side for _ in range(side)]
+            for i in range(1, side + 1):
                 diff = _substitute_z21({(i, j, k): Fraction(1)}, delta)
-                diff[(i, j, k)] = diff.get((i, j, k), Fraction(0)) - 1
-                row = [Fraction(0)] * len(monos)
-                for mono, c in diff.items():
-                    if sum(mono) <= model.degree_bound:
-                        row[index[mono]] = c
-                    elif c:
-                        # only the original degree-(D+1) monomial may stick out
-                        assert mono == (i, j, k), "difference left the filtration"
-                rows.append(row)
-    return Matrix(rows).rank() == len(monos)
+                diff[(i, j, k)] -= 1
+                for (t, jj, kk), c in diff.items():
+                    if c:
+                        assert (jj, kk) == (j, k) and t < side, "difference left its block"
+                        rows[i - 1][t] = c
+            if Matrix(rows).rank() < side:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,8 @@ class Character:
         """
         q = p**k
         group_order = q // p * (p - 1)
-        exponent = _group_exponent(p, k)
+        canonical = unit_group_generators(p, k)
+        exponent = math.lcm(*(order for _, order in canonical))
         # chi(x) as an exponent of a primitive `exponent`-th root of unity
         value = {1 % q: 0}
         frontier = [1 % q]
@@ -351,7 +352,7 @@ class Character:
         if len(value) != group_order:
             raise ValueError("given elements do not generate the unit group")
         exps = []
-        for g, order in unit_group_generators(p, k):
+        for g, order in canonical:
             t = value[g % q]
             assert t * order % exponent == 0
             exps.append(t * order // exponent)
@@ -366,14 +367,6 @@ class Character:
         return Character(
             self.p, self.k, tuple(a - b for a, b in zip(self.exps, other.exps))
         )
-
-
-def _group_exponent(p, k):
-    gens = unit_group_generators(p, k)
-    out = 1
-    for _, order in gens:
-        out = out * order // math.gcd(out, order)
-    return out
 
 
 @dataclass(frozen=True)
@@ -405,7 +398,6 @@ def torus_rigidity_witness(w: Weight):
         return None
     p, k = ratio.p, ratio.k
     q = p**k
-    exponent = _group_exponent(p, k)
     gens = unit_group_generators(p, k)
     # scan the group for a witness (it exists: some generator has nonzero exponent)
     for idx, (g, order) in enumerate(gens):

@@ -13,6 +13,7 @@ import argparse
 import enum
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -110,28 +111,39 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _exact(x: Fraction):
+    """x as an int when it is integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def parse_diag(spec: str, l: int):
     """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2."""
     entries = []
     for tok in spec.split(","):
         tok = tok.strip()
         if tok.startswith("l^"):
-            entries.append(Fraction(l) ** int(tok[2:]))
+            entries.append(_exact(Fraction(l) ** int(tok[2:])))
         elif tok == "l":
-            entries.append(Fraction(l))
+            entries.append(l)
         else:
-            entries.append(Fraction(tok))
+            entries.append(_exact(Fraction(tok)))
     n = len(entries)
     return Matrix.from_support(n, n, {(i, i): x for i, x in enumerate(entries)})
 
 
 def parse_matrix(spec: str) -> Matrix:
-    rows = [[Fraction(x) for x in row.split(",")] for row in spec.split(";")]
+    rows = [[_exact(Fraction(x)) for x in row.split(",")] for row in spec.split(";")]
     return Matrix(rows)
 
 
 def parse_poly(spec: str) -> Poly:
     return Poly([Fraction(x) for x in spec.split(",")])
+
+
+def _within_budget(estimate: int, budget: int, work: str):
+    """Refuse work whose estimated size passes --budget, before it starts."""
+    if estimate > budget:
+        raise ValueError(f"{work} would pass the budget {budget}; raise --budget to run it")
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -223,6 +235,10 @@ def cmd_graph_levelraise(args):
         with open(args.labels) as fh:
             lab = cosets.load_labeling(fh.read(), g)
         lab.validate(g)
+    # one scan of the p residues per auxiliary member, one more for the
+    # characters of a nontrivial labeling
+    scans = (args.aux_limit if args.aux == "auto" else 0) + (lab is not None and lab.order > 1)
+    _within_budget(args.prime * scans, args.budget, f"{scans} residue scans mod {args.prime}")
     if args.aux == "auto":
         perms = cosets.find_automorphisms(g, limit=args.aux_limit + 1)
         fam = cosets.AuxOperatorFamily.from_automorphisms(g, perms[1:])
@@ -290,8 +306,9 @@ def cmd_moduli_components(args):
     s = parse_diag(args.diag, args.l)
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
     witnesses = lparam.stratum_witnesses(s, args.l)
+    degenerate = lparam.is_degenerate_satake(s, args.l)
     rep.put("partitions", list(witnesses))
-    rep.put("degenerate", lparam.is_degenerate_satake(s, args.l))
+    rep.put("degenerate", degenerate)
     rep.put(
         "witnesses",
         {
@@ -304,7 +321,7 @@ def cmd_moduli_components(args):
         all(w is not None and w["verified"] for w in witnesses.values()),
     )
     nontrivial = any(len(p) < s.nrows for p in witnesses)
-    rep.check("degeneracy_matches_components", nontrivial == lparam.is_degenerate_satake(s, args.l))
+    rep.check("degeneracy_matches_components", nontrivial == degenerate)
     return rep
 
 
@@ -315,7 +332,7 @@ def cmd_moduli_witness(args):
     support = {}
     for pair in args.nilpotent.split(";"):
         i, j = (int(x) for x in pair.split(","))
-        support[i, j] = Fraction(1)
+        support[i, j] = 1
     N = Matrix.from_support(n, n, support)
     rep = Report(
         "moduli witness",
@@ -419,6 +436,10 @@ def cmd_analytic_ihara(args):
     delta = parse_fraction(args.delta)
     if args.degree < 0:
         raise ValueError("--degree must be nonnegative")
+    # the entries of the blocks the rank tests read at degrees 0..D: the sum over
+    # n <= D+1 of n^2 (D+2-n)(D+3-n)/2, in closed form
+    entries = math.comb(args.degree + 5, 5) + math.comb(args.degree + 4, 5)
+    _within_budget(entries, args.budget, f"the rank tests up to degree {args.degree}")
     table = {}
     for d in range(args.degree + 1):
         model = analytic.make_model(args.p, args.m, d, budget=args.budget)
@@ -438,17 +459,22 @@ def cmd_analytic_weight(args):
             "chi": [args.chi1, args.chi2, args.chi3],
         },
     )
+    # the primitive root search walks the units mod p^level; for p >= 2 (any
+    # other p is refused as not prime) a level past the budget's bit length is
+    # past the budget without the power
+    units = args.p ** min(args.level, args.budget.bit_length() + 1)
+    _within_budget(units, args.budget, f"the units mod {args.p}^{args.level}")
     chis = []
     for spec in (args.chi1, args.chi2, args.chi3):
         exps = tuple(int(x) for x in spec.split(",")) if spec else ()
         chis.append(analytic.Character(args.p, args.level, exps))
     w = analytic.Weight(*chis)
-    central = analytic.central_weight_test(w)
-    rep.put("central", central)
-    rep.put("rigidity", analytic.torus_rigidity_check(w))
+    rigidity = analytic.torus_rigidity_check(w)
     witness = analytic.torus_rigidity_witness(w)
+    rep.put("central", analytic.central_weight_test(w))
+    rep.put("rigidity", rigidity)
     rep.put("rigidity_witness", witness)
-    rep.check("rigidity_holds", analytic.torus_rigidity_check(w))
+    rep.check("rigidity_holds", rigidity)
     rep.check("witness_iff_noncentral_pair", (witness is None) == (w.chi1 == w.chi2))
     return rep
 
@@ -459,7 +485,7 @@ def cmd_analytic_weight(args):
 def build_parser():
     top = argparse.ArgumentParser(prog="u3local", description=__doc__)
     top.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
-    top.add_argument("--budget", type=int, default=2_000_000, help="size budget")
+    top.add_argument("--budget", type=int, default=2_000_000, help="bound on work estimated before it starts")
     top.add_argument("--format", choices=("json", "table"), default="json")
     top.add_argument("--timing", action="store_true", help="include elapsed ms (breaks determinism)")
     sub = top.add_subparsers(dest="group", required=True)

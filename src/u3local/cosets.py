@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import (
     Matrix,
@@ -27,7 +26,7 @@ from .linalg import (
     lattice_saturation,
     smith_normal_form,
 )
-from .scalars import require_prime
+from .scalars import is_prime, require_prime
 
 
 class GraphFormatError(ValueError):
@@ -50,7 +49,8 @@ class CosetGraph:
     """Biregular bipartite multigraph with V0-degrees l^3+1 and V1-degrees l+1."""
 
     def __init__(self, l: int, n0: int, n1: int, edges: list[tuple[int, int]]):
-        require_prime(l)
+        if not is_prime(l):
+            raise GraphFormatError(f"l={l} is not prime")
         if n0 < 0 or n1 < 0:
             raise GraphFormatError(f"vertex counts must be nonnegative, got v0 {n0} and v1 {n1}")
         self.l = l
@@ -58,6 +58,12 @@ class CosetGraph:
         self.n1 = n1
         self.edges = [(int(v), int(w)) for v, w in edges]
         d0, d1 = l**3 + 1, l + 1
+        # checked before the degree tables are allocated, so a huge declared
+        # count is refused instead of allocated
+        if not len(self.edges) == n0 * d0 == n1 * d1:
+            raise GraphFormatError(
+                f"edge count {len(self.edges)} does not match v0 {n0} x {d0} and v1 {n1} x {d1}"
+            )
         deg0 = [0] * n0
         deg1 = [0] * n1
         for v, w in self.edges:
@@ -79,12 +85,6 @@ class CosetGraph:
     @property
     def nedges(self):
         return len(self.edges)
-
-    def h(self, e):
-        return self.edges[e][0]
-
-    def s(self, e):
-        return self.edges[e][1]
 
     def multiplicity(self, v, w):
         return sum(1 for a, b in self.edges if a == v and b == w)
@@ -134,16 +134,11 @@ class CosetGraph:
             rows.append(r)
         return rows
 
-    def edges_at_special(self):
-        at = [[] for _ in range(self.n1)]
-        for e, (_, w) in enumerate(self.edges):
-            at[w].append(e)
-        return at
-
-    def edges_at_hyperspecial(self):
-        at = [[] for _ in range(self.n0)]
-        for e, (v, _) in enumerate(self.edges):
-            at[v].append(e)
+    def edge_stars(self, side: int) -> list[list[int]]:
+        """The edges at each vertex of V0 (side 0) or V1 (side 1), in edge order."""
+        at = [[] for _ in range((self.n0, self.n1)[side])]
+        for e, ends in enumerate(self.edges):
+            at[ends[side]].append(e)
         return at
 
     def describe(self) -> str:
@@ -165,15 +160,19 @@ def _int(token: str, lineno: int) -> int:
         raise GraphFormatError(f"expected an integer, got {token!r}", lineno) from None
 
 
+def _directives(text: str):
+    """(line number, tokens) of each line that is neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
+
+
 def load_graph(text: str) -> CosetGraph:
     """Parse the line-oriented graph format; see ``CosetGraph.describe`` for the shape."""
     l = n0 = n1 = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         if parts[0] == "coset-graph":
             if len(parts) != 2 or not parts[1].startswith("l="):
                 raise GraphFormatError("header must read 'coset-graph l=<prime>'", lineno)
@@ -233,15 +232,15 @@ def disjoint_union(a: CosetGraph, b: CosetGraph) -> CosetGraph:
     return CosetGraph(a.l, a.n0 + b.n0, a.n1 + b.n1, edges)
 
 
-def random_biregular_graph(l: int, n0: int, rng, require_connected=True, max_tries=200):
+def random_biregular_graph(l: int, n0: int, rng):
     """Configuration-model sample of a connected (l^3+1, l+1)-biregular multigraph."""
     n1 = n0 * (l * l - l + 1)
     stubs0 = [v for v in range(n0) for _ in range(l**3 + 1)]
-    for _ in range(max_tries):
+    for _ in range(200):
         stubs1 = [w for w in range(n1) for _ in range(l + 1)]
         rng.shuffle(stubs1)
         g = CosetGraph(l, n0, n1, list(zip(stubs0, stubs1)))
-        if not require_connected or g.connected:
+        if g.connected:
             return g
     raise RuntimeError("could not sample a connected graph within the retry budget")
 
@@ -274,7 +273,7 @@ class EdgeForm:
 
 
 def map_i(t: FormTriple, g: CosetGraph) -> EdgeForm:
-    """Level raising: m(e) = f0(h(e)) + f1(s(e))."""
+    """Level raising: m(e) = f0(v) + f1(w) on the edge e = (v, w)."""
     if len(t.f0) != g.n0 or len(t.f1) != g.n1:
         raise ValueError("form does not match the graph")
     return EdgeForm([t.f0[v] + t.f1[w] for v, w in g.edges])
@@ -313,26 +312,29 @@ def pairing(a, b):
 # ---------------------------------------------------------------------------
 
 
-def walk_operator_v0(g: CosetGraph) -> list[list[int]]:
-    """Non-backtracking length-2 walk counts between V0 vertices (integer matrix).
+def _walk_operator(g: CosetGraph, side: int) -> list[list[int]]:
+    """Non-backtracking length-2 walk counts between the vertices of V0 (side 0)
+    or V1 (side 1), through the vertices of the other side (integer matrix).
 
     Built by direct enumeration of ordered pairs of distinct edges through each
-    V1 vertex, independently of the raising/lowering maps.
+    vertex of the other side, independently of the raising/lowering maps.
     """
-    t = [[0] * g.n0 for _ in range(g.n0)]
-    for edges in g.edges_at_special():
-        for e, f in itertools.permutations(edges, 2):
-            t[g.h(e)][g.h(f)] += 1
+    n = (g.n0, g.n1)[side]
+    t = [[0] * n for _ in range(n)]
+    for star in g.edge_stars(1 - side):
+        for a, b in itertools.permutations([g.edges[e][side] for e in star], 2):
+            t[a][b] += 1
     return t
+
+
+def walk_operator_v0(g: CosetGraph) -> list[list[int]]:
+    """Walk operator between V0 vertices through shared V1 vertices."""
+    return _walk_operator(g, 0)
 
 
 def walk_operator_v1(g: CosetGraph) -> list[list[int]]:
     """Mirror walk operator between V1 vertices through shared V0 vertices."""
-    t = [[0] * g.n1 for _ in range(g.n1)]
-    for edges in g.edges_at_hyperspecial():
-        for e, f in itertools.permutations(edges, 2):
-            t[g.s(e)][g.s(f)] += 1
-    return t
+    return _walk_operator(g, 1)
 
 
 @dataclass
@@ -409,17 +411,16 @@ def kernel_eigenvalue_check(block: BlockHeckeOperator) -> dict:
     (f0, f1) of ker(i+ o i) the V0 part satisfies (T0 - l(l^3+1)) f0 = 0 and
     the V1 part (T1 - l^3(l+1)) f1 = 0, exactly.
     """
-    l = block.l
+    l, n0 = block.l, block.n0
     kernel = block.composite.kernel_basis()
     lam0 = l * (l**3 + 1)
     lam1 = l**3 * (l + 1)
     failures = []
     for vec in kernel:
-        t = FormTriple.from_stacked(vec, block.n0)
-        if block.T0.apply(t.f0) != [lam0 * x for x in t.f0]:
-            failures.append(("v0", vec))
-        if block.T1.apply(t.f1) != [lam1 * x for x in t.f1]:
-            failures.append(("v1", vec))
+        sides = (("v0", block.T0, lam0, vec[:n0]), ("v1", block.T1, lam1, vec[n0:]))
+        for name, walk, lam, part in sides:
+            if walk.apply(part) != [lam * x for x in part]:
+                failures.append((name, vec))
     return {
         "kernel_dim": len(kernel),
         "kernel_basis": kernel,
@@ -475,37 +476,17 @@ class DetLabeling:
         """Every ordered non-backtracking 2-walk must shift the V0 label by gshift."""
         if len(self.v0_labels) != g.n0 or len(self.v1_labels) != g.n1:
             raise LabelingError("label count does not match the graph")
-        for edges in g.edges_at_special():
-            for e, f in itertools.permutations(edges, 2):
-                got = (self.v0_labels[g.h(f)] - self.v0_labels[g.h(e)]) % self.order
+        for star in g.edge_stars(1):
+            for a, b in itertools.permutations([g.edges[e][0] for e in star], 2):
+                got = (self.v0_labels[b] - self.v0_labels[a]) % self.order
                 if got != self.gshift:
                     raise LabelingError(
-                        f"walk {g.h(e)} -> {g.h(f)} shifts the label by {got}, "
-                        f"expected {self.gshift}"
+                        f"walk {a} -> {b} shifts the label by {got}, expected {self.gshift}"
                     )
 
     def characters_mod_p(self, p: int) -> list[int]:
         """Generator images of all characters C -> F_p^*: elements of order dividing |C|."""
         return [z for z in range(1, p) if pow(z, self.order, p) == 1]
-
-
-def abelian_forms(g: CosetGraph, lab: DetLabeling, chi_gen_image: Fraction):
-    """Pullback of a character through the labeling, with its exact walk eigenvalue.
-
-    The character is given by its value at the generator of C; over the
-    rationals that value must be a root of unity, hence +-1.  The returned
-    report checks T0(f0) = l(l^3+1) * chi(gshift) * f0 on the nose.
-    """
-    lab.validate(g)
-    zeta = Fraction(chi_gen_image)
-    if zeta**lab.order != 1:
-        raise ValueError(f"{zeta} is not an order-{lab.order} character value")
-    f0 = [zeta ** lab.v0_labels[v] for v in range(g.n0)]
-    f1 = [zeta ** lab.v1_labels[w] for w in range(g.n1)]
-    t0 = Matrix(walk_operator_v0(g))
-    expected = Fraction(g.l * (g.l**3 + 1)) * zeta**lab.gshift
-    ok = t0.apply(f0) == [expected * x for x in f0]
-    return FormTriple(f0, f1), {"eigenvalue": expected, "ok": ok}
 
 
 def _abelian_kernel_span(g: CosetGraph, p: int, lab: DetLabeling | None):
@@ -538,7 +519,7 @@ def _abelian_kernel_span(g: CosetGraph, p: int, lab: DetLabeling | None):
     return vecs
 
 
-def ihara_kernel_test(g: CosetGraph, p: int, lab: DetLabeling | None = None) -> dict:
+def ihara_kernel_test(g: CosetGraph, p: int) -> dict:
     """The mod-p kernel of the raising map is spanned by abelian (pullback) forms.
 
     On a connected graph with the trivial labeling this says: dimension one,
@@ -548,7 +529,7 @@ def ihara_kernel_test(g: CosetGraph, p: int, lab: DetLabeling | None = None) -> 
     require_prime(p)
     gf = PrimeField(p)
     kernel = Matrix(g.incidence_rows(), gf).kernel_basis()
-    span = _abelian_kernel_span(g, p, lab)
+    span = _abelian_kernel_span(g, p, None)
     abelian_ok = Matrix(span + kernel, gf).rank() == Matrix(span, gf).rank()
     # An edge row meets one component, and row reduction only combines rows that
     # share a column, so every reduced row and every kernel vector lies in one
@@ -617,12 +598,10 @@ def gamma_chain(g: CosetGraph) -> GammaChain:
     n0, nv = g.n0, g.n0 + g.n1
     ends = [(v, n0 + w) for v, w in g.edges]
     gamma0 = [[int(i == j) for i in range(nv)] for j in range(nv)]  # already in HNF
-    gamma1 = lattice_basis(g.incidence_rows(), nv)
-    inc_cols = [[0] * g.nedges for _ in range(nv)]
-    for e, (a, b) in enumerate(ends):
-        inc_cols[a][e] = inc_cols[b][e] = 1
+    inc = g.incidence_rows()
+    gamma1 = lattice_basis(inc, nv)
     lowered_sat = []
-    for col in lattice_saturation(inc_cols, g.nedges):
+    for col in lattice_saturation([list(c) for c in zip(*inc)], g.nedges):
         low = [0] * nv
         for (a, b), x in zip(ends, col):
             low[a] += x
@@ -943,11 +922,7 @@ def load_labeling(text: str, g: CosetGraph) -> DetLabeling:
     order = gshift = None
     v0 = [0] * g.n0
     v1 = [0] * g.n1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         if parts[0] == "labels":
             kv = dict(p.partition("=")[::2] for p in parts[1:])
             if "order" not in kv or "gshift" not in kv:

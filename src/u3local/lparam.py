@@ -21,7 +21,7 @@ class NoWitnessError(ValueError):
 
 
 def matrix_unit(n: int, i: int, j: int) -> Matrix:
-    return Matrix.from_support(n, n, {(i, j): Fraction(1)})
+    return Matrix.from_support(n, n, {(i, j): 1})
 
 
 @dataclass
@@ -69,7 +69,7 @@ def solution_space(phi: Matrix, l) -> list[Matrix]:
     rows = []
     for a in range(n):
         for b in range(n):
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
                 row[k * n + b] += phi.rows[a][k]
                 row[a * n + k] -= l * phi.rows[k][b]
@@ -123,7 +123,7 @@ def jordan_representative(partition: tuple[int, ...]) -> Matrix:
     offset = 0
     for part in partition:
         for i in range(offset, offset + part - 1):
-            support[i, i + 1] = Fraction(1)
+            support[i, i + 1] = 1
         offset += part
     return Matrix.from_support(offset, offset, support)
 

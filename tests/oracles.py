@@ -15,6 +15,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from u3local.cosets import FormTriple
+
 
 # --- Smith normal form ------------------------------------------------------
 
@@ -377,6 +379,33 @@ def tree_distance2_values(ball, v: int, values_by_shell) -> Fraction:
             if u != v:
                 total += values_by_shell[ball.dist[u]]
     return total
+
+
+# --- labelings and abelian forms ----------------------------------------------
+
+
+def abelian_forms(g, lab, chi_gen_image: Fraction):
+    """Pullback of a character through the labeling, with its exact walk eigenvalue.
+
+    The character is given by its value at the generator of C; over the
+    rationals that value must be a root of unity, hence +-1.  The returned
+    report checks T0(f0) = l(l^3+1) * chi(gshift) * f0 on the nose, with T0
+    applied by walking each ordered pair of distinct edges at every V1 vertex.
+    """
+    lab.validate(g)
+    zeta = Fraction(chi_gen_image)
+    if zeta**lab.order != 1:
+        raise ValueError(f"{zeta} is not an order-{lab.order} character value")
+    f0 = [zeta ** lab.v0_labels[v] for v in range(g.n0)]
+    f1 = [zeta ** lab.v1_labels[w] for w in range(g.n1)]
+    walked = [Fraction(0)] * g.n0
+    for w in range(g.n1):
+        ends = [v for v, x in g.edges if x == w]
+        for a, b in itertools.permutations(ends, 2):
+            walked[a] += f0[b]
+    expected = Fraction(g.l * (g.l**3 + 1)) * zeta**lab.gshift
+    ok = walked == [expected * x for x in f0]
+    return FormTriple(f0, f1), {"eigenvalue": expected, "ok": ok}
 
 
 # --- auxiliary operators and the level maps ----------------------------------

@@ -58,6 +58,12 @@ class TestModel:
         with pytest.raises(ModelSizeError):
             make_model(5, 3, 1, budget=1000)
 
+    def test_budget_refuses_a_huge_radius_exponent(self, deadline):
+        # the ball count 2^(3 * 10^12) is never formed
+        with deadline(5):
+            with pytest.raises(ModelSizeError, match=r"2\^3000000000000 balls"):
+                make_model(2, 10**12, 0)
+
     def test_monomial_count(self, model21):
         d = model21.degree_bound
         assert len(model21.monomials()) == math.comb(d + 3, 3)

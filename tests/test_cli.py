@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u3local import cli, cosets, slope
 from u3local.cli import main
@@ -211,6 +215,132 @@ def test_malformed_input_is_an_error(capsys, tmp_path, graph_text, labels_text, 
     assert code == 2
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+class TestBudgetRefusals:
+    """Work that would run without bound is refused before it starts."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["graph", "levelraise", "{graph}", "--prime", "1000003", "--aux", "auto"],
+                "residue scans mod 1000003", id="levelraise-large-prime",
+            ),
+            pytest.param(
+                ["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "100000"],
+                "degree 100000", id="ihara-large-degree",
+            ),
+            pytest.param(
+                ["analytic", "weight", "--p", "3", "--level", "1000000000", "--chi1", "1",
+                 "--chi2", "0", "--chi3", "0"],
+                "3^1000000000", id="weight-large-level",
+            ),
+        ],
+    )
+    def test_refused_past_budget(self, capsys, k39_path, deadline, argv, message):
+        with deadline(5):
+            code = main([a.format(graph=k39_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and message in err and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv, cost",
+        [
+            # three auxiliary members, each a scan over the 37 residues
+            (["graph", "levelraise", "{graph}", "--prime", "37", "--aux", "auto"], 111),
+            # blocks of sides 1; 2, 1, 1; 3, 2, 2, 1, 1, 1 at degrees 0, 1, 2
+            (["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "2"], 27),
+            # the nine residues mod 3^2
+            (["analytic", "weight", "--p", "3", "--level", "2",
+              "--chi1", "1", "--chi2", "0", "--chi3", "0"], 9),
+        ],
+        ids=["levelraise", "ihara", "weight"],
+    )
+    def test_budget_is_the_estimate(self, capsys, k39_path, argv, cost):
+        argv = [a.format(graph=k39_path) for a in argv]
+        assert main(["--budget", str(cost - 1)] + argv) == 2
+        assert "budget" in capsys.readouterr().err
+        assert main(["--budget", str(cost)] + argv) == 0
+        capsys.readouterr()
+
+    def test_huge_declared_vertex_count(self, capsys, tmp_path, deadline):
+        path = tmp_path / "huge.graph"
+        path.write_text("coset-graph l=2\nv0 10000000000\nv1 1\ne 0 0\n")
+        with deadline(5):
+            code = main(["graph", "analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "edge count" in err
+
+
+_COUNT = st.one_of(
+    st.integers(-3, 12),
+    st.integers(0, 12).map(lambda k: 10**k),
+    st.integers(-(10**12), 10**12),
+)
+_NOISE = st.tuples(
+    st.sampled_from(["v0", "v1", "e", "labels", "coset-graph", "# note", "bogus"]),
+    st.lists(
+        st.one_of(_COUNT.map(str), st.text(alphabet="0123456789=lx-#", max_size=5)),
+        max_size=3,
+    ),
+).map(lambda t: " ".join([t[0], *t[1]]))
+_GRAPH_LINE = st.one_of(
+    _COUNT.map("coset-graph l={}".format),
+    st.tuples(st.sampled_from(["v0", "v1"]), _COUNT).map("{0[0]} {0[1]}".format),
+    st.tuples(_COUNT, _COUNT).map("e {0[0]} {0[1]}".format),
+    _NOISE,
+)
+# mostly a header and both counts first, so the counts reach the graph itself
+_GRAPH_LINES = st.one_of(
+    st.lists(_GRAPH_LINE, max_size=8),
+    st.tuples(st.sampled_from([2, 3]) | _COUNT, _COUNT, _COUNT, st.lists(_GRAPH_LINE, max_size=5))
+    .map(lambda t: [f"coset-graph l={t[0]}", f"v0 {t[1]}", f"v1 {t[2]}", *t[3]]),
+)
+_LABEL_LINE = st.one_of(
+    st.tuples(_COUNT, _COUNT).map("labels order={0[0]} gshift={0[1]}".format),
+    st.tuples(st.sampled_from(["v0", "v1"]), _COUNT, _COUNT).map("{0[0]} {0[1]} {0[2]}".format),
+    _NOISE,
+)
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRAPH_LINES, st.lists(_LABEL_LINE, max_size=6))
+def test_directive_fuzz_is_a_format_error(graph_lines, label_lines):
+    # the loaders raise only their own errors, and the CLI turns each into
+    # "error:" with exit code 2
+    k39 = complete_biregular(2)
+    graph_text = "\n".join(graph_lines) + "\n"
+    label_text = "\n".join(label_lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("graph", graph_text), ("labels", label_text), ("k39", k39.describe())):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        runs = []
+        try:
+            cosets.load_graph(graph_text)
+        except cosets.GraphFormatError:
+            runs.append(["graph", "analyze", paths["graph"]])
+        try:
+            cosets.load_labeling(label_text, k39).validate(k39)
+        except (cosets.GraphFormatError, cosets.LabelingError):
+            runs.append(["graph", "levelraise", paths["k39"], "--prime", "3", "--aux", "none",
+                         "--labels", paths["labels"]])
+        for argv in runs:
+            code, err = _run_quietly(argv)
+            assert code == 2
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSatakeCommands:

@@ -13,7 +13,6 @@ from u3local.cosets import (
     GraphFormatError,
     LabelingError,
     StratumError,
-    abelian_forms,
     complete_biregular,
     congruence_module,
     det_identity_check,
@@ -37,6 +36,7 @@ from u3local.cosets import (
 from u3local.linalg import Matrix
 
 from .oracles import (
+    abelian_forms,
     automorphisms_brute,
     automorphisms_two_stage,
     commutes_with_level_maps_dense,
@@ -203,7 +203,7 @@ class TestRaisingLowering:
 
     def test_map_i_delta(self, k39):
         out = map_i(FormTriple([1, 0, 0], [0] * 9), k39)
-        assert out.m == [1 if k39.h(e) == 0 else 0 for e in range(27)]
+        assert out.m == [1 if k39.edges[e][0] == 0 else 0 for e in range(27)]
 
     def test_map_iplus_ones(self, k39):
         t = map_iplus(EdgeForm([1] * 27), k39)
