@@ -15,6 +15,7 @@ positive 21-exponent span the whole degree <= D space, exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -236,25 +237,26 @@ def ihara_rank_test(model: AnalyticModel, delta) -> bool:
     Z21 + delta.  Each difference lands in degree <= D and keeps the Z31, Z32
     exponents (j, k) of beta, so the differences form square blocks by (j, k)
     of side D+1-j-k; they span the truncated space exactly when every block
-    has full rank.  True for every nonzero delta over the rationals.
+    has full rank.  Row i of a block is C(i, t) delta^(i-t) whatever j and k
+    are, so one block per side n = 1..D+1 is ranked, the one at k = 0.  True
+    for every nonzero delta over the rationals.
     """
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("delta must be nonzero")
     d = model.degree_bound
-    for j in range(d + 1):
-        for k in range(d + 1 - j):
-            side = d + 1 - j - k
-            rows = [[0] * side for _ in range(side)]
-            for i in range(1, side + 1):
-                diff = _substitute_z21({(i, j, k): Fraction(1)}, delta)
-                diff[(i, j, k)] -= 1
-                for (t, jj, kk), c in diff.items():
-                    if c:
-                        assert (jj, kk) == (j, k) and t < side, "difference left its block"
-                        rows[i - 1][t] = c
-            if Matrix(rows).rank() < side:
-                return False
+    for side in range(1, d + 2):
+        j = d + 1 - side
+        rows = [[0] * side for _ in range(side)]
+        for i in range(1, side + 1):
+            diff = _substitute_z21({(i, j, 0): Fraction(1)}, delta)
+            diff[(i, j, 0)] -= 1
+            for (t, jj, kk), c in diff.items():
+                if c:
+                    assert (jj, kk) == (j, 0) and t < side, "difference left its block"
+                    rows[i - 1][t] = c
+        if Matrix(rows).rank() < side:
+            return False
     return True
 
 
@@ -268,17 +270,23 @@ def unit_group_generators(p: int, k: int) -> list[tuple[int, int]]:
     require_prime(p)
     if k < 1:
         raise ValueError("level must be >= 1")
+    return list(_unit_group_generators(p, k))
+
+
+@functools.cache
+def _unit_group_generators(p: int, k: int) -> tuple[tuple[int, int], ...]:
+    # every Character built at (p, k) asks again, so the search runs once
     q = p**k
     if p == 2:
         if k == 1:
-            return []
+            return ()
         if k == 2:
-            return [(3, 2)]
-        return [(q - 1, 2), (5, 2 ** (k - 2))]
+            return ((3, 2),)
+        return ((q - 1, 2), (5, 2 ** (k - 2)))
     order = (p - 1) * p ** (k - 1)
     for g in range(2, q):
         if math.gcd(g, p) == 1 and _mult_order(g, q) == order:
-            return [(g, order)]
+            return ((g, order),)
     raise RuntimeError("no primitive root found")
 
 

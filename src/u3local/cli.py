@@ -116,11 +116,14 @@ def _exact(x: Fraction):
     return x.numerator if x.denominator == 1 else x
 
 
-def parse_diag(spec: str, l: int):
-    """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2."""
+def parse_diag(spec: str, l: int, budget: int):
+    """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2.
+    Powers of l whose bits would pass ``budget`` are refused before any is formed."""
+    tokens = [tok.strip() for tok in spec.split(",")]
+    bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()
+    _within_budget(bits, budget, f"--diag powers of {bits} bits")
     entries = []
-    for tok in spec.split(","):
-        tok = tok.strip()
+    for tok in tokens:
         if tok.startswith("l^"):
             entries.append(_exact(Fraction(l) ** int(tok[2:])))
         elif tok == "l":
@@ -303,7 +306,7 @@ def cmd_satake_ve_check(args):
 
 def cmd_moduli_components(args):
     require_prime(args.l)
-    s = parse_diag(args.diag, args.l)
+    s = parse_diag(args.diag, args.l, args.budget)
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
     witnesses = lparam.stratum_witnesses(s, args.l)
     degenerate = lparam.is_degenerate_satake(s, args.l)
@@ -327,7 +330,7 @@ def cmd_moduli_components(args):
 
 def cmd_moduli_witness(args):
     require_prime(args.l)
-    s = parse_diag(args.diag, args.l)
+    s = parse_diag(args.diag, args.l, args.budget)
     n = s.nrows
     support = {}
     for pair in args.nilpotent.split(";"):
@@ -436,8 +439,9 @@ def cmd_analytic_ihara(args):
     delta = parse_fraction(args.delta)
     if args.degree < 0:
         raise ValueError("--degree must be nonnegative")
-    # the entries of the blocks the rank tests read at degrees 0..D: the sum over
-    # n <= D+1 of n^2 (D+2-n)(D+3-n)/2, in closed form
+    # an upper bound on the entries the rank tests read at degrees 0..D: one
+    # block per (j, k), the sum over n <= D+1 of n^2 (D+2-n)(D+3-n)/2 in closed
+    # form, where the tests rank one block per side
     entries = math.comb(args.degree + 5, 5) + math.comb(args.degree + 4, 5)
     _within_budget(entries, args.budget, f"the rank tests up to degree {args.degree}")
     table = {}

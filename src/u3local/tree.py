@@ -13,6 +13,7 @@ module exists to build such balls and check that identity on the nose.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,11 +44,9 @@ class TreeBall:
         require_prime(l)
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        expected = expected_shell_counts(l, radius)
-        if sum(expected) > vertex_budget:
-            raise BallSizeError(
-                f"ball would hold {sum(expected)} vertices, over the budget {vertex_budget}"
-            )
+        # stop at the first shell past the budget: the counts grow exponentially
+        if any(total > vertex_budget for total in itertools.accumulate(_shell_counts(l, radius))):
+            raise BallSizeError(f"ball would hold more than the budget of {vertex_budget} vertices")
         self.l = l
         self.radius = radius
         self.parent = [-1]
@@ -119,15 +118,20 @@ class TreeBall:
 
 def expected_shell_counts(l: int, radius: int) -> list[int]:
     """Shell sizes forced by the degrees: 1, l^3+1, l(l^3+1), then factors l^3, l, ..."""
-    counts = [1]
+    return list(_shell_counts(l, radius))
+
+
+def _shell_counts(l: int, radius: int):
+    count = 1
+    yield count
     for d in range(1, radius + 1):
         if d == 1:
-            counts.append(l**3 + 1)
+            count = l**3 + 1
         elif d % 2 == 1:
-            counts.append(counts[-1] * l**3)
+            count *= l**3
         else:
-            counts.append(counts[-1] * l)
-    return counts
+            count *= l
+        yield count
 
 
 @dataclass

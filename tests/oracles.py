@@ -408,6 +408,55 @@ def abelian_forms(g, lab, chi_gen_image: Fraction):
     return FormTriple(f0, f1), {"eigenvalue": expected, "ok": ok}
 
 
+# --- the old and new edge spaces ---------------------------------------------
+
+
+def old_new_orthogonal_pairwise(old_basis, new_basis) -> bool:
+    """Whether every old vector pairs to zero with every new vector, one edge
+    sum per (old, new) pair."""
+    return all(
+        sum(x * y for x, y in zip(o, n) if x) == 0
+        for o in old_basis
+        for n in new_basis
+    )
+
+
+# --- the analytic rank test ---------------------------------------------------
+
+
+def ihara_rank_per_block(degree: int, delta) -> bool:
+    """The translated-monomial differences of degree <= degree+1 have full rank
+    in every (j, k) block, one block per (j, k).
+
+    Each difference (Z21 + delta)^i Z31^j Z32^k - Z21^i Z31^j Z32^k is expanded
+    by multiplying out i factors of (Z21 + delta) as dict polynomials, and each
+    block is ranked by Fraction forward elimination.
+    """
+    delta = Fraction(delta)
+    for j in range(degree + 1):
+        for k in range(degree + 1 - j):
+            side = degree + 1 - j - k
+            rows = []
+            for i in range(1, side + 1):
+                poly = {(0, j, k): Fraction(1)}
+                for _ in range(i):
+                    nxt = {}
+                    for (a, b, c), x in poly.items():
+                        nxt[(a + 1, b, c)] = nxt.get((a + 1, b, c), 0) + x
+                        nxt[(a, b, c)] = nxt.get((a, b, c), 0) + delta * x
+                    poly = nxt
+                poly[(i, j, k)] -= 1
+                row = [Fraction(0)] * side
+                for (t, b, c), x in poly.items():
+                    if x:
+                        assert (b, c) == (j, k) and t < side
+                        row[t] = x
+                rows.append(row)
+            if fraction_rank(rows) < side:
+                return False
+    return True
+
+
 # --- auxiliary operators and the level maps ----------------------------------
 
 

@@ -22,6 +22,8 @@ from u3local.analytic import (
     unit_group_generators,
 )
 
+from .oracles import ihara_rank_per_block
+
 
 @pytest.fixture(scope="module")
 def model21():
@@ -167,6 +169,11 @@ class TestIharaRank:
     def test_zero_delta_rejected(self):
         with pytest.raises(ValueError):
             ihara_rank_test(make_model(2, 1, 2), 0)
+
+    @pytest.mark.parametrize("delta", [Fraction(1), Fraction(3), Fraction(-1, 2)])
+    @pytest.mark.parametrize("d", range(7))
+    def test_one_block_per_side_matches_every_block(self, d, delta):
+        assert ihara_rank_test(make_model(2, 1, d), delta) is ihara_rank_per_block(d, delta)
 
     def test_triangular_structure(self):
         # the difference of a translated monomial has leading term delta * i * Z^(beta - e21)

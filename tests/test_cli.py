@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import os
@@ -10,7 +12,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u3local import cli, cosets, slope
+from u3local import analytic, cli, cosets, slope
 from u3local.cli import main
 from u3local.cosets import complete_biregular, parallel_multigraph
 
@@ -141,6 +143,18 @@ class TestGraphCommands:
         assert code == 0 and doc["passed"]
         assert doc["results"]["composite_kernel_dim"] == g.n_components
 
+    def test_analyze_at_300_vertices(self, capsys, tmp_path, deadline):
+        # the kernel from the raising map and no Bareiss of the composite; the
+        # digest was recorded from the dense-composite implementation
+        path = tmp_path / "r75-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 75, random.Random(1)).describe())
+        with deadline(8):
+            code, out = run(capsys, "graph", "analyze", str(path), "--prime", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b517eb8aa8d0c5a3015f26d03d4f358fedf6ef4d6a1f664ddbbb05ddf532f18c"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
         capsys.readouterr()
@@ -236,6 +250,19 @@ class TestBudgetRefusals:
                  "--chi2", "0", "--chi3", "0"],
                 "3^1000000000", id="weight-large-level",
             ),
+            pytest.param(
+                ["tree", "verify", "--l", "2", "--radius", "1000000"],
+                "more than the budget of 2000000 vertices", id="tree-large-radius",
+            ),
+            pytest.param(
+                ["moduli", "components", "--diag", "l^100000000,1", "--l", "2"],
+                "200000000 bits", id="components-large-power",
+            ),
+            pytest.param(
+                ["moduli", "witness", "--diag", "l^-100000000,1", "--l", "2",
+                 "--nilpotent", "0,1"],
+                "200000000 bits", id="witness-large-negative-power",
+            ),
         ],
     )
     def test_refused_past_budget(self, capsys, k39_path, deadline, argv, message):
@@ -263,6 +290,14 @@ class TestBudgetRefusals:
         assert main(["--budget", str(cost - 1)] + argv) == 2
         assert "budget" in capsys.readouterr().err
         assert main(["--budget", str(cost)] + argv) == 0
+        capsys.readouterr()
+
+    def test_diag_budget_is_the_estimate(self, capsys):
+        # |3| + |-2| exponents of l = 3, two bits each
+        argv = ["moduli", "components", "--diag", "l^3,l^-2,1", "--l", "3"]
+        assert main(["--budget", "9"] + argv) == 2
+        assert "budget" in capsys.readouterr().err
+        assert main(["--budget", "10"] + argv) == 0
         capsys.readouterr()
 
     def test_huge_declared_vertex_count(self, capsys, tmp_path, deadline):
@@ -487,6 +522,17 @@ class TestAnalyticCommands:
         assert code == 0
         assert doc["results"]["central"] is False
         assert doc["results"]["rigidity_witness"] is not None
+
+    def test_weight_searches_once(self, capsys, monkeypatch):
+        searches = []
+        search = analytic._unit_group_generators.__wrapped__
+        counted = functools.cache(lambda p, k: searches.append((p, k)) or search(p, k))
+        monkeypatch.setattr(analytic, "_unit_group_generators", counted)
+        argv = ["analytic", "weight", "--p", "3", "--level", "12",
+                "--chi1", "1", "--chi2", "0", "--chi3", "0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert searches == [(3, 12)]
 
 
 class TestReportContract:

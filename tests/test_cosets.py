@@ -41,6 +41,7 @@ from .oracles import (
     automorphisms_two_stage,
     commutes_with_level_maps_dense,
     gf_rank,
+    old_new_orthogonal_pairwise,
 )
 
 # frozen by tests/freeze_congruence_fixtures.py (oracle SNF, run before the build)
@@ -354,6 +355,62 @@ class TestDetIdentity:
         for _ in range(4):
             g = random_biregular_graph(2, 2, rng)
             assert det_identity_check(level_matrix(g))["ok"]
+
+
+# graphs on which the raising-map answers meet the dense composite's
+RAISING_GRAPHS = {
+    **ORACLE_GRAPHS,
+    **{
+        f"random{n0}-{k}": (lambda n0=n0, k=k: random_biregular_graph(2, n0, random.Random(k)))
+        for n0 in range(1, 9)
+        for k in (1, 2)
+    },
+}
+
+
+class TestRaisingMapQuestions:
+    """What `graph analyze` asks of the composite C = inc^T inc, answered from inc."""
+
+    @pytest.mark.parametrize("name", list(RAISING_GRAPHS))
+    def test_kernel_is_the_composite_kernel(self, name):
+        block = level_matrix(RAISING_GRAPHS[name]())
+        assert block.kernel == block.composite.kernel_basis()
+
+    @pytest.mark.parametrize("name", list(RAISING_GRAPHS))
+    def test_adjoint_orthogonality_matches_pairing(self, name):
+        old, new, dims = old_new_decomposition(RAISING_GRAPHS[name]())
+        assert dims["orthogonal"] is old_new_orthogonal_pairwise(old, new) is True
+
+    def test_adjoint_orthogonality_sees_a_bad_new_vector(self, k39, monkeypatch):
+        # an old vector slipped into the new basis fails both verdicts
+        original = Matrix.row_space_and_kernel
+        def corrupted(self):
+            old, new = original(self)
+            return old, new + [old[0]]
+        monkeypatch.setattr(Matrix, "row_space_and_kernel", corrupted)
+        old, new, dims = old_new_decomposition(k39)
+        assert dims["orthogonal"] is old_new_orthogonal_pairwise(old, new) is False
+
+    def test_det_identity_on_a_trivial_kernel(self):
+        # only the empty graph has a trivial kernel; Bareiss of the 0x0 composite
+        block = level_matrix(CosetGraph(2, 0, 0, []))
+        assert block.kernel == []
+        assert det_identity_check(block) == {"lhs": 1, "rhs": 1, "ok": True}
+
+    def test_no_elimination_of_the_composite(self, monkeypatch):
+        g = random_biregular_graph(2, 8, random.Random(1))
+        shapes = []
+        for method in ("rref", "det", "char_poly", "kernel_basis"):
+            original = getattr(Matrix, method)
+            def spy(self, *args, _original=original):
+                shapes.append((self.nrows, self.ncols))
+                return _original(self, *args)
+            monkeypatch.setattr(Matrix, method, spy)
+        block = level_matrix(g)
+        old_new_decomposition(g)
+        assert kernel_eigenvalue_check(block)["ok"] and det_identity_check(block)["ok"]
+        nv = g.n0 + g.n1
+        assert (g.nedges, nv) in shapes and (nv, nv) not in shapes
 
 
 class TestIharaKernel:
