@@ -14,6 +14,7 @@ import enum
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -107,8 +108,27 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def parse_fraction(text: str) -> Fraction:
+# a decimal exponent as Fraction reads one: the last thing in the token
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _exponent_bits(tokens) -> int:
+    """Bits of the powers of ten the decimal exponents of ``tokens`` ask for:
+    |e|·bit_length(10) per token, the estimate of the l^e tokens of --diag."""
+    exps = (_EXPONENT.search(tok) for tok in tokens)
+    return sum(abs(int(m[1])) for m in exps if m) * (10).bit_length()
+
+
+def parse_fraction(text: str, budget: int) -> Fraction:
+    """The one parser from text to a rational.  A decimal exponent whose power of
+    ten would pass ``budget`` bits is refused before the power is formed."""
+    _within_exponent_budget([text], budget)
     return Fraction(text)
+
+
+def _within_exponent_budget(tokens, budget: int):
+    bits = _exponent_bits(tokens)
+    _within_budget(bits, budget, f"decimal exponents of {bits} bits")
 
 
 def _exact(x: Fraction):
@@ -118,9 +138,11 @@ def _exact(x: Fraction):
 
 def parse_diag(spec: str, l: int, budget: int):
     """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2.
-    Powers of l whose bits would pass ``budget`` are refused before any is formed."""
+    Powers of l and of ten whose bits would pass ``budget`` are refused before
+    any is formed."""
     tokens = [tok.strip() for tok in spec.split(",")]
     bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()
+    bits += _exponent_bits(tokens)
     _within_budget(bits, budget, f"--diag powers of {bits} bits")
     entries = []
     for tok in tokens:
@@ -129,18 +151,21 @@ def parse_diag(spec: str, l: int, budget: int):
         elif tok == "l":
             entries.append(l)
         else:
-            entries.append(_exact(Fraction(tok)))
+            entries.append(_exact(parse_fraction(tok, budget)))
     n = len(entries)
     return Matrix.from_support(n, n, {(i, i): x for i, x in enumerate(entries)})
 
 
-def parse_matrix(spec: str) -> Matrix:
-    rows = [[_exact(Fraction(x)) for x in row.split(",")] for row in spec.split(";")]
-    return Matrix(rows)
+def parse_matrix(spec: str, budget: int) -> Matrix:
+    rows = [row.split(",") for row in spec.split(";")]
+    _within_exponent_budget([x for row in rows for x in row], budget)
+    return Matrix([[_exact(parse_fraction(x, budget)) for x in row] for row in rows])
 
 
-def parse_poly(spec: str) -> Poly:
-    return Poly([Fraction(x) for x in spec.split(",")])
+def parse_poly(spec: str, budget: int) -> Poly:
+    tokens = spec.split(",")
+    _within_exponent_budget(tokens, budget)
+    return Poly([parse_fraction(x, budget) for x in tokens])
 
 
 def _within_budget(estimate: int, budget: int, work: str):
@@ -196,7 +221,7 @@ def cmd_graph_analyze(args):
     det = cosets.det_identity_check(block)
     rep.put("det_lhs", det["lhs"])
     rep.check("det_identity", det["ok"])
-    if args.prime:
+    if args.prime is not None:
         ihara = cosets.ihara_kernel_test(g, args.prime)
         rep.put("ihara_kernel_dim", ihara["kernel_dim"])
         rep.check("ihara_kernel_abelian", ihara["ok"])
@@ -263,7 +288,7 @@ def cmd_graph_levelraise(args):
 
 
 def cmd_satake_classify(args):
-    s = satake.SatakeParam(parse_fraction(args.alpha), args.l)
+    s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
     rep = Report("satake classify", {"alpha": str(s.alpha), "l": args.l})
     cls = satake.classify_principal_series(s)
     lam = satake.spherical_eigenvalue(s)
@@ -278,7 +303,7 @@ def cmd_satake_classify(args):
 
 
 def cmd_satake_eig(args):
-    s = satake.SatakeParam(parse_fraction(args.alpha), args.l)
+    s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
     rep = Report("satake eig", {"alpha": str(s.alpha), "l": args.l})
     lam = satake.spherical_eigenvalue(s)
     rep.put("eigenvalue", lam)
@@ -291,9 +316,9 @@ def cmd_satake_eig(args):
 
 def cmd_satake_ve_check(args):
     es = satake.SplitEigensystem(
-        args.q, parse_fraction(args.t1), parse_fraction(args.t2), parse_fraction(args.t3)
+        args.q, *(parse_fraction(t, args.budget) for t in (args.t1, args.t2, args.t3))
     )
-    psi = parse_fraction(args.psi)
+    psi = parse_fraction(args.psi, args.budget)
     rep = Report(
         "satake ve-check",
         {"q": args.q, "psi": str(psi), "t": [args.t1, args.t2, args.t3]},
@@ -363,10 +388,10 @@ def _matrix_input(args):
     if getattr(args, "matrix_file", None):
         with open(args.matrix_file) as fh:
             spec = fh.read().strip()
-        return parse_matrix(spec), {"matrix_file_digest": digest(spec)}
+        return parse_matrix(spec, args.budget), {"matrix_file_digest": digest(spec)}
     if not args.entries:
         raise ValueError("provide --entries or --matrix-file")
-    return parse_matrix(args.entries), {"entries": args.entries}
+    return parse_matrix(args.entries, args.budget), {"entries": args.entries}
 
 
 def cmd_slope_series(args):
@@ -382,7 +407,7 @@ def cmd_slope_series(args):
 
 
 def cmd_slope_polygon(args):
-    P = parse_poly(args.poly)
+    P = parse_poly(args.poly, args.budget)
     rep = Report("slope polygon", {"poly": args.poly, "p": args.p})
     np = slope.newton_polygon(P, args.p)
     rep.put("vertices", np.vertices)
@@ -392,8 +417,8 @@ def cmd_slope_polygon(args):
 
 
 def cmd_slope_factor(args):
-    P = parse_poly(args.poly)
-    h = parse_fraction(args.h)
+    P = parse_poly(args.poly, args.budget)
+    h = parse_fraction(args.h, args.budget)
     rep = Report(
         "slope factor",
         {"poly": args.poly, "p": args.p, "h": str(h), "precision": args.precision},
@@ -414,7 +439,7 @@ def cmd_slope_factor(args):
 
 def cmd_slope_decompose(args):
     U, src = _matrix_input(args)
-    h = parse_fraction(args.h)
+    h = parse_fraction(args.h, args.budget)
     rep = Report(
         "slope decompose",
         {**src, "p": args.p, "h": str(h), "precision": args.precision},
@@ -436,7 +461,7 @@ def cmd_analytic_ihara(args):
         "analytic ihara",
         {"p": args.p, "m": args.m, "degree": args.degree, "delta": args.delta},
     )
-    delta = parse_fraction(args.delta)
+    delta = parse_fraction(args.delta, args.budget)
     if args.degree < 0:
         raise ValueError("--degree must be nonnegative")
     # an upper bound on the entries the rank tests read at degrees 0..D: one

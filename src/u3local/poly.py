@@ -34,10 +34,6 @@ class Poly:
     def one(cls):
         return cls([1])
 
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
-
     def is_zero(self):
         return not self.coeffs
 
@@ -127,11 +123,6 @@ class Poly:
             s = sum(self[j] * inv[k - j] for j in range(1, k + 1))
             inv.append(-s / self.coeffs[0])
         return Poly(inv)
-
-    def monic(self):
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial cannot be made monic")
-        return Poly([c / self.coeffs[-1] for c in self.coeffs])
 
     def at_matrix(self, M: Matrix) -> Matrix:
         """Evaluate at a square matrix (Horner)."""

@@ -14,6 +14,7 @@ module exists to build such balls and check that identity on the nose.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,8 +37,10 @@ class BoundaryError(ValueError):
 class TreeBall:
     """A radius-R ball, rooted at a hyperspecial vertex.
 
-    Vertices are integers in BFS order; adjacency is parent/children.
-    Hyperspecial vertices sit at even distance, special at odd.
+    Vertices are integers in BFS order, so the ball is fixed by its shell sizes:
+    the i-th vertex of shell d has the i-th run of ``branch[d]`` vertices of
+    shell d+1 as its children.  Hyperspecial vertices sit at even distance,
+    special at odd.
     """
 
     def __init__(self, l: int, radius: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
@@ -49,44 +52,28 @@ class TreeBall:
             raise BallSizeError(f"ball would hold more than the budget of {vertex_budget} vertices")
         self.l = l
         self.radius = radius
-        self.parent = [-1]
-        self.dist = [0]
-        self.child_start = [0]
-        self.child_count = [0]
-        self._shell_counts = [1]
-        frontier = [0]
-        for d in range(1, radius + 1):
-            nxt = []
-            for v in frontier:
-                if d == 1:
-                    k = l**3 + 1  # root keeps its full degree
-                elif d % 2 == 1:
-                    k = l**3  # interior hyperspecial: one neighbour is the parent
-                else:
-                    k = l  # interior special
-                self.child_start[v] = len(self.parent)
-                self.child_count[v] = k
-                for _ in range(k):
-                    idx = len(self.parent)
-                    self.parent.append(v)
-                    self.dist.append(d)
-                    self.child_start.append(0)
-                    self.child_count.append(0)
-                    nxt.append(idx)
-            frontier = nxt
-            self._shell_counts.append(len(nxt))
-        self.size = len(self.parent)
+        # children of a vertex in shell d: the root has all l^3+1 neighbours, an
+        # inner vertex all but its parent (l^3 hyperspecial, l special), the boundary none
+        self._branch = [(l if d % 2 else l**3) + (d == 0) for d in range(radius)] + [0]
+        counts = itertools.accumulate(self._branch[:-1], operator.mul, initial=1)
+        self._starts = [0, *itertools.accumulate(counts)]  # shell d is starts[d]..starts[d+1]-1
+        self.size = self._starts[-1]
+        self.dist = []
+        for d, n in enumerate(self.shell_counts()):
+            self.dist += itertools.repeat(d, n)
 
     def kind(self, v: int) -> str:
         return HYPERSPECIAL if self.dist[v] % 2 == 0 else SPECIAL
 
     def children(self, v: int):
-        s, k = self.child_start[v], self.child_count[v]
-        return range(s, s + k)
+        d = self.dist[v]
+        start = self._starts[d + 1] + (v - self._starts[d]) * self._branch[d]
+        return range(start, start + self._branch[d])
 
     def neighbors(self, v: int):
-        if self.parent[v] >= 0:
-            yield self.parent[v]
+        d = self.dist[v]
+        if d:
+            yield self._starts[d - 1] + (v - self._starts[d]) // self._branch[d - 1]
         yield from self.children(v)
 
     def distance_two(self, v: int):
@@ -97,19 +84,16 @@ class TreeBall:
                     yield u
 
     def shell_counts(self) -> list[int]:
-        return list(self._shell_counts)
+        return [b - a for a, b in itertools.pairwise(self._starts)]
 
     def vertices_of_kind(self, kind: str, max_dist: int | None = None):
         """Vertices of one kind up to a distance, read off the shells: BFS order
         numbers each shell as one consecutive block after the shells inside it."""
-        lim = self.radius if max_dist is None else max_dist
+        lim = self.radius if max_dist is None else min(max_dist, self.radius)
         want = 0 if kind == HYPERSPECIAL else 1
         out = []
-        start = 0
-        for d, n in enumerate(self._shell_counts[: max(lim + 1, 0)]):
-            if d % 2 == want:
-                out.extend(range(start, start + n))
-            start += n
+        for d in range(want, lim + 1, 2):
+            out.extend(range(self._starts[d], self._starts[d + 1]))
         return out
 
     def __repr__(self):
@@ -194,24 +178,25 @@ def _check_support(f: VertexFunction, ball: TreeBall, kind: str, max_dist: int):
             )
 
 
-def vertex_op_A(f: VertexFunction, ball: TreeBall) -> VertexFunction:
-    """(Af)(w) = sum of f over the hyperspecial neighbours of each special w."""
-    _check_support(f, ball, HYPERSPECIAL, ball.radius - 1)
+def _transfer(f: VertexFunction, ball: TreeBall, src: str, dst: str) -> VertexFunction:
+    """Edge transfer from stratum src to stratum dst: the value at each dst vertex
+    is the sum of f over its src neighbours."""
+    _check_support(f, ball, src, ball.radius - 1)
     out: dict[int, int | Fraction] = {}
     for v, c in f.values.items():
         for w in ball.neighbors(v):
             out[w] = out.get(w, 0) + c
-    return VertexFunction(SPECIAL, out)
+    return VertexFunction(dst, out)
+
+
+def vertex_op_A(f: VertexFunction, ball: TreeBall) -> VertexFunction:
+    """(Af)(w) = sum of f over the hyperspecial neighbours of each special w."""
+    return _transfer(f, ball, HYPERSPECIAL, SPECIAL)
 
 
 def vertex_op_B(g: VertexFunction, ball: TreeBall) -> VertexFunction:
     """(Bg)(v) = sum of g over the special neighbours of each hyperspecial v."""
-    _check_support(g, ball, SPECIAL, ball.radius - 1)
-    out: dict[int, int | Fraction] = {}
-    for w, c in g.values.items():
-        for v in ball.neighbors(w):
-            out[v] = out.get(v, 0) + c
-    return VertexFunction(HYPERSPECIAL, out)
+    return _transfer(g, ball, SPECIAL, HYPERSPECIAL)
 
 
 def op_Tl(f: VertexFunction, ball: TreeBall) -> VertexFunction:

@@ -381,6 +381,34 @@ def tree_distance2_values(ball, v: int, values_by_shell) -> Fraction:
     return total
 
 
+def explicit_ball(l: int, radius: int) -> dict:
+    """The radius-R ball of the (l^3+1, l+1)-biregular tree by a plain queue BFS
+    from a hyperspecial root, numbering vertices as they are discovered.
+
+    Returns per-vertex lists "dist", "kind", "parent" (-1 at the root) and
+    "children", and the per-distance "shell_counts"."""
+    dist, parent, children = [0], [-1], [[]]
+    queue = [0]
+    for v in queue:  # the list grows while it is walked: a FIFO queue
+        if dist[v] == radius:
+            continue
+        degree = l**3 + 1 if dist[v] % 2 == 0 else l + 1
+        for _ in range(degree - (parent[v] >= 0)):
+            w = len(dist)
+            dist.append(dist[v] + 1)
+            parent.append(v)
+            children.append([])
+            children[v].append(w)
+            queue.append(w)
+    return {
+        "dist": dist,
+        "kind": ["hyperspecial" if d % 2 == 0 else "special" for d in dist],
+        "parent": parent,
+        "children": children,
+        "shell_counts": [dist.count(d) for d in range(radius + 1)],
+    }
+
+
 # --- labelings and abelian forms ----------------------------------------------
 
 

@@ -159,6 +159,14 @@ class TestGraphCommands:
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
         capsys.readouterr()
 
+    def test_analyze_refuses_prime_zero(self, capsys, k39_path, deadline):
+        # 0 is a non-prime like 4, not a request to skip the mod-p checks
+        with deadline(1):
+            code = main(["graph", "analyze", k39_path, "--prime", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "0 is not prime" in err
+
 
 @pytest.mark.parametrize(
     "graph_text, labels_text, argv, message",
@@ -300,6 +308,53 @@ class TestBudgetRefusals:
         assert main(["--budget", "10"] + argv) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["satake", "eig", "--alpha", "1e5000000", "--l", "2"], id="eig-alpha"),
+            pytest.param(
+                ["satake", "classify", "--alpha", "1e50000000", "--l", "2"], id="classify-alpha"
+            ),
+            pytest.param(
+                ["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "2",
+                 "--delta", "1e3000000"],
+                id="ihara-delta",
+            ),
+            pytest.param(
+                ["satake", "ve-check", "--q", "2", "--psi", "1", "--t1", "1",
+                 "--t2", "1", "--t3=-1e-600000"],
+                id="ve-check-negative-exponent",
+            ),
+            # below: each token is inside the budget, the argument is not
+            pytest.param(
+                ["slope", "polygon", "--poly", "1,1e200000,1e200000,1e200000", "--p", "2"],
+                id="polygon-sum",
+            ),
+            pytest.param(
+                ["slope", "series", "--entries", "1e300000,0;0,1e300000", "--p", "2"],
+                id="series-entries-sum",
+            ),
+            pytest.param(
+                ["moduli", "components", "--diag", "1e400000,l^300000,1", "--l", "2"],
+                id="diag-powers-of-l-and-ten",
+            ),
+        ],
+    )
+    def test_decimal_exponent_refused(self, capsys, deadline, argv):
+        with deadline(1):
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "bits" in err and "budget" in err
+
+    def test_decimal_exponent_budget_is_the_estimate(self, capsys):
+        # exponents 3 and -2 of ten, bit_length(10) = 4 bits each
+        argv = ["slope", "polygon", "--poly", "1,1e3,2.5e-2", "--p", "5"]
+        assert main(["--budget", "19"] + argv) == 2
+        assert "20 bits" in capsys.readouterr().err
+        assert main(["--budget", "20"] + argv) == 0
+        capsys.readouterr()
+
     def test_huge_declared_vertex_count(self, capsys, tmp_path, deadline):
         path = tmp_path / "huge.graph"
         path.write_text("coset-graph l=2\nv0 10000000000\nv1 1\ne 0 0\n")
@@ -376,6 +431,28 @@ def test_directive_fuzz_is_a_format_error(graph_lines, label_lines):
             code, err = _run_quietly(argv)
             assert code == 2
             assert err.startswith("error:") and "Traceback" not in err
+
+
+_SIGN = st.sampled_from(["", "-", "+"])
+_DIGITS = st.text(alphabet="0123456789", max_size=6)
+_DECIMAL_EXPONENT = st.tuples(
+    st.sampled_from(["e", "E", "e+", "e-"]),
+    st.one_of(st.integers(0, 12), st.integers(0, 12).map(lambda k: 10**k), st.integers(0, 10**12)),
+).map(lambda t: f"{t[0]}{t[1]}")
+_ALPHA = st.one_of(
+    st.tuples(_SIGN, _DIGITS, st.sampled_from(["", "/", "."]), _DIGITS,
+              st.one_of(st.just(""), _DECIMAL_EXPONENT)).map("".join),
+    st.text(alphabet="0123456789+-/.eE", max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["eig", "classify"]), _ALPHA)
+def test_alpha_fuzz_ends_in_a_verdict_or_an_error(cmd, alpha):
+    code, err = _run_quietly(["satake", cmd, f"--alpha={alpha}", "--l", "2"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSatakeCommands:

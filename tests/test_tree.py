@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from u3local.tree import (
     vertex_op_A,
     vertex_op_B,
 )
+
+from .oracles import explicit_ball
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +156,39 @@ class TestOperators:
 LADDER = [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3)]
 
 
+def _oracle_mismatches(ball, oracle) -> list:
+    """Every place where the ball disagrees with the explicit BFS ball."""
+    bad = []
+    if ball.shell_counts() != oracle["shell_counts"]:
+        bad.append(("shell_counts", ball.shell_counts(), oracle["shell_counts"]))
+    if ball.size != len(oracle["dist"]):
+        bad.append(("size", ball.size, len(oracle["dist"])))
+    for v in range(min(ball.size, len(oracle["dist"]))):
+        parent = [oracle["parent"][v]] if oracle["parent"][v] >= 0 else []
+        got = (ball.dist[v], ball.kind(v), list(ball.children(v)), list(ball.neighbors(v)))
+        want = (oracle["dist"][v], oracle["kind"][v], oracle["children"][v],
+                parent + oracle["children"][v])
+        if got != want:
+            bad.append((v, got, want))
+    return bad
+
+
+@pytest.mark.parametrize("l,radius", LADDER + [(2, 0), (3, 0), (2, 1), (5, 1)])
+def test_ball_matches_explicit_bfs(l, radius):
+    assert _oracle_mismatches(TreeBall(l, radius), explicit_ball(l, radius)) == []
+
+
+@pytest.mark.parametrize("l,radius", [(2, 4), (3, 3), (5, 1)])
+def test_explicit_bfs_sees_a_wrong_branching(l, radius, monkeypatch):
+    ball = TreeBall(l, radius)
+    oracle = explicit_ball(l, radius)
+    for d in range(radius):
+        perturbed = list(ball._branch)
+        perturbed[d] += 1
+        monkeypatch.setattr(ball, "_branch", perturbed)
+        assert _oracle_mismatches(ball, oracle), f"branch[{d}] off by one went unseen"
+
+
 class TestValueTypes:
     def test_int_input_stays_int(self, ball3):
         f = VertexFunction(HYPERSPECIAL, {0: 2, 5 + ball3.l**3: -3})
@@ -254,3 +293,26 @@ def test_desk_scale_ball(capsys):
     assert doc["results"]["vertices"] == 744017
     assert doc["results"]["composition_checked_deltas"] == 6889
     assert doc["results"]["mirror_checked_deltas"] == 2296
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is a Linux /proc field")
+def test_desk_scale_ball_memory():
+    # a fresh interpreter; its peak resident set comes from VmHWM, because
+    # ru_maxrss keeps the peak of the process it was started from across exec.
+    # The ball's per-vertex tables held 77-79 MB, shell offsets and dist 26 MB.
+    code = (
+        "import contextlib, io\n"
+        "from u3local.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['tree', 'verify', '--l', '3', '--radius', '6'])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak_kb = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(code, peak_kb)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    exit_code, peak_kb = done.stdout.split()
+    assert exit_code == "0"
+    assert int(peak_kb) < 50 * 1024
