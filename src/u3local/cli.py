@@ -26,19 +26,50 @@ from .poly import Poly
 from .scalars import require_prime
 
 
+def _digits(n: int) -> str:
+    """str(n), in time near linear in the digits where str() is quadratic (a
+    2 M-digit int takes over a minute): n is split by bits, and the halves are
+    rebuilt in decimal arithmetic, exact at unbounded precision, where libmpdec
+    multiplies large operands by number-theoretic transform."""
+    if n.bit_length() <= 4096:
+        return str(n)
+    import decimal  # off the start-up path: few reports hold such numbers
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    powers = {}
+
+    def wide(m, bits):
+        if bits <= 4096:
+            return decimal.Decimal(m)
+        h = bits // 2
+        if h not in powers:
+            powers[h] = ctx.power(2, h)
+        high = ctx.multiply(wide(m >> h, bits - h), powers[h])
+        return ctx.add(high, wide(m & ((1 << h) - 1), h))
+
+    return ("-" if n < 0 else "") + str(wide(abs(n), n.bit_length()))
+
+
+def _rational_text(x) -> str:
+    """str(x) of an int or a Fraction, by way of ``_digits``."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+    return _digits(int(x))
+
+
 def jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, float):
         return "inf" if x == float("inf") else x
     if isinstance(x, Fraction):
-        return str(x)
+        return _rational_text(x)
     if isinstance(x, enum.Enum):
         return x.value
     if isinstance(x, Poly):
-        return [str(c) for c in x.coeffs]
+        return [_rational_text(c) for c in x.coeffs]
     if isinstance(x, Matrix):
-        return [[str(c) for c in row] for row in x.rows]
+        return [[_rational_text(c) for c in row] for row in x.rows]
     if is_dataclass(x) and not isinstance(x, type):
         return jsonable(asdict(x))
     if isinstance(x, dict):
@@ -119,16 +150,26 @@ def _exponent_bits(tokens) -> int:
     return sum(abs(int(m[1])) for m in exps if m) * (10).bit_length()
 
 
+def _digit_bits(tokens) -> int:
+    """Bits of the numbers the digits of ``tokens`` spell, exponents aside:
+    bit_length(10) per digit, since k digits are below 16^k."""
+    return sum(sum(map(str.isdigit, _EXPONENT.sub("", tok))) for tok in tokens) * 4
+
+
 def parse_fraction(text: str, budget: int) -> Fraction:
     """The one parser from text to a rational.  A decimal exponent whose power of
-    ten would pass ``budget`` bits is refused before the power is formed."""
-    _within_exponent_budget([text], budget)
+    ten, or digits whose number, would pass ``budget`` bits are refused before
+    the number is formed (reading a decimal string takes time quadratic in
+    its length)."""
+    _within_decimal_budget([text], budget)
     return Fraction(text)
 
 
-def _within_exponent_budget(tokens, budget: int):
+def _within_decimal_budget(tokens, budget: int):
     bits = _exponent_bits(tokens)
     _within_budget(bits, budget, f"decimal exponents of {bits} bits")
+    bits = _digit_bits(tokens)
+    _within_budget(bits, budget, f"decimal digits of {bits} bits")
 
 
 def _exact(x: Fraction):
@@ -158,13 +199,13 @@ def parse_diag(spec: str, l: int, budget: int):
 
 def parse_matrix(spec: str, budget: int) -> Matrix:
     rows = [row.split(",") for row in spec.split(";")]
-    _within_exponent_budget([x for row in rows for x in row], budget)
+    _within_decimal_budget([x for row in rows for x in row], budget)
     return Matrix([[_exact(parse_fraction(x, budget)) for x in row] for row in rows])
 
 
 def parse_poly(spec: str, budget: int) -> Poly:
     tokens = spec.split(",")
-    _within_exponent_budget(tokens, budget)
+    _within_decimal_budget(tokens, budget)
     return Poly([parse_fraction(x, budget) for x in tokens])
 
 
@@ -289,7 +330,7 @@ def cmd_graph_levelraise(args):
 
 def cmd_satake_classify(args):
     s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
-    rep = Report("satake classify", {"alpha": str(s.alpha), "l": args.l})
+    rep = Report("satake classify", {"alpha": _rational_text(s.alpha), "l": args.l})
     cls = satake.classify_principal_series(s)
     lam = satake.spherical_eigenvalue(s)
     rep.put("classification", cls)
@@ -304,7 +345,7 @@ def cmd_satake_classify(args):
 
 def cmd_satake_eig(args):
     s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
-    rep = Report("satake eig", {"alpha": str(s.alpha), "l": args.l})
+    rep = Report("satake eig", {"alpha": _rational_text(s.alpha), "l": args.l})
     lam = satake.spherical_eigenvalue(s)
     rep.put("eigenvalue", lam)
     rep.put("degree", satake.deg_inert_Tl(args.l))
@@ -321,7 +362,7 @@ def cmd_satake_ve_check(args):
     psi = parse_fraction(args.psi, args.budget)
     rep = Report(
         "satake ve-check",
-        {"q": args.q, "psi": str(psi), "t": [args.t1, args.t2, args.t3]},
+        {"q": args.q, "psi": _rational_text(psi), "t": [args.t1, args.t2, args.t3]},
     )
     verdict = satake.very_eisenstein_check(es, psi)
     rep.put("very_eisenstein", verdict)
@@ -421,7 +462,7 @@ def cmd_slope_factor(args):
     h = parse_fraction(args.h, args.budget)
     rep = Report(
         "slope factor",
-        {"poly": args.poly, "p": args.p, "h": str(h), "precision": args.precision},
+        {"poly": args.poly, "p": args.p, "h": _rational_text(h), "precision": args.precision},
     )
     fact = slope.slope_factorization(P, h, args.p, args.precision)
     rep.put("Q", fact.Q)
@@ -442,7 +483,7 @@ def cmd_slope_decompose(args):
     h = parse_fraction(args.h, args.budget)
     rep = Report(
         "slope decompose",
-        {**src, "p": args.p, "h": str(h), "precision": args.precision},
+        {**src, "p": args.p, "h": _rational_text(h), "precision": args.precision},
     )
     dec = slope.slope_decomposition(U, h, args.p, args.precision)
     rep.put("q_part_dim", len(dec.q_part_basis))
@@ -624,9 +665,18 @@ def main(argv=None) -> int:
     # wrapper) gets a parser of its own
     if _parser is None or _parser[0] is not build_parser:
         _parser = (build_parser, build_parser())
+    # --budget bounds every number before it is formed, so a report prints
+    # whatever the budget admits, past the interpreter's 4300-digit default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _parser[1].parse_args(argv)
     t0 = time.monotonic()
     try:
+        # Python 3.11's argparse reads `--opt=--` as an empty list, past the
+        # option's type; no option here takes a list
+        for name, value in vars(args).items():
+            if value == []:
+                raise ValueError(f"--{name.replace('_', '-')} expects one value")
         report = args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

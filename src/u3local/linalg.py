@@ -12,14 +12,15 @@ and arithmetic with it stays a ``Fraction`` even where the value is integral
 (the QQ ``rref`` can leave ``Fraction(-1, 1)``), so compare entries by value.
 Over GF(p) entries are ints in [0, p), reduced after every operation.
 
-A QQ matrix whose entries are all ints goes by way of F_p for its kernel and
-char poly, modulo primes descending from 2^61 - 1 (found on first use, not at
-import).  ``kernel_basis`` combines the GF(p) rref kernels by CRT, lifts them
-by rational reconstruction and keeps the lift only when M w = 0 holds
-exactly, which certifies it as the rational rref kernel basis.  ``char_poly``
-combines the Hessenberg char polys mod p by CRT until the modulus passes a
-bound on the coefficients and returns ints.  Without a certificate by the
-bound, the QQ elimination runs as for every other matrix.
+A QQ matrix whose entries are all ints goes by way of F_p for its kernel,
+modulo primes descending from 2^61 - 1 (found on first use, not at import).
+``kernel_basis`` combines the GF(p) rref kernels by CRT, lifts them by
+rational reconstruction and keeps the lift only when M w = 0 holds exactly,
+which certifies it as the rational rref kernel basis; without a certificate by
+the bound, the QQ elimination runs as for every other matrix.  Every
+``char_poly`` is one integer Hessenberg reduction mod p: over GF(p) directly,
+over QQ on the matrix cleared of denominators, modulo the same primes,
+combined by CRT until the modulus passes a bound on the coefficients.
 
 The integer layer rests on one elimination, the Hermite normal form routine
 ``lattice_basis``.  The Smith form alternates row and column Hermite forms and
@@ -329,18 +330,20 @@ class Matrix:
         """Coefficients of det(xI - M), degree-ascending, exact.
 
         Reduces M to upper Hessenberg form by similarity, then expands along the
-        subdiagonal (Cohen, Alg. 2.2.9).  It divides only by pivots, so it is
-        valid over every field, GF(p) with p <= n included.  An integer matrix
-        over QQ gets its char poly modulo word-size primes, combined by CRT
-        (``_modular_char_poly``), as ints.
+        subdiagonal (Cohen, Alg. 2.2.9), on ints mod p (``_hessenberg_char_poly``).
+        It divides only by pivots, so it is valid over every field, GF(p) with
+        p <= n included.  Over QQ, M = A/d with A integral and d the lcm of the
+        entry denominators: the char poly of A comes modulo word-size primes,
+        combined by CRT (``_modular_char_poly``), and the coefficient of x^k of
+        M's is A's divided by d^(n-k).
         """
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        if self._is_integral_qq():
-            coeffs = _modular_char_poly(self.rows)
-            if coeffs is not None:
-                return coeffs
-        return _hessenberg_char_poly([list(r) for r in self.rows], self.field)
+        if self.field.characteristic:
+            return _hessenberg_char_poly([list(r) for r in self.rows], self.field.p)
+        d = lcm(*(x.denominator for r in self.rows for x in r if type(x) is Fraction))
+        coeffs = _modular_char_poly([[int(d * x) for x in r] for r in self.rows])
+        return [QQ.div(c, d ** (self.nrows - k)) for k, c in enumerate(coeffs)]
 
     def _is_integral_qq(self):
         """A nonempty matrix over QQ whose entries are all ints."""
@@ -373,10 +376,12 @@ def _rref_kernel(red_rows, pivots, ncols, of):
     return kernel
 
 
-def _hessenberg_char_poly(h, field):
-    """det(xI - H) for the square rows h (overwritten), degree-ascending: the
-    Hessenberg reduction and subdiagonal expansion of ``Matrix.char_poly``."""
-    n, of, div, red = len(h), field.of, field.div, field.reduce_row
+def _hessenberg_char_poly(h, p):
+    """det(xI - H) mod p for the square rows h of ints in [0, p) (overwritten),
+    degree-ascending: the Hessenberg reduction and subdiagonal expansion of
+    ``Matrix.char_poly``.  Each pivot is inverted once, and every entry written
+    is reduced by one ``% p``."""
+    n = len(h)
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
@@ -384,23 +389,25 @@ def _hessenberg_char_poly(h, field):
         h[piv], h[m] = h[m], h[piv]
         for row in h:
             row[piv], row[m] = row[m], row[piv]
+        hm, inv = h[m], pow(h[m][m - 1], -1, p)
         for i in range(m + 1, n):
-            u = div(h[i][m - 1], h[m][m - 1])
+            u = h[i][m - 1] * inv % p
             if not u:
                 continue
-            h[i] = red([a - u * b for a, b in zip(h[i], h[m])])
+            h[i] = [(a - u * b) % p for a, b in zip(h[i], hm)]
             for row in h:
-                row[m] = of(row[m] + u * row[i])
+                if row[i]:
+                    row[m] = (row[m] + u * row[i]) % p
     polys = [[1]]  # polys[k]: char poly of the leading k x k block
     for k in range(n):
         nxt, prod = [0] + polys[k], 1
         for i in range(k, -1, -1):
-            c = h[i][k] * prod
-            for d, x in enumerate(polys[i]):
-                nxt[d] -= c * x
+            c = h[i][k] * prod % p
+            if c:
+                nxt[: i + 1] = [a - c * x for a, x in zip(nxt, polys[i])]
             if i:
-                prod *= h[i][i - 1]
-        polys.append(red(nxt))
+                prod = prod * h[i][i - 1] % p
+        polys.append([x % p for x in nxt])
     return polys[n]
 
 
@@ -412,7 +419,7 @@ def _hessenberg_char_poly(h, field):
 # combined by the Chinese remainder theorem and lifted to Q (von zur Gathen-
 # Gerhard, Modern Computer Algebra, ch. 5).  The kernel lift is certified by
 # an exact check, the char poly lift by a coefficient bound; past the bound
-# without a certificate, or when the primes run out, the QQ elimination runs.
+# without a kernel certificate, the QQ elimination runs.
 
 _WORD_PRIMES = []  # the primes below 2^61, descending, as far as found so far
 
@@ -521,8 +528,7 @@ def _lift_kernel(rows, ncols, pivots, residues, modulus):
 
 
 def _modular_char_poly(rows):
-    """det(xI - M) of a nonempty square integer matrix as ints, or None when the
-    primes run out first.
+    """det(xI - M) of a square integer matrix as ints.
 
     The Hessenberg reduction is valid over every field, so every prime gives
     the char poly mod p.  The combined coefficients are lifted to (-m/2, m/2]
@@ -531,15 +537,14 @@ def _modular_char_poly(rows):
     is at most binomial(n, k) R^(n-k) <= (1 + R)^n in absolute value.
     """
     n = len(rows)
-    bound = 2 * (1 + max(sum(abs(x) for x in r) for r in rows)) ** n
+    bound = 2 * (1 + max((sum(abs(x) for x in r) for r in rows), default=0)) ** n
     modulus, coeffs = 1, [0] * (n + 1)
     for p in _word_primes():
-        cp = _hessenberg_char_poly([[x % p for x in r] for r in rows], PrimeField(p))
+        cp = _hessenberg_char_poly([[x % p for x in r] for r in rows], p)
         coeffs = [_crt(a, modulus, b, p) for a, b in zip(coeffs, cp)]
         modulus *= p
         if modulus > bound:
             return [c - modulus if 2 * c > modulus else c for c in coeffs]
-    return None
 
 
 def _int_row(row) -> list[int]:

@@ -15,7 +15,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from u3local.cosets import FormTriple
+from u3local.cosets import FormTriple, GammaChain
+from u3local.linalg import lattice_basis, lattice_saturation
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -446,6 +447,36 @@ def old_new_orthogonal_pairwise(old_basis, new_basis) -> bool:
         sum(x * y for x, y in zip(o, n) if x) == 0
         for o in old_basis
         for n in new_basis
+    )
+
+
+def gamma_chain_from_composite(g):
+    """The gamma chain built generator by generator from the two ends of each
+    edge: gamma3 from the columns of the composite inc^T inc, gamma2 from the
+    lowered saturation of the raw incidence columns.  Each lattice is brought
+    to the package's Hermite normal form, which is unique, so the result can
+    be compared list for list."""
+    n0, nv = g.n0, g.n0 + g.n1
+    ends = [(v, n0 + w) for v, w in g.edges]
+    inc = g.incidence_rows()
+    lowered_sat = []
+    for col in lattice_saturation([list(c) for c in zip(*inc)], g.nedges):
+        low = [0] * nv
+        for (a, b), x in zip(ends, col):
+            low[a] += x
+            low[b] += x
+        lowered_sat.append(low)
+    composite = [[0] * nv for _ in range(nv)]  # symmetric, so rows are columns
+    for a, b in ends:
+        composite[a][a] += 1
+        composite[b][b] += 1
+        composite[a][b] += 1
+        composite[b][a] += 1
+    return GammaChain(
+        [[int(i == j) for i in range(nv)] for j in range(nv)],
+        lattice_basis(inc, nv),
+        lattice_basis(lowered_sat, nv),
+        lattice_basis(composite, nv),
     )
 
 

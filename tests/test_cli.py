@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,35 @@ class TestGraphCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b517eb8aa8d0c5a3015f26d03d4f358fedf6ef4d6a1f664ddbbb05ddf532f18c"
         )
+
+    def test_congruence_at_192_vertices(self, capsys, tmp_path, deadline):
+        # a hang guard, not a speed claim; the digest was recorded from the
+        # implementation that formed the composite inc^T inc by hand
+        path = tmp_path / "r48-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 48, random.Random(1)).describe())
+        with deadline(8):
+            code, out = run(capsys, "graph", "congruence", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "169805c09d525c1594122761aa394c1380de8956d311ee10b3e990c29d285cf8"
+        )
+
+    @pytest.mark.parametrize("field", ["gamma2", "gamma1"])
+    def test_congruence_ends_on_a_broken_chain(self, capsys, k39_path, monkeypatch, field):
+        # containment is read off the quotient coordinates: doubling a lattice
+        # leaves a generator of the next smaller one outside it
+        original = cosets.gamma_chain
+
+        def doubled(g):
+            chain = original(g)
+            setattr(chain, field, [[2 * x for x in col] for col in getattr(chain, field)])
+            return chain
+
+        monkeypatch.setattr(cosets, "gamma_chain", doubled)
+        code = main(["graph", "congruence", k39_path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: second lattice does not lie inside the first: ")
 
     def test_missing_file(self, capsys):
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
@@ -355,6 +385,45 @@ class TestBudgetRefusals:
         assert main(["--budget", "20"] + argv) == 0
         capsys.readouterr()
 
+    def test_exponent_of_5000_digits_is_refused_by_the_budget(self, capsys, deadline):
+        with deadline(2):
+            code = main(["satake", "eig", "--alpha=1e" + "9" * 5000, "--l", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: decimal exponents of ") and "budget" in err
+
+    def test_decimal_digits_budget_is_the_estimate(self, capsys):
+        # five digits, bit_length(10) = 4 bits each; the exponent counts apart
+        argv = ["slope", "polygon", "--poly", "12,3.45e1", "--p", "5"]
+        assert main(["--budget", "19"] + argv) == 2
+        assert "decimal digits of 20 bits" in capsys.readouterr().err
+        assert main(["--budget", "20"] + argv) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name, text, argv, message",
+        [
+            pytest.param(
+                "m.txt", "1," + "7" * 600_000, ["slope", "series", "--matrix-file", "{path}", "--p", "2"],
+                "decimal digits of 2400004 bits", id="matrix-file-entry",
+            ),
+            pytest.param(
+                "g.graph", "coset-graph l=2\nv0 " + "7" * 1_000_000 + "\n", ["graph", "analyze", "{path}"],
+                "integer of 1000000 characters", id="graph-file-count",
+            ),
+        ],
+    )
+    def test_long_number_in_a_file_refused(self, capsys, tmp_path, deadline, name, text, argv, message):
+        # the interpreter no longer bounds the digits it reads, and reading
+        # them takes time quadratic in their number
+        path = tmp_path / name
+        path.write_text(text)
+        with deadline(2):
+            code = main([a.format(path=path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and message in err and len(err) < 200
+
     def test_huge_declared_vertex_count(self, capsys, tmp_path, deadline):
         path = tmp_path / "huge.graph"
         path.write_text("coset-graph l=2\nv0 10000000000\nv1 1\ne 0 0\n")
@@ -444,6 +513,22 @@ _ALPHA = st.one_of(
               st.one_of(st.just(""), _DECIMAL_EXPONENT)).map("".join),
     st.text(alphabet="0123456789+-/.eE", max_size=12),
 )
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["satake", "eig", "--alpha=--", "--l", "2"], "--alpha"),
+        (["satake", "eig", "--alpha", "2", "--l=--"], "--l"),
+        (["moduli", "components", "--diag=--", "--l", "2"], "--diag"),
+        (["slope", "series", "--matrix-file=--", "--p", "2"], "--matrix-file"),
+    ],
+)
+def test_option_given_as_double_dash_is_an_error(argv, option):
+    # argparse reads `--opt=--` as an empty list, which reached the parsers
+    code, err = _run_quietly(argv)
+    assert code == 2
+    assert err == f"error: {option} expects one value\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -613,6 +698,35 @@ class TestAnalyticCommands:
 
 
 class TestReportContract:
+    def test_report_prints_past_4300_digits(self, capsys, deadline):
+        # 1e4000 is 16 000 bits, inside the default budget, and its eigenvalue
+        # has 12 002 digits: past the interpreter's default limit for printing
+        with deadline(2):
+            code, doc = run_json(capsys, "satake", "eig", "--alpha=1e4000", "--l", "2")
+        assert code == 0
+        assert doc["inputs"]["alpha"] == "1" + "0" * 4000
+        assert len(doc["results"]["eigenvalue"]) > 4300
+
+    def test_largest_alpha_prints_in_seconds(self, capsys, deadline):
+        # 1e499999 is just inside the default budget; its 2 M-digit eigenvalue
+        # takes str() about 70 s on a 2-core VM, the conversion by halves about 1 s
+        with deadline(10):
+            code, out = run(capsys, "satake", "eig", "--alpha=1e499999", "--l", "2")
+        assert code == 0 and len(out) > 2_000_000
+
+    @pytest.mark.parametrize("bits", [4095, 4096, 4097, 9000, 70001])
+    def test_decimal_text_is_str(self, bits):
+        # str() is the reference, without the digit limit main() lifts
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rng = random.Random(bits)
+            for n in (1 << bits, (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+                for x in (n, -n, Fraction(n, 3), Fraction(-7, n + 1)):
+                    assert cli._rational_text(x) == str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_byte_determinism(self, capsys, k39_path):
         _, out1 = run(capsys, "graph", "analyze", k39_path, "--prime", "3")
         _, out2 = run(capsys, "graph", "analyze", k39_path, "--prime", "3")

@@ -18,6 +18,7 @@ from u3local.cosets import (
     det_identity_check,
     disjoint_union,
     find_automorphisms,
+    gamma_chain,
     ihara_kernel_test,
     kernel_eigenvalue_check,
     level_matrix,
@@ -40,6 +41,7 @@ from .oracles import (
     automorphisms_brute,
     automorphisms_two_stage,
     commutes_with_level_maps_dense,
+    gamma_chain_from_composite,
     gf_rank,
     old_new_orthogonal_pairwise,
 )
@@ -531,6 +533,21 @@ class TestCongruenceModule:
         assert rep["q01_free_rank"] == k39.n_components == 1
         g2 = disjoint_union(k39, complete_biregular(2))
         assert congruence_module(g2)["q01_free_rank"] == 2
+
+
+class TestGammaChainConstruction:
+    """gamma3 and gamma2 lower one Hermite basis of the old lattice and its
+    saturation; the composite's columns and the lowered saturation of the raw
+    incidence columns span the same lattices."""
+
+    @pytest.mark.parametrize("name", list(RAISING_GRAPHS))
+    def test_matches_the_composite_construction(self, name):
+        g = RAISING_GRAPHS[name]()
+        got, want = gamma_chain(g), gamma_chain_from_composite(g)
+        assert got.gamma0 == want.gamma0
+        assert got.gamma1 == want.gamma1
+        assert got.gamma2 == want.gamma2
+        assert got.gamma3 == want.gamma3
 
 
 class TestLabelingAndAbelianForms:

@@ -155,6 +155,32 @@ class TestCharPoly:
                 want = [int(c) % p for c in charpoly_cofactor(rows)]
                 assert Matrix(rows, gf).char_poly() == want
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)])
+    def test_empty_matrix(self, field):
+        assert Matrix([], field).char_poly() == [1]
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    @pytest.mark.parametrize("fraction", [False, True])
+    def test_no_entry_goes_through_the_field(self, p, fraction, monkeypatch):
+        # the Hessenberg reduction works on plain ints mod p, and the QQ route
+        # (p = 0) clears denominators first, so no entry is converted by PrimeField.of
+        rng = random.Random(31 + p)
+        rows = rand_int_rows(rng, 6, 6, -4, 4)
+        if fraction:
+            rows[2][3] = Fraction(5, 3)
+        field = PrimeField(p) if p else QQ
+        M = Matrix(rows, field)
+        calls = []
+        of = PrimeField.of
+        monkeypatch.setattr(PrimeField, "of", lambda self, x: calls.append(x) or of(self, x))
+        cp = M.char_poly()
+        assert not calls
+        want = charpoly_cofactor(rows)
+        if p:
+            assert cp == [PrimeField(p).of(c) for c in want]
+        else:
+            assert cp == want
+
     def test_cayley_hamilton(self):
         rng = random.Random(23)
         for n in range(1, 7):
