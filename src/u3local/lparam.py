@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import QQ, Matrix
 
 
 class NoWitnessError(ValueError):
@@ -79,24 +79,27 @@ def solution_space(phi: Matrix, l) -> list[Matrix]:
 
 
 def jordan_partition(N: Matrix) -> tuple[int, ...]:
-    """Jordan type of a nilpotent matrix, read off the ranks of its powers."""
-    n = N.nrows
-    ranks = [n]
-    power = Matrix.identity(n)
-    for _ in range(n):
-        power = power @ N
-        ranks.append(power.rank())
-    if ranks[-1] != 0:
-        raise ValueError("matrix is not nilpotent")
-    # number of blocks of size >= k is rank(N^(k-1)) - rank(N^k)
-    blocks = []
-    for k in range(1, n + 1):
-        count_ge_k = ranks[k - 1] - ranks[k]
-        blocks.append(count_ge_k)
+    """Jordan type of a nilpotent matrix, read off the ranks of its powers.
+
+    The ranks fall strictly until the first zero power, the nilpotency index,
+    and no power past it is computed.  Once two consecutive ranks are equal
+    they stay equal, so ranks that stop falling above zero mean N^n != 0.
+    """
+    ranks = [N.nrows]
+    power = N
+    while ranks[-1]:
+        r = power.rank()
+        if r == ranks[-1]:
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(r)
+        if r:
+            power = power @ N
+    # rank(N^(k-1)) - rank(N^k) blocks have size >= k, so the second difference
+    # counts the blocks of size exactly k
+    ranks.append(0)
     partition = []
-    for k in range(n, 0, -1):
-        exactly_k = blocks[k - 1] - (blocks[k] if k < n else 0)
-        partition.extend([k] * exactly_k)
+    for k in range(len(ranks) - 2, 0, -1):
+        partition.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
     return tuple(partition)
 
 
@@ -159,10 +162,9 @@ def _jordan_types(s: Matrix, l) -> dict[tuple[int, ...], Matrix]:
     basis = solution_space(s, l)
     reps: dict[tuple[int, ...], Matrix] = {}
     for bits in itertools.product((0, 1), repeat=len(basis)):
-        N = Matrix.zeros(n, n)
-        for b, mat in zip(bits, basis):
-            if b:
-                N = N + mat
+        chosen = [mat.rows for b, mat in zip(bits, basis) if b]
+        rows = [[sum(xs) for xs in zip([0] * n, *(m[i] for m in chosen))] for i in range(n)]
+        N = Matrix._wrap(rows, QQ, n)
         reps.setdefault(jordan_partition(N), N)
     return reps
 

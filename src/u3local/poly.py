@@ -1,24 +1,38 @@
-"""Dense polynomials over the rationals, coefficient index = degree."""
+"""Dense polynomials over the rationals, coefficient index = degree.
+
+Coefficients are plain Python numbers, as ``linalg.Matrix`` entries over QQ
+are: an integral coefficient is an ``int``, any other a ``Fraction``.  Every
+division goes through ``QQ.div``, so a quotient that is integral comes back
+as an int, and a polynomial built from integral input computes on ints.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import QQ, Matrix
+
+
+def _coefficient(c):
+    """c as an int when it is integral, else as a Fraction; a float or a str
+    raises ``TypeError``, as ``QQ.of`` does."""
+    c = QQ.of(c)
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class Poly:
     """Immutable polynomial with exact rational coefficients.
 
     The stored tuple never has a trailing zero; the zero polynomial is ().
-    Coefficients are ints or Fractions, stored as Fractions; a float or a str
-    raises ``TypeError``, as ``QQ.of`` does.
+    Integral coefficients are stored as ints (``True`` and ``Fraction(4, 2)``
+    included), the others as Fractions.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if type(c) is Fraction else Fraction(QQ.of(c)) for c in coeffs]
+        cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -43,7 +57,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
+        return self.coeffs[i] if 0 <= i <= self.degree else 0
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -67,7 +81,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -77,7 +91,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -86,12 +100,12 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.coeffs[-1]
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i]:
-                f = rem[i] / lead
+                f = QQ.div(rem[i], lead)
                 q[i - d] = f
                 for j in range(d + 1):
                     rem[i - d + j] -= f * other.coeffs[j]
@@ -118,22 +132,37 @@ class Poly:
         """Multiplicative inverse mod T^n; requires an invertible constant term."""
         if self.is_zero() or self.coeffs[0] == 0:
             raise ZeroDivisionError("constant term is not invertible")
-        inv = [Fraction(1) / self.coeffs[0]]
-        for k in range(1, n):
+        c0, inv = self.coeffs[0], []
+        for k in range(n):
             s = sum(self[j] * inv[k - j] for j in range(1, k + 1))
-            inv.append(-s / self.coeffs[0])
+            inv.append(QQ.div(int(k == 0) - s, c0))
         return Poly(inv)
 
     def at_matrix(self, M: Matrix) -> Matrix:
-        """Evaluate at a square matrix (Horner)."""
+        """Evaluate at a square matrix (Horner).
+
+        Over GF(p) each coefficient goes through ``field.of``.  Over QQ, Horner
+        runs on d P, whose coefficients are ints (d the lcm of the coefficient
+        denominators), and each entry of the result is divided by d once.
+        """
         if not M.is_square():
             raise ValueError("polynomial of a non-square matrix")
-        n = M.nrows
-        acc = Matrix.zeros(n, n, M.field)
-        ident = Matrix.identity(n, M.field)
-        for c in reversed(self.coeffs):
-            acc = (M @ acc) + ident.scale(c)
-        return acc
+        n, field = M.nrows, M.field
+        p, d = field.characteristic, 1
+        if p:
+            cs = [field.of(c) for c in self.coeffs]
+        else:
+            d = lcm(*(c.denominator for c in self.coeffs if type(c) is Fraction))
+            cs = [c.numerator * (d // c.denominator) for c in self.coeffs]
+        acc = Matrix.zeros(n, n, field)
+        for k, c in enumerate(reversed(cs)):
+            if k:
+                acc = M @ acc
+            for i, row in enumerate(acc.rows):
+                row[i] = (row[i] + c) % p if p else row[i] + c
+        if d == 1:
+            return acc
+        return Matrix._wrap([[QQ.div(x, d) for x in row] for row in acc.rows], QQ, n)
 
     def __repr__(self):
         if self.is_zero():
@@ -157,6 +186,5 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    lead = r0.coeffs[-1]
-    inv = Fraction(1) / lead
+    inv = QQ.div(1, r0.coeffs[-1])
     return r0 * inv, s0 * inv, t0 * inv

@@ -49,7 +49,7 @@ def fredholm_series(U: Matrix) -> Poly:
     if not U.is_square():
         raise ValueError("matrix must be square")
     p = Poly(U.char_poly()).reverse(U.nrows)
-    assert p(Fraction(0)) == 1
+    assert p(0) == 1
     return p
 
 
@@ -226,12 +226,14 @@ def _newton_step(Q, S, E, m, d):
 
 
 def _reduce_if_integral(f: Poly, p: int, k: int) -> Poly:
+    """f with each coefficient replaced by its int representative mod p^k, or f
+    itself when some coefficient is not p-integral."""
     q = p**k
     out = []
     for c in f.coeffs:
         if c.denominator % p == 0:
             return f  # leave non-integral iterates untouched
-        out.append(Fraction(c.numerator * pow(c.denominator, -1, q) % q))
+        out.append(c.numerator * pow(c.denominator, -1, q) % q)
     return Poly(out)
 
 
@@ -240,7 +242,7 @@ def _try_exact_snap(P, Q, h, p, work, integral):
     if not integral:
         return None
     modulus = p**work
-    cand = [Fraction(1)]
+    cand = [1]
     for c in Q.coeffs[1:]:
         if c.denominator % p == 0:
             return None
@@ -317,12 +319,10 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
     st_U = st_full.at_matrix(U)
     q_part = qt_U.kernel_basis()
     complement = st_U.kernel_basis()
-    g, a, b = xgcd(qt, st_full)
+    # xgcd returns a monic g, so a coprime pair gives a*qt + b*st = 1 exactly
+    g, _, b = xgcd(qt, st_full)
     if g.degree != 0:
         raise SlopePrecisionError("factors of the characteristic polynomial not coprime")
-    # normalize so that a*qt + b*st = 1 exactly
-    a = a * (Fraction(1) / g.coeffs[0])
-    b = b * (Fraction(1) / g.coeffs[0])
     projector = b.at_matrix(U) @ st_U
     checks = {
         "q_dim_matches_polygon": len(q_part) == m,
@@ -334,7 +334,7 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
         "projector_idempotent": projector @ projector == projector,
         "projector_commutes": projector @ U == U @ projector,
         "projector_fixes_q_part": all(
-            projector.apply(v) == [Fraction(x) for x in v] for v in q_part
+            projector.apply(v) == v for v in q_part
         ),
         "projector_kills_complement": all(
             all(x == 0 for x in projector.apply(v)) for v in complement

@@ -323,6 +323,99 @@ def fredholm_interpolation(rows) -> list[Fraction]:
     return coeffs
 
 
+# --- polynomials as Fraction lists ------------------------------------------
+#
+# Ascending coefficient lists of Fractions with no trailing zero ([] is zero).
+
+
+def _trim(a):
+    a = [Fraction(x) for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fraction_poly_add(a, b):
+    return _trim(_polysub(a, [-x for x in b]))
+
+
+def fraction_poly_sub(a, b):
+    return _trim(_polysub(a, b))
+
+
+def fraction_poly_mul(a, b):
+    return _trim(_polymul(a, b)) if a and b else []
+
+
+def fraction_poly_divmod(a, b):
+    """Long division, one leading term at a time: (quotient, remainder)."""
+    rem, quo = _trim(a), []
+    b = _trim(b)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        term = [Fraction(0)] * shift + [f]
+        quo = fraction_poly_add(quo, term)
+        rem = fraction_poly_sub(rem, fraction_poly_mul(term, b))
+    return quo, rem
+
+
+def fraction_poly_series_inverse(a, n):
+    """The first n coefficients of 1/a, from the recurrence sum_j a_j inv_(k-j)
+    = [k = 0] solved for inv_k."""
+    a = _trim(a)
+    inv = []
+    for k in range(n):
+        s = sum((a[j] * inv[k - j] for j in range(1, min(k, len(a) - 1) + 1)), Fraction(0))
+        inv.append(((1 if k == 0 else 0) - s) / a[0])
+    return _trim(inv)
+
+
+def fraction_poly_gcd(a, b):
+    """The monic gcd by the Euclidean remainder sequence ([] for two zeros)."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, fraction_poly_divmod(a, b)[1]
+    return [x / a[-1] for x in a] if a else []
+
+
+def fraction_poly_eval(a, x):
+    """sum a_i x^i term by term."""
+    return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def fraction_poly_at_matrix(a, rows):
+    """sum a_i M^i with the powers of M formed one by one (no Horner)."""
+    n = len(rows)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for c in a:
+        total = [[t + Fraction(c) * x for t, x in zip(tr, pr)] for tr, pr in zip(total, power)]
+        power = _matmul(power, rows)
+    return total
+
+
+# --- Jordan types from the ranks of powers -----------------------------------
+
+
+def jordan_type_by_ranks(rows):
+    """The Jordan type of a nilpotent matrix, or None if M^n != 0.
+
+    Forms all n powers by ``_matmul`` and ranks each with ``fraction_rank``;
+    b_k = rank M^(k-1) - rank M^k blocks have size >= k, so the i-th largest
+    block has size #{k : b_k >= i} (the conjugate partition of the b_k).
+    """
+    n = len(rows)
+    ranks, power = [n], [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = _matmul(power, rows)
+        ranks.append(fraction_rank(power))
+    if ranks[-1]:
+        return None
+    b = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
+    return tuple(sum(1 for bk in b if bk >= i) for i in range(1, (b[0] if b else 0) + 1))
+
+
 # --- subspace counting over small prime fields -------------------------------
 
 

@@ -633,6 +633,52 @@ class TestSlopeCommands:
         capsys.readouterr()
 
 
+# The heaviest moduli and slope commands of the benchmark's local workload; the
+# exit codes and stdout digests were recorded from the implementation whose
+# polynomial coefficients were all Fractions.
+_LOCAL_DIGESTS = [
+    (["moduli", "components", "--diag", "l^2,l^2,l,l,1,1", "--l", "3"], 1,
+     "26bb1796cad7c3343bbd42476e0dea7e74ae3ccfbee06d1ad77743da4291b042"),
+    (["moduli", "components", "--diag", "l^5,l^4,l^3,l^2,l,1", "--l", "2"], 0,
+     "0d09c97e4a03584fbc13899d0e27e197b80a44eac47c91e5b07f9d1db7acfd1b"),
+    (["moduli", "components", "--diag", "l^4,l^3,l^2,l,1,1", "--l", "2"], 1,
+     "280c69db37effcb7df22bc7f8dc8d82b24fbe079d4cf808b92416724698e7f63"),
+    (["moduli", "components", "--diag", "l^3,l^2,l,1,1,1", "--l", "2"], 1,
+     "29bbb8d845d6a2a0ee114f71e6d08bf925abcf0c53724253a34ab5ba6a9be33a"),
+    (["moduli", "components", "--diag", "l^5,l^4,l^3,l^2,l,1", "--l", "3"], 0,
+     "8ffb18c1bb16624988d4c2c1d00720b7eed0d6ee62581e561a8aa8e95f9dec19"),
+    (["moduli", "components", "--diag", "l^4,l^3,l^2,l,1,1", "--l", "3"], 1,
+     "c2218d7b9b634b9959376e490851bc670ca44fbbe7994d97317bd3dcb8f19cf9"),
+    (["moduli", "components", "--diag", "l^3,l^2,l,1,1,1", "--l", "3"], 1,
+     "18d23066ff590cda704bb6bcbaebe131fe59536f204ce56667a33f130f47704d"),
+    (["slope", "decompose",
+      "--entries=-28,0,0,-40,80,0;0,-1,0,0,0,0;0,0,5,0,0,0;-168,0,0,-148,324,0;-84,0,0,-80,174,0;0,0,0,0,0,-4",
+      "--p", "2", "--h", "0"], 0,
+     "ab02c2886cf338b3d0256827ebbdad2f4b34bd105899a9ad2b06ae6c14ff334f"),
+    (["slope", "decompose",
+      "--entries=-7,-22,0,22,-53,0;28,-65,0,44,-60,0;0,0,3,0,0,0;28,-80,0,59,-86,0;0,0,0,0,2,0;12,22,0,-22,56,5",
+      "--p", "3", "--h", "0"], 0,
+     "0695642f5a27e107b190c4affe0e90daf0a202e0132abf52de4378bdf17bd2b5"),
+    (["slope", "factor", "--poly=1,-63,1310,-5742,-137223,1566945,-213192,-55581876,180033840",
+      "--p", "3", "--h", "0"], 0,
+     "80931aeea6dba8fa7f9934dc99a33c67db48c55cccb831fcb2f5eef116768ddb"),
+    (["slope", "factor",
+      "--poly=1,-168,-4985,752594,-17021945,80207300,309815625,-2423968750,3215625000",
+      "--p", "5", "--h", "0", "--precision", "5"], 0,
+     "7109fbd7c6b66de760da97ce1709ba18d48456605db57a8c7bc58dfbabb2c8dd"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha256", _LOCAL_DIGESTS, ids=[f"{a[0]}-{a[1]}-{i}" for i, (a, _, _) in enumerate(_LOCAL_DIGESTS)]
+)
+def test_local_reports_are_byte_identical(capsys, deadline, argv, code, sha256):
+    with deadline(5):
+        got, out = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class TestAnalyticCommands:
     def test_ihara(self, capsys):
         code, doc = run_json(

@@ -24,6 +24,8 @@ from u3local.lparam import (
     verify_point,
 )
 
+from .oracles import jordan_type_by_ranks
+
 
 def diag(*entries):
     n = len(entries)
@@ -112,6 +114,75 @@ def _random_invertible(rng, n):
         g = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for __ in range(n)])
         if g.det() != 0:
             return g
+
+
+def _random_unimodular(rng, n):
+    """A product of integer elementary matrices, so det = 1 and the inverse is
+    integral; the identity for n = 1."""
+    g = Matrix.identity(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        support = {(k, k): 1 for k in range(n)}
+        support[i, j] = rng.choice((-2, -1, 1, 2))
+        g = g @ Matrix.from_support(n, n, support)
+    return g
+
+
+class TestJordanAgainstOracle:
+    """Powers by ``_matmul`` and ranks by ``fraction_rank``, all n of them."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_partition_conjugated(self, n):
+        rng = random.Random(f"jordan:{n}")
+        for part in partitions_of(n):
+            g = _random_unimodular(rng, n)
+            N = g @ jordan_representative(part) @ g.inverse()
+            assert jordan_type_by_ranks(N.rows) == part
+            assert jordan_partition(N) == part
+
+    @pytest.mark.parametrize("exponents", [(5, 4, 3, 2, 1, 0), (2, 2, 1, 1, 0, 0)])
+    def test_every_combination_of_a_solution_space(self, exponents):
+        basis = solution_space(diag(*(3**e for e in exponents)), 3)
+        assert len(basis) == sum(1 for a in exponents for b in exponents if a == b + 1)
+        for bits in itertools.product((0, 1), repeat=len(basis)):
+            N = Matrix.zeros(6, 6)
+            for b, mat in zip(bits, basis):
+                if b:
+                    N = N + mat
+            assert jordan_partition(N) == jordan_type_by_ranks(N.rows)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[1]],
+            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 2]],  # ranks 4, 3, 2, 1, 1
+            [[0, 1, 0], [0, 0, 0], [0, 0, -1]],  # ranks 3, 2, 1, 1
+        ],
+    )
+    def test_ranks_that_stop_falling_are_not_nilpotent(self, blocks):
+        n = len(blocks)
+        g = _random_unimodular(random.Random(n), n)
+        N = g @ Matrix(blocks) @ g.inverse()
+        assert jordan_type_by_ranks(N.rows) is None
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            jordan_partition(N)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_no_power_past_the_nilpotency_index(self, n, monkeypatch):
+        rng = random.Random(f"index:{n}")
+        products = []
+        original = Matrix.__matmul__
+        for part in partitions_of(n):
+            g = _random_unimodular(rng, n)
+            N = g @ jordan_representative(part) @ g.inverse()
+            products.clear()
+            monkeypatch.setattr(
+                Matrix, "__matmul__", lambda a, b: products.append(1) or original(a, b)
+            )
+            assert jordan_partition(N) == part
+            monkeypatch.undo()
+            # the products are N^2, ..., N^k for the index k = the largest block
+            assert len(products) <= part[0] - 1
 
 
 class TestComponentsThrough:

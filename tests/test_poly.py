@@ -2,9 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from u3local.linalg import Matrix
+from u3local.linalg import QQ, Matrix, PrimeField
 from u3local.poly import Poly, xgcd
+
+from .oracles import (
+    fraction_poly_add,
+    fraction_poly_at_matrix,
+    fraction_poly_divmod,
+    fraction_poly_eval,
+    fraction_poly_gcd,
+    fraction_poly_mul,
+    fraction_poly_series_inverse,
+    fraction_poly_sub,
+)
 
 
 def rand_poly(rng, maxdeg=5, lo=-5, hi=5):
@@ -23,10 +35,13 @@ def test_float_and_str_coefficients_refused(bad):
         Poly([bad, 1])
 
 
-def test_int_and_fraction_coefficients_stored_as_fractions():
-    p = Poly([2, Fraction(1, 2), True])
-    assert p.coeffs == (2, Fraction(1, 2), 1)
-    assert all(type(c) is Fraction for c in p.coeffs)
+def test_integral_coefficients_stored_as_ints():
+    p = Poly([2, Fraction(1, 2), True, Fraction(4, 2)])
+    assert p.coeffs == (2, Fraction(1, 2), 1, 2)
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int, int]
+    for bad in (0.5, "2"):
+        with pytest.raises(TypeError):
+            Poly([1, bad])
 
 
 def test_arithmetic_ring_axioms_spot():
@@ -82,3 +97,102 @@ def test_at_matrix_cayley_hamilton():
     M = Matrix([[1, 2], [3, 4]])
     cp = Poly(M.char_poly())
     assert cp.at_matrix(M) == Matrix.zeros(2, 2)
+
+
+# --- against the Fraction-list oracles ----------------------------------------
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+coefficient_lists = st.lists(coefficients, max_size=6)
+
+
+def _oracle(poly):
+    return [Fraction(c) for c in poly.coeffs]
+
+
+def _ints_where_integral(values):
+    """Every integral value is an int, never a Fraction with denominator 1."""
+    return all(type(c) is int if c.denominator == 1 else type(c) is Fraction for c in values)
+
+
+def _checked(poly, expected):
+    assert _oracle(poly) == expected
+    assert _ints_where_integral(poly.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_ring_operations_match_the_oracle(a, b):
+    pa, pb = Poly(a), Poly(b)
+    fa, fb = _oracle(pa), _oracle(pb)
+    _checked(pa, fraction_poly_sub(a, []))
+    _checked(pa + pb, fraction_poly_add(fa, fb))
+    _checked(pa - pb, fraction_poly_sub(fa, fb))
+    _checked(pa * pb, fraction_poly_mul(fa, fb))
+    if not pb.is_zero():
+        q, r = pa.divmod(pb)
+        eq, er = fraction_poly_divmod(fa, fb)
+        _checked(q, eq)
+        _checked(r, er)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_xgcd_matches_the_oracle(a, b):
+    pa, pb = Poly(a), Poly(b)
+    g, u, v = xgcd(pa, pb)
+    _checked(g, fraction_poly_gcd(_oracle(pa), _oracle(pb)))
+    assert u * pa + v * pb == g
+    assert _ints_where_integral(u.coeffs) and _ints_where_integral(v.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, st.integers(0, 6), coefficients)
+def test_series_inverse_and_evaluation_match_the_oracle(a, n, x):
+    pa = Poly(a)
+    value = pa(x)
+    assert value == fraction_poly_eval(_oracle(pa), x)
+    if all(type(c) is int for c in (x, *pa.coeffs)):
+        assert type(value) is int
+    if pa.is_zero() or pa.coeffs[0] == 0:
+        with pytest.raises(ZeroDivisionError):
+            pa.series_inverse(n)
+    else:
+        _checked(pa.series_inverse(n), fraction_poly_series_inverse(_oracle(pa), n))
+
+
+square_entries = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, square_entries, st.booleans())
+def test_at_matrix_over_qq_matches_the_oracle(a, rows, fraction_entries):
+    if fraction_entries:
+        rows = [[Fraction(x, 2) for x in r] for r in rows]
+    pa = Poly(a)
+    got = pa.at_matrix(Matrix(rows))
+    assert got.field is QQ and got.shape == (len(rows), len(rows))
+    assert got.rows == fraction_poly_at_matrix(_oracle(pa), rows)
+    if not fraction_entries:
+        assert all(_ints_where_integral(r) for r in got.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, square_entries, st.sampled_from([2, 3, 5, 7, 11]))
+def test_at_matrix_over_gf_p_matches_the_oracle(a, rows, p):
+    pa = Poly(a)
+    field = PrimeField(p)
+    M = Matrix(rows, field)
+    if any(c.denominator % p == 0 for c in _oracle(pa)):
+        with pytest.raises(ZeroDivisionError):
+            pa.at_matrix(M)
+        return
+    got = pa.at_matrix(M)
+    assert got.field is field
+    expected = fraction_poly_at_matrix(_oracle(pa), rows)
+    assert got.rows == [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in expected]
+    assert all(type(x) is int for r in got.rows for x in r)
