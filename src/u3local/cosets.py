@@ -23,7 +23,7 @@ from .linalg import (
     lattice_basis,
     lattice_contains,  # unused here: perfbench/tracer.py patches cosets.lattice_contains
     lattice_quotient_invariants,
-    lattice_saturation,
+    lattice_saturation,  # unused here: perfbench/tracer.py patches cosets.lattice_saturation
     smith_normal_form,
 )
 from .scalars import is_prime, require_prime
@@ -585,21 +585,17 @@ class GammaChain:
 def gamma_chain(g: CosetGraph) -> GammaChain:
     """The chain, each lattice as the Hermite normal form basis of its generators.
 
-    gamma3 and gamma2 lower one Hermite basis ``old`` of the incidence columns
-    in Z^E and its saturation: a linear image of a lattice is spanned by the
-    images of any basis, and a Hermite normal form is unique, so these are
-    the bases of the composite's columns and of the lowered saturation.
+    gamma3 lowers one Hermite basis ``old`` of the incidence columns in Z^E: a
+    linear image of a lattice is spanned by the images of any basis.  gamma2 is
+    gamma3's list, since im(i) is its own saturation when the incidence matrix
+    has no torsion, which `congruence_module` checks for each graph.
     """
     nv = g.n0 + g.n1
     gamma0 = [[int(i == j) for i in range(nv)] for j in range(nv)]  # already in HNF
     inc = g.incidence_rows()
     old = lattice_basis([list(c) for c in zip(*inc)], g.nedges)
-
-    def lowered(cols):
-        return lattice_basis([map_iplus(EdgeForm(m), g).stacked() for m in cols], nv)
-
-    gamma2 = lowered(lattice_saturation(old, g.nedges))
-    return GammaChain(gamma0, lattice_basis(inc, nv), gamma2, lowered(old))
+    gamma3 = lattice_basis([map_iplus(EdgeForm(m), g).stacked() for m in old], nv)
+    return GammaChain(gamma0, lattice_basis(inc, nv), gamma3, gamma3)
 
 
 def congruence_module(g: CosetGraph) -> dict:
@@ -607,8 +603,8 @@ def congruence_module(g: CosetGraph) -> dict:
     full gamma-chain ranks and quotient invariants.
 
     The vertex-edge incidence matrix of a bipartite multigraph is totally
-    unimodular, so the headline torsion is expected to vanish; the interesting
-    finite quotients sit between the chain's lowered lattices.
+    unimodular, so the headline torsion vanishes; that vanishing is what
+    certifies gamma2 = gamma3, and the interesting finite quotient is q12.
     """
     chain = gamma_chain(g)
     # gamma1 is the Hermite basis of the incidence rows' lattice: its length is
@@ -618,7 +614,8 @@ def congruence_module(g: CosetGraph) -> dict:
     # each quotient raises unless every generator of the smaller lattice has
     # integer coordinates in the larger one's echelon basis, so reaching the
     # report proves gamma3 <= gamma2 <= gamma1; gamma1 <= gamma0 = Z^(V0+V1)
-    # holds for any integer vectors
+    # holds for any integer vectors; gamma2 = gamma3 holds when im(i) is
+    # saturated in Z^E, which is when the incidence matrix has no torsion
     q12 = lattice_quotient_invariants(chain.gamma1, chain.gamma2)
     q23 = lattice_quotient_invariants(chain.gamma2, chain.gamma3)
     return {
@@ -626,7 +623,7 @@ def congruence_module(g: CosetGraph) -> dict:
         "old_lattice_rank": rank,
         "coker_free_rank": g.nedges - rank,
         "gamma_ranks": chain.ranks(),
-        "containments_ok": True,
+        "containments_ok": not torsion,
         "q01_torsion": torsion,  # same invariant factors as the transpose
         "q01_free_rank": (g.n0 + g.n1) - len(chain.gamma1),
         "q12_invariants": q12,

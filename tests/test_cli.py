@@ -168,6 +168,28 @@ class TestGraphCommands:
             "169805c09d525c1594122761aa394c1380de8956d311ee10b3e990c29d285cf8"
         )
 
+    def test_congruence_at_300_vertices(self, capsys, tmp_path, deadline):
+        # a hang guard, not a speed claim; the digest was recorded from the
+        # implementation that lowered the saturation of the old lattice as gamma2
+        path = tmp_path / "r75-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 75, random.Random(1)).describe())
+        with deadline(30):
+            code, out = run(capsys, "graph", "congruence", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d43b235a02932f91116ca4fc00a94429200b74061f3116e766fe733ee0bc8d1c"
+        )
+
+    def test_congruence_fails_when_the_old_lattice_has_torsion(self, capsys, k39_path, monkeypatch):
+        # gamma2 is gamma3 only because im(i) is saturated; an invariant 2 of
+        # gamma1 would say it is not, and the containment check must fail
+        original = cosets.smith_normal_form
+        monkeypatch.setattr(cosets, "smith_normal_form", lambda m: original(m) + [2])
+        code, doc = run_json(capsys, "graph", "congruence", k39_path)
+        assert code == 1 and not doc["passed"]
+        assert doc["results"]["torsion_invariants"] == [2]
+        assert {"name": "gamma_chain_containments", "passed": False} in doc["assertions"]
+
     @pytest.mark.parametrize("field", ["gamma2", "gamma1"])
     def test_congruence_ends_on_a_broken_chain(self, capsys, k39_path, monkeypatch, field):
         # containment is read off the quotient coordinates: doubling a lattice
