@@ -17,11 +17,12 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import analytic, cosets, lparam, satake, slope, tree
-from .linalg import Matrix
+from .linalg import QQ, Matrix
 from .poly import Poly
 from .scalars import require_prime
 
@@ -172,11 +173,6 @@ def _within_decimal_budget(tokens, budget: int):
     _within_budget(bits, budget, f"decimal digits of {bits} bits")
 
 
-def _exact(x: Fraction):
-    """x as an int when it is integral, else the Fraction itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def parse_diag(spec: str, l: int, budget: int):
     """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2.
     Powers of l and of ten whose bits would pass ``budget`` are refused before
@@ -188,11 +184,11 @@ def parse_diag(spec: str, l: int, budget: int):
     entries = []
     for tok in tokens:
         if tok.startswith("l^"):
-            entries.append(_exact(Fraction(l) ** int(tok[2:])))
+            entries.append(QQ.exact(Fraction(l) ** int(tok[2:])))
         elif tok == "l":
             entries.append(l)
         else:
-            entries.append(_exact(parse_fraction(tok, budget)))
+            entries.append(QQ.exact(parse_fraction(tok, budget)))
     n = len(entries)
     return Matrix.from_support(n, n, {(i, i): x for i, x in enumerate(entries)})
 
@@ -200,7 +196,7 @@ def parse_diag(spec: str, l: int, budget: int):
 def parse_matrix(spec: str, budget: int) -> Matrix:
     rows = [row.split(",") for row in spec.split(";")]
     _within_decimal_budget([x for row in rows for x in row], budget)
-    return Matrix([[_exact(parse_fraction(x, budget)) for x in row] for row in rows])
+    return Matrix([[QQ.exact(parse_fraction(x, budget)) for x in row] for row in rows])
 
 
 def parse_poly(spec: str, budget: int) -> Poly:
@@ -373,6 +369,13 @@ def cmd_satake_ve_check(args):
 def cmd_moduli_components(args):
     require_prime(args.l)
     s = parse_diag(args.diag, args.l, args.budget)
+    # the witnesses walk all 2^dim 0/1 combinations of the solution space, where
+    # dim = #{(i, j) : s_i = l s_j} for nonzero s_i, and each nonzero one costs
+    # an n x n Jordan type; past the budget's bits the exact power does not matter
+    counts = Counter(s.rows[i][i] for i in range(s.nrows))
+    dim = sum(c * counts[args.l * x] for x, c in counts.items() if x)
+    estimate = (2 ** min(dim, args.budget.bit_length() + 1) - 1) * s.nrows**3
+    _within_budget(estimate, args.budget, f"a walk over 2^{dim} combinations of the solution space")
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
     witnesses = lparam.stratum_witnesses(s, args.l)
     degenerate = lparam.is_degenerate_satake(s, args.l)

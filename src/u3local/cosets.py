@@ -316,18 +316,25 @@ def pairing(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _two_walks(g: CosetGraph, side: int):
+    """The non-backtracking 2-walks a -> b between the vertices of V0 (side 0) or
+    V1 (side 1): the ordered pairs of distinct edges at each vertex of the other
+    side, star by star."""
+    for star in g.edge_stars(1 - side):
+        yield from itertools.permutations([g.edges[e][side] for e in star], 2)
+
+
 def _walk_operator(g: CosetGraph, side: int) -> list[list[int]]:
     """Non-backtracking length-2 walk counts between the vertices of V0 (side 0)
     or V1 (side 1), through the vertices of the other side (integer matrix).
 
-    Built by direct enumeration of ordered pairs of distinct edges through each
-    vertex of the other side, independently of the raising/lowering maps.
+    Built by direct enumeration of the 2-walks, independently of the
+    raising/lowering maps.
     """
     n = (g.n0, g.n1)[side]
     t = [[0] * n for _ in range(n)]
-    for star in g.edge_stars(1 - side):
-        for a, b in itertools.permutations([g.edges[e][side] for e in star], 2):
-            t[a][b] += 1
+    for a, b in _two_walks(g, side):
+        t[a][b] += 1
     return t
 
 
@@ -480,13 +487,12 @@ class DetLabeling:
         """Every ordered non-backtracking 2-walk must shift the V0 label by gshift."""
         if len(self.v0_labels) != g.n0 or len(self.v1_labels) != g.n1:
             raise LabelingError("label count does not match the graph")
-        for star in g.edge_stars(1):
-            for a, b in itertools.permutations([g.edges[e][0] for e in star], 2):
-                got = (self.v0_labels[b] - self.v0_labels[a]) % self.order
-                if got != self.gshift:
-                    raise LabelingError(
-                        f"walk {a} -> {b} shifts the label by {got}, expected {self.gshift}"
-                    )
+        for a, b in _two_walks(g, 0):
+            got = (self.v0_labels[b] - self.v0_labels[a]) % self.order
+            if got != self.gshift:
+                raise LabelingError(
+                    f"walk {a} -> {b} shifts the label by {got}, expected {self.gshift}"
+                )
 
     def characters_mod_p(self, p: int) -> list[int]:
         """Generator images of all characters C -> F_p^*: elements of order dividing |C|."""
@@ -500,16 +506,9 @@ def _abelian_kernel_span(g: CosetGraph, p: int, lab: DetLabeling | None):
     every character pullback that is constant along edges joins the span.
     """
     gf = PrimeField(p)
-    vecs = []
-    for comp in range(g.n_components):
-        vec = [0] * (g.n0 + g.n1)
-        for v in range(g.n0):
-            if g.components[v] == comp:
-                vec[v] = 1
-        for w in range(g.n1):
-            if g.components[g.n0 + w] == comp:
-                vec[g.n0 + w] = gf.of(-1)
-        vecs.append(vec)
+    vecs = [[0] * (g.n0 + g.n1) for _ in range(g.n_components)]
+    for x, comp in enumerate(g.components):
+        vecs[comp][x] = 1 if x < g.n0 else gf.of(-1)
     if lab is not None and lab.order > 1:
         for z in lab.characters_mod_p(p):
             if z == 1:

@@ -56,8 +56,15 @@ class RationalField:
         if type(a) is int and type(b) is int:
             q, r = divmod(a, b)
             return Fraction(a, b) if r else q
-        q = a / b  # a Fraction, since at most one side is an int
-        return q.numerator if q.denominator == 1 else q
+        return RationalField.exact(a / b)  # a / b is a Fraction: one side is not an int
+
+    @staticmethod
+    def exact(x):
+        """x as an int when it is integral, else as a Fraction: the one form of
+        an exact rational.  Anything else raises ``TypeError``, as ``of`` does."""
+        if type(x) is Fraction:
+            return x.numerator if x.denominator == 1 else x
+        return RationalField.of(x)
 
     @staticmethod
     def reduce_row(row):
@@ -517,7 +524,7 @@ def _lift_kernel(rows, ncols, pivots, residues, modulus):
             x = rational_reconstruction(a, modulus)
             if x is None:
                 return None
-            v[pc] = x.numerator if x.denominator == 1 else x
+            v[pc] = QQ.exact(x)
         # M (d v) = 0 in integers, d the common denominator of v
         d = lcm(*(x.denominator for x in v if type(x) is Fraction))
         support = [(j, int(d * x)) for j, x in enumerate(v) if x]

@@ -14,13 +14,6 @@ from math import lcm
 from .linalg import QQ, Matrix
 
 
-def _coefficient(c):
-    """c as an int when it is integral, else as a Fraction; a float or a str
-    raises ``TypeError``, as ``QQ.of`` does."""
-    c = QQ.of(c)
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 class Poly:
     """Immutable polynomial with exact rational coefficients.
 
@@ -32,7 +25,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if type(c) is int else _coefficient(c) for c in coeffs]
+        cs = [c if type(c) is int else QQ.exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

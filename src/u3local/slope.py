@@ -139,10 +139,12 @@ class SlopeFactorization:
     exact: bool
 
     def residual_valuation(self, P: Poly):
-        diff = P - self.Q * self.S
-        if diff.is_zero():
-            return INF
-        return min(padic_valuation(c, self.p) for c in diff.coeffs if c != 0)
+        return _valuation(P - self.Q * self.S, self.p)
+
+
+def _valuation(f: Poly, p: int):
+    """The least v_p of a nonzero coefficient of f; INF for the zero polynomial."""
+    return min((padic_valuation(c, p) for c in f.coeffs if c != 0), default=INF)
 
 
 def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactorization:
@@ -163,7 +165,7 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     if all(i != m for i, _ in polygon.vertices):
         raise NoBreakError(f"no polygon vertex at horizontal position {m}")
 
-    integral = all(padic_valuation(c, p) >= 0 for c in P.coeffs if c != 0)
+    integral = _valuation(P, p) >= 0
     work = precision + RECONSTRUCTION_MARGIN
     Q = P.truncate(m + 1)
     S = (P * Q.series_inverse(d - m + 1)).truncate(d - m + 1)
@@ -171,12 +173,8 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     stall = 0
     for _ in range(80):
         E = P - Q * S
-        ev = (
-            INF
-            if E.is_zero()
-            else min(padic_valuation(c, p) for c in E.coeffs if c != 0)
-        )
-        if ev is INF or ev >= work:
+        ev = _valuation(E, p)
+        if ev >= work:
             break
         if ev <= best:
             stall += 1
@@ -187,9 +185,9 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
             stall = 0
         dq, ds = _newton_step(Q, S, E, m, d)
         Q, S = Q + dq, S + ds
-        if integral:
-            Q = _reduce_if_integral(Q, p, work)
-            S = _reduce_if_integral(S, p, work)
+        if integral:  # a non-integral iterate is left untouched
+            Q = _residues(Q, p, work) or Q
+            S = _residues(S, p, work) or S
     else:
         raise SlopePrecisionError("iteration budget exhausted")
 
@@ -197,8 +195,8 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     if exact is not None:
         return exact
 
-    Qa = _reduce_if_integral(Q, p, precision)
-    Sa = _reduce_if_integral(S, p, precision)
+    Qa = _residues(Q, p, precision) or Q
+    Sa = _residues(S, p, precision) or S
     fact = SlopeFactorization(Qa, Sa, h, m, p, precision, exact=False)
     if fact.residual_valuation(P) < precision:
         raise SlopePrecisionError("could not certify the factorization mod p^precision")
@@ -208,14 +206,14 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
 
 def _newton_step(Q, S, E, m, d):
     """Solve S dq + Q ds = E with dq(0) = ds(0) = 0, deg dq <= m, deg ds <= d-m."""
-    cols = []
-    for b in range(1, m + 1):
-        shifted = S * Poly([0] * b + [1])
-        cols.append([shifted[j] for j in range(1, d + 1)])
-    for b in range(1, d - m + 1):
-        shifted = Q * Poly([0] * b + [1])
-        cols.append([shifted[j] for j in range(1, d + 1)])
-    mat = Matrix([[cols[k][j] for k in range(d)] for j in range(d)])
+    # column b of each block holds the coefficients of S T^b (or Q T^b) in
+    # degrees 1..d, that is S[j - b] in row j
+    mat = Matrix(
+        [
+            [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
+            for j in range(1, d + 1)
+        ]
+    )
     rhs = [E[j] for j in range(1, d + 1)]
     sol = mat.solve(rhs)
     if sol is None:
@@ -225,14 +223,14 @@ def _newton_step(Q, S, E, m, d):
     return dq, ds
 
 
-def _reduce_if_integral(f: Poly, p: int, k: int) -> Poly:
-    """f with each coefficient replaced by its int representative mod p^k, or f
-    itself when some coefficient is not p-integral."""
+def _residues(f: Poly, p: int, k: int) -> Poly | None:
+    """f with each coefficient replaced by its int representative mod p^k, or
+    None when some coefficient is not p-integral."""
     q = p**k
     out = []
     for c in f.coeffs:
         if c.denominator % p == 0:
-            return f  # leave non-integral iterates untouched
+            return None
         out.append(c.numerator * pow(c.denominator, -1, q) % q)
     return Poly(out)
 
@@ -241,12 +239,12 @@ def _try_exact_snap(P, Q, h, p, work, integral):
     """Reconstruct a rational candidate for Q and verify it divides P exactly."""
     if not integral:
         return None
+    residues = _residues(Q, p, work)
+    if residues is None:
+        return None
     modulus = p**work
     cand = [1]
-    for c in Q.coeffs[1:]:
-        if c.denominator % p == 0:
-            return None
-        rep = c.numerator * pow(c.denominator, -1, modulus) % modulus
+    for rep in residues.coeffs[1:]:
         rec = rational_reconstruction(rep, modulus)
         if rec is None:
             return None
@@ -269,9 +267,7 @@ def _validate_split(fact: SlopeFactorization, p, h, integral):
     if fact.Q.degree >= 1:
         if any(s > h for s in newton_polygon(fact.Q, p).slopes()):
             raise SlopePrecisionError("low factor carries a slope above the bound")
-        if integral and any(
-            padic_valuation(c, p) < 0 for c in fact.Q.coeffs if c != 0
-        ):
+        if integral and _valuation(fact.Q, p) < 0:
             raise SlopePrecisionError("low factor is not integral")
     if fact.S.degree >= 1 and fact.exact:
         if any(s <= h for s in newton_polygon(fact.S, p).slopes()):

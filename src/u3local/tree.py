@@ -178,25 +178,25 @@ def _check_support(f: VertexFunction, ball: TreeBall, kind: str, max_dist: int):
             )
 
 
-def _transfer(f: VertexFunction, ball: TreeBall, src: str, dst: str) -> VertexFunction:
-    """Edge transfer from stratum src to stratum dst: the value at each dst vertex
-    is the sum of f over its src neighbours."""
-    _check_support(f, ball, src, ball.radius - 1)
+def _spread(f: VertexFunction, ball: TreeBall, src: str, dst: str, max_dist: int, around):
+    """The function on stratum dst whose value at each vertex is the sum of f over
+    the src vertices ``around`` it; f must be supported within max_dist."""
+    _check_support(f, ball, src, max_dist)
     out: dict[int, int | Fraction] = {}
     for v, c in f.values.items():
-        for w in ball.neighbors(v):
+        for w in around(v):
             out[w] = out.get(w, 0) + c
     return VertexFunction(dst, out)
 
 
 def vertex_op_A(f: VertexFunction, ball: TreeBall) -> VertexFunction:
     """(Af)(w) = sum of f over the hyperspecial neighbours of each special w."""
-    return _transfer(f, ball, HYPERSPECIAL, SPECIAL)
+    return _spread(f, ball, HYPERSPECIAL, SPECIAL, ball.radius - 1, ball.neighbors)
 
 
 def vertex_op_B(g: VertexFunction, ball: TreeBall) -> VertexFunction:
     """(Bg)(v) = sum of g over the special neighbours of each hyperspecial v."""
-    return _transfer(g, ball, SPECIAL, HYPERSPECIAL)
+    return _spread(g, ball, SPECIAL, HYPERSPECIAL, ball.radius - 1, ball.neighbors)
 
 
 def op_Tl(f: VertexFunction, ball: TreeBall) -> VertexFunction:
@@ -207,12 +207,7 @@ def op_Tl(f: VertexFunction, ball: TreeBall) -> VertexFunction:
     """
     if f.kind not in (HYPERSPECIAL, SPECIAL):
         raise ValueError("distance-2 operator acts on vertex functions")
-    _check_support(f, ball, f.kind, ball.radius - 2)
-    out: dict[int, int | Fraction] = {}
-    for v, c in f.values.items():
-        for u in ball.distance_two(v):
-            out[u] = out.get(u, 0) + c
-    return VertexFunction(f.kind, out)
+    return _spread(f, ball, f.kind, f.kind, ball.radius - 2, ball.distance_two)
 
 
 def _verify_walk_identity(ball: TreeBall, kind: str, degree: int, first, second) -> dict:

@@ -5,6 +5,7 @@ bands); the few runtime caps are asserted with wall-clock measurements.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,12 +22,14 @@ from u3local.cosets import (
     ihara_kernel_test,
     kernel_eigenvalue_check,
     level_matrix,
+    level_raising_search,
     map_i,
     map_iplus,
     pairing,
     parallel_multigraph,
     random_biregular_graph,
     twisted_complete,
+    walk_operator_v0,
 )
 from u3local.linalg import Matrix
 from u3local.lparam import (
@@ -46,6 +49,7 @@ from u3local.slope import fredholm_series, newton_polygon, slope_decomposition
 from u3local.tree import TreeBall, verify_composition
 
 from .oracles import snf_reduction
+from .test_cosets import GAMMA_GRAPHS
 from .test_satake import interior_samples, radial_tree_oracle
 
 
@@ -251,3 +255,50 @@ def test_criterion_13_congruence_fixtures():
         oracle_factors = snf_reduction(g.incidence_rows())
         ok = ok and [d for d in oracle_factors if d not in (0, 1)] == expected[name]["torsion"]
     record(13, "congruence-module outputs match oracle-frozen fixtures", ok)
+
+
+def test_criterion_14_level_raising_at_q12_torsion():
+    # every q12 invariant divides the last, so the primes dividing their
+    # product are those dividing the last; p | (l+1) n0 is excluded, where the
+    # counts differ (at p = l+1 on K39 the 3-rank is 9 and the count 3)
+    primes = [p for p in range(2, 10**5) if is_prime(p)]
+    ok, pairs = True, 0
+    for make in GAMMA_GRAPHS.values():
+        g = make()
+        q12 = congruence_module(g)["q12_invariants"]
+        top = q12[-1] if q12 else 1
+        for p in sorted({p for p in primes if top % p == 0} | {5, 7, 11, 13}):
+            if (g.l + 1) * g.n0 % p == 0:
+                continue
+            search = level_raising_search(g, p, AuxOperatorFamily.empty(g))
+            p_rank = sum(1 for q in q12 if q % p == 0)
+            ok = ok and p_rank == search["eigenspace_dim"] - g.n_components
+            pairs += 1
+    record(14, f"level raising at p is the p-rank of q12 ({pairs} graph-prime pairs)", ok)
+
+
+def _order_identity(g, t0):
+    """Both sides of n0 * prod(q12) = (l+1)^(n1-n0+1) * chi'(lambda0), chi the
+    char poly of t0 and lambda0 = l(l^3+1), for a connected graph g."""
+    prod = math.prod(congruence_module(g)["q12_invariants"])
+    lam = g.l * (g.l**3 + 1)
+    chi = Matrix(t0).char_poly()
+    slope_at_lam = sum(k * c * lam ** (k - 1) for k, c in enumerate(chi) if k)
+    return g.n0 * prod, (g.l + 1) ** (g.n1 - g.n0 + 1) * slope_at_lam
+
+
+def test_criterion_15_order_identity():
+    connected = [g for g in (make() for make in GAMMA_GRAPHS.values()) if g.connected]
+    ok = all(lhs == rhs for lhs, rhs in (_order_identity(g, walk_operator_v0(g)) for g in connected))
+    record(15, f"n0 * prod q12 = (l+1)^(n1-n0+1) chi_T0'(lambda0) on {len(connected)} graphs", ok)
+
+
+def test_order_identity_sees_a_changed_walk_operator():
+    g = complete_biregular(2)
+    t0 = walk_operator_v0(g)
+    lhs, rhs = _order_identity(g, t0)
+    assert lhs == rhs
+    t0[0][1] += 1
+    t0[1][0] += 1
+    lhs, rhs = _order_identity(g, t0)
+    assert lhs != rhs

@@ -323,6 +323,10 @@ class TestBudgetRefusals:
                  "--nilpotent", "0,1"],
                 "200000000 bits", id="witness-large-negative-power",
             ),
+            pytest.param(
+                ["moduli", "components", "--diag", "l,l,l,l,l,1,1,1,1", "--l", "2"],
+                "2^20 combinations", id="components-large-solution-space",
+            ),
         ],
     )
     def test_refused_past_budget(self, capsys, k39_path, deadline, argv, message):
@@ -342,8 +346,10 @@ class TestBudgetRefusals:
             # the nine residues mod 3^2
             (["analytic", "weight", "--p", "3", "--level", "2",
               "--chi1", "1", "--chi2", "0", "--chi3", "0"], 9),
+            # the 2^2 - 1 nonzero combinations of E_01 and E_02, a 3 x 3 Jordan type each
+            (["moduli", "components", "--diag", "l,1,1", "--l", "2"], 81),
         ],
-        ids=["levelraise", "ihara", "weight"],
+        ids=["levelraise", "ihara", "weight", "components"],
     )
     def test_budget_is_the_estimate(self, capsys, k39_path, argv, cost):
         argv = [a.format(graph=k39_path) for a in argv]
@@ -688,6 +694,17 @@ _LOCAL_DIGESTS = [
       "--poly=1,-168,-4985,752594,-17021945,80207300,309815625,-2423968750,3215625000",
       "--p", "5", "--h", "0", "--precision", "5"], 0,
      "7109fbd7c6b66de760da97ce1709ba18d48456605db57a8c7bc58dfbabb2c8dd"),
+    (["tree", "verify", "--l", "2", "--radius", "6"], 0,
+     "ff6ad8f7dd4b9aeebf047ff2c0e6f37520498f86209e3de767fabe31bd3da7d9"),
+    (["tree", "verify", "--l", "3", "--radius", "4"], 0,
+     "37ee27d2b51802d0e97b5f5506ae273f6130a730edb00d07c0074035e48b2e6b"),
+    (["tree", "verify", "--l", "5", "--radius", "3"], 0,
+     "038921aad22f72d28cf9dda779942d4c38c36ae8f8d9ebd809661dcad754218d"),
+    # non-integral polynomials: the Fraction branch of the Hensel loop
+    (["slope", "factor", "--poly=1,10/9,1/9", "--p", "3", "--h", "-2"], 0,
+     "93bcfeb2f7e384dddf1eecad9f870f067ad3453516ed0672f0981d59d6cea4ae"),
+    (["slope", "factor", "--poly=1,1/2,3,1/4", "--p", "2", "--h", "-1"], 0,
+     "e880b835a96e30b9de99c06c8b6eb6801457dcafc51dec3a7311e383dc517bc2"),
 ]
 
 
