@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,18 +71,17 @@ class TreeBall:
         start = self._starts[d + 1] + (v - self._starts[d]) * self._branch[d]
         return range(start, start + self._branch[d])
 
-    def neighbors(self, v: int):
+    def neighbors(self, v: int) -> list[int]:
+        """The parent (if any), then the children."""
         d = self.dist[v]
-        if d:
-            yield self._starts[d - 1] + (v - self._starts[d]) // self._branch[d - 1]
-        yield from self.children(v)
+        out = [self._starts[d - 1] + (v - self._starts[d]) // self._branch[d - 1]] if d else []
+        out += self.children(v)
+        return out
 
-    def distance_two(self, v: int):
+    def distance_two(self, v: int) -> list[int]:
         """All vertices at tree distance exactly 2 from v (same kind as v)."""
-        for w in self.neighbors(v):
-            for u in self.neighbors(w):
-                if u != v:
-                    yield u
+        nb = self.neighbors
+        return [u for w in nb(v) for u in nb(w) if u != v]
 
     def shell_counts(self) -> list[int]:
         return [b - a for a, b in itertools.pairwise(self._starts)]
@@ -210,29 +210,38 @@ def op_Tl(f: VertexFunction, ball: TreeBall) -> VertexFunction:
     return _spread(f, ball, f.kind, f.kind, ball.radius - 2, ball.distance_two)
 
 
-def _verify_walk_identity(ball: TreeBall, kind: str, degree: int, first, second) -> dict:
-    """Check second(first(delta)) = T(delta) + degree * delta at every delta of the
-    given kind at distance <= radius - 2.  Each mismatch is listed at the vertices
-    of the union of the two supports, so the work is linear in the ball."""
+def _verify_walk_identity(ball: TreeBall, kind: str, degree: int) -> dict:
+    """Check (second o first)(delta) = T(delta) + degree * delta at every delta of
+    the given kind at distance <= radius - 2, where first and second are the two
+    edge transfers A and B in the order that starts on that kind.
+
+    Applied to delta_v, the two transfers count the endpoints of the 2-walks from
+    v, and T + degree * Id counts the vertices at distance 2 plus degree copies
+    of v; the check compares the two lists of vertices, sorted.  Only on a
+    mismatch are the lists counted into functions (vertex -> multiplicity), whose
+    differences are listed at the union of their supports."""
     interior = ball.vertices_of_kind(kind, ball.radius - 2)
+    nb = ball.neighbors
     violations = []
     for v in interior:
-        delta = VertexFunction.delta(ball, v)
-        lhs = second(first(delta, ball), ball)
-        rhs = op_Tl(delta, ball).add_scaled(delta, degree)
-        if lhs != rhs:
-            for u in sorted(lhs.support() | rhs.support()):
-                if lhs(u) != rhs(u):
-                    violations.append({"delta_at": v, "vertex": u, "lhs": lhs(u), "rhs": rhs(u)})
+        walks = [u for w in nb(v) for u in nb(w)]
+        target = ball.distance_two(v) + [v] * degree
+        walks.sort()
+        target.sort()
+        if walks != target:
+            lhs, rhs = Counter(walks), Counter(target)
+            for u in sorted(lhs.keys() | rhs.keys()):
+                if lhs[u] != rhs[u]:
+                    violations.append({"delta_at": v, "vertex": u, "lhs": lhs[u], "rhs": rhs[u]})
     return {"checked_deltas": len(interior), "violations": violations, "ok": not violations}
 
 
 def verify_composition(ball: TreeBall) -> dict:
     """Check (B o A) = T + (l^3+1) Id on every delta at an interior hyperspecial
     vertex; returns a report dict with any violations (expected none)."""
-    return _verify_walk_identity(ball, HYPERSPECIAL, ball.l**3 + 1, vertex_op_A, vertex_op_B)
+    return _verify_walk_identity(ball, HYPERSPECIAL, ball.l**3 + 1)
 
 
 def verify_mirror_composition(ball: TreeBall) -> dict:
     """The mirror identity (A o B) = T' + (l+1) Id on interior special deltas."""
-    return _verify_walk_identity(ball, SPECIAL, ball.l + 1, vertex_op_B, vertex_op_A)
+    return _verify_walk_identity(ball, SPECIAL, ball.l + 1)

@@ -11,9 +11,9 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from u3local import analytic, cli, cosets, slope
+from u3local import analytic, cli, cosets, slope, tree
 from u3local.cli import main
 from u3local.cosets import complete_biregular, parallel_multigraph
 
@@ -58,6 +58,32 @@ class TestTreeVerify:
         code = main(["tree", "verify", "--l", "4", "--radius", "2"])
         assert code == 2
         assert "not prime" in capsys.readouterr().err
+
+    def test_violation_is_reported(self, capsys, monkeypatch):
+        ball = tree.TreeBall(2, 3)
+        dropped = ball.distance_two(0)[-1]
+        original = tree.TreeBall.distance_two
+
+        def lossy_distance_two(self, v):
+            out = original(self, v)
+            if v == 0:
+                out.remove(dropped)
+            return out
+
+        monkeypatch.setattr(tree.TreeBall, "distance_two", lossy_distance_two)
+        code, out = run(capsys, "tree", "verify", "--l", "2", "--radius", "3")
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        assert '"passed": false' in out
+        verdicts = {a["name"]: a for a in doc["assertions"]}
+        assert verdicts["composition_identity"] == {
+            "name": "composition_identity",
+            "passed": False,
+            "detail": [{"delta_at": 0, "vertex": dropped, "lhs": 1, "rhs": 0}],
+        }
+        assert verdicts["mirror_identity"]["passed"]
+        # JSON integers, not strings or floats
+        assert '"lhs": 1,' in out and '"rhs": 0,' in out
 
     def test_budget_exceeded(self, capsys):
         code = main(["--budget", "100", "tree", "verify", "--l", "2", "--radius", "4"])
@@ -568,6 +594,29 @@ def test_alpha_fuzz_ends_in_a_verdict_or_an_error(cmd, alpha):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+# ints of every sort an argv can hold: negative, 0, 1, composite, prime, and past 2^64
+_ARGV_INT = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from([-(2**64), 2**31 - 1, 2**61 - 1, 2**64, 2**64 + 13, 2**89 - 1, 3**41]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ARGV_INT, _ARGV_INT, st.integers(-1, 10**5))
+def test_tree_verify_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, l, radius, budget):
+    with deadline(5):
+        code, err = _run_quietly(
+            ["--budget", str(budget), "tree", "verify", "--l", str(l), "--radius", str(radius)]
+        )
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:")
+
+
 class TestSatakeCommands:
     def test_classify(self, capsys):
         code, doc = run_json(capsys, "satake", "classify", "--alpha", "4", "--l", "2")
@@ -705,6 +754,16 @@ _LOCAL_DIGESTS = [
      "93bcfeb2f7e384dddf1eecad9f870f067ad3453516ed0672f0981d59d6cea4ae"),
     (["slope", "factor", "--poly=1,1/2,3,1/4", "--p", "2", "--h", "-1"], 0,
      "e880b835a96e30b9de99c06c8b6eb6801457dcafc51dec3a7311e383dc517bc2"),
+    # the rest of the benchmark's tree ladder, recorded from the walk-identity
+    # check that composed the VertexFunction operators per delta
+    (["tree", "verify", "--l", "2", "--radius", "4"], 0,
+     "3f4e41c8538af7cf2360347816249dca35a743bbc9a70fc024725ed89cbd3698"),
+    (["tree", "verify", "--l", "2", "--radius", "5"], 0,
+     "14ae68dd64d2fc412c9d7485fbed83a74891b56484a763c4a441caba49a02fd5"),
+    (["tree", "verify", "--l", "3", "--radius", "3"], 0,
+     "bac166dc828d673500067af768835e9d25bae0c3adfd79d40a8ab930de55634e"),
+    (["tree", "verify", "--l", "5", "--radius", "2"], 0,
+     "225b64a2436ead64ddab7463150cfa5645eff4c5bc0ea3fe99dcc574b19ba13d"),
 ]
 
 

@@ -1,14 +1,15 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from u3local import tree
 from u3local.cli import main
 from u3local.tree import (
     HYPERSPECIAL,
@@ -240,6 +241,19 @@ class TestValueTypes:
                 assert b.vertices_of_kind(kind, max_dist) == brute
 
 
+def _edit_distance_two(monkeypatch, ball, at, edit):
+    """Patch ``ball.distance_two`` so that the list at vertex ``at`` goes through ``edit``."""
+    original = ball.distance_two
+
+    def edited(v):
+        out = original(v)
+        if v == at:
+            edit(out)
+        return out
+
+    monkeypatch.setattr(ball, "distance_two", edited)
+
+
 class TestCompositionIdentity:
     def test_exhaustive_l2_l3(self, ball2, ball3):
         for b in (ball2, ball3):
@@ -257,19 +271,43 @@ class TestCompositionIdentity:
 
     def test_dropped_term_is_reported(self, ball2, monkeypatch):
         root, dropped = 0, next(v for v in range(ball2.size) if ball2.dist[v] == 2)
-        original = tree.op_Tl
-
-        def lossy_Tl(f, ball):
-            out = original(f, ball)
-            if f.support() == {root}:
-                del out.values[dropped]
-            return out
-
-        monkeypatch.setattr(tree, "op_Tl", lossy_Tl)
+        _edit_distance_two(monkeypatch, ball2, root, lambda out: out.remove(dropped))
         report = verify_composition(ball2)
         assert not report["ok"]
         assert report["violations"] == [
-            {"delta_at": root, "vertex": dropped, "lhs": Fraction(1), "rhs": Fraction(0)}
+            {"delta_at": root, "vertex": dropped, "lhs": 1, "rhs": 0}
+        ]
+
+    def test_replaced_term_is_reported(self, ball2, monkeypatch):
+        # the lists keep their length, so only their entries tell them apart
+        root = 0
+        kept, replaced = ball2.distance_two(root)[0], ball2.distance_two(root)[-1]
+        _edit_distance_two(monkeypatch, ball2, root, lambda out: out.__setitem__(-1, kept))
+        assert verify_composition(ball2)["violations"] == [
+            {"delta_at": root, "vertex": kept, "lhs": 1, "rhs": 2},
+            {"delta_at": root, "vertex": replaced, "lhs": 1, "rhs": 0},
+        ]
+
+    def test_dropped_term_is_reported_on_the_mirror(self, ball2, monkeypatch):
+        special = ball2.vertices_of_kind(SPECIAL, ball2.radius - 2)[-1]
+        dropped = ball2.distance_two(special)[-1]
+        _edit_distance_two(monkeypatch, ball2, special, lambda out: out.remove(dropped))
+        assert verify_composition(ball2)["ok"]
+        assert verify_mirror_composition(ball2)["violations"] == [
+            {"delta_at": special, "vertex": dropped, "lhs": 1, "rhs": 0}
+        ]
+
+    def test_missing_child_is_reported(self, ball2, monkeypatch):
+        root, lost = 0, ball2.children(0)[-1]
+        original = ball2.neighbors
+        monkeypatch.setattr(
+            ball2, "neighbors", lambda v: [w for w in original(v) if (v, w) != (root, lost)]
+        )
+        report = verify_composition(ball2)
+        assert not report["ok"]
+        degree = ball2.l**3 + 1
+        assert report["violations"] == [
+            {"delta_at": root, "vertex": root, "lhs": degree - 1, "rhs": degree}
         ]
 
     def test_random_function_identity(self):
@@ -286,13 +324,41 @@ class TestCompositionIdentity:
         assert verify_composition(TreeBall(2, 0))["checked_deltas"] == 0
 
 
+@pytest.mark.parametrize("l,radius", [(2, 4), (3, 3), (5, 2)])
+def test_walk_lists_agree_with_the_operators(l, radius):
+    # the lists the walk-identity check compares, as functions, are the public
+    # operators applied to each interior delta
+    ball = TreeBall(l, radius)
+    nb = ball.neighbors
+    checked = []
+    for kind, first, second, degree in (
+        (HYPERSPECIAL, vertex_op_A, vertex_op_B, l**3 + 1),
+        (SPECIAL, vertex_op_B, vertex_op_A, l + 1),
+    ):
+        for v in ball.vertices_of_kind(kind, radius - 2):
+            checked.append(v)
+            delta = VertexFunction.delta(ball, v)
+            walks = Counter(u for w in nb(v) for u in nb(w))
+            target = Counter(ball.distance_two(v) + [v] * degree)
+            assert walks == second(first(delta, ball), ball).values
+            assert target == op_Tl(delta, ball).add_scaled(delta, degree).values
+    assert len(checked) == (
+        verify_composition(ball)["checked_deltas"] + verify_mirror_composition(ball)["checked_deltas"]
+    ) > 0
+
+
 def test_desk_scale_ball(capsys):
     code = main(["tree", "verify", "--l", "3", "--radius", "6"])
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert code == 0 and doc["passed"]
     assert doc["results"]["vertices"] == 744017
     assert doc["results"]["composition_checked_deltas"] == 6889
     assert doc["results"]["mirror_checked_deltas"] == 2296
+    # recorded from the check that composed the VertexFunction operators per delta
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d8663af66a2d88c5c8ae8e60c0a81a753f92b81f329ff6d8c1857d9141e023cb"
+    )
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is a Linux /proc field")
