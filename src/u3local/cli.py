@@ -460,9 +460,24 @@ def cmd_slope_polygon(args):
     return rep
 
 
+def _within_precision_budget(args, degree):
+    """Refuse the Hensel iteration of ``slope`` past --budget before it starts:
+    it solves degree x degree systems on numbers of (precision + margin) p-adic
+    digits, so it costs about degree^3 times the square of their 64-bit words.
+    A precision below 1 is left to the iteration's own error."""
+    digits = max(args.precision, 1) + slope.RECONSTRUCTION_MARGIN
+    words = -(-digits * args.p.bit_length() // 64)
+    _within_budget(
+        max(degree, 0) ** 3 * words**2,
+        args.budget,
+        f"precision {args.precision} mod {args.p} at degree {degree}",
+    )
+
+
 def cmd_slope_factor(args):
     P = parse_poly(args.poly, args.budget)
     h = parse_fraction(args.h, args.budget)
+    _within_precision_budget(args, P.degree)
     rep = Report(
         "slope factor",
         {"poly": args.poly, "p": args.p, "h": _rational_text(h), "precision": args.precision},
@@ -484,6 +499,7 @@ def cmd_slope_factor(args):
 def cmd_slope_decompose(args):
     U, src = _matrix_input(args)
     h = parse_fraction(args.h, args.budget)
+    _within_precision_budget(args, U.nrows)
     rep = Report(
         "slope decompose",
         {**src, "p": args.p, "h": _rational_text(h), "precision": args.precision},

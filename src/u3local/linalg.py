@@ -12,15 +12,11 @@ and arithmetic with it stays a ``Fraction`` even where the value is integral
 (the QQ ``rref`` can leave ``Fraction(-1, 1)``), so compare entries by value.
 Over GF(p) entries are ints in [0, p), reduced after every operation.
 
-A QQ matrix whose entries are all ints goes by way of F_p for its kernel,
-modulo primes descending from 2^61 - 1 (found on first use, not at import).
-``kernel_basis`` combines the GF(p) rref kernels by CRT, lifts them by
-rational reconstruction and keeps the lift only when M w = 0 holds exactly,
-which certifies it as the rational rref kernel basis; without a certificate by
-the bound, the QQ elimination runs as for every other matrix.  Every
-``char_poly`` is one integer Hessenberg reduction mod p: over GF(p) directly,
-over QQ on the matrix cleared of denominators, modulo the same primes,
-combined by CRT until the modulus passes a bound on the coefficients.
+Kernels, ranks and solutions come from the one ``rref`` over every field.
+Every ``char_poly`` is one integer Hessenberg reduction mod p: over GF(p)
+directly, over QQ on the matrix cleared of denominators, modulo primes
+descending from 2^61 - 1 (found on first use, not at import), combined by CRT
+until the modulus passes a bound on the coefficients.
 
 The integer layer rests on one elimination, the Hermite normal form routine
 ``lattice_basis``.  The Smith form alternates row and column Hermite forms and
@@ -33,7 +29,7 @@ Non-integral input raises rather than being truncated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 from .scalars import is_prime, require_prime
 
@@ -258,19 +254,26 @@ class Matrix:
 
     def row_space_and_kernel(self):
         """Bases of the row space (the nonzero rows of the rref) and of the right
-        kernel {v : M v = 0}, as lists of field elements, from one row reduction."""
+        kernel {v : M v = 0}, as lists of field elements, from one row reduction:
+        for each free column fc, the kernel vector that is 1 at fc and
+        -red[r][fc] at the r-th pivot."""
         red, pivots = self.rref()
-        return red.rows[: len(pivots)], _rref_kernel(red.rows, pivots, self.ncols, self.field.of)
+        of, pivset = self.field.of, set(pivots)
+        kernel = []
+        for fc in range(self.ncols):
+            if fc in pivset:
+                continue
+            v = [0] * self.ncols
+            v[fc] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = of(-red.rows[r][fc])
+            kernel.append(v)
+        return red.rows[: len(pivots)], kernel
 
     def kernel_basis(self):
         """Basis of the right kernel {v : M v = 0}, as lists of field elements:
         the vector of each free column of the rref, 1 there and 0 on the other
-        free columns.  An integer matrix over QQ takes the modular route
-        (``_modular_kernel``); its result is that same basis."""
-        if self._is_integral_qq():
-            kernel = _modular_kernel(self.rows, self.ncols)
-            if kernel is not None:
-                return kernel
+        free columns."""
         return self.row_space_and_kernel()[1]
 
     def column_space_basis(self):
@@ -352,35 +355,11 @@ class Matrix:
         coeffs = _modular_char_poly([[int(d * x) for x in r] for r in self.rows])
         return [QQ.div(c, d ** (self.nrows - k)) for k, c in enumerate(coeffs)]
 
-    def _is_integral_qq(self):
-        """A nonempty matrix over QQ whose entries are all ints."""
-        return (
-            not self.field.characteristic
-            and self.nrows > 0
-            and all(type(x) is int for r in self.rows for x in r)
-        )
-
     def to_int_rows(self):
         return _as_int_rows(self.rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-def _rref_kernel(red_rows, pivots, ncols, of):
-    """The kernel basis read off a reduced row echelon form: for each free
-    column fc, the vector that is 1 at fc and -red[r][fc] at the r-th pivot."""
-    pivset = set(pivots)
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = of(-red_rows[r][fc])
-        kernel.append(v)
-    return kernel
 
 
 def _hessenberg_char_poly(h, p):
@@ -419,14 +398,14 @@ def _hessenberg_char_poly(h, p):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices over QQ by way of F_p
+# the char poly of an integer matrix by way of F_p
 # ---------------------------------------------------------------------------
 #
-# An integer matrix is reduced modulo word-size primes, and the results are
-# combined by the Chinese remainder theorem and lifted to Q (von zur Gathen-
-# Gerhard, Modern Computer Algebra, ch. 5).  The kernel lift is certified by
-# an exact check, the char poly lift by a coefficient bound; past the bound
-# without a kernel certificate, the QQ elimination runs.
+# The matrix is reduced modulo word-size primes, and the char polys mod p are
+# combined by the Chinese remainder theorem (von zur Gathen-Gerhard, Modern
+# Computer Algebra, ch. 5) until the modulus passes a coefficient bound.
+# ``rational_reconstruction`` is the p-adic slope factorization's lift of a
+# residue to a small fraction.
 
 _WORD_PRIMES = []  # the primes below 2^61, descending, as far as found so far
 
@@ -469,69 +448,6 @@ def _crt(a: int, m: int, b: int, p: int) -> int:
     """The x in [0, m p) with x = a (mod m) and x = b (mod p), for a prime p not
     dividing m and a in [0, m)."""
     return a + m * ((b - a) * pow(m, -1, p) % p)
-
-
-def _modular_kernel(rows, ncols):
-    """The rref kernel basis of a nonempty integer matrix, or None.
-
-    Each prime's GF(p) rref is ranked by (rank, pivot columns): the rational
-    pivots give the largest rank and, at that rank, the earliest pivots, so a
-    better prime restarts the combination and a worse one is skipped.  After
-    each prime the combined entries are lifted by rational reconstruction and
-    accepted when M w = 0 holds exactly for every lifted w.  That check is a
-    certificate: w is 1 on its free column, 0 on the other free columns and
-    supported on pivots to its left, so every free column mod p is free over Q;
-    as dim_Q ker <= dim_Fp ker the free sets agree, and the lift is the unique
-    rref kernel basis.  Entries of that basis are ratios of minors, so a
-    modulus past 2 H^2 (H the Hadamard bound) reconstructs them; past it
-    without a certificate, None.
-    """
-    bound = 2 * prod(max(1, sum(x * x for x in r)) for r in rows)
-    best, modulus, residues = None, 1, []
-    for p in _word_primes():
-        field = PrimeField(p)
-        red, pivots = Matrix._wrap([[x % p for x in r] for r in rows], field, ncols).rref()
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, modulus = key, 1
-            residues = [[0] * len(pivots) for _ in range(ncols - len(pivots))]
-        elif key > best:
-            continue
-        kernel = _rref_kernel(red.rows, pivots, ncols, field.of)
-        residues = [
-            [_crt(a, modulus, v[pc], p) for a, pc in zip(res, pivots)]
-            for res, v in zip(residues, kernel)
-        ]
-        modulus *= p
-        lifted = _lift_kernel(rows, ncols, pivots, residues, modulus)
-        if lifted is not None:
-            return lifted
-        if modulus > bound:
-            return None
-    return None
-
-
-def _lift_kernel(rows, ncols, pivots, residues, modulus):
-    """The kernel vectors with the reconstructed pivot entries, if every entry
-    reconstructs and M w = 0 holds exactly for each; else None."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    kernel = []
-    for fc, res in zip(free, residues):
-        v = [0] * ncols
-        v[fc] = 1
-        for pc, a in zip(pivots, res):
-            x = rational_reconstruction(a, modulus)
-            if x is None:
-                return None
-            v[pc] = QQ.exact(x)
-        # M (d v) = 0 in integers, d the common denominator of v
-        d = lcm(*(x.denominator for x in v if type(x) is Fraction))
-        support = [(j, int(d * x)) for j, x in enumerate(v) if x]
-        if any(sum(r[j] * x for j, x in support) for r in rows):
-            return None
-        kernel.append(v)
-    return kernel
 
 
 def _modular_char_poly(rows):

@@ -20,13 +20,26 @@ class PrecisionLossError(ArithmeticError):
     """Raised when a p-adic operation cannot certify a single digit of its result."""
 
 
+# the least strong pseudoprime to the twelve prime bases 2, ..., 37
+# (Sorenson-Webster, Math. Comp. 86, 2017): Miller-Rabin on those bases
+# decides primality below it
+MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit inputs."""
+    """Deterministic Miller-Rabin on the prime bases 2, ..., 37.  An n without a
+    factor up to 37 at or past ``MILLER_RABIN_BOUND`` raises ``ValueError``:
+    those bases cannot decide it."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: Miller-Rabin on the bases 2, ..., 37 "
+            f"decides only below {MILLER_RABIN_BOUND}"
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -303,6 +303,11 @@ class TestGraphCommands:
             ["moduli", "witness", "--diag", "l,1", "--l", "6", "--nilpotent", "0,1"],
             "6 is not prime", id="moduli-witness-composite-l",
         ),
+        # 399165290221 * 798330580441, a strong pseudoprime to every base 2, ..., 37
+        pytest.param(
+            None, None, ["tree", "verify", "--l", "318665857834031151167461", "--radius", "0"],
+            "cannot decide whether 318665857834031151167461 is prime", id="tree-verify-pseudoprime-l",
+        ),
     ],
 )
 def test_malformed_input_is_an_error(capsys, tmp_path, graph_text, labels_text, argv, message):
@@ -353,6 +358,16 @@ class TestBudgetRefusals:
                 ["moduli", "components", "--diag", "l,l,l,l,l,1,1,1,1", "--l", "2"],
                 "2^20 combinations", id="components-large-solution-space",
             ),
+            pytest.param(
+                ["slope", "factor", "--poly=1,-4,3", "--p", "3", "--h", "0",
+                 "--precision", "3000000"],
+                "precision 3000000", id="factor-large-precision",
+            ),
+            pytest.param(
+                ["slope", "decompose", "--entries", "1,0;0,3", "--p", "3", "--h", "0",
+                 "--precision", "3000000"],
+                "precision 3000000", id="decompose-large-precision",
+            ),
         ],
     )
     def test_refused_past_budget(self, capsys, k39_path, deadline, argv, message):
@@ -374,8 +389,11 @@ class TestBudgetRefusals:
               "--chi1", "1", "--chi2", "0", "--chi3", "0"], 9),
             # the 2^2 - 1 nonzero combinations of E_01 and E_02, a 3 x 3 Jordan type each
             (["moduli", "components", "--diag", "l,1,1", "--l", "2"], 81),
+            # degree 2 cubed, times the square of the ceil((20 + 25) * 2 / 64) = 2 words
+            (["slope", "factor", "--poly=1,-4,3", "--p", "3", "--h", "0"], 32),
+            (["slope", "decompose", "--entries", "1,0;0,3", "--p", "3", "--h", "0"], 32),
         ],
-        ids=["levelraise", "ihara", "weight", "components"],
+        ids=["levelraise", "ihara", "weight", "components", "factor", "decompose"],
     )
     def test_budget_is_the_estimate(self, capsys, k39_path, argv, cost):
         argv = [a.format(graph=k39_path) for a in argv]
@@ -612,6 +630,28 @@ def test_tree_verify_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, l, radius
             ["--budget", str(budget), "tree", "verify", "--l", str(l), "--radius", str(radius)]
         )
     assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:")
+
+
+# split at h = 0 mod 3: (1 - T)(1 - 3T), and the degree 8 series of _LOCAL_DIGESTS
+_SLOPE_POLYS = st.sampled_from(
+    ["1,-4,3", "1,-63,1310,-5742,-137223,1566945,-213192,-55581876,180033840"]
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SLOPE_POLYS, _ARGV_INT,
+       st.one_of(st.integers(-3, 30), st.integers(-(10**7), 10**7)))
+def test_slope_factor_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, poly, p, precision):
+    with deadline(5):
+        code, err = _run_quietly(
+            ["slope", "factor", f"--poly={poly}", "--p", str(p), "--h", "0",
+             "--precision", str(precision)]
+        )
+    assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         assert err.splitlines()[-1].startswith("error:")

@@ -1,12 +1,10 @@
-import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from u3local import cosets, linalg
+from u3local import cosets
 from u3local.linalg import (
     QQ,
     Matrix,
@@ -461,19 +459,6 @@ def _near_2_40(max_m=3, max_n=5):
     )
 
 
-def _prime_source(used, primes=None):
-    """A stand-in for ``linalg._word_primes`` that records every prime it hands
-    out: the given primes only, or else the real ones."""
-    real = linalg._word_primes
-
-    def source():
-        for p in real() if primes is None else primes:
-            used.append(p)
-            yield p
-
-    return source
-
-
 def _composite_graph(which):
     if which == "K39":
         return cosets.complete_biregular(2)
@@ -483,9 +468,9 @@ def _composite_graph(which):
 
 
 class TestModularRoute:
-    """Integer matrices over QQ go through F_p; the results must equal the
-    Fraction oracles in value (the lift gives ints where the QQ rref may leave
-    an integral Fraction)."""
+    """Integer matrices over QQ: the rref kernel and the char poly, which goes
+    by way of F_p, must equal the Fraction oracles in value (the QQ rref may
+    leave an integral Fraction where the oracle has an int)."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -501,56 +486,13 @@ class TestModularRoute:
     @example(rows=[[2**40 + 1, 2**40 + 3, -(2**40)]])
     @given(_near_2_40())
     def test_kernel_with_entries_near_2_40(self, rows):
-        used = []
-        with mock.patch.object(linalg, "_word_primes", _prime_source(used)):
-            kernel = Matrix(rows).kernel_basis()
-        want = fraction_kernel(rows)
-        assert kernel == want
-        height = max(max(abs(x.numerator), x.denominator) for v in want for x in v)
-        if height > 2**31:  # one 61-bit prime reconstructs heights up to about 2^30
-            assert len(used) > 1
+        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
 
     @settings(max_examples=10, deadline=None)
     @given(st.one_of(st.sampled_from(["K39", "K39+K39"]), st.integers(1, 16)))
     def test_kernel_of_the_level_composite(self, which):
         rows = cosets.level_matrix(_composite_graph(which)).composite.rows
         assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
-
-    @staticmethod
-    def _rref_fields(monkeypatch):
-        """The field of every ``Matrix.rref`` call from here on."""
-        fields, rref = [], Matrix.rref
-        monkeypatch.setattr(Matrix, "rref", lambda m: fields.append(m.field) or rref(m))
-        return fields
-
-    def test_certificate_rejects_an_unlucky_first_prime(self, monkeypatch):
-        # mod 3 the matrix has rank 1 and the kernel vector (1, 0), which M sends to (3, 0)
-        used, fields = [], self._rref_fields(monkeypatch)
-        primes = itertools.chain([3], linalg._word_primes())
-        monkeypatch.setattr(linalg, "_word_primes", _prime_source(used, primes))
-        rows = [[3, 0], [0, 1]]
-        assert Matrix(rows).kernel_basis() == fraction_kernel(rows) == []
-        assert used[0] == 3 and len(used) == 2
-        assert all(f.characteristic for f in fields)  # no QQ fallback
-
-    def test_a_prime_with_later_pivots_is_skipped(self, monkeypatch):
-        # the kernel entries have height about 2^41, so two good primes are needed;
-        # mod 3 the first column vanishes and the pivot moves right
-        used, fields = [], self._rref_fields(monkeypatch)
-        real = linalg._word_primes()
-        primes = itertools.chain([next(real), 3], real)
-        monkeypatch.setattr(linalg, "_word_primes", _prime_source(used, primes))
-        rows = [[3 * 2**40, 2**40 + 1, 7]]
-        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
-        assert used[1] == 3 and len(used) == 3
-        assert all(f.characteristic for f in fields)
-
-    @pytest.mark.parametrize("rows", [[[6, 0], [0, 1]], [[6, 12, 0], [0, 0, 1]]])
-    def test_fraction_fallback_when_the_primes_run_out(self, monkeypatch, rows):
-        used, fields = [], self._rref_fields(monkeypatch)
-        monkeypatch.setattr(linalg, "_word_primes", _prime_source(used, [2, 3]))
-        assert Matrix(rows).kernel_basis() == fraction_kernel(rows)
-        assert used == [2, 3] and fields[-1] is QQ
 
     @settings(max_examples=60, deadline=None)
     @given(_square(max_n=6, lo=-(10**6), hi=10**6))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from u3local.scalars import (
     INF,
+    MILLER_RABIN_BOUND,
     PAdicScalar,
     PrecisionLossError,
     is_prime,
@@ -20,6 +21,19 @@ def test_is_prime_small():
     assert [n for n in range(2, 50) if is_prime(n)] == primes
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     assert is_prime(2**31 - 1)
+
+
+def test_is_prime_refuses_past_the_miller_rabin_bound():
+    # 399165290221 * 798330580441: a strong pseudoprime to every base 2, ..., 37
+    n = MILLER_RABIN_BOUND
+    assert n == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(n)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(2**89 - 1)
+    # below the bound the bases decide, and a small factor decides at any size
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**89 + 1) and not is_prime(3**41)
 
 
 def test_padic_valuation_examples():
