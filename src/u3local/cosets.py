@@ -49,7 +49,11 @@ class CosetGraph:
     """Biregular bipartite multigraph with V0-degrees l^3+1 and V1-degrees l+1."""
 
     def __init__(self, l: int, n0: int, n1: int, edges: list[tuple[int, int]]):
-        if not is_prime(l):
+        try:
+            prime = is_prime(l)
+        except ValueError as exc:  # past the bound where Miller-Rabin decides
+            raise GraphFormatError(str(exc)) from exc
+        if not prime:
             raise GraphFormatError(f"l={l} is not prime")
         if n0 < 0 or n1 < 0:
             raise GraphFormatError(f"vertex counts must be nonnegative, got v0 {n0} and v1 {n1}")

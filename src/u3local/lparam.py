@@ -63,7 +63,7 @@ def solution_space(phi: Matrix, l) -> list[Matrix]:
         raise ValueError("phi must be square")
     if phi.det() == 0:
         raise ValueError("phi must be invertible")
-    l = Fraction(l)
+    l = QQ.exact(Fraction(l))  # an int l keeps an int phi's system on ints
     n = phi.nrows
     # phi N - l N phi = 0, row by row in the entries of N
     rows = []

@@ -7,10 +7,14 @@ p reads off the valuations of the eigenvalues of U (one slope per eigenvalue,
 counted with multiplicity).  For a slope bound h the series factors as
 P = Q S with Q collecting exactly the reciprocal roots of valuation <= h,
 computed by a quadratically convergent Hensel/Newton iteration started from
-the polygon truncation.  When the true factor has rational coefficients of
-moderate height the iteration is snapped to it by rational reconstruction and
-everything downstream is exact; otherwise the factors are reported modulo
-p^precision.
+the polygon truncation.  For p-integral P the iterates are ints reduced mod
+p^work, work = precision + RECONSTRUCTION_MARGIN, and each Newton linearization
+is solved on ints over Z/p^work with unit pivots; a step whose system has no
+unit pivot (its determinant is divisible by p), or that meets a Fraction
+coefficient, solves over QQ instead.  When the true factor has rational
+coefficients of moderate height the iteration is snapped to it by rational
+reconstruction and everything downstream is exact; otherwise the factors are
+reported modulo p^precision.
 
 The decomposition splits the ambient space into ker Qt(U) and its polynomial
 complement, where Qt(T) = T^m Q(1/T); the projector comes from a Bezout
@@ -183,7 +187,7 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
         else:
             best = ev
             stall = 0
-        dq, ds = _newton_step(Q, S, E, m, d)
+        dq, ds = _newton_step(Q, S, E, m, d, p, work)
         Q, S = Q + dq, S + ds
         if integral:  # a non-integral iterate is left untouched
             Q = _residues(Q, p, work) or Q
@@ -198,29 +202,69 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     Qa = _residues(Q, p, precision) or Q
     Sa = _residues(S, p, precision) or S
     fact = SlopeFactorization(Qa, Sa, h, m, p, precision, exact=False)
+    if fact.residual_valuation(P) < precision and (Qa is Q or Sa is S):
+        # reducing only one factor of a non-integral pair costs the residual the
+        # valuation of the other; the unreduced pair keeps it
+        fact = SlopeFactorization(Q, S, h, m, p, precision, exact=False)
     if fact.residual_valuation(P) < precision:
         raise SlopePrecisionError("could not certify the factorization mod p^precision")
     _validate_split(fact, p, h, integral)
     return fact
 
 
-def _newton_step(Q, S, E, m, d):
-    """Solve S dq + Q ds = E with dq(0) = ds(0) = 0, deg dq <= m, deg ds <= d-m."""
+def _newton_step(Q, S, E, m, d, p, work):
+    """Solve S dq + Q ds = E with dq(0) = ds(0) = 0, deg dq <= m, deg ds <= d-m.
+
+    On int coefficients the system is solved mod p^work, which gives the
+    residues of the rational solution whenever its determinant is a p-adic
+    unit; a system with no unit pivot, or with a Fraction coefficient (as every
+    non-integral P has), is solved over QQ.
+    """
     # column b of each block holds the coefficients of S T^b (or Q T^b) in
     # degrees 1..d, that is S[j - b] in row j
-    mat = Matrix(
-        [
-            [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
-            for j in range(1, d + 1)
-        ]
-    )
+    rows = [
+        [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
+        for j in range(1, d + 1)
+    ]
     rhs = [E[j] for j in range(1, d + 1)]
-    sol = mat.solve(rhs)
+    sol = None
+    if all(type(c) is int for f in (Q, S, E) for c in f.coeffs):
+        sol = _solve_mod_prime_power(rows, rhs, p, work)
+    if sol is None:
+        sol = Matrix(rows).solve(rhs)
     if sol is None:
         raise SlopePrecisionError("linearized system is singular; factors not coprime")
     dq = Poly([0] + list(sol[:m]))
     ds = Poly([0] + list(sol[m:]))
     return dq, ds
+
+
+def _solve_mod_prime_power(rows, rhs, p: int, k: int) -> list[int] | None:
+    """The solution of the square int system rows x = rhs modulo p^k, as ints
+    in [0, p^k); None when some column has no unit pivot, that is when the
+    determinant is divisible by p.
+
+    Gauss-Jordan over Z/p^k: each pivot is a p-adic unit, inverted mod p^k.  A
+    unit determinant makes the rational solution p-integral, and its residues
+    are the unique solution mod p^k, so the two routes agree.
+    """
+    q = p**k
+    n = len(rows)
+    a = [[x % q for x in row] + [b % q] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] % p), None)
+        if pr is None:
+            return None
+        a[c], a[pr] = a[pr], a[c]
+        inv = pow(a[c][c], -1, q)
+        # columns left of c are zero outside their pivot rows
+        pivot = [x * inv % q for x in a[c][c:]]
+        a[c][c:] = pivot
+        for i in range(n):
+            f = a[i][c]
+            if f and i != c:
+                a[i][c:] = [(x - f * y) % q for x, y in zip(a[i][c:], pivot)]
+    return [row[n] for row in a]
 
 
 def _residues(f: Poly, p: int, k: int) -> Poly | None:

@@ -657,6 +657,54 @@ def test_slope_factor_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, poly, p,
         assert err.splitlines()[-1].startswith("error:")
 
 
+# a split of each prime's benchmark kind: diag(1, 3) and a 6x6 seeded at p = 2
+_DECOMPOSE_ENTRIES = st.sampled_from(
+    ["1,0;0,3",
+     "-28,0,0,-40,80,0;0,-1,0,0,0,0;0,0,5,0,0,0;-168,0,0,-148,324,0;-84,0,0,-80,174,0;0,0,0,0,0,-4"]
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_DECOMPOSE_ENTRIES, _ARGV_INT,
+       st.one_of(st.integers(-3, 30), st.integers(-(10**7), 10**7)))
+def test_slope_decompose_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, entries, p, precision):
+    with deadline(5):
+        code, err = _run_quietly(
+            ["slope", "decompose", f"--entries={entries}", "--p", str(p), "--h", "0",
+             "--precision", str(precision)]
+        )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:")
+
+
+# --diag tokens: powers of l with small, huge and negative exponents, plain
+# rationals, zero and malformed powers; at most six entries keep the
+# solution space's 0/1 walk at 2^9 combinations
+_DIAG_TOKEN = st.one_of(
+    st.sampled_from(["1", "l", "l^0", "l^2", "l^-1", "-1", "2/3", "0", "1e3", "l^", "l^x", "l^2^3"]),
+    st.integers(-(2**70), 2**70).map(lambda k: f"l^{k}"),
+    st.integers(-8, 8).map(lambda k: f"l^{k}"),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ARGV_INT, st.lists(_DIAG_TOKEN, min_size=1, max_size=6),
+       st.one_of(st.none(), st.integers(-1, 10**7)))
+def test_moduli_components_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, l, tokens, budget):
+    argv = [] if budget is None else ["--budget", str(budget)]
+    argv += ["moduli", "components", f"--diag={','.join(tokens)}", "--l", str(l)]
+    with deadline(5):
+        code, err = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:")
+
+
 class TestSatakeCommands:
     def test_classify(self, capsys):
         code, doc = run_json(capsys, "satake", "classify", "--alpha", "4", "--l", "2")
@@ -718,6 +766,17 @@ class TestSlopeCommands:
         )
         assert code == 0 and doc["passed"]
         assert doc["results"]["Q"] == ["1", "-1"]
+
+    def test_factor_certifies_a_non_integral_low_factor(self, capsys):
+        # Q is not 3-integral and S is: reducing S alone would cost the
+        # residual v_3(Q), so the unreduced pair is what gets certified
+        code, doc = run_json(
+            capsys, "slope", "factor", "--poly=1,1/3,2", "--p", "3", "--h", "-1"
+        )
+        assert code == 0 and doc["passed"]
+        (check,) = doc["assertions"]
+        assert check["name"] == "product_matches" and check["passed"]
+        assert check["detail"] == "62"
 
     def test_decompose(self, capsys):
         code, doc = run_json(
@@ -804,6 +863,11 @@ _LOCAL_DIGESTS = [
      "bac166dc828d673500067af768835e9d25bae0c3adfd79d40a8ab930de55634e"),
     (["tree", "verify", "--l", "5", "--radius", "2"], 0,
      "225b64a2436ead64ddab7463150cfa5645eff4c5bc0ea3fe99dcc574b19ba13d"),
+    # eigenvalues 1, 3, 9 at h = 1: the Newton systems have no unit pivot, so
+    # every step solves over QQ; recorded from the implementation whose every
+    # step solved over QQ
+    (["slope", "factor", "--poly=1,-13,39,-27", "--p", "3", "--h", "1"], 0,
+     "2cddf7308595da3b2bccb6d6554dbd342a31a6daf73a3b3c18dbe74a11febc72"),
 ]
 
 

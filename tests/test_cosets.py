@@ -194,6 +194,12 @@ class TestLoadGraph:
         with pytest.raises(ValueError):
             CosetGraph(4, 1, 13, [(0, w) for w in range(13) for _ in range(5)])
 
+    def test_undecidable_l_is_a_format_error(self):
+        # a strong pseudoprime to the bases 2..37, past the bound where
+        # Miller-Rabin on them decides: the loader's own error, not is_prime's
+        with pytest.raises(GraphFormatError, match="cannot decide"):
+            load_graph("coset-graph l=318665857834031151167461\nv0 0\nv1 0\n")
+
 
 class TestRaisingLowering:
     def test_map_i_constant(self, k39):

@@ -77,6 +77,14 @@ class TestSolutionSpace:
         phi = g @ diag(2, 1) @ g.inverse()
         assert len(solution_space(phi, 2)) == 1
 
+    def test_int_diagonal_stays_on_ints(self):
+        s = Matrix([[9, 0, 0], [0, 3, 0], [0, 0, 1]])
+        basis = solution_space(s, 3)
+        assert len(basis) == 2
+        assert all(type(x) is int for b in basis for row in b.rows for x in row)
+        assert solution_space(s, Fraction(3)) == basis
+        assert solution_space(diag(9, 3, 1), Fraction(3)) == basis
+
 
 class TestJordan:
     def test_zero(self):

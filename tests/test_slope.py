@@ -10,6 +10,7 @@ from u3local.scalars import INF, PAdicScalar, padic_valuation
 from u3local.slope import (
     NoBreakError,
     _invertible_on,
+    _solve_mod_prime_power,
     _stable_under,
     SlopePrecisionError,
     fredholm_series,
@@ -190,6 +191,62 @@ class TestSlopeFactorization:
         assert fact.Q == P and fact.S == Poly.one()
         fact0 = slope_factorization(P, 0, 3)
         assert fact0.Q == Poly.one() and fact0.S == P
+
+
+def _counting_solve(monkeypatch):
+    """Patch Matrix.solve to count its calls; returns the list of calls."""
+    calls = []
+    original = Matrix.solve
+    monkeypatch.setattr(Matrix, "solve", lambda self, b: calls.append(b) or original(self, b))
+    return calls
+
+
+class TestNewtonStepRoute:
+    """The Newton step solves on ints mod p^work when it can, over QQ otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(1, 30),
+        st.integers(1, 8).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.lists(st.integers(-60, 60), min_size=d, max_size=d),
+                         min_size=d, max_size=d),
+                st.lists(st.integers(-(10**20), 10**20), min_size=d, max_size=d),
+            )
+        ),
+    )
+    @example(3, 5, ([[1, 3], [3, 9]], [1, 2]))  # det 0
+    @example(3, 5, ([[1, 1], [1, 4]], [0, 1]))  # det 3: invertible over QQ only
+    def test_matches_the_residues_of_the_rational_solution(self, p, k, system):
+        rows, rhs = system
+        got = _solve_mod_prime_power(rows, rhs, p, k)
+        det = Matrix(rows).det()
+        if det % p == 0:
+            assert got is None
+            return
+        q = p**k
+        want = [Fraction(x).numerator * pow(Fraction(x).denominator, -1, q) % q
+                for x in Matrix(rows).solve(rhs)]
+        assert got == want
+
+    def test_degree_8_split_never_solves_over_qq(self, monkeypatch):
+        # the heaviest slope factor of the local workload: every Newton system
+        # has a unit determinant
+        P = Poly([1, -63, 1310, -5742, -137223, 1566945, -213192, -55581876, 180033840])
+        calls = _counting_solve(monkeypatch)
+        fact = slope_factorization(P, 0, 3)
+        assert fact.exact and fact.Q * fact.S == P
+        assert calls == []
+
+    def test_non_unit_resultant_falls_back_to_qq(self, monkeypatch):
+        # eigenvalues 1, 3, 9 at h = 1: the factors' resultant has v_3 = 1
+        P = Poly([1, -1]) * Poly([1, -3]) * Poly([1, -9])
+        calls = _counting_solve(monkeypatch)
+        fact = slope_factorization(P, 1, 3)
+        assert calls
+        assert fact.exact
+        assert fact.Q == Poly([1, -1]) * Poly([1, -3]) and fact.S == Poly([1, -9])
 
 
 class TestRationalReconstruction:
