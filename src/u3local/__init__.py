@@ -1,12 +1,12 @@
 """Exact finite models for rank-one unitary Hecke theory.
 
 Everything in this package computes over exact coefficients (arbitrary
-precision rationals, prime fields, or fixed-precision p-adic scalars), so
+precision rationals or prime fields), so
 every identity it checks is checked on the nose, never up to rounding.
 
 Submodules:
 
-- ``scalars``   exact rationals, primality, p-adic valuations and scalars
+- ``scalars``   exact rationals, primality, p-adic valuations
 - ``linalg``    dense exact matrices: kernels, determinants, char polys, SNF
 - ``poly``      dense polynomials over the rationals
 - ``tree``      balls in the (l^3+1, l+1)-biregular tree and its Hecke identities

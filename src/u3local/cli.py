@@ -175,12 +175,18 @@ def _within_decimal_budget(tokens, budget: int):
 
 def parse_diag(spec: str, l: int, budget: int):
     """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2.
-    Powers of l and of ten whose bits would pass ``budget`` are refused before
-    any is formed."""
+
+    The determinant and the solution space divide numbers as large as the
+    product of the n entries, by long division, on up to n^2 rows, so the
+    estimate is n^2 times the square of the 64-bit words those entries hold
+    (powers of l, powers of ten and digits).  It is checked before any power
+    is formed."""
     tokens = [tok.strip() for tok in spec.split(",")]
+    plain = [tok for tok in tokens if not tok.startswith("l^")]
     bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()
-    bits += _exponent_bits(tokens)
-    _within_budget(bits, budget, f"--diag powers of {bits} bits")
+    bits += _exponent_bits(plain) + _digit_bits(plain)
+    words = -(-bits // 64)
+    _within_budget(len(tokens) ** 2 * words**2, budget, f"--diag entries of {bits} bits")
     entries = []
     for tok in tokens:
         if tok.startswith("l^"):

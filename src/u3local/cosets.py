@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .linalg import (
     Matrix,
     PrimeField,
-    QQ,
     int_matrix_det,
     lattice_basis,
     lattice_contains,  # unused here: perfbench/tracer.py patches cosets.lattice_contains

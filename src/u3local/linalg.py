@@ -276,10 +276,6 @@ class Matrix:
         free columns."""
         return self.row_space_and_kernel()[1]
 
-    def column_space_basis(self):
-        """Basis of the column space, as lists (vectors in the row-count space)."""
-        return self.transpose().row_space_and_kernel()[0]
-
     def solve(self, b):
         """One solution of M x = b, or None if inconsistent."""
         if len(b) != self.nrows:

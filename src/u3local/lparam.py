@@ -20,39 +20,6 @@ class NoWitnessError(ValueError):
     """The integer weight system for a degeneration witness is inconsistent."""
 
 
-def matrix_unit(n: int, i: int, j: int) -> Matrix:
-    return Matrix.from_support(n, n, {(i, j): 1})
-
-
-@dataclass
-class TameParameterPoint:
-    """A pair (phi, N) over the rationals with scale factor l."""
-
-    phi: Matrix
-    N: Matrix
-    l: Fraction
-
-    def __post_init__(self):
-        self.l = Fraction(self.l)
-        if not (self.phi.is_square() and self.N.is_square()):
-            raise ValueError("phi and N must be square")
-        if self.phi.shape != self.N.shape:
-            raise ValueError("phi and N must have the same size")
-
-
-def verify_point(pt: TameParameterPoint) -> bool:
-    """Check Ad(phi) N = l N and nilpotency of N, exactly."""
-    n = pt.N.nrows
-    if pt.phi.det() == 0:
-        return False
-    if pt.phi @ pt.N != (pt.N @ pt.phi).scale(pt.l):
-        return False
-    power = pt.N
-    for _ in range(n - 1):
-        power = power @ pt.N
-    return power == Matrix.zeros(n, n)
-
-
 def solution_space(phi: Matrix, l) -> list[Matrix]:
     """Basis of {N : phi N phi^(-1) = l N} as matrices.
 
@@ -118,29 +85,6 @@ def partitions_of(n: int):
                 yield (first,) + tail
 
     yield from rec(n, n)
-
-
-def jordan_representative(partition: tuple[int, ...]) -> Matrix:
-    """Block nilpotent matrix in Jordan form with the given block sizes."""
-    support = {}
-    offset = 0
-    for part in partition:
-        for i in range(offset, offset + part - 1):
-            support[i, i + 1] = 1
-        offset += part
-    return Matrix.from_support(offset, offset, support)
-
-
-def nilpotent_orbits(n: int) -> list[tuple[tuple[int, ...], Matrix]]:
-    """All nilpotent orbit labels for n x n matrices, with representatives."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for part in partitions_of(n):
-        rep = jordan_representative(part)
-        assert jordan_partition(rep) == part
-        out.append((part, rep))
-    return out
 
 
 def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:

@@ -1,7 +1,7 @@
-"""Exact scalar arithmetic: rationals, primality, p-adic valuations and scalars.
+"""Exact scalar arithmetic: rationals, primality and p-adic valuations.
 
 The rational type is the standard library ``fractions.Fraction`` (always
-stored reduced, positive denominator), re-exported as ``Rat``.  Prime-field
+stored reduced, positive denominator).  Prime-field
 elements are plain ints in [0, p), handled by ``linalg.PrimeField``; this
 module holds everything valuation-flavoured.
 """
@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rat = Fraction
-
 INF = math.inf  # valuation of zero
-
-
-class PrecisionLossError(ArithmeticError):
-    """Raised when a p-adic operation cannot certify a single digit of its result."""
 
 
 # the least strong pseudoprime to the twelve prime bases 2, ..., 37
@@ -95,121 +89,3 @@ def rational_mod_prime_power(x: Fraction, p: int, k: int) -> int:
         raise ValueError(f"{x} is not p-integral at p={p}")
     return x.numerator * pow(den, -1, q) % q
 
-
-class PAdicScalar:
-    """A p-adic number known to finite precision: x = p^v * u with u a unit mod p^prec.
-
-    Exact zero is carried as a distinguished marker (valuation INF).  Any
-    operation that would consume every known digit raises
-    PrecisionLossError instead of returning unflagged garbage.
-    """
-
-    __slots__ = ("p", "v", "unit", "prec")
-
-    def __init__(self, p: int, v, unit: int, prec: int):
-        require_prime(p)
-        if prec < 1:
-            raise ValueError("precision must be >= 1")
-        self.p = p
-        self.prec = prec
-        if v is INF:
-            self.v = INF
-            self.unit = 0
-            return
-        unit %= p**prec
-        if unit % p == 0:
-            raise ValueError("unit part must be invertible mod p")
-        self.v = int(v)
-        self.unit = unit
-
-    @classmethod
-    def zero(cls, p: int, prec: int = 20) -> "PAdicScalar":
-        return cls(p, INF, 0, prec)
-
-    @classmethod
-    def from_rational(cls, x, p: int, prec: int = 20) -> "PAdicScalar":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(p, prec)
-        v = padic_valuation(x, p)
-        unit_rat = x / Fraction(p) ** v
-        return cls(p, v, rational_mod_prime_power(unit_rat, p, prec), prec)
-
-    def is_zero(self) -> bool:
-        return self.v is INF
-
-    def rational_representative(self) -> Fraction:
-        """The canonical lift p^v * unit; exact zero lifts to 0."""
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.p) ** self.v * self.unit
-
-    def _check_compatible(self, other: "PAdicScalar") -> None:
-        if not isinstance(other, PAdicScalar):
-            raise TypeError("expected a PAdicScalar")
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        prec = min(self.prec, other.prec)
-        if self.is_zero() or other.is_zero():
-            return PAdicScalar.zero(self.p, prec)
-        return PAdicScalar(self.p, self.v + other.v, self.unit * other.unit, prec)
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.is_zero() and other.is_zero():
-            return PAdicScalar.zero(self.p, min(self.prec, other.prec))
-        if self.is_zero():
-            return PAdicScalar(other.p, other.v, other.unit, min(self.prec + other.v, other.prec))
-        if other.is_zero():
-            return PAdicScalar(self.p, self.v, self.unit, min(other.prec + self.v, self.prec))
-        p = self.p
-        # absolute precision of each term, then of the sum
-        abs_prec = min(self.v + self.prec, other.v + other.prec)
-        vm = min(self.v, other.v)
-        digits = abs_prec - vm
-        mod = p**digits
-        s = (self.unit * p ** (self.v - vm) + other.unit * p ** (other.v - vm)) % mod
-        if s == 0:
-            raise PrecisionLossError(
-                f"sum is 0 mod {p}^{digits}: no digit of the result is certified"
-            )
-        w = int_valuation(s, p)
-        rel = digits - w
-        if rel < 1:
-            raise PrecisionLossError("cancellation consumed all known digits")
-        return PAdicScalar(p, vm + w, (s // p**w) % p**rel, rel)
-
-    def __neg__(self):
-        if self.is_zero():
-            return self
-        return PAdicScalar(self.p, self.v, -self.unit, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def inverse(self) -> "PAdicScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("exact zero has no inverse")
-        q = self.p**self.prec
-        return PAdicScalar(self.p, -self.v, pow(self.unit, -1, q), self.prec)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def congruent(self, other: "PAdicScalar") -> bool:
-        """Equality to the precision both sides carry."""
-        self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if self.v != other.v:
-            return False
-        k = min(self.prec, other.prec)
-        return (self.unit - other.unit) % self.p**k == 0
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"PAdicScalar(p={self.p}, 0)"
-        return f"PAdicScalar(p={self.p}, {self.unit}*{self.p}^{self.v} + O({self.p}^{self.v + self.prec}))"

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .linalg import Matrix, rational_reconstruction
 from .poly import Poly, xgcd
-from .scalars import INF, PAdicScalar, PrecisionLossError, padic_valuation, require_prime
+from .scalars import INF, padic_valuation, require_prime
 
 
 class NoBreakError(ValueError):
@@ -55,28 +55,6 @@ def fredholm_series(U: Matrix) -> Poly:
     p = Poly(U.char_poly()).reverse(U.nrows)
     assert p(0) == 1
     return p
-
-
-def padic_matrix(entries: list[list[PAdicScalar]]) -> tuple[Matrix, int, int]:
-    """Lift a matrix of p-adic scalars to rational representatives.
-
-    Returns (matrix, p, precision); signals precision exhaustion if negative
-    entry valuations eat the whole working precision of the series
-    coefficients.
-    """
-    flat = [x for row in entries for x in row]
-    if not flat:
-        raise ValueError("empty matrix")
-    p = flat[0].p
-    prec = min(x.prec for x in flat)
-    n = len(entries)
-    vmin = min((x.v for x in flat if not x.is_zero()), default=0)
-    if vmin < 0 and n * vmin + prec <= 0:
-        raise PrecisionLossError(
-            "entry valuations are too negative for the declared precision"
-        )
-    rows = [[x.rational_representative() for x in row] for row in entries]
-    return Matrix(rows), p, prec
 
 
 @dataclass

@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .scalars import require_prime
 
@@ -29,10 +27,6 @@ DEFAULT_VERTEX_BUDGET = 2_000_000
 
 class BallSizeError(ValueError):
     """The requested ball exceeds the vertex budget."""
-
-
-class BoundaryError(ValueError):
-    """An operator was applied to a function supported too close to the boundary."""
 
 
 class TreeBall:
@@ -116,98 +110,6 @@ def _shell_counts(l: int, radius: int):
         else:
             count *= l
         yield count
-
-
-@dataclass
-class VertexFunction:
-    """Finitely supported exact-valued function on one stratum of the ball.
-
-    Values are ints or Fractions and are kept as given, so integer input stays
-    integer and Fraction input stays exact; zeros are dropped from the support.
-    The operators refuse any other value type, such as a float.
-    """
-
-    kind: str
-    values: dict[int, int | Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in (HYPERSPECIAL, SPECIAL, "edge"):
-            raise ValueError(f"unknown stratum {self.kind!r}")
-        self.values = {v: c for v, c in self.values.items() if c != 0}
-
-    @classmethod
-    def delta(cls, ball: TreeBall, v: int) -> "VertexFunction":
-        return cls(ball.kind(v), {v: 1})
-
-    def __call__(self, v: int) -> int | Fraction:
-        return self.values.get(v, 0)
-
-    def support(self):
-        return set(self.values)
-
-    def add_scaled(self, other: "VertexFunction", c) -> "VertexFunction":
-        if self.kind != other.kind:
-            raise ValueError("stratum mismatch")
-        vals = dict(self.values)
-        for v, x in other.values.items():
-            vals[v] = vals.get(v, 0) + c * x
-        return VertexFunction(self.kind, vals)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VertexFunction)
-            and self.kind == other.kind
-            and self.values == other.values
-        )
-
-
-def _check_support(f: VertexFunction, ball: TreeBall, kind: str, max_dist: int):
-    if f.kind != kind:
-        raise ValueError(f"expected a {kind} function, got {f.kind}")
-    for v, c in f.values.items():
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"value {c!r} at vertex {v} is not an int or a Fraction")
-        if not 0 <= v < ball.size:
-            raise ValueError(f"vertex {v} is not in the ball")
-        if ball.kind(v) != kind:
-            raise ValueError(f"vertex {v} is not {kind}")
-        if ball.dist[v] > max_dist:
-            raise BoundaryError(
-                f"support at distance {ball.dist[v]} > {max_dist}: values near the "
-                "boundary would be ill-defined"
-            )
-
-
-def _spread(f: VertexFunction, ball: TreeBall, src: str, dst: str, max_dist: int, around):
-    """The function on stratum dst whose value at each vertex is the sum of f over
-    the src vertices ``around`` it; f must be supported within max_dist."""
-    _check_support(f, ball, src, max_dist)
-    out: dict[int, int | Fraction] = {}
-    for v, c in f.values.items():
-        for w in around(v):
-            out[w] = out.get(w, 0) + c
-    return VertexFunction(dst, out)
-
-
-def vertex_op_A(f: VertexFunction, ball: TreeBall) -> VertexFunction:
-    """(Af)(w) = sum of f over the hyperspecial neighbours of each special w."""
-    return _spread(f, ball, HYPERSPECIAL, SPECIAL, ball.radius - 1, ball.neighbors)
-
-
-def vertex_op_B(g: VertexFunction, ball: TreeBall) -> VertexFunction:
-    """(Bg)(v) = sum of g over the special neighbours of each hyperspecial v."""
-    return _spread(g, ball, SPECIAL, HYPERSPECIAL, ball.radius - 1, ball.neighbors)
-
-
-def op_Tl(f: VertexFunction, ball: TreeBall) -> VertexFunction:
-    """Distance-2 walk operator: (Tf)(v) = sum of f over vertices at distance 2.
-
-    Works on either stratum; the classical degree count is l(l^3+1) around a
-    hyperspecial vertex and l^3(l+1) around a special one.
-    """
-    if f.kind not in (HYPERSPECIAL, SPECIAL):
-        raise ValueError("distance-2 operator acts on vertex functions")
-    return _spread(f, ball, f.kind, f.kind, ball.radius - 2, ball.distance_two)
 
 
 def _verify_walk_identity(ball: TreeBall, kind: str, degree: int) -> dict:

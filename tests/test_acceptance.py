@@ -293,6 +293,44 @@ def test_criterion_15_order_identity():
     record(15, f"n0 * prod q12 = (l+1)^(n1-n0+1) chi_T0'(lambda0) on {len(connected)} graphs", ok)
 
 
+def _reduced_laplacian(g):
+    """The Laplacian D - A of g on V0 + V1, edge multiplicities counted, without
+    its last row and column."""
+    n = g.n0 + g.n1
+    lap = [[0] * n for _ in range(n)]
+    for v, w in g.edges:
+        w += g.n0
+        lap[v][v] += 1
+        lap[w][w] += 1
+        lap[v][w] -= 1
+        lap[w][v] -= 1
+    return [row[:-1] for row in lap[:-1]]
+
+
+def _critical_group(rows):
+    return [d for d in snf_reduction(rows) if d != 1]
+
+
+def test_criterion_16_q12_is_the_critical_group():
+    # the cokernel of the reduced Laplacian is the critical group (Biggs,
+    # J. Algebraic Combin. 9, 1999), of order the number of spanning trees
+    connected = [g for g in (make() for make in GAMMA_GRAPHS.values()) if g.connected]
+    ok = all(
+        _critical_group(_reduced_laplacian(g)) == congruence_module(g)["q12_invariants"]
+        for g in connected
+    )
+    record(16, f"q12 is the critical group on {len(connected)} graphs", ok)
+
+
+def test_critical_group_sees_a_changed_laplacian():
+    g = complete_biregular(2)
+    rows = _reduced_laplacian(g)
+    assert _critical_group(rows) == congruence_module(g)["q12_invariants"]
+    # the reduced Laplacian is positive definite, so this raises its determinant
+    rows[0][0] += 1
+    assert _critical_group(rows) != congruence_module(g)["q12_invariants"]
+
+
 def test_order_identity_sees_a_changed_walk_operator():
     g = complete_biregular(2)
     t0 = walk_operator_v0(g)

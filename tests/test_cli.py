@@ -11,7 +11,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from u3local import analytic, cli, cosets, slope, tree
 from u3local.cli import main
@@ -347,12 +347,22 @@ class TestBudgetRefusals:
             ),
             pytest.param(
                 ["moduli", "components", "--diag", "l^100000000,1", "--l", "2"],
-                "200000000 bits", id="components-large-power",
+                "200000004 bits", id="components-large-power",
             ),
             pytest.param(
                 ["moduli", "witness", "--diag", "l^-100000000,1", "--l", "2",
                  "--nilpotent", "0,1"],
-                "200000000 bits", id="witness-large-negative-power",
+                "200000004 bits", id="witness-large-negative-power",
+            ),
+            # the determinant alone divided for about 5 s when the estimate was
+            # linear in the bits
+            pytest.param(
+                ["moduli", "components", "--diag=l^541175,1,1", "--l", "7"],
+                "1623533 bits", id="components-fuzz-power",
+            ),
+            pytest.param(
+                ["--budget", "10000000", "moduli", "components", "--diag=l^541175,1,1", "--l", "7"],
+                "1623533 bits", id="components-fuzz-power-budget-1e7",
             ),
             pytest.param(
                 ["moduli", "components", "--diag", "l,l,l,l,l,1,1,1,1", "--l", "2"],
@@ -403,11 +413,12 @@ class TestBudgetRefusals:
         capsys.readouterr()
 
     def test_diag_budget_is_the_estimate(self, capsys):
-        # |3| + |-2| exponents of l = 3, two bits each
-        argv = ["moduli", "components", "--diag", "l^3,l^-2,1", "--l", "3"]
-        assert main(["--budget", "9"] + argv) == 2
-        assert "budget" in capsys.readouterr().err
-        assert main(["--budget", "10"] + argv) == 0
+        # |100| + |-50| exponents of l = 3, two bits each, and the four bits of
+        # the digit 1: 304 bits in 5 words, so 3^2 entries times 5^2
+        argv = ["moduli", "components", "--diag", "l^100,l^-50,1", "--l", "3"]
+        assert main(["--budget", "224"] + argv) == 2
+        assert "304 bits" in capsys.readouterr().err
+        assert main(["--budget", "225"] + argv) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -694,6 +705,8 @@ _DIAG_TOKEN = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_ARGV_INT, st.lists(_DIAG_TOKEN, min_size=1, max_size=6),
        st.one_of(st.none(), st.integers(-1, 10**7)))
+@example(l=7, tokens=["l^541175", "1", "1"], budget=None)
+@example(l=7, tokens=["l^541175", "1", "1"], budget=10**7)
 def test_moduli_components_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, l, tokens, budget):
     argv = [] if budget is None else ["--budget", str(budget)]
     argv += ["moduli", "components", f"--diag={','.join(tokens)}", "--l", str(l)]

@@ -319,7 +319,7 @@ class TestOldNew:
     def test_one_row_reduction_same_bases(self, make, monkeypatch):
         g = make()
         inc = Matrix(g.incidence_rows())
-        want = (inc.column_space_basis(), inc.transpose().kernel_basis())
+        want = (inc.transpose().row_space_and_kernel()[0], inc.transpose().kernel_basis())
         calls = []
         original = Matrix.rref
         monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self) or original(self))

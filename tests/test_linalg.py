@@ -424,7 +424,7 @@ class TestPrimeFieldProperties:
         Mt = M.transpose()
         outputs = [M, M + M, M - M.scale(c), M.scale(c), M @ Mt, Mt @ M]
         outputs += [M.apply([c] * M.ncols), M.rref()[0], M.kernel_basis()]
-        outputs += [M.column_space_basis()]
+        outputs += [Mt.row_space_and_kernel()[0]]
         x = M.solve([c] * M.nrows)
         if x is not None:
             outputs.append(x)

@@ -8,23 +8,33 @@ from u3local.linalg import Matrix
 from u3local.lparam import (
     DegenerationWitness,
     NoWitnessError,
-    TameParameterPoint,
     components_through,
     degeneration_witness,
     dominates,
     is_degenerate_satake,
     jordan_partition,
-    jordan_representative,
-    matrix_unit,
-    nilpotent_orbits,
     partitions_of,
     pgl2_check,
     solution_space,
     stratum_witnesses,
-    verify_point,
 )
 
 from .oracles import jordan_type_by_ranks
+
+
+def matrix_unit(n: int, i: int, j: int) -> Matrix:
+    return Matrix.from_support(n, n, {(i, j): 1})
+
+
+def jordan_representative(partition: tuple[int, ...]) -> Matrix:
+    """Block nilpotent matrix in Jordan form with the given block sizes."""
+    support = {}
+    offset = 0
+    for part in partition:
+        for i in range(offset, offset + part - 1):
+            support[i, i + 1] = 1
+        offset += part
+    return Matrix.from_support(offset, offset, support)
 
 
 def diag(*entries):
@@ -102,10 +112,12 @@ class TestJordan:
             jordan_partition(Matrix.identity(2))
 
     def test_orbit_enumeration(self):
-        parts3 = {p for p, _ in nilpotent_orbits(3)}
-        assert parts3 == {(3,), (2, 1), (1, 1, 1)}
-        assert {p for p, _ in nilpotent_orbits(1)} == {(1,)}
-        assert len(nilpotent_orbits(4)) == 5
+        assert set(partitions_of(3)) == {(3,), (2, 1), (1, 1, 1)}
+        assert list(partitions_of(1)) == [(1,)]
+        assert len(list(partitions_of(4))) == 5
+        for n in range(1, 6):
+            for part in partitions_of(n):
+                assert jordan_partition(jordan_representative(part)) == part
 
     def test_invariant_under_conjugation(self):
         rng = random.Random(67)
@@ -305,25 +317,6 @@ class TestPgl2:
     def test_l_one_rejected(self):
         with pytest.raises(ValueError):
             pgl2_check(1)
-
-
-class TestVerifyPoint:
-    def test_valid(self):
-        pt = TameParameterPoint(diag(2, 1), matrix_unit(2, 0, 1), 2)
-        assert verify_point(pt)
-
-    def test_identity_phi_fails(self):
-        pt = TameParameterPoint(Matrix.identity(2), matrix_unit(2, 0, 1), 2)
-        assert not verify_point(pt)
-
-    def test_zero_always_valid(self):
-        pt = TameParameterPoint(diag(7, 5), Matrix.zeros(2, 2), 3)
-        assert verify_point(pt)
-
-    def test_non_nilpotent_fails(self):
-        m = Matrix([[0, 1], [0, 0]]) + Matrix.identity(2)
-        pt = TameParameterPoint(diag(2, 1), m, 2)
-        assert not verify_point(pt)
 
 
 def test_dominance_basics():

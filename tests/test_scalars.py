@@ -1,5 +1,3 @@
-import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +6,6 @@ from hypothesis import given, strategies as st
 from u3local.scalars import (
     INF,
     MILLER_RABIN_BOUND,
-    PAdicScalar,
-    PrecisionLossError,
     is_prime,
     padic_valuation,
     rational_mod_prime_power,
@@ -69,66 +65,3 @@ def test_rational_mod_prime_power():
     with pytest.raises(ValueError):
         rational_mod_prime_power(Fraction(1, 2), 2, 4)
 
-
-class TestPAdicScalar:
-    def test_roundtrip(self):
-        x = PAdicScalar.from_rational(Fraction(18), 3, 6)
-        assert x.v == 2 and x.unit == 2
-        assert x.rational_representative() == 18
-
-    def test_zero_marker(self):
-        z = PAdicScalar.zero(5)
-        assert z.is_zero()
-        assert (z * PAdicScalar.from_rational(7, 5)).is_zero()
-
-    def test_mul_adds_valuations(self):
-        random.seed(7)
-        for _ in range(60):
-            p = random.choice([2, 3, 5])
-            a = Fraction(random.randint(1, 500), random.randint(1, 500))
-            b = Fraction(random.randint(1, 500), random.randint(1, 500))
-            xa = PAdicScalar.from_rational(a, p)
-            xb = PAdicScalar.from_rational(b, p)
-            assert (xa * xb).v == padic_valuation(a, p) + padic_valuation(b, p)
-
-    def test_mul_associative_to_precision(self):
-        random.seed(11)
-        for _ in range(60):
-            p = random.choice([2, 3, 5])
-            xs = [
-                PAdicScalar.from_rational(
-                    Fraction(random.randint(1, 300), random.randint(1, 300)), p, 20
-                )
-                for _ in range(3)
-            ]
-            a, b, c = xs
-            assert ((a * b) * c).congruent(a * (b * c))
-
-    def test_add_respects_representatives(self):
-        a = PAdicScalar.from_rational(Fraction(5), 3, 8)
-        b = PAdicScalar.from_rational(Fraction(4), 3, 8)
-        assert (a + b).congruent(PAdicScalar.from_rational(9, 3, 8))
-
-    def test_add_precision_loss_signalled(self):
-        a = PAdicScalar.from_rational(7, 5, 4)
-        b = PAdicScalar.from_rational(-7, 5, 4)
-        with pytest.raises(PrecisionLossError):
-            a + b
-
-    def test_inverse(self):
-        x = PAdicScalar.from_rational(Fraction(3, 4), 5, 10)
-        y = x.inverse()
-        assert (x * y).congruent(PAdicScalar.from_rational(1, 5, 10))
-        assert y.v == -x.v
-
-    def test_unit_must_be_unit(self):
-        with pytest.raises(ValueError):
-            PAdicScalar(3, 0, 6, 4)
-
-    def test_sub_partial_cancellation_reduces_precision(self):
-        # 1 + 3^2*u  minus  1: digits below 3^2 cancel, valuation climbs to 2
-        a = PAdicScalar.from_rational(10, 3, 6)
-        b = PAdicScalar.from_rational(1, 3, 6)
-        d = a - b
-        assert d.v == 2 and d.prec == 4
-        assert d.rational_representative() == 9

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from u3local.linalg import Matrix, rational_reconstruction
 from u3local.poly import Poly
-from u3local.scalars import INF, PAdicScalar, padic_valuation
+from u3local.scalars import INF, padic_valuation
 from u3local.slope import (
     NoBreakError,
     _invertible_on,
@@ -15,7 +15,6 @@ from u3local.slope import (
     SlopePrecisionError,
     fredholm_series,
     newton_polygon,
-    padic_matrix,
     slope_decomposition,
     slope_factorization,
 )
@@ -69,23 +68,6 @@ class TestFredholm:
     @example([[1, 2], [2, 4]])
     def test_matches_interpolation_oracle(self, rows):
         assert list(fredholm_series(Matrix(rows)).coeffs) == fredholm_interpolation(rows)
-
-    def test_padic_entries(self):
-        entries = [
-            [PAdicScalar.from_rational(1, 3), PAdicScalar.zero(3)],
-            [PAdicScalar.zero(3), PAdicScalar.from_rational(3, 3)],
-        ]
-        U, p, prec = padic_matrix(entries)
-        assert p == 3 and prec == 20
-        assert fredholm_series(U) == Poly([1, -4, 3])
-
-    def test_padic_precision_exhaustion(self):
-        from u3local.scalars import PrecisionLossError
-
-        bad = PAdicScalar.from_rational(Fraction(1, 3**6), 3, 5)
-        entries = [[bad, bad], [bad, bad]]
-        with pytest.raises(PrecisionLossError):
-            padic_matrix(entries)
 
 
 class TestNewtonPolygon:
