@@ -176,11 +176,13 @@ def _within_decimal_budget(tokens, budget: int):
 def parse_diag(spec: str, l: int, budget: int):
     """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2.
 
-    The determinant and the solution space divide numbers as large as the
-    product of the n entries, by long division, on up to n^2 rows, so the
-    estimate is n^2 times the square of the 64-bit words those entries hold
-    (powers of l, powers of ten and digits).  It is checked before any power
-    is formed."""
+    The estimate is n^2 times the square of the 64-bit words the entries hold
+    (powers of l, powers of ten and digits): the cost of long divisions of
+    numbers as large as the product of the n entries on up to n^2 rows, as a
+    determinant of phi would do.  The solution space tests invertibility by a
+    rank and meets only differences phi_i - l phi_j, so the estimate is an
+    upper bound, kept so that no input it refused before now runs.  It is
+    checked before any power is formed."""
     tokens = [tok.strip() for tok in spec.split(",")]
     plain = [tok for tok in tokens if not tok.startswith("l^")]
     bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()

@@ -19,11 +19,13 @@ descending from 2^61 - 1 (found on first use, not at import), combined by CRT
 until the modulus passes a bound on the coefficients.
 
 The integer layer rests on one elimination, the Hermite normal form routine
-``lattice_basis``.  The Smith form alternates row and column Hermite forms and
-returns the invariant factors only (there are no transform matrices);
-saturation is the integer kernel of the integer kernel; membership and
-quotient coordinates come from back substitution on the Hermite pivots.
-Non-integral input raises rather than being truncated.
+``lattice_basis``.  The Smith form returns the invariant factors only (there
+are no transform matrices): a sparse pass eliminates the +-1 pivots, least
+fill-in first, and divides out common factors, and the Hermite forms of rows
+and columns alternate only on the block that pass leaves.  Saturation is the
+integer kernel of the integer kernel; membership and quotient coordinates
+come from back substitution on the Hermite pivots.  Non-integral input raises
+rather than being truncated.
 """
 
 from __future__ import annotations
@@ -491,18 +493,119 @@ def _as_int_rows(mat) -> list[list[int]]:
 def smith_normal_form(mat) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_min(m,n) of an integer matrix.
 
-    Alternates Hermite normal forms of the rows and of the columns until the
-    echelon basis is diagonal (Kannan-Bachem, SIAM J. Comput. 8, 1979).  Each
-    round's leading pivot divides the last one, and a round that keeps it
-    leaves its row and column clear, so the rounds end; ``lattice_basis``
-    keeps the entries reduced throughout.  The diagonal then gets its
-    divisibility chain from gcd/lcm exchanges, and zeros pad it to length
-    min(m, n).
+    A sparse pre-pass (``_unit_pivot_pass``) eliminates the +-1 pivots, least
+    fill-in first, and divides out the gcd of what is left whenever no unit
+    remains; only the small remainder goes to the Hermite forms.  Those
+    alternate between the rows and the columns until the echelon basis is
+    diagonal (Kannan-Bachem, SIAM J. Comput. 8, 1979).  Each round's leading
+    pivot divides the last one, and a round that keeps it leaves its row and
+    column clear, so the rounds end; ``lattice_basis`` keeps the entries
+    reduced throughout.  The diagonal then gets its divisibility chain from
+    gcd/lcm exchanges, and zeros pad the invariants to length min(m, n).
     """
     rows = _as_int_rows(mat)
     size = min(len(rows), len(rows[0])) if rows else 0
     if not size:
         return []
+    diag, scale, rows = _unit_pivot_pass(rows)
+    if rows:
+        diag += [scale * d for d in _hermite_diagonal(rows)]
+    return diag + [0] * (size - len(diag))
+
+
+def _unit_pivot_pass(rows):
+    """(invariants, scale, remainder) of the int rows: every +-1 pivot, chosen
+    least fill-in first, is eliminated, and when no unit is left the remaining
+    block is divided by the gcd of its entries, which multiplies the scale.
+
+    The Schur complement of a unit pivot has the invariants of the block less
+    one invariant 1, and a block divided by g has its invariants divided by g,
+    so the invariants are the scale at each pivot, then the scale times those
+    of the remainder (dense rows over the columns it still meets; none when
+    everything was eliminated).  The scale only grows by factors, so the
+    list keeps the divisibility chain.
+    """
+    sparse = {}  # row index -> {column: nonzero entry}
+    cols = {}  # column -> the row indices with a nonzero entry there
+    for i, r in enumerate(rows):
+        entries = {j: x for j, x in enumerate(r) if x}
+        if entries:
+            sparse[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    diag, scale = [], 1
+    while sparse:
+        pivot = _least_fill_unit(sparse, cols)
+        if pivot is None:
+            g = gcd(*(x for r in sparse.values() for x in r.values()))
+            if g == 1:
+                break
+            scale *= g
+            for r in sparse.values():
+                for j in r:
+                    r[j] //= g
+            continue
+        i, j = pivot
+        prow = sparse.pop(i)
+        u = prow.pop(j)  # +-1, its own inverse
+        for c in prow:
+            cols[c].discard(i)
+        cols[j].discard(i)
+        for k in cols.pop(j):
+            row = sparse[k]
+            f = row.pop(j) * u
+            for c, x in prow.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    if c not in row:
+                        cols[c].add(k)
+                    row[c] = y
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if not row:
+                del sparse[k]
+        diag.append(scale)
+    live = sorted(j for j, on in cols.items() if on)
+    return diag, scale, [[r.get(j, 0) for j in live] for r in sparse.values()]
+
+
+def _least_fill_unit(sparse, cols):
+    """The (row, column) of a +-1 entry with the least Markowitz count
+    (row entries - 1)(column entries - 1), the most fill-in its elimination
+    can cause; None when no entry is a unit.
+
+    A unit alone in its column costs nothing.  Every other unit lies in a
+    column of at least ``floor`` entries, so rows are visited shortest first
+    and the scan stops at the first row whose length rules out a better count.
+    """
+    floor = None  # the fewest entries of a column with two or more
+    for j, on in cols.items():
+        if len(on) == 1:
+            (i,) = on
+            if sparse[i][j] in (1, -1):
+                return i, j
+        elif len(on) > 1 and (floor is None or len(on) < floor):
+            floor = len(on)
+    if floor is None:
+        return None
+    best, best_cost = None, None
+    for i in sorted(sparse, key=lambda i: len(sparse[i])):
+        r = sparse[i]
+        rc = len(r) - 1
+        if best is not None and rc * (floor - 1) >= best_cost:
+            break
+        for j, x in r.items():
+            if x in (1, -1):
+                cost = rc * (len(cols[j]) - 1)
+                if best is None or cost < best_cost:
+                    best, best_cost = (i, j), cost
+    return best
+
+
+def _hermite_diagonal(rows) -> list[int]:
+    """The nonzero invariant factors of the int rows, from alternating row and
+    column Hermite forms and a gcd/lcm sweep of their diagonal."""
     width = len(rows[0])
     while True:
         rows = lattice_basis(rows, width)
@@ -514,7 +617,7 @@ def smith_normal_form(mat) -> list[int]:
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag + [0] * (size - len(diag))
+    return diag
 
 
 def _bezout(x: int, y: int) -> tuple[int, int]:

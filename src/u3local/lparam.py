@@ -28,7 +28,7 @@ def solution_space(phi: Matrix, l) -> list[Matrix]:
     """
     if not phi.is_square():
         raise ValueError("phi must be square")
-    if phi.det() == 0:
+    if phi.rank() < phi.nrows:  # one rref; a Bareiss det long-divides huge entries
         raise ValueError("phi must be invertible")
     l = QQ.exact(Fraction(l))  # an int l keeps an int phi's system on ints
     n = phi.nrows

@@ -9,8 +9,9 @@ alpha + 1/alpha, and it takes the two dictionary values
     alpha = l^2  ->  l(l^3+1)        (reducible: character + Steinberg)
     alpha = -l   ->  -(l^3+1)        (reducible: two unramified factors)
 
-The closed form is solved from those constraints at call time and is cross
-checked against explicit radial eigenfunctions on tree balls in the tests.
+The closed form is solved from those constraints on first use of each l, and
+is cross checked against explicit radial eigenfunctions on tree balls in the
+tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import Matrix
 from .scalars import padic_valuation, require_prime
@@ -57,8 +59,11 @@ class SatakeParam:
             raise ValueError("alpha must be nonzero")
 
 
+@lru_cache(maxsize=16)  # bounded: a process may meet many primes l
 def _dictionary_coefficients(l: int) -> tuple[Fraction, Fraction]:
-    """Solve c0 + c1*(a + 1/a) through the two dictionary points exactly."""
+    """Solve c0 + c1*(a + 1/a) through the two dictionary points exactly.  The
+    pairs of the last 16 primes l are kept, so repeated calls at one l solve
+    it once."""
     pts = [
         (Fraction(l) ** 2, Fraction(l * (l**3 + 1))),
         (Fraction(-l), Fraction(-(l**3 + 1))),
@@ -71,8 +76,8 @@ def _dictionary_coefficients(l: int) -> tuple[Fraction, Fraction]:
 def spherical_eigenvalue(s: SatakeParam) -> Fraction:
     """Walk eigenvalue as a function of the parameter; symmetric in alpha <-> 1/alpha.
 
-    Works out to (l-1) + l^2 (alpha + 1/alpha), but is recomputed from the two
-    dictionary constraints rather than hard-coded.
+    Works out to (l-1) + l^2 (alpha + 1/alpha), but is solved from the two
+    dictionary constraints (once per l) rather than hard-coded.
     """
     c0, c1 = _dictionary_coefficients(s.l)
     return c0 + c1 * (s.alpha + 1 / s.alpha)

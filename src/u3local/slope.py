@@ -7,11 +7,13 @@ p reads off the valuations of the eigenvalues of U (one slope per eigenvalue,
 counted with multiplicity).  For a slope bound h the series factors as
 P = Q S with Q collecting exactly the reciprocal roots of valuation <= h,
 computed by a quadratically convergent Hensel/Newton iteration started from
-the polygon truncation.  For p-integral P the iterates are ints reduced mod
-p^work, work = precision + RECONSTRUCTION_MARGIN, and each Newton linearization
-is solved on ints over Z/p^work with unit pivots; a step whose system has no
-unit pivot (its determinant is divisible by p), or that meets a Fraction
-coefficient, solves over QQ instead.  When the true factor has rational
+the polygon truncation.  For p-integral P (a denominator prime to p included)
+the iterates are ints reduced mod p^work, work = precision +
+RECONSTRUCTION_MARGIN, and each Newton linearization is solved on the residues
+of its coefficients over Z/p^work with unit pivots, while the error P - Q S is
+taken against P itself; a step whose system has no unit pivot (its
+determinant is divisible by p), and every step of a P that is not p-integral,
+solves over QQ instead.  When the true factor has rational
 coefficients of moderate height the iteration is snapped to it by rational
 reconstruction and everything downstream is exact; otherwise the factors are
 reported modulo p^precision.
@@ -193,22 +195,28 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
 def _newton_step(Q, S, E, m, d, p, work):
     """Solve S dq + Q ds = E with dq(0) = ds(0) = 0, deg dq <= m, deg ds <= d-m.
 
-    On int coefficients the system is solved mod p^work, which gives the
-    residues of the rational solution whenever its determinant is a p-adic
-    unit; a system with no unit pivot, or with a Fraction coefficient (as every
-    non-integral P has), is solved over QQ.
+    When every coefficient is p-integral the system is solved on their
+    residues mod p^work, which gives the residues of the rational solution
+    whenever its determinant is a p-adic unit; a system with no unit pivot, or
+    with a coefficient that is not p-integral (as every non-integral P has), is
+    solved over QQ on the coefficients themselves.
     """
-    # column b of each block holds the coefficients of S T^b (or Q T^b) in
-    # degrees 1..d, that is S[j - b] in row j
-    rows = [
-        [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
-        for j in range(1, d + 1)
-    ]
-    rhs = [E[j] for j in range(1, d + 1)]
+
+    def system(Q, S, E):
+        # column b of each block holds the coefficients of S T^b (or Q T^b) in
+        # degrees 1..d, that is S[j - b] in row j
+        rows = [
+            [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
+            for j in range(1, d + 1)
+        ]
+        return rows, [E[j] for j in range(1, d + 1)]
+
     sol = None
-    if all(type(c) is int for f in (Q, S, E) for c in f.coeffs):
-        sol = _solve_mod_prime_power(rows, rhs, p, work)
+    residues = [_residues(f, p, work) for f in (Q, S, E)]
+    if None not in residues:
+        sol = _solve_mod_prime_power(*system(*residues), p, work)
     if sol is None:
+        rows, rhs = system(Q, S, E)
         sol = Matrix(rows).solve(rhs)
     if sol is None:
         raise SlopePrecisionError("linearized system is singular; factors not coprime")

@@ -216,22 +216,39 @@ class TestGraphCommands:
         assert doc["results"]["torsion_invariants"] == [2]
         assert {"name": "gamma_chain_containments", "passed": False} in doc["assertions"]
 
-    @pytest.mark.parametrize("field", ["gamma2", "gamma1"])
-    def test_congruence_ends_on_a_broken_chain(self, capsys, k39_path, monkeypatch, field):
-        # containment is read off the quotient coordinates: doubling a lattice
-        # leaves a generator of the next smaller one outside it
-        original = cosets.gamma_chain
+    def test_congruence_fails_on_a_composite_of_raised_rank(self, capsys, k39_path, monkeypatch):
+        # q12 is finite only when rank C = rank inc; a composite of full rank
+        # breaks that, and the containment check must fail
+        original = cosets.CosetGraph.composite_rows
 
-        def doubled(g):
-            chain = original(g)
-            setattr(chain, field, [[2 * x for x in col] for col in getattr(chain, field)])
-            return chain
+        def raised(g):
+            rows = original(g)
+            # C is positive semidefinite and its kernel is spanned by the vector
+            # that is 1 on V0 and -1 on V1, so C + e0 e0^T is definite
+            rows[0][0] += 1
+            return rows
 
-        monkeypatch.setattr(cosets, "gamma_chain", doubled)
-        code = main(["graph", "congruence", k39_path])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err.startswith("error: second lattice does not lie inside the first: ")
+        monkeypatch.setattr(cosets.CosetGraph, "composite_rows", raised)
+        code, doc = run_json(capsys, "graph", "congruence", k39_path)
+        assert code == 1 and not doc["passed"]
+        ranks = doc["results"]["gamma_ranks"]
+        assert ranks["gamma2"] == ranks["gamma0"] == ranks["gamma1"] + 1
+        assert {"name": "gamma_chain_containments", "passed": False} in doc["assertions"]
+
+    def test_congruence_q12_sees_a_changed_composite_entry(self, capsys, k39_path, monkeypatch):
+        code, doc = run_json(capsys, "graph", "congruence", k39_path)
+        assert code == 0
+        q12 = doc["results"]["q12_invariants"]
+        original = cosets.CosetGraph.composite_rows
+
+        def changed(g):
+            rows = original(g)
+            rows[0][1] += 3  # a V0-V0 entry, 0 in the true composite
+            return rows
+
+        monkeypatch.setattr(cosets.CosetGraph, "composite_rows", changed)
+        _, doc = run_json(capsys, "graph", "congruence", k39_path)
+        assert doc["results"]["q12_invariants"] != q12
 
     def test_missing_file(self, capsys):
         assert main(["graph", "analyze", "/nonexistent.graph"]) == 2
@@ -756,6 +773,25 @@ class TestModuliCommands:
         assert code == 0 and doc["passed"]
         assert doc["results"]["mu"] == [2, 1, 0]
 
+    @pytest.mark.parametrize(
+        "power, seconds, sha256",
+        [
+            ("200000", 1, "0fb3f0e0f0a7841b4bad10d8b4ffd3d8a733151765d80e043ce514e684c87d78"),
+            ("600000", 2, "5e7c35a43f5b2b9c81233e0e0defde567b6297a1b8e42f0e3701ef906d81afc3"),
+        ],
+    )
+    def test_components_of_a_huge_entry_in_time(self, capsys, deadline, power, seconds, sha256):
+        # phi is tested invertible by a rank; a Bareiss det long-divided the
+        # l^600000 entry (1.7 M bits) for about 6 s.  Digests recorded from
+        # the det route
+        with deadline(seconds):
+            code, out = run(
+                capsys, "--budget", "100000000000",
+                "moduli", "components", f"--diag=l^{power},1,1", "--l", "7",
+            )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_pgl2(self, capsys):
         code, doc = run_json(capsys, "moduli", "pgl2", "--l", "2")
         assert code == 0 and doc["passed"]
@@ -881,6 +917,11 @@ _LOCAL_DIGESTS = [
     # step solved over QQ
     (["slope", "factor", "--poly=1,-13,39,-27", "--p", "3", "--h", "1"], 0,
      "2cddf7308595da3b2bccb6d6554dbd342a31a6daf73a3b3c18dbe74a11febc72"),
+    # (1-4T+3T^2)(1+T/2)(1-9T+9T^2/2): p-integral with a denominator prime to
+    # 3; recorded from the implementation that solved its every Newton step
+    # over QQ
+    (["slope", "factor", "--poly=1,-25/2,37,-93/4,-9,27/4", "--p", "3", "--h", "0"], 0,
+     "0bb46582c737b19579d29d96752dc1a77a1373548d021912f442521aea0addc0"),
 ]
 
 

@@ -34,7 +34,7 @@ from u3local.cosets import (
     twisted_complete,
     walk_operator_v0,
 )
-from u3local.linalg import Matrix
+from u3local.linalg import Matrix, lattice_quotient_invariants
 
 from .oracles import (
     abelian_forms,
@@ -570,6 +570,21 @@ class TestGammaChainConstruction:
         assert got.gamma1 == want.gamma1
         assert got.gamma2 == want.gamma2
         assert got.gamma3 == want.gamma3
+
+    @pytest.mark.parametrize("name", [*GAMMA_GRAPHS, "k39+k39"])
+    def test_congruence_module_matches_the_chain_quotients(self, name):
+        # the report reads q12 off the Smith form of the composite; the
+        # quotient coordinates of the chain's lattices give it independently
+        if name == "k39+k39":
+            g = disjoint_union(complete_biregular(2), complete_biregular(2))
+        else:
+            g = GAMMA_GRAPHS[name]()
+        chain = gamma_chain(g)
+        rep = congruence_module(g)
+        assert rep["q12_invariants"] == lattice_quotient_invariants(chain.gamma1, chain.gamma2)
+        assert rep["q23_invariants"] == lattice_quotient_invariants(chain.gamma2, chain.gamma3)
+        assert rep["gamma_ranks"] == chain.ranks()
+        assert rep["containments_ok"]
 
 
 class TestLabelingAndAbelianForms:

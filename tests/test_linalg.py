@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from u3local import cosets
+from u3local import cosets, linalg
 from u3local.linalg import (
     QQ,
     Matrix,
@@ -105,6 +105,68 @@ class TestSmithNormalForm:
 
     def test_matrix_input(self):
         assert smith_normal_form(Matrix([[2, 0], [0, Fraction(6, 2)]])) == [1, 6]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _rect(max_n=7, lo=-4, hi=4),
+        st.sampled_from([1, 1, 2, 3, 6]),
+        st.sets(st.integers(0, 6), max_size=3),
+        st.sets(st.integers(0, 6), max_size=3),
+    )
+    @example([[-2]], 1, set(), set())
+    @example([[1, 2], [3, 1]], 3, set(), set())
+    @example([[2, 3], [3, 2]], 1, set(), set())
+    @example([[1, 1, 0], [1, 0, 1]], 2, {0}, {2})
+    def test_against_reduction_oracle(self, rows, factor, zero_rows, zero_cols):
+        # zero rows and columns, and a common factor that leaves no unit
+        rows = [
+            [0 if i in zero_rows or j in zero_cols else factor * x for j, x in enumerate(r)]
+            for i, r in enumerate(rows)
+        ]
+        assert smith_normal_form(rows) == snf_reduction(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rect(max_n=6).map(lambda rows: [[(0, 2, -2, 3, -3, 5)[x % 6] for x in r] for r in rows]))
+    def test_unit_free_blocks_against_reduction_oracle(self, rows):
+        # no entry is +-1, so only the gcd step and the Hermite forms act
+        assert smith_normal_form(rows) == snf_reduction(rows)
+
+    def test_a_lone_negative_entry(self):
+        assert smith_normal_form([[-2]]) == [2]
+        assert smith_normal_form([[0, -3], [0, 0]]) == [3, 0]
+
+    def test_the_gcd_step_scales_the_later_invariants(self):
+        # 3 [[1, 2], [3, 1]] has no unit: the pass divides by 3, eliminates a
+        # unit, divides the 1x1 remainder -5 by 5 and eliminates again
+        assert linalg._unit_pivot_pass([[3, 6], [9, 3]]) == ([3, 15], 15, [])
+        assert smith_normal_form([[3, 6], [9, 3]]) == [3, 15]
+
+    def test_a_unit_free_block_of_gcd_1_goes_to_the_hermite_forms(self):
+        rows = [[2, 3, 0], [0, 2, 3], [3, 0, 2]]
+        assert linalg._unit_pivot_pass(rows) == ([], 1, rows)
+        assert smith_normal_form(rows) == snf_reduction(rows) == [1, 1, 35]
+
+    def test_units_go_least_fill_in_first(self):
+        # the pivot has the least Markowitz count (row entries - 1)(column
+        # entries - 1) of every unit, by brute force over random sparse blocks
+        rng = random.Random(4)
+        for _ in range(200):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)]
+            sparse = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(rows)}
+            sparse = {i: r for i, r in sparse.items() if r}
+            cols = {j: {i for i, r in sparse.items() if j in r} for j in range(n)}
+            costs = {
+                (i, j): (len(r) - 1) * (len(cols[j]) - 1)
+                for i, r in sparse.items()
+                for j, x in r.items()
+                if abs(x) == 1
+            }
+            got = linalg._least_fill_unit(sparse, cols)
+            if costs:
+                assert costs[got] == min(costs.values())
+            else:
+                assert got is None
 
 
 def _mm(a, b):

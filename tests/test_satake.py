@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from u3local import satake
+from u3local.linalg import Matrix
 from u3local.satake import (
     PrincipalSeries,
     SatakeParam,
@@ -115,6 +117,16 @@ class TestSphericalEigenvalue:
                 SatakeParam(1 / a, l)
             )
         assert spherical_eigenvalue(SatakeParam(Fraction(1, 9), 3)) == 84
+
+    def test_dictionary_is_solved_once_per_l(self, monkeypatch):
+        solves = []
+        original = Matrix.solve
+        monkeypatch.setattr(Matrix, "solve", lambda m, b: solves.append(b) or original(m, b))
+        satake._dictionary_coefficients.cache_clear()
+        for l in (2, 3, 2, 3, 7):
+            for a in (Fraction(5), Fraction(-7, 3)):
+                assert spherical_eigenvalue(SatakeParam(a, l)) == (l - 1) + l**2 * (a + 1 / a)
+        assert len(solves) == 3
 
     def test_closed_form(self):
         for l in (2, 3):

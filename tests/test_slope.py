@@ -221,6 +221,16 @@ class TestNewtonStepRoute:
         assert fact.exact and fact.Q * fact.S == P
         assert calls == []
 
+    def test_a_denominator_prime_to_p_never_solves_over_qq(self, monkeypatch):
+        # p-integral with the coefficients 1/2 and 9/2: the steps solve on their
+        # residues mod 3^work, and the product is certified against P itself
+        P = Poly([1, -4, 3]) * Poly([1, Fraction(1, 2)]) * Poly([1, -9, Fraction(9, 2)])
+        calls = _counting_solve(monkeypatch)
+        fact = slope_factorization(P, 0, 3)
+        assert fact.exact and fact.Q * fact.S == P
+        assert fact.Q == Poly([1, -1]) * Poly([1, Fraction(1, 2)])
+        assert calls == []
+
     def test_non_unit_resultant_falls_back_to_qq(self, monkeypatch):
         # eigenvalues 1, 3, 9 at h = 1: the factors' resultant has v_3 = 1
         P = Poly([1, -1]) * Poly([1, -3]) * Poly([1, -9])
