@@ -1,37 +1,35 @@
-"""Truncated model of the locally analytic induced module and its dual.
+"""Truncated model of the locally analytic induced module, and its weights.
 
-The model fixes three lower-triangular coordinates Z21, Z31, Z32.  A vector
-assigns to each of the p^(3m) residue balls a polynomial of total degree <= D
-with exact rational coefficients.  The translation action of the root
-direction shifts the 21-coordinate: within a ball it is the substitution
-Z21 -> Z21 + delta with delta = a / p^m, across balls it permutes ball indices
-and substitutes the leftover integral offset.  The dual carries the transpose
-action, and the pairing is the coefficientwise sum of products.
+The model fixes three lower-triangular coordinates Z21, Z31, Z32 on the
+p^(3m) residue balls of radius p^-m, and truncates the functions on each ball
+to polynomials of total degree <= D; ``make_model`` refuses a ball count past
+its budget.  Inside one ball the root-direction translation is the
+substitution Z21 -> Z21 + delta.
 
 The rank test realizes the triangular induction that kills abelian dual
 vectors: differences T(Z^beta) - Z^beta for beta of degree <= D+1 with a
 positive 21-exponent span the whole degree <= D space, exactly.
+
+A weight is a triple of characters of the units mod p^k, each stored by its
+exponents at canonical generators; the central and torus-rigidity tests
+compare those exponents.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
-from .scalars import padic_valuation, rational_mod_prime_power, require_prime
+from .scalars import require_prime
 
 DEFAULT_BALL_BUDGET = 32768
 
 
 class ModelSizeError(ValueError):
     """The requested ball count exceeds the budget."""
-
-
-class ShiftError(ValueError):
-    """The shift is not p-integral, so it does not act on the model."""
 
 
 @dataclass(frozen=True)
@@ -55,22 +53,6 @@ class AnalyticModel:
     def n_balls(self) -> int:
         return self.ball_side**3
 
-    def balls(self):
-        side = self.ball_side
-        for c21 in range(side):
-            for c31 in range(side):
-                for c32 in range(side):
-                    yield (c21, c31, c32)
-
-    def monomials(self, bound=None):
-        d = self.degree_bound if bound is None else bound
-        return [
-            (i, j, k)
-            for i in range(d + 1)
-            for j in range(d + 1 - i)
-            for k in range(d + 1 - i - j)
-        ]
-
 
 def make_model(p: int, m: int, degree_bound: int, budget: int = DEFAULT_BALL_BUDGET):
     model = AnalyticModel(p, m, degree_bound)
@@ -80,86 +62,8 @@ def make_model(p: int, m: int, degree_bound: int, budget: int = DEFAULT_BALL_BUD
     return model
 
 
-@dataclass
-class AnalyticVector:
-    """Per-ball polynomials in Z21, Z31, Z32 of total degree <= the model bound."""
-
-    model: AnalyticModel
-    coeffs: dict = field(default_factory=dict)  # ball -> {(i,j,k): Fraction}
-
-    def __post_init__(self):
-        clean = {}
-        for ball, poly in self.coeffs.items():
-            entry = {}
-            for mono, c in poly.items():
-                c = Fraction(c)
-                if sum(mono) > self.model.degree_bound:
-                    raise ValueError(f"monomial {mono} exceeds the degree bound")
-                if c:
-                    entry[tuple(mono)] = c
-            if entry:
-                clean[tuple(ball)] = entry
-        self.coeffs = clean
-
-    @classmethod
-    def monomial(cls, model, ball, mono, coeff=1):
-        return cls(model, {tuple(ball): {tuple(mono): Fraction(coeff)}})
-
-    def coefficient(self, ball, mono) -> Fraction:
-        return self.coeffs.get(tuple(ball), {}).get(tuple(mono), Fraction(0))
-
-    def __add__(self, other):
-        if self.model != other.model:
-            raise ValueError("model mismatch")
-        out = {b: dict(p) for b, p in self.coeffs.items()}
-        for b, poly in other.coeffs.items():
-            tgt = out.setdefault(b, {})
-            for mono, c in poly.items():
-                tgt[mono] = tgt.get(mono, Fraction(0)) + c
-        return AnalyticVector(self.model, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return AnalyticVector(
-            self.model,
-            {b: {m: c * x for m, x in poly.items()} for b, poly in self.coeffs.items()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AnalyticVector)
-            and self.model == other.model
-            and self.coeffs == other.coeffs
-        )
-
-
-class DualVector(AnalyticVector):
-    """Same shape as AnalyticVector; pairs coefficientwise."""
-
-
-def _shift_data(model: AnalyticModel, a: Fraction):
-    """Per-ball routing for the shift a: ball c draws from ball sigma(c) with a
-    p-integral leftover offset delta(c)."""
-    a = Fraction(a)
-    if a != 0 and padic_valuation(a, model.p) < 0:
-        raise ShiftError(f"shift {a} is not p-integral")
-    side = model.ball_side
-    a_res = rational_mod_prime_power(a, model.p, model.m) if a else 0
-    routing = {}
-    for c21 in range(side):
-        src = (c21 + a_res) % side
-        delta = (Fraction(c21) + a - src) / side
-        routing[c21] = (src, delta)
-    return routing
-
-
 def _substitute_z21(poly: dict, delta: Fraction) -> dict:
     """Z21 -> Z21 + delta on a single-ball polynomial."""
-    if delta == 0:
-        return dict(poly)
     out = {}
     for (i, j, k), c in poly.items():
         for t in range(i + 1):
@@ -168,65 +72,6 @@ def _substitute_z21(poly: dict, delta: Fraction) -> dict:
                 key = (t, j, k)
                 out[key] = out.get(key, Fraction(0)) + add
     return {m: c for m, c in out.items() if c}
-
-
-def translate_action(f: AnalyticVector, a) -> AnalyticVector:
-    """Action of the root-direction shift by a on analytic vectors.
-
-    Within-ball (v_p(a) >= m) this is the pure substitution Z21 -> Z21 + a/p^m;
-    smaller positive valuations also permute the ball indices.  No character
-    factor appears: lower unipotent times lower unipotent stays lower unipotent.
-    """
-    routing = _shift_data(f.model, Fraction(a))
-    out = {}
-    for ball in f.model.balls():
-        src21, delta = routing[ball[0]]
-        src_ball = (src21, ball[1], ball[2])
-        poly = f.coeffs.get(src_ball)
-        if poly:
-            moved = _substitute_z21(poly, delta)
-            if moved:
-                out[ball] = moved
-    return AnalyticVector(f.model, out)
-
-
-def translate_dual(lam: DualVector, a) -> DualVector:
-    """Dual action: the adjoint of translate_action(., -a), so that
-
-        <f . shift(a), lam> = <f, lam . shift(-a)>
-
-    holds on the nose (the usual inverse-on-the-dual convention)."""
-    routing = _shift_data(lam.model, -Fraction(a))
-    out = {}
-    for ball, mu in lam.coeffs.items():
-        src21, delta = routing[ball[0]]
-        target = (src21, ball[1], ball[2])
-        tgt = out.setdefault(target, {})
-        # transpose of the substitution: row (i,j,k) collects C(i,t) delta^(i-t) mu[(t,j,k)]
-        for (i, j, k) in lam.model.monomials():
-            total = Fraction(0)
-            for t in range(i + 1):
-                c = mu.get((t, j, k))
-                if c:
-                    total += math.comb(i, t) * delta ** (i - t) * c
-            if total:
-                tgt[(i, j, k)] = tgt.get((i, j, k), Fraction(0)) + total
-    return DualVector(lam.model, out)
-
-
-def dual_pairing(f: AnalyticVector, lam: DualVector) -> Fraction:
-    """Ball-by-ball, coefficientwise sum of products."""
-    if f.model != lam.model:
-        raise ValueError("model mismatch")
-    total = Fraction(0)
-    for ball, poly in f.coeffs.items():
-        mu = lam.coeffs.get(ball)
-        if mu:
-            for mono, c in poly.items():
-                y = mu.get(mono)
-                if y:
-                    total += c * y
-    return total
 
 
 def ihara_rank_test(model: AnalyticModel, delta) -> bool:
@@ -318,53 +163,6 @@ class Character:
         object.__setattr__(
             self, "exps", tuple(e % order for e, (_, order) in zip(self.exps, gens))
         )
-
-    @classmethod
-    def trivial(cls, p, k):
-        return cls(p, k, tuple(0 for _ in unit_group_generators(p, k)))
-
-    @classmethod
-    def from_generator_images(cls, p, k, images):
-        """Build from (generator value, exponent) pairs in any order.
-
-        The generators may be any family that generates the unit group; the
-        exponent for a generator g is read against a root of unity of order
-        equal to the multiplicative order of g.  Inconsistent or
-        non-generating data is rejected.
-        """
-        q = p**k
-        group_order = q // p * (p - 1)
-        canonical = unit_group_generators(p, k)
-        exponent = math.lcm(*(order for _, order in canonical))
-        # chi(x) as an exponent of a primitive `exponent`-th root of unity
-        value = {1 % q: 0}
-        frontier = [1 % q]
-        gens = []
-        for g, e in images:
-            g %= q
-            if math.gcd(g, q) != 1:
-                raise ValueError(f"{g} is not a unit mod {q}")
-            n = _mult_order(g, q)  # divides the group exponent
-            gens.append((g, (e % n) * (exponent // n)))
-        while frontier:
-            x = frontier.pop()
-            for g, step in gens:
-                y = x * g % q
-                val = (value[x] + step) % exponent
-                if y in value:
-                    if value[y] != val:
-                        raise ValueError("images are inconsistent with a character")
-                else:
-                    value[y] = val
-                    frontier.append(y)
-        if len(value) != group_order:
-            raise ValueError("given elements do not generate the unit group")
-        exps = []
-        for g, order in canonical:
-            t = value[g % q]
-            assert t * order % exponent == 0
-            exps.append(t * order // exponent)
-        return cls(p, k, tuple(exps))
 
     def is_trivial(self):
         return all(e == 0 for e in self.exps)

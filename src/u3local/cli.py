@@ -300,6 +300,7 @@ def cmd_graph_congruence(args):
 def cmd_graph_levelraise(args):
     if args.aux_limit < 0:
         raise ValueError("--aux-limit must be nonnegative")
+    require_prime(args.prime)
     g, text_digest = _load_graph_file(args.path)
     inputs = {"path_digest": text_digest, "prime": args.prime, "aux": args.aux}
     rep = Report("graph levelraise", inputs)
@@ -309,9 +310,15 @@ def cmd_graph_levelraise(args):
             lab = cosets.load_labeling(fh.read(), g)
         lab.validate(g)
     # one scan of the p residues per auxiliary member, one more for the
-    # characters of a nontrivial labeling
-    scans = (args.aux_limit if args.aux == "auto" else 0) + (lab is not None and lab.order > 1)
-    _within_budget(args.prime * scans, args.budget, f"{scans} residue scans mod {args.prime}")
+    # characters of a nontrivial labeling; each member also holds an E x E
+    # operator on the edges
+    members = args.aux_limit if args.aux == "auto" else 0
+    scans = members + (lab is not None and lab.order > 1)
+    _within_budget(
+        args.prime * scans + members * g.nedges**2,
+        args.budget,
+        f"{scans} residue scans mod {args.prime} and {members} operators on {g.nedges} edges",
+    )
     if args.aux == "auto":
         perms = cosets.find_automorphisms(g, limit=args.aux_limit + 1)
         fam = cosets.AuxOperatorFamily.from_automorphisms(g, perms[1:])

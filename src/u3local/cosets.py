@@ -12,6 +12,7 @@ mod-p abelian kernel, and the level-raising search -- lives here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -875,10 +876,11 @@ def level_raising_search(
     int_roots, unsplit = _integer_roots_with_multiplicity(cp, g.l * (g.l**3 + 1))
     congruent_roots = sorted(set(r for r in int_roots if (r - lam) % p == 0))
 
-    # members are carried by position, so equal names cannot mix them up
-    mats = [(Matrix(op.on_v0, gf), Matrix(op.on_edges, gf)) for op in aux.members]
+    # members are carried by position, so equal names cannot mix them up; an
+    # operator on the edges is reduced mod p only once a candidate reads it
+    on_edges = functools.cache(lambda k: Matrix(aux.members[k].on_edges, gf))
     systems = [([], base)]  # (list of (member index, eigenvalue), basis)
-    for k, (on_v0, _) in enumerate(mats):
+    for k, on_v0 in enumerate(Matrix(op.on_v0, gf) for op in aux.members):
         refined = []
         for eigs, basis in systems:
             images = [on_v0.apply(vec) for vec in basis]
@@ -897,8 +899,7 @@ def level_raising_search(
             continue  # abelian
         occ_basis = new_kernel
         for k, c in eigs:
-            on_edges = mats[k][1]
-            occ_basis = _eigen_part(occ_basis, [on_edges.apply(v) for v in occ_basis], c, gf)
+            occ_basis = _eigen_part(occ_basis, [on_edges(k).apply(v) for v in occ_basis], c, gf)
         candidates.append(
             {
                 "aux_eigenvalues": [(aux.members[k].name, c) for k, c in eigs],

@@ -605,7 +605,12 @@ def _least_fill_unit(sparse, cols):
 
 def _hermite_diagonal(rows) -> list[int]:
     """The nonzero invariant factors of the int rows, from alternating row and
-    column Hermite forms and a gcd/lcm sweep of their diagonal."""
+    column Hermite forms and a gcd/lcm sweep of their diagonal.  Elimination
+    on the smallest entry with Euclid steps instead gives the same invariants
+    but was 3-5x slower on the unit-free composite remainders of
+    ``random_biregular_graph(2, n0, Random(1))`` at n0 = 48, 75 and 150 (8.0
+    against 2.4 s at 150, entries up to 1404 bits; Python 3.11, 2-core VM),
+    since nothing keeps its entries reduced."""
     width = len(rows[0])
     while True:
         rows = lattice_basis(rows, width)

@@ -58,14 +58,22 @@ def require_prime(p: int) -> int:
 
 
 def int_valuation(n: int, p: int) -> int | float:
-    """v_p(n) for an integer n; INF for n = 0.  Assumes p prime."""
+    """v_p(n) for an integer n; INF for n = 0.  Assumes p prime.
+
+    Strips p, p^2, p^4, ... while each divides, then steps back down through
+    the same powers, so v_p(n) = v costs O(log v) divisions, not v."""
     if n == 0:
         return INF
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    n, powers = abs(n), [p]  # powers[i] = p^(2^i)
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        powers.append(powers[-1] ** 2)
+    # 2^k - 1 is stripped, k = len(powers) - 1, and the rest is below 2^k
+    v = (1 << (len(powers) - 1)) - 1
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
@@ -78,14 +86,4 @@ def padic_valuation(x, p: int) -> int | float:
     if x == 0:
         return INF
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
-
-
-def rational_mod_prime_power(x: Fraction, p: int, k: int) -> int:
-    """Canonical representative of a p-integral rational modulo p^k."""
-    x = Fraction(x)
-    q = p**k
-    den = x.denominator
-    if den % p == 0:
-        raise ValueError(f"{x} is not p-integral at p={p}")
-    return x.numerator * pow(den, -1, q) % q
 

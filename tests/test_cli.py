@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -262,6 +263,15 @@ class TestGraphCommands:
         assert code == 2
         assert err.startswith("error:") and "0 is not prime" in err
 
+    def test_levelraise_refuses_a_negative_prime_first(self, capsys, k39_path, deadline):
+        # a negative prime made the budget estimate negative, and the search for
+        # a million automorphisms of K39 ran before the prime was checked
+        with deadline(5):
+            code = main(["graph", "levelraise", k39_path, "--prime=-1", "--aux-limit", "1000000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: -1 is not prime\n"
+
 
 @pytest.mark.parametrize(
     "graph_text, labels_text, argv, message",
@@ -349,6 +359,11 @@ class TestBudgetRefusals:
                 ["graph", "levelraise", "{graph}", "--prime", "1000003", "--aux", "auto"],
                 "residue scans mod 1000003", id="levelraise-large-prime",
             ),
+            # the members' edge operators: 40000 * 27^2 with the default budget
+            pytest.param(
+                ["graph", "levelraise", "{graph}", "--prime", "2", "--aux-limit", "40000"],
+                "40000 operators on 27 edges", id="levelraise-many-members",
+            ),
             pytest.param(
                 ["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "100000"],
                 "degree 100000", id="ihara-large-degree",
@@ -407,8 +422,9 @@ class TestBudgetRefusals:
     @pytest.mark.parametrize(
         "argv, cost",
         [
-            # three auxiliary members, each a scan over the 37 residues
-            (["graph", "levelraise", "{graph}", "--prime", "37", "--aux", "auto"], 111),
+            # three auxiliary members, each a scan over the 37 residues and an
+            # operator on the 27 edges of K39: 3 * 37 + 3 * 27^2
+            (["graph", "levelraise", "{graph}", "--prime", "37", "--aux", "auto"], 2298),
             # blocks of sides 1; 2, 1, 1; 3, 2, 2, 1, 1, 1 at degrees 0, 1, 2
             (["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "2"], 27),
             # the nine residues mod 3^2
@@ -735,6 +751,85 @@ def test_moduli_components_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, l, 
         assert err.splitlines()[-1].startswith("error:")
 
 
+# string options: rationals, l^k tokens, a huge decimal exponent, malformed
+# tokens, coefficient lists and 'a,b;c,d' matrices
+_ARGV_TEXT = st.sampled_from([
+    "0", "1", "-2", "3/4", "-7/9", "2.5e-2", "1e100000", "1/0",
+    "l", "l^2", "l^-1", "l^2,l,1", "l^100,1", "l^", "l^x",
+    "", "x", "--", ",", ";", "1,,2", "1,2;3",
+    "1,-4,3", "2,1", "0,1;1,2", "1,0;0,3", "1,1;0,3", "-1,2;3/4,0",
+])
+# path options: a K39 file, a labels file and a missing path, filled in by the test
+_PATH_DESTS = {"path", "labels", "matrix_file"}
+_ARGV_PATH = st.sampled_from(["{k39}", "{labels}", "{missing}"])
+
+
+def _subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _value_strategy(action):
+    if action.nargs == 0:
+        return st.just(None)  # a flag
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return _ARGV_INT.map(str)
+    return _ARGV_PATH if action.dest in _PATH_DESTS else _ARGV_TEXT
+
+
+@st.composite
+def _parser_argv(draw):
+    """An argv drawn from the CLI's own parser: a subcommand, then each of its
+    actions in turn (a required one always, an optional one or not), with a
+    value drawn by the action's type, choices or destination."""
+    top = cli.build_parser()
+    group = draw(st.sampled_from(sorted(_subcommands(top))))
+    leaves = _subcommands(_subcommands(top)[group])
+    name = draw(st.sampled_from(sorted(leaves)))
+    budget = draw(st.one_of(st.none(), st.integers(-1, 10**7)))
+    top_args = [] if budget is None else [f"--budget={budget}"]
+    sub_args = []
+    for parser, out in ((top, top_args), (leaves[name], sub_args)):
+        for action in parser._actions:
+            if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+                continue
+            if action.dest == "budget" or not (action.required or draw(st.booleans())):
+                continue
+            value = draw(_value_strategy(action))
+            if not action.option_strings:
+                out.append(value)
+            elif value is None:
+                out.append(action.option_strings[0])
+            else:
+                out.append(f"{action.option_strings[0]}={value}")
+    return top_args + [group, name] + sub_args
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_parser_argv())
+# a negative prime passed the estimate, and K39's automorphisms were searched
+@example(["graph", "levelraise", "{k39}", "--prime=-1", "--aux-limit=1000000"])
+# the budget admitted 40000 members and their edge operators
+@example(["graph", "levelraise", "{k39}", "--prime=2", "--aux-limit=40000"])
+# one division per unit of v_5(10^100000)
+@example(["slope", "polygon", "--poly=1,1e100000", "--p=5"])
+def test_parser_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, tmp_path, argv):
+    paths = {"k39": tmp_path / "k39.graph", "labels": tmp_path / "trivial.labels",
+             "missing": tmp_path / "missing"}
+    paths["k39"].write_text(complete_biregular(2).describe())
+    paths["labels"].write_text("labels order=1 gshift=0\n")
+    argv = [a.format(**paths) for a in argv]
+    with deadline(5):
+        code, err = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:")
+
+
 class TestSatakeCommands:
     def test_classify(self, capsys):
         code, doc = run_json(capsys, "satake", "classify", "--alpha", "4", "--l", "2")
@@ -808,6 +903,16 @@ class TestSlopeCommands:
         code, doc = run_json(capsys, "slope", "polygon", "--poly", "1,-4,3", "--p", "3")
         assert code == 0
         assert doc["results"]["slopes"] == ["0", "1"]
+
+    def test_polygon_of_a_coefficient_of_large_valuation_in_time(self, capsys, deadline):
+        # one division by p per unit of v_5(10^100000) took about 10 s; the
+        # digest was recorded from that implementation
+        with deadline(5):
+            code, out = run(capsys, "slope", "polygon", "--poly=1,1e100000", "--p", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bac2f4e5e6265d9db914d8265e73c4e8f20350d8457ff8dd5472583b5645127c"
+        )
 
     def test_factor(self, capsys):
         code, doc = run_json(

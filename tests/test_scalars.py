@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from u3local.scalars import (
     INF,
     MILLER_RABIN_BOUND,
+    int_valuation,
     is_prime,
     padic_valuation,
-    rational_mod_prime_power,
 )
 
 
@@ -59,9 +59,29 @@ def test_valuation_additive_on_products(a, b, p):
         assert padic_valuation(a * b, p) == padic_valuation(a, p) + padic_valuation(b, p)
 
 
-def test_rational_mod_prime_power():
-    assert rational_mod_prime_power(Fraction(1, 2), 3, 2) == 5  # 2*5 = 10 = 1 mod 9
-    assert rational_mod_prime_power(Fraction(7), 2, 3) == 7
-    with pytest.raises(ValueError):
-        rational_mod_prime_power(Fraction(1, 2), 2, 4)
 
+def _valuation_by_single_divisions(n, p):
+    if n == 0:
+        return INF
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.integers(0, 300),
+)
+def test_int_valuation_matches_single_divisions(unit, p, v):
+    n = unit * p**v
+    assert int_valuation(n, p) == _valuation_by_single_divisions(n, p)
+    assert int_valuation(unit, p) == _valuation_by_single_divisions(unit, p)
+
+
+def test_int_valuation_of_a_large_power_in_time(deadline):
+    # one division per unit of valuation took seconds at v_5(10^100000)
+    with deadline(5):
+        assert int_valuation(-3 * 10**100000, 5) == 100000
