@@ -18,6 +18,23 @@ from u3local.analytic import (
 
 from .oracles import ihara_rank_per_block
 
+Z21 = (1, 0, 0)
+ONE = (0, 0, 0)
+
+
+def rand_poly(rng, degree_bound=4, terms=4):
+    monos = [
+        (i, j, k)
+        for i in range(degree_bound + 1)
+        for j in range(degree_bound + 1 - i)
+        for k in range(degree_bound + 1 - i - j)
+    ]
+    return {m: Fraction(rng.randint(-5, 5)) for m in rng.sample(monos, terms)}
+
+
+def nonzero(poly):
+    return {m: c for m, c in poly.items() if c}
+
 
 class TestModel:
     def test_ball_counts(self):
@@ -34,6 +51,39 @@ class TestModel:
         with deadline(5):
             with pytest.raises(ModelSizeError, match=r"2\^3000000000000 balls"):
                 make_model(2, 10**12, 0)
+
+    def test_shape_refused(self):
+        with pytest.raises(ValueError):
+            make_model(4, 1, 2)  # not prime
+        with pytest.raises(ValueError):
+            make_model(2, 0, 2)
+        with pytest.raises(ValueError):
+            make_model(2, 1, -1)
+
+
+class TestTranslateAction:
+    # inside one ball the translation by delta is the substitution Z21 -> Z21 + delta
+    def test_within_ball_linear(self):
+        out = _substitute_z21({Z21: Fraction(1)}, Fraction(1))
+        assert out == {Z21: 1, ONE: 1}
+
+    def test_within_ball_square(self):
+        out = _substitute_z21({(2, 0, 0): Fraction(1)}, Fraction(1))
+        assert out == {(2, 0, 0): 1, Z21: 2, ONE: 1}
+
+    def test_constant_unchanged(self):
+        f = {ONE: Fraction(7), (0, 2, 1): Fraction(-3)}
+        assert _substitute_z21(f, Fraction(5, 3)) == f
+
+    def test_group_law(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            f = rand_poly(rng)
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            lhs = _substitute_z21(_substitute_z21(f, a), b)
+            assert lhs == _substitute_z21(f, a + b)
+            assert _substitute_z21(f, Fraction(0)) == nonzero(f)
 
 
 class TestIharaRank:
@@ -77,6 +127,37 @@ class TestCharacters:
         assert unit_group_generators(2, 2) == [(3, 2)]
         gens = unit_group_generators(2, 3)
         assert gens == [(7, 2), (5, 2)]
+
+    @pytest.mark.parametrize("p,k", [(2, 4), (2, 5), (3, 3), (5, 2), (7, 2), (11, 1)])
+    def test_generators_generate_the_units(self, p, k):
+        q = p**k
+        subgroup = {1}
+        for g, order in unit_group_generators(p, k):
+            assert pow(g, order, q) == 1
+            divisors = [r for r in range(2, order + 1) if order % r == 0]
+            assert all(pow(g, order // r, q) != 1 for r in divisors)
+            subgroup = {x * pow(g, e, q) % q for x in subgroup for e in range(order)}
+        assert subgroup == {u for u in range(1, q) if u % p}
+
+    def test_normalization_from_generator_order(self):
+        # exponents are read modulo the order of their generator
+        assert Character(2, 3, (3, 5)) == Character(2, 3, (1, 1))
+        assert Character(3, 2, (-1,)) == Character(3, 2, (5,))
+
+    def test_wrong_exponent_count_rejected(self):
+        with pytest.raises(ValueError):
+            Character(3, 2, (1, 1))
+        with pytest.raises(ValueError):
+            Character(2, 3, (1,))
+
+    def test_levels_must_agree(self):
+        chi = Character(3, 2, (1,))
+        other = Character(3, 1, (1,))
+        with pytest.raises(ValueError):
+            chi.ratio(other)
+        with pytest.raises(ValueError):
+            Weight(chi, chi, other)
+        assert chi.ratio(Character(3, 2, (4,))) == Character(3, 2, (3,))
 
     def test_central_weight(self):
         chi = Character(3, 2, (2,))
