@@ -129,19 +129,23 @@ def _unit_group_generators(p: int, k: int) -> tuple[tuple[int, int], ...]:
             return ((3, 2),)
         return ((q - 1, 2), (5, 2 ** (k - 2)))
     order = (p - 1) * p ** (k - 1)
+    # a unit g has order `order` exactly when g^(order/r) != 1 for each prime r of it
+    primes = _prime_factors(p - 1) | ({p} if k > 1 else set())
     for g in range(2, q):
-        if math.gcd(g, p) == 1 and _mult_order(g, q) == order:
+        if math.gcd(g, p) == 1 and all(pow(g, order // r, q) != 1 for r in primes):
             return ((g, order),)
     raise RuntimeError("no primitive root found")
 
 
-def _mult_order(g: int, q: int) -> int:
-    x = g % q
-    n = 1
-    while x != 1:
-        x = x * g % q
-        n += 1
-    return n
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    primes, r = set(), 2
+    while r * r <= n:
+        while n % r == 0:
+            primes.add(r)
+            n //= r
+        r += 1
+    return (primes | {n}) if n > 1 else primes
 
 
 @dataclass(frozen=True)

@@ -310,8 +310,8 @@ def cmd_graph_levelraise(args):
             lab = cosets.load_labeling(fh.read(), g)
         lab.validate(g)
     # one scan of the p residues per auxiliary member, one more for the
-    # characters of a nontrivial labeling; each member also holds an E x E
-    # operator on the edges
+    # characters of a nontrivial labeling; each member also costs an
+    # elimination over the E-long new-space basis, counted as E x E
     members = args.aux_limit if args.aux == "auto" else 0
     scans = members + (lab is not None and lab.order > 1)
     _within_budget(

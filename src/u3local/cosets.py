@@ -12,8 +12,8 @@ mod-p abelian kernel, and the level-raising search -- lives here.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .linalg import (
@@ -661,12 +661,13 @@ def congruence_module(g: CosetGraph) -> dict:
 
 @dataclass
 class AuxOperator:
-    """A compatible triple of integer operators on V0-, V1-, and edge-functions."""
+    """A compatible triple of pullback permutations: f -> f o sigma on V0-,
+    f -> f o tau on V1- and m -> m o edge_map on edge-functions."""
 
     name: str
-    on_v0: list[list[int]]
-    on_v1: list[list[int]]
-    on_edges: list[list[int]]
+    sigma: list[int]
+    tau: list[int]
+    edge_map: list[int]
 
 
 class AuxOperatorFamily:
@@ -695,24 +696,15 @@ class AuxOperatorFamily:
         for e, (v, w) in enumerate(g.edges):
             slots.setdefault((v, w), []).append(e)
         for idx, (sigma, tau) in enumerate(perms):
-            for (v, w), es in slots.items():
-                if len(slots.get((sigma[v], tau[w]), [])) != len(es):
-                    raise ValueError("permutation does not preserve edge multiplicities")
             edge_map = [0] * g.nedges
-            seen = {}
-            for e, (v, w) in enumerate(g.edges):
-                k = seen.setdefault((v, w), 0)
-                seen[(v, w)] += 1
-                edge_map[e] = slots[(sigma[v], tau[w])][k]
+            for (v, w), es in slots.items():
+                image = slots.get((sigma[v], tau[w]), [])
+                if len(image) != len(es):
+                    raise ValueError("permutation does not preserve edge multiplicities")
+                for e, f in zip(es, image):
+                    edge_map[e] = f
             name = names[idx] if names else f"perm{idx}"
-            members.append(
-                AuxOperator(
-                    name,
-                    _perm_matrix_inverse(sigma),
-                    _perm_matrix_inverse(tau),
-                    _perm_matrix_inverse(edge_map),
-                )
-            )
+            members.append(AuxOperator(name, sigma, tau, edge_map))
         return cls(g, members)
 
     @classmethod
@@ -721,48 +713,21 @@ class AuxOperatorFamily:
 
 
 def _commutes_with_level_maps(g: CosetGraph, op: AuxOperator) -> bool:
-    """Whether oe·inc = inc·(v0 ⊕ v1) and (v0 ⊕ v1)·inc^T = inc^T·oe, where inc is
-    the edge-incidence matrix (`incidence_rows`) and oe, v0, v1 are the operator's
-    matrices on edges, V0 and V1.
+    """Whether the member commutes with the raising map i and the lowering map i+.
 
-    Edge row e of inc has exactly two 1s, at its ends v(e) and n0 + w(e), so each
-    product is a sum over edge ends, formed in exact integer arithmetic.
+    (i f)(e) = f(v(e)) + f(w(e)), so i(f) o edge_map = i(f o sigma, f o tau) for
+    every f exactly when each edge e = (v, w) goes to an edge with ends
+    (sigma v, tau w).  Then edge_map, a bijection, sends the edges at v onto the
+    edges at sigma v (and likewise on V1), so the sums that form i+ commute too.
     """
     n0, n1, ne = g.n0, g.n1, g.nedges
-    for mat, n in ((op.on_v0, n0), (op.on_v1, n1), (op.on_edges, ne)):
-        if len(mat) != n or any(len(r) != n for r in mat):
+    for perm, n in ((op.sigma, n0), (op.tau, n1), (op.edge_map, ne)):
+        if sorted(perm) != list(range(n)):
             raise ValueError(
-                f"operator {op.name!r} needs {n0}x{n0}, {n1}x{n1} and {ne}x{ne} matrices"
+                f"operator {op.name!r} needs permutations of {n0}, {n1} and {ne} points"
             )
-    ends, oe = g.edges, op.on_edges
-    # Row e of oe·inc adds each entry oe[e][f] at both ends of edge f; row e of
-    # inc·(v0 ⊕ v1) is row v(e) of v0 next to row w(e) of v1.  Row v of inc^T·oe
-    # is the sum of the rows of oe at the edges at v.
-    at_v0 = [[0] * ne for _ in range(n0)]
-    at_v1 = [[0] * ne for _ in range(n1)]
-    for e, (v, w) in enumerate(ends):
-        row_v0, row_v1 = [0] * n0, [0] * n1
-        for f, x in enumerate(oe[e]):
-            if x:
-                row_v0[ends[f][0]] += x
-                row_v1[ends[f][1]] += x
-                at_v0[v][f] += x
-                at_v1[w][f] += x
-        if row_v0 != list(op.on_v0[v]) or row_v1 != list(op.on_v1[w]):
-            return False
-    # Row v of (v0 ⊕ v1)·inc^T reads row v of v0 at the V0 end of every edge.
-    return all(at_v0[v] == [op.on_v0[v][a] for a, _ in ends] for v in range(n0)) and all(
-        at_v1[w] == [op.on_v1[w][b] for _, b in ends] for w in range(n1)
-    )
-
-
-def _perm_matrix_inverse(perm):
-    """Matrix of f -> f o perm (pullback action) as an integer permutation matrix."""
-    n = len(perm)
-    m = [[0] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        m[i][j] = 1
-    return m
+    ends, sigma, tau = g.edges, op.sigma, op.tau
+    return all(ends[f] == (sigma[v], tau[w]) for (v, w), f in zip(ends, op.edge_map))
 
 
 def find_automorphisms(g: CosetGraph, limit: int = 8):
@@ -807,6 +772,18 @@ def find_automorphisms(g: CosetGraph, limit: int = 8):
     return found
 
 
+def _permutation_order(perm) -> int:
+    """The lcm of the cycle lengths of a permutation of 0..n-1."""
+    order, seen = 1, set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            length, i = length + 1, perm[i]
+        order = math.lcm(order, length or 1)
+    return order
+
+
 def _eigen_part(basis, images, c, gf):
     """The vectors of span(basis) that an operator scales by c over F_p, given
     images[k] = op(basis[k]): the combinations sum x_k basis_k with
@@ -816,14 +793,8 @@ def _eigen_part(basis, images, c, gf):
         return []
     p = gf.p
     shifted = [[(a - c * b) % p for a, b in zip(img, vec)] for img, vec in zip(images, basis)]
-    out = []
-    for x in Matrix(shifted, gf).transpose().kernel_basis():
-        vec = [0] * len(basis[0])
-        for xk, b in zip(x, basis):
-            if xk:
-                vec = [(y + xk * z) % p for y, z in zip(vec, b)]
-        out.append(vec)
-    return out
+    kernel = Matrix._wrap(shifted, gf).transpose().kernel_basis()
+    return (Matrix._wrap(kernel, gf, len(basis)) @ Matrix._wrap(basis, gf)).rows
 
 
 def _integer_roots_with_multiplicity(coeffs, bound: int):
@@ -858,9 +829,10 @@ def level_raising_search(
 
     Every basis here is a kernel basis or its image under ``_eigen_part``, so
     it is independent and its length is the dimension it spans.  Each auxiliary
-    eigenvalue is found by a scan over the p residues: the members need not
-    commute, so a refined space need not be stable under the next member, and a
-    char poly of a restriction would not be defined.
+    eigenvalue is found by a scan over residues: the members need not commute,
+    so a refined space need not be stable under the next member, and a char
+    poly of a restriction would not be defined.  A member is a permutation of
+    some order L, so only the c with c^L = 1 are scanned, in ascending order.
     """
     require_prime(p)
     if aux.graph is not g:
@@ -876,15 +848,15 @@ def level_raising_search(
     int_roots, unsplit = _integer_roots_with_multiplicity(cp, g.l * (g.l**3 + 1))
     congruent_roots = sorted(set(r for r in int_roots if (r - lam) % p == 0))
 
-    # members are carried by position, so equal names cannot mix them up; an
-    # operator on the edges is reduced mod p only once a candidate reads it
-    on_edges = functools.cache(lambda k: Matrix(aux.members[k].on_edges, gf))
+    # members are carried by position, so equal names cannot mix them up
     systems = [([], base)]  # (list of (member index, eigenvalue), basis)
-    for k, on_v0 in enumerate(Matrix(op.on_v0, gf) for op in aux.members):
+    for k, op in enumerate(aux.members):
+        order = math.gcd(_permutation_order(op.sigma), p - 1)  # c^L = 1 iff c^order = 1
+        roots = [c for c in range(1, p) if pow(c, order, p) == 1]
         refined = []
         for eigs, basis in systems:
-            images = [on_v0.apply(vec) for vec in basis]
-            for c in range(p):
+            images = [[vec[s] for s in op.sigma] for vec in basis]
+            for c in roots:
                 sub = _eigen_part(basis, images, c, gf)
                 if sub:
                     refined.append((eigs + [(k, c)], sub))
@@ -899,7 +871,8 @@ def level_raising_search(
             continue  # abelian
         occ_basis = new_kernel
         for k, c in eigs:
-            occ_basis = _eigen_part(occ_basis, [on_edges(k).apply(v) for v in occ_basis], c, gf)
+            edge_map = aux.members[k].edge_map
+            occ_basis = _eigen_part(occ_basis, [[m[e] for e in edge_map] for m in occ_basis], c, gf)
         candidates.append(
             {
                 "aux_eigenvalues": [(aux.members[k].name, c) for k, c in eigs],

@@ -609,6 +609,17 @@ def ihara_rank_per_block(degree: int, delta) -> bool:
     return True
 
 
+# --- multiplicative orders -----------------------------------------------------
+
+
+def mult_order_walk(g: int, q: int) -> int:
+    """The multiplicative order of a unit g mod q, by walking its powers."""
+    x, n = g % q, 1
+    while x != 1:
+        x, n = x * g % q, n + 1
+    return n
+
+
 # --- auxiliary operators and the level maps ----------------------------------
 
 

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from u3local.analytic import (
     Character,
+    _unit_group_generators,
     ModelSizeError,
     Weight,
     _substitute_z21,
@@ -16,7 +18,7 @@ from u3local.analytic import (
     unit_group_generators,
 )
 
-from .oracles import ihara_rank_per_block
+from .oracles import ihara_rank_per_block, mult_order_walk
 
 Z21 = (1, 0, 0)
 ONE = (0, 0, 0)
@@ -138,6 +140,22 @@ class TestCharacters:
             assert all(pow(g, order // r, q) != 1 for r in divisors)
             subgroup = {x * pow(g, e, q) % q for x in subgroup for e in range(order)}
         assert subgroup == {u for u in range(1, q) if u % p}
+
+    @given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]), st.integers(1, 3))
+    def test_generator_is_the_least_by_the_order_walk(self, p, k):
+        # the prime-factor test picks the same smallest generator as walking powers
+        q = p**k
+        ((g, order),) = _unit_group_generators(p, k)
+        assert mult_order_walk(g, q) == order == (p - 1) * p ** (k - 1)
+        assert all(mult_order_walk(h, q) < order for h in range(2, g) if h % p)
+
+    def test_generator_mod_a_square_needs_the_p_part(self):
+        # 5 is the least primitive root mod 40487, but 5^40486 = 1 mod 40487^2,
+        # so the generator mod the square must also pass the test at r = p
+        p = 40487
+        assert _unit_group_generators(p, 1) == ((5, p - 1),)
+        assert pow(5, p - 1, p * p) == 1
+        assert _unit_group_generators(p, 2) == ((10, (p - 1) * p),)
 
     def test_normalization_from_generator_order(self):
         # exponents are read modulo the order of their generator

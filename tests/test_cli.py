@@ -143,6 +143,18 @@ class TestGraphCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_levelraise_scans_only_roots_of_unity(self, capsys, k39_path, deadline):
+        # 29 members of order at most 3: a scan over every residue mod 65521
+        # ran for about 30 s; the digest was recorded from that implementation
+        with deadline(5):
+            code, out = run(
+                capsys, "graph", "levelraise", k39_path, "--prime", "65521", "--aux-limit", "29"
+            )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4b3bfe9830099b8fd8e0d60d47980c2c0a8a66ac1b7679c9f1f44227168eab64"
+        )
+
     def test_analyze_builds_level_matrix_once(self, capsys, k39_path, monkeypatch):
         calls = []
         original = cosets.level_matrix
@@ -1027,13 +1039,38 @@ _LOCAL_DIGESTS = [
     # over QQ
     (["slope", "factor", "--poly=1,-25/2,37,-93/4,-9,27/4", "--p", "3", "--h", "0"], 0,
      "0bb46582c737b19579d29d96752dc1a77a1373548d021912f442521aea0addc0"),
+    # level raising with automorphism members, on the files of _DIGEST_GRAPHS;
+    # recorded from the implementation that stored each member as dense
+    # integer matrices
+    (["graph", "levelraise", "{k39}", "--prime", "3", "--aux", "auto", "--aux-limit", "8"], 0,
+     "387ca118f66c752521d1e4a3f0b134a252cf7a69fb0317ea42488faefbfb4316"),
+    (["graph", "levelraise", "{k39}", "--prime", "7", "--aux", "auto", "--aux-limit", "8"], 0,
+     "f1a89f7b12dc9ee3e1650bf4b2a20f403552604745a5251f721a2aef4b5268c5"),
+    (["graph", "levelraise", "{twisted}", "--prime", "3", "--aux", "auto", "--aux-limit", "8"], 0,
+     "3ec8d0db07a12bcf73a4a04b721f00549cb68ed480a9737b47cd80be1a1df7f8"),
+    (["graph", "levelraise", "{k39u}", "--prime", "3", "--aux", "auto", "--aux-limit", "8"], 0,
+     "ae7095bfd34491b536e81b30acfd2f7e19b046bd2d86f6417b071938554cb6f8"),
+    (["graph", "levelraise", "{m13}", "--prime", "3", "--aux", "auto", "--aux-limit", "8"], 0,
+     "d72c1808606188eb2345be9a8559aab62421b915c310703a7b1d1092d10f1566"),
 ]
+
+_DIGEST_GRAPHS = {
+    "k39": lambda: complete_biregular(2),
+    "twisted": lambda: cosets.twisted_complete(2),
+    "k39u": lambda: cosets.disjoint_union(complete_biregular(2), complete_biregular(2)),
+    "m13": lambda: parallel_multigraph(2),
+}
 
 
 @pytest.mark.parametrize(
     "argv, code, sha256", _LOCAL_DIGESTS, ids=[f"{a[0]}-{a[1]}-{i}" for i, (a, _, _) in enumerate(_LOCAL_DIGESTS)]
 )
-def test_local_reports_are_byte_identical(capsys, deadline, argv, code, sha256):
+def test_local_reports_are_byte_identical(capsys, deadline, tmp_path, argv, code, sha256):
+    paths = {}
+    for name, build in _DIGEST_GRAPHS.items():
+        paths[name] = tmp_path / f"{name}.graph"
+        paths[name].write_text(build().describe())
+    argv = [a.format(**paths) for a in argv]
     with deadline(5):
         got, out = run(capsys, *argv)
     assert got == code
@@ -1091,6 +1128,19 @@ class TestAnalyticCommands:
         assert code == 0
         assert doc["results"]["central"] is False
         assert doc["results"]["rigidity_witness"] is not None
+
+    def test_weight_at_a_large_prime(self, capsys, deadline):
+        # the primitive root mod 9999991 is tested by the primes of p - 1; the
+        # digest was recorded from the implementation that walked every power
+        with deadline(5):
+            code, out = run(
+                capsys, "--budget", "10000000", "analytic", "weight", "--p", "9999991",
+                "--level", "1", "--chi1", "1", "--chi2", "0", "--chi3", "0",
+            )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e3a82e5184511c5cd2d977dc4b41ad91d053f5e84292189408eba09bd5b08d4c"
+        )
 
     def test_weight_searches_once(self, capsys, monkeypatch):
         searches = []

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u3local.cosets import (
     AuxOperator,
@@ -13,6 +14,8 @@ from u3local.cosets import (
     GraphFormatError,
     LabelingError,
     StratumError,
+    _commutes_with_level_maps,
+    _permutation_order,
     complete_biregular,
     congruence_module,
     det_identity_check,
@@ -136,6 +139,11 @@ def count_rrefs(monkeypatch):
     original = Matrix.rref
     monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self.shape) or original(self))
     return calls
+
+
+def perm_matrix(perm):
+    """The integer matrix of f -> f o perm: row i has its 1 at column perm[i]."""
+    return [[int(j == x) for j in range(len(perm))] for x in perm]
 
 
 def shifted(rows, c):
@@ -629,66 +637,67 @@ class TestAutomorphismsAndSearch:
         assert len(fam.members) == 3
 
     def test_family_rejects_non_commuting(self, k39):
-        from u3local.cosets import AuxOperator
-
-        bad = AuxOperator(
-            "bad",
-            [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-            [[1 if i == j else 0 for j in range(9)] for i in range(9)],
-            [[1 if i == j else 0 for j in range(27)] for i in range(27)],
-        )
-        with pytest.raises(ValueError):
+        # automorphism vertex maps with the edges rotated by one
+        sigma, tau = find_automorphisms(k39, limit=2)[1]
+        bad = AuxOperator("bad", sigma, tau, [(e + 1) % 27 for e in range(27)])
+        with pytest.raises(ValueError, match="does not commute"):
             AuxOperatorFamily(k39, [bad])
 
     def test_family_rejects_v0_swap_without_edge_map(self, k39):
-        swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-        ident = [[int(i == j) for j in range(27)] for i in range(27)]
-        bad = AuxOperator("swap", swap, [row[:9] for row in ident[:9]], ident)
+        bad = AuxOperator("swap", [1, 0, 2], list(range(9)), list(range(27)))
         with pytest.raises(ValueError, match="does not commute"):
             AuxOperatorFamily(k39, [bad])
 
     def test_family_rejects_misshapen_operator(self, k39):
-        ident = [[int(i == j) for j in range(28)] for i in range(28)]
-        for blocks in ((3, 9, 28), (3, 8, 27), (2, 9, 27)):
-            on_v0, on_v1, on_edges = ([row[:n] for row in ident[:n]] for n in blocks)
-            with pytest.raises(ValueError, match="needs 3x3, 9x9 and 27x27"):
-                AuxOperatorFamily(k39, [AuxOperator("shape", on_v0, on_v1, on_edges)])
+        cases = [[list(range(n)) for n in sizes] for sizes in ((3, 9, 28), (3, 8, 27), (2, 9, 27))]
+        for k in range(3):  # a repeated entry in sigma, tau or edge_map
+            cases.append([list(range(n)) for n in (3, 9, 27)])
+            cases[-1][k][1] = 0
+        for perms in cases:
+            with pytest.raises(ValueError, match="needs permutations of 3, 9 and 27 points"):
+                AuxOperatorFamily(k39, [AuxOperator("shape", *perms)])
 
-    def test_family_checks_the_lowering_map(self, k39):
-        # Row 0 of the edge operator is a signed 4-cycle, which sums to zero at
-        # every vertex: the raising-map side holds with zero vertex maps, the
-        # lowering-map side does not.
-        cycle = [0] * 27
-        cycle[0], cycle[1], cycle[10], cycle[9] = 1, -1, 1, -1  # edges (0,0) (0,1) (1,1) (1,0)
-        on_edges = [cycle] + [[0] * 27 for _ in range(26)]
-        zero0, zero1 = [[0] * 3 for _ in range(3)], [[0] * 9 for _ in range(9)]
-        assert not commutes_with_level_maps_dense(k39, zero0, zero1, on_edges)
-        with pytest.raises(ValueError, match="does not commute"):
-            AuxOperatorFamily(k39, [AuxOperator("cycle", zero0, zero1, on_edges)])
+    def test_family_checks_the_lowering_map(self, m13):
+        # edges 0 and 1 are parallel: sending both to edge 0 keeps every edge's
+        # ends, so the raising-map side holds, but the lowering map sums edge 0
+        # twice at its ends and never reads edge 1
+        edge_map = [0, 0] + list(range(2, 9))
+        triple = ([0], [0, 1, 2], edge_map)
+        assert not commutes_with_level_maps_dense(m13, *map(perm_matrix, triple))
+        with pytest.raises(ValueError):
+            AuxOperatorFamily(m13, [AuxOperator("merge", *triple)])
 
     @pytest.mark.parametrize("name", ["k39", "twisted", "random4"])
-    def test_commutation_matches_dense_oracle(self, name, k39):
-        g = {
-            "k39": k39,
-            "twisted": twisted_complete(2),
-            "random4": random_biregular_graph(2, 4, random.Random(1)),
-        }[name]
+    def test_commutation_matches_dense_oracle(self, name):
+        g = ORACLE_GRAPHS[name]()
         fam = AuxOperatorFamily.from_automorphisms(g, find_automorphisms(g, limit=4))
         assert len(fam.members) >= 2
         for op in fam.members:
-            assert commutes_with_level_maps_dense(g, op.on_v0, op.on_v1, op.on_edges)
-        # an integer combination of two members still commutes; a perturbed one does not
-        a, b = fam.members[0], fam.members[1]
-        combo = [
-            [[x - 3 * y for x, y in zip(ra, rb)] for ra, rb in zip(ma, mb)]
-            for ma, mb in ((a.on_v0, b.on_v0), (a.on_v1, b.on_v1), (a.on_edges, b.on_edges))
-        ]
-        assert commutes_with_level_maps_dense(g, *combo)
-        AuxOperatorFamily(g, [AuxOperator("combo", *combo)])
-        combo[2][0][1] += 1
-        assert not commutes_with_level_maps_dense(g, *combo)
-        with pytest.raises(ValueError, match="does not commute"):
-            AuxOperatorFamily(g, [AuxOperator("perturbed", *combo)])
+            expanded = map(perm_matrix, (op.sigma, op.tau, op.edge_map))
+            assert commutes_with_level_maps_dense(g, *expanded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["k39", "twisted", "random4"]), st.integers(0, 7), st.data())
+    def test_commutation_agrees_with_dense_oracle_after_a_transposition(self, name, k, data):
+        # an automorphism's edge_map composed with a transposition (i j) of the
+        # edges commutes exactly when i and j have the same ends
+        g = ORACLE_GRAPHS[name]()
+        perms = find_automorphisms(g, limit=8)
+        op = AuxOperatorFamily.from_automorphisms(g, [perms[k % len(perms)]]).members[0]
+        i = data.draw(st.integers(0, g.nedges - 1))
+        j = data.draw(st.integers(0, g.nedges - 1))
+        edge_map = list(op.edge_map)
+        edge_map[i], edge_map[j] = edge_map[j], edge_map[i]
+        swapped = AuxOperator("swapped", op.sigma, op.tau, edge_map)
+        dense = commutes_with_level_maps_dense(g, *map(perm_matrix, (op.sigma, op.tau, edge_map)))
+        assert _commutes_with_level_maps(g, swapped) == dense == (g.edges[i] == g.edges[j])
+
+    @pytest.mark.parametrize("perm", [[0], [1, 0], [1, 2, 0, 4, 3], [2, 0, 1, 3, 5, 6, 4, 8, 7]])
+    def test_permutation_order_is_the_least_power_to_identity(self, perm):
+        power, order = list(perm), 1
+        while power != list(range(len(perm))):
+            power, order = [perm[i] for i in power], order + 1
+        assert _permutation_order(perm) == order
 
     def test_search_p3_has_candidates(self, k39):
         perms = find_automorphisms(k39, limit=3)
@@ -752,8 +761,8 @@ class TestAutomorphismsAndSearch:
         for cand in rep["candidates"]:
             on_v0, on_edges = list(t0), list(inc_t)
             for name, c in cand["aux_eigenvalues"]:
-                on_v0 += shifted(ops[name].on_v0, c)
-                on_edges += shifted(ops[name].on_edges, c)
+                on_v0 += shifted(perm_matrix(ops[name].sigma), c)
+                on_edges += shifted(perm_matrix(ops[name].edge_map), c)
             assert cand["candidate_dim"] == g.n0 - gf_rank(on_v0, p)
             assert cand["matching_new_dim"] == g.nedges - gf_rank(on_edges, p)
             assert cand["occurs_in_new_space"] == (cand["matching_new_dim"] > 0)
