@@ -444,13 +444,34 @@ def cmd_moduli_pgl2(args):
 
 
 def _matrix_input(args):
+    """The matrix of --entries or --matrix-file, whose char poly the caller
+    computes: that is refused past --budget here, before it starts."""
     if getattr(args, "matrix_file", None):
         with open(args.matrix_file) as fh:
             spec = fh.read().strip()
-        return parse_matrix(spec, args.budget), {"matrix_file_digest": digest(spec)}
-    if not args.entries:
+        U, src = parse_matrix(spec, args.budget), {"matrix_file_digest": digest(spec)}
+    elif not args.entries:
         raise ValueError("provide --entries or --matrix-file")
-    return parse_matrix(args.entries, args.budget), {"entries": args.entries}
+    else:
+        U, src = parse_matrix(args.entries, args.budget), {"entries": args.entries}
+    _within_char_poly_budget(U, args.budget)
+    return U, src
+
+
+def _within_char_poly_budget(U, budget):
+    """``Matrix.char_poly`` over Q reduces A = d U (d the lcm of the entry
+    denominators) modulo primes below 2^61 until their product passes
+    2 (1 + R)^n, R the largest absolute row sum of A: about k = b/61 + 1
+    primes for a bound of b bits.  Each prime costs a Hessenberg reduction
+    (n^3) and a CRT step of the n + 1 coefficients against a modulus of up to
+    k words, so the estimate is k (k (n + 1) + n^3)."""
+    n = U.nrows
+    d = math.lcm(*(Fraction(x).denominator for r in U.rows for x in r))
+    R = max((sum(abs(x) * d for x in r) for r in U.rows), default=0)
+    k = (n * (1 + int(R)).bit_length() + 1) // 61 + 1
+    _within_budget(
+        k * (k * (n + 1) + n**3), budget, f"a {n}x{n} char poly modulo {k} word primes"
+    )
 
 
 def cmd_slope_series(args):

@@ -12,11 +12,13 @@ mod-p abelian kernel, and the level-raising search -- lives here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 from .linalg import (
+    QQ,
     Matrix,
     PrimeField,
     int_matrix_det,
@@ -46,7 +48,18 @@ class LabelingError(ValueError):
 
 
 class CosetGraph:
-    """Biregular bipartite multigraph with V0-degrees l^3+1 and V1-degrees l+1."""
+    """Biregular bipartite multigraph with V0-degrees l^3+1 and V1-degrees l+1.
+
+    The incidence matrix inc (edges x V0 + V1) of a bipartite multigraph is
+    totally unimodular: every square minor is 0 or +-1.  So a set of rows or
+    columns is independent over Q exactly when it is over F_p, ranks and pivot
+    columns agree over every field, and the rref over Q has entries in
+    {0, +-1}: reduced mod p it is the rref over F_p.  The graph keeps one
+    elimination of inc and one of inc^T, over Q, computed on first use; the
+    mod-p questions read them by ``x % p``.  A graph is not changed after
+    construction, so they never go stale; every caller gets the same lists,
+    which it reads and does not change.
+    """
 
     def __init__(self, l: int, n0: int, n1: int, edges: list[tuple[int, int]]):
         try:
@@ -150,6 +163,22 @@ class CosetGraph:
             rows[v][w] += 1
             rows[w][v] += 1
         return rows
+
+    @functools.cached_property
+    def raising_kernel(self) -> list[list[int]]:
+        """The rref kernel basis of inc over Q: ker(i), from one elimination."""
+        return Matrix._wrap(self.incidence_rows(), QQ).kernel_basis()
+
+    @functools.cached_property
+    def old_new_bases(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The rref rows of inc^T over Q, a basis of old = im(i), and the rref
+        kernel basis of inc^T, of new = ker(i+), from one elimination."""
+        return Matrix._wrap(self.incidence_rows(), QQ).transpose().row_space_and_kernel()
+
+    @functools.cached_property
+    def walk_v0(self) -> list[list[int]]:
+        """The rows of ``walk_operator_v0``, enumerated once per graph."""
+        return walk_operator_v0(self)
 
     def edge_stars(self, side: int) -> list[list[int]]:
         """The edges at each vertex of V0 (side 0) or V1 (side 1), in edge order."""
@@ -389,13 +418,12 @@ def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
       * B A = T0 + (l^3+1) Id   and   A B = T1 + (l+1) Id
     with T0, T1 the independently enumerated distance-2 walk operators.
     """
-    inc = Matrix(g.incidence_rows())
-    composite = inc.transpose() @ inc
     n0, n1, l = g.n0, g.n1, g.l
-    B = Matrix(g.multiplicity_table())
+    composite = Matrix._wrap(g.composite_rows(), QQ)
+    B = Matrix._wrap(g.multiplicity_table(), QQ)
     A = B.transpose()
-    T0 = Matrix(walk_operator_v0(g))
-    T1 = Matrix(walk_operator_v1(g))
+    T0 = Matrix._wrap(g.walk_v0, QQ)
+    T1 = Matrix._wrap(walk_operator_v1(g), QQ)
 
     support = {(i, i): l**3 + 1 for i in range(n0)}
     support.update({(n0 + j, n0 + j): l + 1 for j in range(n1)})
@@ -412,24 +440,34 @@ def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
     }
     # v^T C v = |inc v|^2, so C and inc share their row space and rref kernel
     return BlockHeckeOperator(
-        l, n0, n1, composite, A, B, T0, T1, inc.kernel_basis(),
+        l, n0, n1, composite, A, B, T0, T1, g.raising_kernel,
         {"ok": all(checks.values()), **checks},
     )
 
 
 def old_new_decomposition(g: CosetGraph):
     """Rational decomposition of the edge space into old = im(i) and new = ker(i+)."""
-    # old = row space of inc^T, new = kernel of inc^T: one row reduction gives both
-    old_basis, new_basis = Matrix(g.incidence_rows()).transpose().row_space_and_kernel()
+    old_basis, new_basis = g.old_new_bases
     dims = {
         "old": len(old_basis),
         "new": len(new_basis),
         "edges": g.nedges,
         "direct_sum": len(old_basis) + len(new_basis) == g.nedges,
         # <i f, n> = <f, i+ n>, so n is orthogonal to im(i) exactly when i+ n = 0
-        "orthogonal": not any(any(map_iplus(EdgeForm(n), g).stacked()) for n in new_basis),
+        "orthogonal": all(_lowers_to_zero(g, n) for n in new_basis),
     }
     return old_basis, new_basis, dims
+
+
+def _lowers_to_zero(g: CosetGraph, m) -> bool:
+    """Whether i+ m = 0, summing over the support of the edge function m only."""
+    sums, n0, ends = {}, g.n0, g.edges
+    for e, x in enumerate(m):
+        if x:
+            v, w = ends[e]
+            sums[v] = sums.get(v, 0) + x
+            sums[n0 + w] = sums.get(n0 + w, 0) + x
+    return not any(sums.values())
 
 
 def kernel_eigenvalue_check(block: BlockHeckeOperator) -> dict:
@@ -545,12 +583,16 @@ def ihara_kernel_test(g: CosetGraph, p: int) -> dict:
     On a connected graph with the trivial labeling this says: dimension one,
     spanned by the constant pair (1, -1).  Disconnected inputs are reported
     per component.
+
+    The kernel is the graph's rational rref kernel of inc reduced mod p: inc
+    is totally unimodular, every minor is 0 or +-1, so ranks and rrefs agree
+    over every field and no elimination over F_p is needed.
     """
     require_prime(p)
     gf = PrimeField(p)
-    kernel = Matrix(g.incidence_rows(), gf).kernel_basis()
+    kernel = [[x % p for x in vec] for vec in g.raising_kernel]
     span = _abelian_kernel_span(g, p, None)
-    abelian_ok = Matrix(span + kernel, gf).rank() == Matrix(span, gf).rank()
+    abelian_ok = Matrix._wrap(span + kernel, gf).rank() == Matrix._wrap(span, gf).rank()
     # An edge row meets one component, and row reduction only combines rows that
     # share a column, so every reduced row and every kernel vector lies in one
     # component: the kernel is the direct sum of the per-component kernels.
@@ -833,18 +875,22 @@ def level_raising_search(
     so a refined space need not be stable under the next member, and a char
     poly of a restriction would not be defined.  A member is a permutation of
     some order L, so only the c with c^L = 1 are scanned, in ascending order.
+
+    The new space ker(i+) mod p is the graph's rational rref kernel of inc^T
+    reduced mod p: inc is totally unimodular, every minor is 0 or +-1, so
+    ranks and rrefs agree over every field.
     """
     require_prime(p)
     if aux.graph is not g:
         raise ValueError("operator family was built for a different graph")
     gf = PrimeField(p)
     lam = (g.l * (g.l**3 + 1)) % p
-    t0 = walk_operator_v0(g)
+    t0 = g.walk_v0
     base = (Matrix(t0, gf) - Matrix.identity(g.n0, gf).scale(lam)).kernel_basis()
 
     # exact eigenvalue bookkeeping for the report; integer eigenvalues are
     # bounded by the constant row sum l(l^3+1) of the walk operator
-    cp = Matrix(t0).char_poly()
+    cp = Matrix._wrap(t0, QQ).char_poly()
     int_roots, unsplit = _integer_roots_with_multiplicity(cp, g.l * (g.l**3 + 1))
     congruent_roots = sorted(set(r for r in int_roots if (r - lam) % p == 0))
 
@@ -863,11 +909,11 @@ def level_raising_search(
         systems = refined
 
     span = [vec[: g.n0] for vec in _abelian_kernel_span(g, p, lab)]
-    span_rank = Matrix(span, gf).rank()
-    new_kernel = Matrix(g.incidence_rows(), gf).transpose().kernel_basis()
+    span_rank = Matrix._wrap(span, gf).rank()
+    new_kernel = [[x % p for x in vec] for vec in g.old_new_bases[1]]
     candidates = []
     for eigs, basis in systems:
-        if Matrix(span + basis, gf).rank() == span_rank:
+        if Matrix._wrap(span + basis, gf).rank() == span_rank:
             continue  # abelian
         occ_basis = new_kernel
         for k, c in eigs:

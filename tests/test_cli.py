@@ -162,6 +162,19 @@ class TestGraphCommands:
         code, _ = run_json(capsys, "graph", "analyze", k39_path, "--prime", "3")
         assert code == 0 and len(calls) == 1
 
+    def test_analyze_eliminates_the_incidence_matrix_once_each_way(
+        self, capsys, k39_path, monkeypatch
+    ):
+        # inc is E x V = 27 x 12; the mod-p answers reduce the rational rrefs
+        shapes, walks = [], []
+        rref, walk = cosets.Matrix.rref, cosets.walk_operator_v0
+        monkeypatch.setattr(cosets.Matrix, "rref", lambda m: shapes.append(m.shape) or rref(m))
+        monkeypatch.setattr(cosets, "walk_operator_v0", lambda g: walks.append(g) or walk(g))
+        code, _ = run_json(capsys, "graph", "analyze", k39_path, "--prime", "3")
+        assert code == 0
+        assert shapes.count((27, 12)) == 1 and shapes.count((12, 27)) == 1
+        assert len(walks) == 1
+
     def test_levelraise_auto_on_former_stall(self, capsys, tmp_path, deadline):
         # the n0=16 graph on which the automorphism search once ran for minutes
         path = tmp_path / "r16-1.graph"
@@ -422,6 +435,16 @@ class TestBudgetRefusals:
                  "--precision", "3000000"],
                 "precision 3000000", id="decompose-large-precision",
             ),
+            # the char poly's CRT over the 5446 primes took about 6 s, past the
+            # argv fuzz's deadline, before the prime was checked
+            pytest.param(
+                ["slope", "series", "--entries=1e100000", "--p", "3"],
+                "modulo 5446 word primes", id="series-large-entry",
+            ),
+            pytest.param(
+                ["slope", "decompose", "--entries=1e100000", "--p=0", "--h=0"],
+                "modulo 5446 word primes", id="decompose-fuzz-entry",
+            ),
         ],
     )
     def test_refused_past_budget(self, capsys, k39_path, deadline, argv, message):
@@ -447,8 +470,10 @@ class TestBudgetRefusals:
             # degree 2 cubed, times the square of the ceil((20 + 25) * 2 / 64) = 2 words
             (["slope", "factor", "--poly=1,-4,3", "--p", "3", "--h", "0"], 32),
             (["slope", "decompose", "--entries", "1,0;0,3", "--p", "3", "--h", "0"], 32),
+            # the char poly of the 4 x 4 identity: one prime, 1 * (1 * 5 + 4^3)
+            (["slope", "series", "--entries", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--p", "3"], 69),
         ],
-        ids=["levelraise", "ihara", "weight", "components", "factor", "decompose"],
+        ids=["levelraise", "ihara", "weight", "components", "factor", "decompose", "series"],
     )
     def test_budget_is_the_estimate(self, capsys, k39_path, argv, cost):
         argv = [a.format(graph=k39_path) for a in argv]

@@ -37,7 +37,7 @@ from u3local.cosets import (
     twisted_complete,
     walk_operator_v0,
 )
-from u3local.linalg import Matrix, lattice_quotient_invariants
+from u3local.linalg import Matrix, PrimeField, lattice_quotient_invariants
 
 from .oracles import (
     abelian_forms,
@@ -134,10 +134,15 @@ TWO_STAGE_GRAPHS = {
 
 
 def count_rrefs(monkeypatch):
-    """Record the shape of every ``Matrix.rref`` call from now on."""
+    """Record (rows, columns, characteristic) of every ``Matrix.rref`` call from now on."""
     calls = []
     original = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self.shape) or original(self))
+
+    def spy(self):
+        calls.append((*self.shape, self.field.characteristic))
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", spy)
     return calls
 
 
@@ -398,15 +403,26 @@ class TestRaisingMapQuestions:
         old, new, dims = old_new_decomposition(RAISING_GRAPHS[name]())
         assert dims["orthogonal"] is old_new_orthogonal_pairwise(old, new) is True
 
-    def test_adjoint_orthogonality_sees_a_bad_new_vector(self, k39, monkeypatch):
-        # an old vector slipped into the new basis fails both verdicts
+    @pytest.mark.parametrize("slipped", ["rref-row", "v1-difference"])
+    def test_adjoint_orthogonality_sees_a_bad_new_vector(self, slipped, monkeypatch):
+        # an old vector slipped into the new basis fails both verdicts; the
+        # graph is new, so its first elimination goes through the patch.
+        # i(0; e0 - e1) lowers to zero on V0 and to (0; 3, -3, 0, ...) on V1.
+        g = complete_biregular(2)
+        bad = map_i(FormTriple([0] * 3, [1, -1] + [0] * 7), g).m
         original = Matrix.row_space_and_kernel
         def corrupted(self):
             old, new = original(self)
-            return old, new + [old[0]]
+            return old, new + [old[0] if slipped == "rref-row" else bad]
         monkeypatch.setattr(Matrix, "row_space_and_kernel", corrupted)
-        old, new, dims = old_new_decomposition(k39)
+        old, new, dims = old_new_decomposition(g)
         assert dims["orthogonal"] is old_new_orthogonal_pairwise(old, new) is False
+
+    @pytest.mark.parametrize("name", list(RAISING_GRAPHS))
+    def test_composite_rows_are_the_dense_product(self, name):
+        g = RAISING_GRAPHS[name]()
+        inc = Matrix(g.incidence_rows())
+        assert g.composite_rows() == (inc.transpose() @ inc).rows
 
     def test_det_identity_on_a_trivial_kernel(self):
         # only the empty graph has a trivial kernel; Bareiss of the 0x0 composite
@@ -428,6 +444,36 @@ class TestRaisingMapQuestions:
         assert kernel_eigenvalue_check(block)["ok"] and det_identity_check(block)["ok"]
         nv = g.n0 + g.n1
         assert (g.nedges, nv) in shapes and (nv, nv) not in shapes
+
+
+# the raising graphs, two components of different shape and some l=3 graphs
+UNIMODULAR_GRAPHS = {
+    **RAISING_GRAPHS,
+    "k39+twisted": lambda: disjoint_union(complete_biregular(2), twisted_complete(2)),
+    "k4-28": lambda: complete_biregular(3),
+    **{
+        f"l3-random{n0}-{k}": (lambda n0=n0, k=k: random_biregular_graph(3, n0, random.Random(k)))
+        for n0 in (1, 2, 3)
+        for k in (1, 2)
+    },
+}
+
+
+class TestUnimodularShortcut:
+    """inc is totally unimodular, so its rational eliminations have entries in
+    {0, +-1} and, reduced mod p, are the eliminations over F_p: checked here
+    against a direct elimination over F_p."""
+
+    @pytest.mark.parametrize("name", list(UNIMODULAR_GRAPHS))
+    def test_rational_eliminations_reduce_to_the_mod_p_ones(self, name):
+        g = UNIMODULAR_GRAPHS[name]()
+        kernel, (old, new) = g.raising_kernel, g.old_new_bases
+        assert {x for vec in kernel + old + new for x in vec} <= {-1, 0, 1}
+        for p in (2, 3, 5, 7, 65521):
+            inc = Matrix(g.incidence_rows(), PrimeField(p))
+            reduced = [[[x % p for x in vec] for vec in basis] for basis in (kernel, old, new)]
+            assert reduced[0] == inc.kernel_basis()
+            assert tuple(reduced[1:]) == inc.transpose().row_space_and_kernel()
 
 
 class TestIharaKernel:
@@ -466,6 +512,7 @@ class TestIharaKernel:
             expected.append({"component": comp, "kernel_dim": len(cols) - gf_rank(rows, p)})
         assert rep["per_component"] == expected
         assert rep["kernel_dim"] == g.n0 + g.n1 - gf_rank(g.incidence_rows(), p)
+        assert rep["kernel_basis"] == Matrix(g.incidence_rows(), PrimeField(p)).kernel_basis()
 
     def test_shuffled_union_per_component(self, k39, m13):
         # interleave the vertices and edges of three components
@@ -474,14 +521,18 @@ class TestIharaKernel:
         assert [c["kernel_dim"] for c in rep["per_component"]] == [1, 1, 1]
         assert rep["ok"]
 
-    def test_three_eliminations_whatever_the_components(self, k39, monkeypatch):
+    def test_two_eliminations_mod_p_whatever_the_components(self, k39, monkeypatch):
+        # the graph's one rational elimination of inc, then the abelian test's
+        # two mod p; a second prime reuses the rational one
         calls = count_rrefs(monkeypatch)
-        g = k39
-        for n_components in (1, 2, 3):
-            calls.clear()
-            rep = ihara_kernel_test(g, 2)
-            assert rep["components"] == n_components and rep["ok"]
-            assert len(calls) == 3
+        g = complete_biregular(2)  # each graph is new, its elimination not yet made
+        for c in (1, 2, 3):
+            nv = g.n0 + g.n1
+            for p, rational in ((2, [(g.nedges, nv, 0)]), (3, [])):
+                calls.clear()
+                rep = ihara_kernel_test(g, p)
+                assert rep["components"] == c and rep["ok"]
+                assert calls == rational + [(2 * c, nv, p), (c, nv, p)]
             g = disjoint_union(g, k39)
 
 
@@ -768,16 +819,20 @@ class TestAutomorphismsAndSearch:
             assert cand["occurs_in_new_space"] == (cand["matching_new_dim"] > 0)
 
     def test_abelian_test_is_one_elimination(self, k39, monkeypatch):
-        # with no auxiliary members: the T0 eigenspace, the abelian span, the
-        # abelian test and the new space, one elimination each, whatever the
-        # eigenspace dimension
+        # with no auxiliary members: the T0 eigenspace, the abelian span and
+        # the abelian test, one elimination mod p each, whatever the eigenspace
+        # dimension; the new space is the graph's one rational elimination of
+        # inc^T, made on first use and reused after
         calls = count_rrefs(monkeypatch)
         dims = set()
-        for g, p in ((k39, 5), (k39, 3), (disjoint_union(k39, k39), 3)):
+        new = complete_biregular(2)
+        for g, p, fresh in ((new, 5, True), (new, 3, False), (disjoint_union(k39, k39), 3, True)):
             calls.clear()
             rep = level_raising_search(g, p, AuxOperatorFamily.empty(g))
             dims.add(rep["eigenspace_dim"])
-            assert len(calls) == 4
+            rational = [c for c in calls if c[2] == 0]
+            assert len(calls) - len(rational) == 3
+            assert rational == ([(g.n0 + g.n1, g.nedges, 0)] if fresh else [])
         assert len(dims) == 3
 
     @pytest.mark.parametrize("name", ["k39", "twisted", "m13", "random2"])
