@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -32,18 +31,23 @@ class ModelSizeError(ValueError):
     """The requested ball count exceeds the budget."""
 
 
-@dataclass(frozen=True)
 class AnalyticModel:
     """Shape data: prime p, radius exponent m (r = p^-m), degree bound D."""
 
-    p: int
-    m: int
-    degree_bound: int
-
-    def __post_init__(self):
-        require_prime(self.p)
-        if self.m < 1 or self.degree_bound < 0:
+    def __init__(self, p: int, m: int, degree_bound: int):
+        require_prime(p)
+        if m < 1 or degree_bound < 0:
             raise ValueError("need m >= 1 and a nonnegative degree bound")
+        self.p, self.m, self.degree_bound = p, m, degree_bound
+
+    def _key(self):
+        return self.p, self.m, self.degree_bound
+
+    def __eq__(self, other):
+        return isinstance(other, AnalyticModel) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ball_side(self) -> int:
@@ -148,25 +152,29 @@ def _prime_factors(n: int) -> set[int]:
     return (primes | {n}) if n > 1 else primes
 
 
-@dataclass(frozen=True)
 class Character:
     """Character of the units mod p^k, stored by exponents at canonical generators.
 
     The value at generator g_i of order n_i is the n_i-th root of unity with
-    exponent exps[i]; comparisons and ratios happen at the exponent level.
+    exponent exps[i], reduced mod n_i; comparisons and ratios happen at the
+    exponent level.
     """
 
-    p: int
-    k: int
-    exps: tuple[int, ...]
+    def __init__(self, p: int, k: int, exps: tuple[int, ...]):
+        gens = unit_group_generators(p, k)
+        if len(exps) != len(gens):
+            raise ValueError(f"need {len(gens)} exponents for p={p}, k={k}")
+        self.p, self.k = p, k
+        self.exps = tuple(e % order for e, (_, order) in zip(exps, gens))
 
-    def __post_init__(self):
-        gens = unit_group_generators(self.p, self.k)
-        if len(self.exps) != len(gens):
-            raise ValueError(f"need {len(gens)} exponents for p={self.p}, k={self.k}")
-        object.__setattr__(
-            self, "exps", tuple(e % order for e, (_, order) in zip(self.exps, gens))
-        )
+    def _key(self):
+        return self.p, self.k, self.exps
+
+    def __eq__(self, other):
+        return isinstance(other, Character) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def is_trivial(self):
         return all(e == 0 for e in self.exps)
@@ -179,18 +187,22 @@ class Character:
         )
 
 
-@dataclass(frozen=True)
 class Weight:
     """A triple of characters of the truncated unit group."""
 
-    chi1: Character
-    chi2: Character
-    chi3: Character
-
-    def __post_init__(self):
-        keys = {(c.p, c.k) for c in (self.chi1, self.chi2, self.chi3)}
-        if len(keys) != 1:
+    def __init__(self, chi1: Character, chi2: Character, chi3: Character):
+        if len({(c.p, c.k) for c in (chi1, chi2, chi3)}) != 1:
             raise ValueError("all three characters must share p and level")
+        self.chi1, self.chi2, self.chi3 = chi1, chi2, chi3
+
+    def _key(self):
+        return self.chi1, self.chi2, self.chi3
+
+    def __eq__(self, other):
+        return isinstance(other, Weight) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def central_weight_test(w: Weight) -> bool:

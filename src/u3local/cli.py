@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import enum
-import hashlib
 import json
 import math
 import re
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import analytic, cosets, lparam, satake, slope, tree
@@ -71,8 +69,6 @@ def jsonable(x):
         return [_rational_text(c) for c in x.coeffs]
     if isinstance(x, Matrix):
         return [[_rational_text(c) for c in row] for row in x.rows]
-    if is_dataclass(x) and not isinstance(x, type):
-        return jsonable(asdict(x))
     if isinstance(x, dict):
         return {_key(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -91,6 +87,8 @@ def _key(k):
 
 
 def digest(payload: str) -> str:
+    import hashlib  # off the start-up path: only graph and matrix files are digested
+
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -399,7 +397,9 @@ def cmd_moduli_components(args):
     rep.put(
         "witnesses",
         {
-            "|".join(map(str, part)): (None if w is None else w)
+            "|".join(map(str, part)): (
+                None if w is None else {**w, "witness": w["witness"].as_dict()}
+            )
             for part, w in witnesses.items()
         },
     )

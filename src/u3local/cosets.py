@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .linalg import (
     QQ,
@@ -300,12 +299,11 @@ def random_biregular_graph(l: int, n0: int, rng):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FormTriple:
     """A pair of functions on V0 and V1 (the two coarse levels)."""
 
-    f0: list
-    f1: list
+    def __init__(self, f0: list, f1: list):
+        self.f0, self.f1 = f0, f1
 
     def stacked(self):
         return list(self.f0) + list(self.f1)
@@ -315,11 +313,11 @@ class FormTriple:
         return cls(list(vec[:n0]), list(vec[n0:]))
 
 
-@dataclass
 class EdgeForm:
     """A function on the edge set (the fine level)."""
 
-    m: list
+    def __init__(self, m: list):
+        self.m = m
 
 
 def map_i(t: FormTriple, g: CosetGraph) -> EdgeForm:
@@ -394,20 +392,30 @@ def walk_operator_v1(g: CosetGraph) -> list[list[int]]:
     return _walk_operator(g, 1)
 
 
-@dataclass
 class BlockHeckeOperator:
     """The 2x2 block realization of lowering-after-raising on V0 + V1 functions."""
 
-    l: int
-    n0: int
-    n1: int
-    composite: Matrix  # (n0+n1)^2, equals raising followed by lowering
-    A: Matrix  # V0 functions -> V1 functions (adjacency with multiplicity)
-    B: Matrix  # V1 functions -> V0 functions
-    T0: Matrix  # distance-2 walk operator on V0
-    T1: Matrix  # distance-2 walk operator on V1
-    kernel: list  # rref basis of ker(composite) = ker(raising map)
-    report: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        l: int,
+        n0: int,
+        n1: int,
+        composite: Matrix,
+        A: Matrix,
+        B: Matrix,
+        T0: Matrix,
+        T1: Matrix,
+        kernel: list,
+        report: dict | None = None,
+    ):
+        self.l, self.n0, self.n1 = l, n0, n1
+        self.composite = composite  # (n0+n1)^2, equals raising followed by lowering
+        self.A = A  # V0 functions -> V1 functions (adjacency with multiplicity)
+        self.B = B  # V1 functions -> V0 functions
+        self.T0 = T0  # distance-2 walk operator on V0
+        self.T1 = T1  # distance-2 walk operator on V1
+        self.kernel = kernel  # rref basis of ker(composite) = ker(raising map)
+        self.report = {} if report is None else report
 
 
 def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
@@ -518,21 +526,16 @@ def det_identity_check(block: BlockHeckeOperator) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DetLabeling:
     """Labels in a cyclic group C = Z/order with a fixed shift per distance-2 move."""
 
-    order: int
-    gshift: int
-    v0_labels: list[int]
-    v1_labels: list[int]
-
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, gshift: int, v0_labels: list[int], v1_labels: list[int]):
+        if order < 1:
             raise LabelingError("group order must be >= 1")
-        self.gshift %= self.order
-        self.v0_labels = [x % self.order for x in self.v0_labels]
-        self.v1_labels = [x % self.order for x in self.v1_labels]
+        self.order = order
+        self.gshift = gshift % order
+        self.v0_labels = [x % order for x in v0_labels]
+        self.v1_labels = [x % order for x in v1_labels]
 
     @classmethod
     def trivial(cls, g: CosetGraph) -> "DetLabeling":
@@ -616,7 +619,6 @@ def ihara_kernel_test(g: CosetGraph, p: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GammaChain:
     """Nested integer lattices gamma3 <= gamma2 <= gamma1 <= gamma0 in Z^(V0+V1).
 
@@ -626,10 +628,14 @@ class GammaChain:
     the standard bases, so only one copy is stored.
     """
 
-    gamma0: list[list[int]]
-    gamma1: list[list[int]]
-    gamma2: list[list[int]]
-    gamma3: list[list[int]]
+    def __init__(
+        self,
+        gamma0: list[list[int]],
+        gamma1: list[list[int]],
+        gamma2: list[list[int]],
+        gamma3: list[list[int]],
+    ):
+        self.gamma0, self.gamma1, self.gamma2, self.gamma3 = gamma0, gamma1, gamma2, gamma3
 
     def ranks(self):
         return {
@@ -701,15 +707,13 @@ def congruence_module(g: CosetGraph) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AuxOperator:
     """A compatible triple of pullback permutations: f -> f o sigma on V0-,
     f -> f o tau on V1- and m -> m o edge_map on edge-functions."""
 
-    name: str
-    sigma: list[int]
-    tau: list[int]
-    edge_map: list[int]
+    def __init__(self, name: str, sigma: list[int], tau: list[int], edge_map: list[int]):
+        self.name = name
+        self.sigma, self.tau, self.edge_map = sigma, tau, edge_map
 
 
 class AuxOperatorFamily:

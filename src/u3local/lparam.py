@@ -10,7 +10,6 @@ a cocharacter mu with Ad(diag(t^mu)) N = t N, checked symbolically in t.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import QQ, Matrix
@@ -181,14 +180,28 @@ def _require_diagonal(s: Matrix):
                 raise ValueError("s must be diagonal")
 
 
-@dataclass
 class DegenerationWitness:
     """Cocharacter weights mu with Ad(diag(t^mu)) N = t N, plus check results."""
 
-    mu: tuple[int, ...]
-    scaling_verified: bool
-    path_on_stratum: bool
-    specializes_to_zero: bool
+    def __init__(
+        self,
+        mu: tuple[int, ...],
+        scaling_verified: bool,
+        path_on_stratum: bool,
+        specializes_to_zero: bool,
+    ):
+        self.mu = mu
+        self.scaling_verified = scaling_verified
+        self.path_on_stratum = path_on_stratum
+        self.specializes_to_zero = specializes_to_zero
+
+    def as_dict(self) -> dict:
+        return {
+            "mu": self.mu,
+            "scaling_verified": self.scaling_verified,
+            "path_on_stratum": self.path_on_stratum,
+            "specializes_to_zero": self.specializes_to_zero,
+        }
 
 
 def degeneration_witness(s: Matrix, N: Matrix, l) -> DegenerationWitness:

@@ -17,7 +17,6 @@ tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,18 +44,24 @@ def deg_inert_Tl(l: int) -> int:
     return l * (l**3 + 1)
 
 
-@dataclass(frozen=True)
 class SatakeParam:
     """Rank-one unramified parameter: a nonzero rational alpha at the prime l."""
 
-    alpha: Fraction
-    l: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        require_prime(self.l)
+    def __init__(self, alpha: Fraction, l: int):
+        self.alpha = Fraction(alpha)
+        require_prime(l)
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
+        self.l = l
+
+    def _key(self):
+        return self.alpha, self.l
+
+    def __eq__(self, other):
+        return isinstance(other, SatakeParam) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @lru_cache(maxsize=16)  # bounded: a process may meet many primes l
@@ -99,21 +104,24 @@ def classify_principal_series(s: SatakeParam) -> PrincipalSeries:
     return PrincipalSeries.IRREDUCIBLE
 
 
-@dataclass(frozen=True)
 class SplitEigensystem:
     """Eigenvalues of the three standard operators at a split prime q."""
 
-    q: int
-    t1: Fraction
-    t2: Fraction
-    t3: Fraction
-
-    def __post_init__(self):
-        require_prime(self.q)
-        for name in ("t1", "t2", "t3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, q: int, t1: Fraction, t2: Fraction, t3: Fraction):
+        require_prime(q)
+        self.q = q
+        self.t1, self.t2, self.t3 = Fraction(t1), Fraction(t2), Fraction(t3)
         if self.t3 == 0:
             raise ValueError("t3 must be invertible")
+
+    def _key(self):
+        return self.q, self.t1, self.t2, self.t3
+
+    def __eq__(self, other):
+        return isinstance(other, SplitEigensystem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def very_eisenstein_check(es: SplitEigensystem, psi_val: Fraction) -> bool:

@@ -26,7 +26,6 @@ polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix, rational_reconstruction
@@ -59,13 +58,18 @@ def fredholm_series(U: Matrix) -> Poly:
     return p
 
 
-@dataclass
 class NewtonPolygon:
     """Lower convex hull of (i, v_p(a_i)); slopes weakly increasing."""
 
-    p: int
-    vertices: list[tuple[int, Fraction]]
-    segments: list[tuple[Fraction, int]] = field(default_factory=list)
+    def __init__(
+        self,
+        p: int,
+        vertices: list[tuple[int, Fraction]],
+        segments: list[tuple[Fraction, int]] | None = None,
+    ):
+        self.p = p
+        self.vertices = vertices
+        self.segments = [] if segments is None else segments
 
     def slopes(self) -> list[Fraction]:
         out = []
@@ -106,7 +110,6 @@ def _turns_up(a, b, c):
     return (b[1] - a[1]) * (c[0] - a[0]) >= (c[1] - a[1]) * (b[0] - a[0])
 
 
-@dataclass
 class SlopeFactorization:
     """P = Q * S with Q collecting the reciprocal roots of valuation <= h.
 
@@ -114,13 +117,13 @@ class SlopeFactorization:
     otherwise it holds coefficientwise modulo p^precision.
     """
 
-    Q: Poly
-    S: Poly
-    h: Fraction
-    m: int
-    p: int
-    precision: int | None
-    exact: bool
+    def __init__(
+        self, Q: Poly, S: Poly, h: Fraction, m: int, p: int, precision: int | None, exact: bool
+    ):
+        self.Q, self.S = Q, S
+        self.h, self.m, self.p = h, m, p
+        self.precision = precision
+        self.exact = exact
 
     def residual_valuation(self, P: Poly):
         return _valuation(P - self.Q * self.S, self.p)
@@ -306,16 +309,24 @@ def _validate_split(fact: SlopeFactorization, p, h, integral):
         raise SlopePrecisionError("low factor lost its leading coefficient")
 
 
-@dataclass
 class SlopeDecomposition:
     """Splitting into the slope <= h part and its polynomial complement."""
 
-    q_part_basis: list[list[Fraction]]
-    complement_basis: list[list[Fraction]]
-    projector: Matrix
-    factorization: SlopeFactorization
-    series: Poly  # det(1 - T U), the series that was factored
-    report: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        q_part_basis: list[list[Fraction]],
+        complement_basis: list[list[Fraction]],
+        projector: Matrix,
+        factorization: SlopeFactorization,
+        series: Poly,
+        report: dict | None = None,
+    ):
+        self.q_part_basis = q_part_basis
+        self.complement_basis = complement_basis
+        self.projector = projector
+        self.factorization = factorization
+        self.series = series  # det(1 - T U), the series that was factored
+        self.report = {} if report is None else report
 
 
 def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecomposition:

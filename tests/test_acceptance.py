@@ -259,16 +259,20 @@ def test_criterion_13_congruence_fixtures():
 
 def test_criterion_14_level_raising_at_q12_torsion():
     # every q12 invariant divides the last, so the primes dividing their
-    # product are those dividing the last; p | (l+1) n0 is excluded, where the
-    # counts differ (at p = l+1 on K39 the 3-rank is 9 and the count 3)
+    # product are those dividing the last; the primes of n0 join them.  Away
+    # from l+1, q12 is the torsion of coker(lambda0 I - T0) (criterion 17),
+    # whose p-rank the search counts, so p | n0 is included.  p | l+1 is
+    # excluded: that reduction takes the Schur complement of the (l+1) I block
+    # of the composite, which needs l+1 invertible, and there the counts
+    # differ (at p = l+1 on K39 the 3-rank is 9 and the count 3)
     primes = [p for p in range(2, 10**5) if is_prime(p)]
     ok, pairs = True, 0
     for make in GAMMA_GRAPHS.values():
         g = make()
         q12 = congruence_module(g)["q12_invariants"]
         top = q12[-1] if q12 else 1
-        for p in sorted({p for p in primes if top % p == 0} | {5, 7, 11, 13}):
-            if (g.l + 1) * g.n0 % p == 0:
+        for p in sorted({p for p in primes if top * g.n0 % p == 0} | {5, 7, 11, 13}):
+            if (g.l + 1) % p == 0:
                 continue
             search = level_raising_search(g, p, AuxOperatorFamily.empty(g))
             p_rank = sum(1 for q in q12 if q % p == 0)
@@ -287,10 +291,49 @@ def _order_identity(g, t0):
     return g.n0 * prod, (g.l + 1) ** (g.n1 - g.n0 + 1) * slope_at_lam
 
 
+def _smith_facts(g, t0=None, lam_shift=0, power_shift=0):
+    """Facts (b') and (c') on g, with M = lambda0 I - T0 and SNF(M) its nonzero
+    Smith invariants by the oracle: whether prod(q12) = (l+1)^(n1-n0+#components)
+    * prod SNF(M), and whether q12 and the torsion of coker M agree once every
+    prime of l+1 is stripped.  ``t0``, ``lam_shift`` and ``power_shift`` build
+    mutants."""
+    t0 = walk_operator_v0(g) if t0 is None else t0
+    lam = g.l * (g.l**3 + 1) + lam_shift
+    smith = [
+        d
+        for d in snf_reduction([[lam * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(t0)])
+        if d
+    ]
+    q12 = congruence_module(g)["q12_invariants"]
+    power = g.n1 - g.n0 + g.n_components + power_shift
+    order_ok = math.prod(q12) == (g.l + 1) ** power * math.prod(smith)
+    return order_ok, _away_from(q12, g.l + 1) == _away_from(smith, g.l + 1)
+
+
+def _away_from(invariants, m):
+    """The invariants with every prime of m divided out, the 1s dropped."""
+    out = []
+    for d in invariants:
+        while (common := math.gcd(d, m)) > 1:
+            d //= common
+        if d != 1:
+            out.append(d)
+    return out
+
+
 def test_criterion_15_order_identity():
-    connected = [g for g in (make() for make in GAMMA_GRAPHS.values()) if g.connected]
+    # the char poly form (b) holds on connected graphs and stays the oracle; the
+    # Smith form (b') holds on every graph, K39 + K39 ("k39u") among them
+    graphs = [make() for make in GAMMA_GRAPHS.values()]
+    connected = [g for g in graphs if g.connected]
     ok = all(lhs == rhs for lhs, rhs in (_order_identity(g, walk_operator_v0(g)) for g in connected))
-    record(15, f"n0 * prod q12 = (l+1)^(n1-n0+1) chi_T0'(lambda0) on {len(connected)} graphs", ok)
+    ok = ok and all(_smith_facts(g)[0] for g in graphs)
+    record(
+        15,
+        f"n0 * prod q12 = (l+1)^(n1-n0+1) chi_T0'(lambda0) on {len(connected)} graphs, and "
+        f"prod q12 = (l+1)^(n1-n0+#components) prod SNF(lambda0 I - T0) on {len(graphs)}",
+        ok,
+    )
 
 
 def _reduced_laplacian(g):
@@ -340,3 +383,34 @@ def test_order_identity_sees_a_changed_walk_operator():
     t0[1][0] += 1
     lhs, rhs = _order_identity(g, t0)
     assert lhs != rhs
+
+
+def test_criterion_17_q12_is_coker_away_from_l_plus_1():
+    # GAMMA_GRAPHS holds K39 + K39 as "k39u"
+    graphs = [make() for make in GAMMA_GRAPHS.values()]
+    ok = all(_smith_facts(g)[1] for g in graphs)
+    record(17, f"q12 and coker(lambda0 I - T0) agree away from l+1 on {len(graphs)} graphs", ok)
+
+
+def _symmetric_bump(t0):
+    """t0 with the entries (0, 1) and (1, 0) raised by one, when n0 >= 2."""
+    t0 = [row[:] for row in t0]
+    if len(t0) >= 2:
+        t0[0][1] += 1
+        t0[1][0] += 1
+    return t0
+
+
+@pytest.mark.parametrize(
+    "mutant, breaks_c",
+    [
+        (lambda g: _smith_facts(g, t0=_symmetric_bump(walk_operator_v0(g))), True),
+        (lambda g: _smith_facts(g, lam_shift=1), True),
+        (lambda g: _smith_facts(g, power_shift=1), False),
+    ],
+    ids=["t0-entry", "lambda0-plus-1", "power-plus-1"],
+)
+def test_smith_facts_see_mutants(mutant, breaks_c):
+    facts = [mutant(make()) for make in GAMMA_GRAPHS.values()]
+    assert not all(order_ok for order_ok, _ in facts)
+    assert all(away_ok for _, away_ok in facts) != breaks_c

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from u3local import cosets
 from u3local.cosets import (
     AuxOperator,
     AuxOperatorFamily,
@@ -612,6 +613,44 @@ GAMMA_GRAPHS = {
         for k in (1, 2)
     },
 }
+
+
+# every GAMMA_GRAPHS graph, a disconnected pair of non-isomorphic components,
+# and l=3 random graphs up to n0 = 4
+SYMMETRY_GRAPHS = {
+    **GAMMA_GRAPHS,
+    "k39+twisted": lambda: disjoint_union(complete_biregular(2), twisted_complete(2)),
+    **{
+        f"l3-random{n0}-{k}": (lambda n0=n0, k=k: random_biregular_graph(3, n0, random.Random(k)))
+        for n0 in (3, 4)
+        for k in (1, 2)
+    },
+}
+
+
+def _is_symmetric(rows):
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+
+
+class TestWalkSymmetry:
+    """T0 is symmetric because ``_two_walks`` yields both orders of each pair
+    of edges at a star; the rank argument for integer walk eigenvalues rests
+    on it, so a change to the enumeration that breaks it must fail here."""
+
+    @pytest.mark.parametrize("name", list(SYMMETRY_GRAPHS))
+    def test_walk_v0_is_symmetric(self, name):
+        assert _is_symmetric(SYMMETRY_GRAPHS[name]().walk_v0)
+
+    def test_one_way_walk_is_caught(self, monkeypatch):
+        original = cosets._two_walks
+
+        def one_way(g, side):
+            walks = original(g, side)
+            next(walks)  # drops the walk a -> b and keeps b -> a
+            yield from walks
+
+        monkeypatch.setattr(cosets, "_two_walks", one_way)
+        assert not _is_symmetric(complete_biregular(2).walk_v0)
 
 
 class TestGammaChainConstruction:
