@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     PrimeField,
     int_matrix_det,
+    int_matrix_rank,
     lattice_basis,
     lattice_contains,  # unused here: perfbench/tracer.py patches cosets.lattice_contains
     lattice_quotient_invariants,  # unused here: perfbench/tracer.py patches cosets.lattice_quotient_invariants
@@ -843,23 +844,32 @@ def _eigen_part(basis, images, c, gf):
     return (Matrix._wrap(kernel, gf, len(basis)) @ Matrix._wrap(basis, gf)).rows
 
 
-def _integer_roots_with_multiplicity(coeffs, bound: int):
-    """Integer roots (with multiplicity, absolute value <= bound) of a monic
-    integer polynomial given degree-ascending, plus the degree of the unsplit
-    remainder.  One ascending pass divides out each candidate while it is a root."""
-    cs = [int(c) for c in coeffs]
+@functools.cache
+def _word_field() -> PrimeField:
+    """GF(2^61 - 1), built once: ``PrimeField`` proves its modulus prime."""
+    return PrimeField((1 << 61) - 1)
+
+
+def _integer_eigenvalues(t0, bound: int) -> list[int]:
+    """The integer eigenvalues r, |r| <= bound, of the symmetric integer
+    matrix t0, ascending, each repeated by its multiplicity.
+
+    A root of the char poly over Q is a root mod P = 2^61 - 1, so the r at
+    which one char poly mod P vanishes are the only candidates.  t0 is
+    symmetric, hence diagonalizable, so the multiplicity of r is n minus the
+    exact rank of t0 - r I; it is 0 at a candidate that is a root only mod P.
+    """
+    n, gf = len(t0), _word_field()
+    cp = Matrix(t0, gf).char_poly()
     roots = []
     for r in range(-bound, bound + 1):
-        while len(cs) > 1:
-            acc, quo = 0, []  # synthetic division by x - r, leading coefficient first
-            for c in reversed(cs):
-                acc = acc * r + c
-                quo.append(acc)
-            if acc:  # the remainder, cs evaluated at r
-                break
-            roots.append(r)
-            cs = quo[-2::-1]
-    return roots, len(cs) - 1
+        value = 0
+        for c in reversed(cp):
+            value = (value * r + c) % gf.p
+        if not value:
+            shifted = [[x - r * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t0)]
+            roots += [r] * (n - int_matrix_rank(shifted))
+    return roots
 
 
 def level_raising_search(
@@ -892,10 +902,10 @@ def level_raising_search(
     t0 = g.walk_v0
     base = (Matrix(t0, gf) - Matrix.identity(g.n0, gf).scale(lam)).kernel_basis()
 
-    # exact eigenvalue bookkeeping for the report; integer eigenvalues are
-    # bounded by the constant row sum l(l^3+1) of the walk operator
-    cp = Matrix._wrap(t0, QQ).char_poly()
-    int_roots, unsplit = _integer_roots_with_multiplicity(cp, g.l * (g.l**3 + 1))
+    # exact eigenvalue bookkeeping for the report; T0 is symmetric, since
+    # _two_walks yields both orders of each pair of edges at a star, and its
+    # integer eigenvalues are bounded by its constant row sum l(l^3+1)
+    int_roots = _integer_eigenvalues(t0, g.l * (g.l**3 + 1))
     congruent_roots = sorted(set(r for r in int_roots if (r - lam) % p == 0))
 
     # members are carried by position, so equal names cannot mix them up
@@ -938,7 +948,6 @@ def level_raising_search(
         "eigenspace_dim": len(base),
         "new_space_dim": len(new_kernel),
         "integer_walk_eigenvalues": int_roots,
-        "unsplit_degree": unsplit,
         "congruent_integer_eigenvalues": congruent_roots,
         "candidates": candidates,
         "prediction_confirmed": all(c["occurs_in_new_space"] for c in candidates),

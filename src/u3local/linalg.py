@@ -13,6 +13,9 @@ and arithmetic with it stays a ``Fraction`` even where the value is integral
 Over GF(p) entries are ints in [0, p), reduced after every operation.
 
 Kernels, ranks and solutions come from the one ``rref`` over every field.
+The determinant, over every field, and the exact rank of an integer matrix
+(``int_matrix_rank``) come from one fraction-free Bareiss elimination, on
+which an integer matrix stays integral.
 Every ``char_poly`` is one integer Hessenberg reduction mod p: over GF(p)
 directly, over QQ on the matrix cleared of denominators, modulo primes
 descending from 2^61 - 1 (found on first use, not at import), combined by CRT
@@ -295,18 +298,33 @@ class Matrix:
         return x
 
     def det(self):
-        """Determinant by Bareiss elimination: every division is exact, so an
-        integer matrix stays integral throughout (and divides with ``//``)."""
+        """Determinant by Bareiss elimination (``_bareiss``): every division is
+        exact, so an integer matrix stays integral throughout."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
+        rank, sign, last = self._bareiss()
+        return self.field.of(sign * last) if rank == self.nrows else 0
+
+    def _bareiss(self):
+        """Fraction-free (Bareiss) forward elimination: (rank, sign, last pivot).
+
+        Each step takes the first row with a nonzero entry in the leading column
+        of the block still to eliminate; a column with no such row adds no pivot
+        and is dropped.  After k pivots an entry is the (k+1)-minor on the pivot
+        rows and columns and its own row and column (Sylvester's identity), so
+        every division by the previous pivot is exact and an integer matrix
+        divides with ``//``.  Full rank on a square matrix gives det = sign *
+        last pivot, sign from the row swaps.
+        """
         div = self.field.div
         ints = not self.field.characteristic and all(type(x) is int for r in self.rows for x in r)
         a = self.rows  # the trailing block still to eliminate; rows are never written
-        sign, prev = 1, 1
-        while a:
+        rank, sign, prev = 0, 1, 1
+        while a and a[0]:
             pr = next((i for i, r in enumerate(a) if r[0]), None)
             if pr is None:
-                return 0
+                a = [r[1:] for r in a]
+                continue
             if pr:
                 a = [a[pr]] + a[1:pr] + [a[0]] + a[pr + 1 :]
                 sign = -sign
@@ -318,8 +336,8 @@ class Matrix:
                     rest.append([(x * pk - f * y) // prev for x, y in zip(r[1:], tail)])
                 else:
                     rest.append([div(x * pk - f * y, prev) for x, y in zip(r[1:], tail)])
-            a, prev = rest, pk
-        return self.field.of(sign * prev)
+            a, prev, rank = rest, pk, rank + 1
+        return rank, sign, prev
 
     def inverse(self):
         if not self.is_square():
@@ -644,6 +662,12 @@ def int_matrix_det(rows) -> int:
     """Exact determinant of an integer matrix (``Matrix.det`` after an
     integrality check)."""
     return Matrix(_as_int_rows(rows)).det()
+
+
+def int_matrix_rank(rows) -> int:
+    """Exact rank over Q of an integer matrix: the pivots of the Bareiss
+    elimination behind ``Matrix.det``, after an integrality check."""
+    return Matrix(_as_int_rows(rows))._bareiss()[0]
 
 
 # ---------------------------------------------------------------------------

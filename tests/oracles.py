@@ -153,20 +153,45 @@ def _polymul(a, b):
 
 
 def _polydet(mat):
+    """det of a matrix of polynomials by cofactor expansion along the last row,
+    each minor on the leading rows and a set of columns computed once."""
     n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = [Fraction(0)]
-    for j in range(n):
-        minor = [[mat[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = _polymul(mat[0][j], _polydet(minor))
-        if j % 2:
-            term = [-t for t in term]
-        total = [
-            (total[i] if i < len(total) else 0) + (term[i] if i < len(term) else 0)
-            for i in range(max(len(total), len(term)))
-        ]
-    return total
+    minors = {(): [Fraction(1)]}  # k x k minors on rows 0..k-1, by column set
+    for k in range(n):
+        nxt = {}
+        for cols in itertools.combinations(range(n), k + 1):
+            total = [Fraction(0)]
+            for pos, j in enumerate(cols):
+                term = _polymul(mat[k][j], minors[cols[:pos] + cols[pos + 1 :]])
+                if (k + pos) % 2:
+                    term = [-t for t in term]
+                total = [
+                    (total[i] if i < len(total) else 0) + (term[i] if i < len(term) else 0)
+                    for i in range(max(len(total), len(term)))
+                ]
+            nxt[cols] = total
+        minors = nxt
+    return minors[tuple(range(n))]
+
+
+def integer_roots_with_multiplicity(coeffs, bound: int) -> list[int]:
+    """The integer roots r, |r| <= bound, of a monic polynomial with integral
+    coefficients given degree-ascending, ascending and with multiplicity.  One
+    ascending pass divides out each candidate, by synthetic division, while it
+    is a root."""
+    cs = [int(c) for c in coeffs]
+    roots = []
+    for r in range(-bound, bound + 1):
+        while len(cs) > 1:
+            acc, quo = 0, []  # synthetic division by x - r, leading coefficient first
+            for c in reversed(cs):
+                acc = acc * r + c
+                quo.append(acc)
+            if acc:  # the remainder, cs evaluated at r
+                break
+            roots.append(r)
+            cs = quo[-2::-1]
+    return roots
 
 
 # --- rational linear algebra on Fractions only -------------------------------

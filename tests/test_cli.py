@@ -162,6 +162,20 @@ class TestGraphCommands:
         code, _ = run_json(capsys, "graph", "analyze", k39_path, "--prime", "3")
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "levelraise"])
+    def test_walk_eigenvalues_take_one_char_poly_mod_a_word_prime(
+        self, capsys, k39_path, monkeypatch, command
+    ):
+        # integer eigenvalues by exact rank: no char poly over Q, no CRT
+        fields = []
+        char_poly = cosets.Matrix.char_poly
+        monkeypatch.setattr(
+            cosets.Matrix, "char_poly", lambda m: fields.append(m.field) or char_poly(m)
+        )
+        code, _ = run_json(capsys, "graph", command, k39_path, "--prime", "3")
+        assert code == 0
+        assert [repr(field) for field in fields] == [f"GF({2**61 - 1})"]
+
     def test_analyze_eliminates_the_incidence_matrix_once_each_way(
         self, capsys, k39_path, monkeypatch
     ):

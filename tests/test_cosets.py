@@ -44,9 +44,11 @@ from .oracles import (
     abelian_forms,
     automorphisms_brute,
     automorphisms_two_stage,
+    charpoly_cofactor,
     commutes_with_level_maps_dense,
     gamma_chain_from_composite,
     gf_rank,
+    integer_roots_with_multiplicity,
     old_new_orthogonal_pairwise,
 )
 
@@ -653,6 +655,51 @@ class TestWalkSymmetry:
         assert not _is_symmetric(complete_biregular(2).walk_v0)
 
 
+# every SYMMETRY_GRAPHS graph (K39 twice among them) and the empty graph
+EIGENVALUE_GRAPHS = {**SYMMETRY_GRAPHS, "empty": lambda: CosetGraph(2, 0, 0, [])}
+
+
+def _spectrum_disagreements(name):
+    """The primes p in 2, 3, 5, 7 at which the search's integer walk
+    eigenvalues, or those congruent to l(l^3+1) mod p, differ from the char
+    poly route: integer roots of the cofactor char poly of T0, by synthetic
+    division."""
+    g = EIGENVALUE_GRAPHS[name]()
+    lam = g.l * (g.l**3 + 1)
+    roots = integer_roots_with_multiplicity(charpoly_cofactor(g.walk_v0), lam)
+    bad = []
+    for p in (2, 3, 5, 7):
+        rep = level_raising_search(g, p, AuxOperatorFamily.empty(g))
+        congruent = sorted(set(r for r in roots if (r - lam) % p == 0))
+        got = (rep["integer_walk_eigenvalues"], rep["congruent_integer_eigenvalues"])
+        if got != (roots, congruent):
+            bad.append(p)
+    return bad
+
+
+class TestIntegerWalkEigenvalues:
+    """The search lists the integer eigenvalues of T0 from one char poly mod
+    2^61 - 1 and exact ranks; the char poly route over Q is the oracle."""
+
+    @pytest.mark.parametrize("name", list(EIGENVALUE_GRAPHS))
+    def test_agrees_with_the_char_poly_route(self, name):
+        assert _spectrum_disagreements(name) == []
+
+    def test_rank_mod_3_is_caught(self, monkeypatch):
+        # T0 = 9 (J - I) on K39 vanishes mod 3
+        monkeypatch.setattr(cosets, "int_matrix_rank", lambda rows: gf_rank(rows, 3))
+        assert _spectrum_disagreements("k39")
+
+    def test_multiplicity_one_is_caught(self, monkeypatch):
+        monkeypatch.setattr(cosets, "int_matrix_rank", lambda rows: len(rows) - 1)
+        assert _spectrum_disagreements("k39u")
+
+    def test_only_the_target_eigenvalue_is_caught(self, monkeypatch):
+        # a char poly that vanishes only at l(l^3+1) = 18 drops K39's -9
+        monkeypatch.setattr(Matrix, "char_poly", lambda m: [-18 % m.field.p, 1])
+        assert _spectrum_disagreements("k39")
+
+
 class TestGammaChainConstruction:
     """gamma3 lowers one Hermite basis of the old lattice, and gamma2 is the
     same list; the oracle builds gamma3 from the composite's columns and gamma2
@@ -810,7 +857,6 @@ class TestAutomorphismsAndSearch:
     def test_search_spectrum_report(self, k39):
         rep = level_raising_search(k39, 3, AuxOperatorFamily.empty(k39))
         assert rep["integer_walk_eigenvalues"] == [-9, -9, 18]
-        assert rep["unsplit_degree"] == 0
 
     def test_search_with_trivial_labeling(self, k39):
         lab = DetLabeling.trivial(k39)

@@ -1,6 +1,8 @@
 """What the package imports.
 
-No module imports a name that it never reads.  A name bound by a module-level
+No module imports a name that it never reads, nor a ``_``-private name from
+another module of the package: a module uses another through its public
+names.  A name bound by a module-level
 import counts as read when the module loads it somewhere (an ``ast.Name`` in a
 load context, which includes the base of an attribute access).  The one
 exception is a name that ``perfbench/tracer.py`` patches in that module: the
@@ -46,6 +48,31 @@ def test_unused_imports_are_found():
 def test_no_unused_module_imports(path):
     patched = {attr for module, attr in _targets() if module == path.stem}
     assert [name for name in _unused_imports(path.read_text()) if name not in patched] == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """The ``_``-private names that ``source`` imports, anywhere, from a module
+    of the package (a relative import, or one from ``u3local``)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "u3local"
+        ):
+            out += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def test_private_imports_are_found():
+    source = (
+        "from .linalg import Matrix, _bareiss as b\nfrom . import _x\nfrom os import _exit\n"
+        "def f():\n    from u3local.cosets import _two_walks\n"
+    )
+    assert _private_imports(source) == ["_bareiss", "_x", "_two_walks"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_private_imports(path):
+    assert _private_imports(path.read_text()) == []
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -10,6 +10,7 @@ from u3local.linalg import (
     Matrix,
     PrimeField,
     int_matrix_det,
+    int_matrix_rank,
     lattice_basis,
     lattice_contains,
     lattice_quotient_invariants,
@@ -290,6 +291,71 @@ class TestKernelAndRank:
             n = rng.randint(1, 6)
             rows = rand_int_rows(rng, n, n)
             assert Matrix(rows).det() == fraction_det(rows)
+
+
+@st.composite
+def _low_rank(draw, square=False, max_n=6, max_k=3):
+    """A product of integer m x k and k x n matrices (rank at most k, and k = 0
+    allowed), with some of its columns then set to zero."""
+    m = draw(st.integers(1, max_n))
+    n = m if square else draw(st.integers(1, max_n))
+    k = draw(st.integers(0, max_k))
+    a, b = draw(_rows(m, k, st.integers(-3, 3))), draw(_rows(k, n, st.integers(-3, 3)))
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    return [
+        [0 if j in zero else sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+        for i in range(m)
+    ]
+
+
+class TestBareiss:
+    """One Bareiss elimination gives the determinant and the integer rank: a
+    column with no pivot is skipped, and the pivots are counted."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_low_rank(), _rect(max_n=7)))
+    def test_int_matrix_rank_is_the_rational_rank(self, rows):
+        assert int_matrix_rank(rows) == fraction_rank(rows)
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([], 0),
+            ([[], []], 0),
+            ([[0, 0, 0]], 0),
+            ([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 2),
+            ([[0, 0, 5], [0, 0, 1]], 1),
+            ([[1, 2], [2, 4], [3, 6], [1, 3]], 2),
+            ([[2, 4, 6, 8, 10]], 1),
+            ([[Fraction(4, 2), 0], [0, Fraction(3)]], 2),
+        ],
+    )
+    def test_int_matrix_rank_examples(self, rows, rank):
+        assert int_matrix_rank(rows) == rank == fraction_rank(rows)
+
+    def test_int_matrix_rank_refuses_half(self):
+        with pytest.raises(ValueError):
+            int_matrix_rank([[Fraction(1, 2)]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_square(), _low_rank(square=True)), st.data())
+    def test_det_over_every_field(self, rows, data):
+        want = fraction_det(rows)
+        assert Matrix(rows).det() == want
+        halves = [[Fraction(x, data.draw(st.integers(1, 4))) for x in r] for r in rows]
+        assert Matrix(halves).det() == fraction_det(halves)
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        assert Matrix(rows, PrimeField(p)).det() == want.numerator % p
+
+    def test_det_of_singular_and_empty_matrices(self):
+        for field in (QQ, PrimeField(5)):
+            assert Matrix([[1, 2], [2, 4]], field).det() == 0
+            assert Matrix([[0, 1], [0, 3]], field).det() == 0
+            assert Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]], field).det() == 0
+            assert Matrix([], field).det() == 1
+        assert Matrix([[5, 0], [0, 1]], PrimeField(5)).det() == 0
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]]).det()
 
 
 class TestLattices:
