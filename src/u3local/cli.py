@@ -177,10 +177,10 @@ def parse_diag(spec: str, l: int, budget: int):
     The estimate is n^2 times the square of the 64-bit words the entries hold
     (powers of l, powers of ten and digits): the cost of long divisions of
     numbers as large as the product of the n entries on up to n^2 rows, as a
-    determinant of phi would do.  The solution space tests invertibility by a
-    rank and meets only differences phi_i - l phi_j, so the estimate is an
-    upper bound, kept so that no input it refused before now runs.  It is
-    checked before any power is formed."""
+    determinant of phi would do.  The solution space compares phi_i with
+    l phi_j and forms no determinant, so the estimate is an upper bound, kept
+    so that no input it refused before now runs.  It is checked before any
+    power is formed."""
     tokens = [tok.strip() for tok in spec.split(",")]
     plain = [tok for tok in tokens if not tok.startswith("l^")]
     bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()

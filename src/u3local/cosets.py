@@ -515,10 +515,14 @@ def det_identity_check(block: BlockHeckeOperator) -> dict:
     l, n0, n1 = block.l, block.n0, block.n1
     if n1 < n0:
         raise ValueError("requires |V1| >= |V0|")
-    # a nonzero w with C w = 0 proves det C = 0; Bareiss only on a trivial kernel
+    # a nonzero w with C w = 0 proves det C = 0, and a nonzero V0 part f of one
+    # with T0 f = lam0 f proves det(lam0 Id - T0) = 0; Bareiss only without one
     lhs = 0 if block.kernel else int_matrix_det(block.composite.to_int_rows())
-    shifted = Matrix.identity(n0).scale(l * (l**3 + 1)) - block.T0
-    rhs = (l + 1) ** (n1 - n0) * int_matrix_det(shifted.to_int_rows())
+    lam0 = l * (l**3 + 1)
+    witnessed = any(any(f) and block.T0.apply(f) == [lam0 * x for x in f]
+                    for f in (vec[:n0] for vec in block.kernel))
+    rhs = 0 if witnessed else (l + 1) ** (n1 - n0) * int_matrix_det(
+        (Matrix.identity(n0).scale(lam0) - block.T0).to_int_rows())
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 

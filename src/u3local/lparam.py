@@ -1,8 +1,8 @@
 """Moduli of tame parameter pairs (phi, N) with Ad(phi) N = l N.
 
-For an invertible phi the solutions N form a linear space; for diagonal phi
-it is spanned by the matrix units E_ij with phi_i = l * phi_j.  Nilpotent
-orbits are partitions via Jordan type, and membership of the semisimple point
+Every entry point takes an invertible diagonal phi; the solutions N are then
+spanned by the matrix units E_ij with phi_i = l * phi_j.  Nilpotent orbits
+are partitions via Jordan type, and membership of the semisimple point
 (phi, 0) in the closure of a nilpotent stratum is certified constructively by
 a cocharacter mu with Ad(diag(t^mu)) N = t N, checked symbolically in t.
 """
@@ -19,29 +19,17 @@ class NoWitnessError(ValueError):
     """The integer weight system for a degeneration witness is inconsistent."""
 
 
-def solution_space(phi: Matrix, l) -> list[Matrix]:
-    """Basis of {N : phi N phi^(-1) = l N} as matrices.
+def solution_space(s: Matrix, l) -> list[Matrix]:
+    """Basis of {N : s N s^(-1) = l N} for an invertible diagonal s.
 
-    Solved as a linear system in the n^2 entries; for diagonal phi the answer
-    is spanned by the E_ij with phi_i = l phi_j.
+    Entrywise the equation reads (s_i - l s_j) N_ij = 0, so the basis is the
+    matrix units E_ij with s_i = l s_j, in row-major order.
     """
-    if not phi.is_square():
-        raise ValueError("phi must be square")
-    if phi.rank() < phi.nrows:  # one rref; a Bareiss det long-divides huge entries
-        raise ValueError("phi must be invertible")
-    l = QQ.exact(Fraction(l))  # an int l keeps an int phi's system on ints
-    n = phi.nrows
-    # phi N - l N phi = 0, row by row in the entries of N
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[k * n + b] += phi.rows[a][k]
-                row[a * n + k] -= l * phi.rows[k][b]
-            rows.append(row)
-    basis = Matrix(rows).kernel_basis()
-    return [Matrix([vec[i * n : (i + 1) * n] for i in range(n)]) for vec in basis]
+    _require_diagonal(s)
+    n = s.nrows
+    diag = [s.rows[i][i] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if diag[i] == l * diag[j]]
+    return [Matrix.from_support(n, n, {ij: 1}) for ij in pairs]
 
 
 def jordan_partition(N: Matrix) -> tuple[int, ...]:
@@ -69,21 +57,32 @@ def jordan_partition(N: Matrix) -> tuple[int, ...]:
     return tuple(partition)
 
 
+def dominated_partitions(lam: tuple[int, ...]):
+    """The partitions of |lam| that lam dominates, in reverse lexicographic order.
+
+    Each part is at most the one before and at most lam's prefix sum less the
+    parts before; ones always complete such a prefix, so lowering the last part
+    above 1 and refilling greedily never dead-ends.
+    """
+    n = sum(lam)
+    caps = list(itertools.accumulate(lam)) + [n] * (n - len(lam))
+    mu, total = [], 0
+    while True:
+        while total < n:
+            mu.append(min(mu[-1] if mu else n, caps[len(mu)] - total))
+            total += mu[-1]
+        yield tuple(mu)
+        while mu and mu[-1] == 1:
+            total -= mu.pop()
+        if not mu:
+            return
+        mu[-1] -= 1
+        total -= 1
+
+
 def partitions_of(n: int):
     """All partitions of n, weakly decreasing, in reverse lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(rest, maxpart):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, maxpart), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-
-    yield from rec(n, n)
+    return dominated_partitions((n,))
 
 
 def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
@@ -112,37 +111,33 @@ def _jordan_types(s: Matrix, l) -> dict[tuple[int, ...], Matrix]:
     return reps
 
 
-def _dominance_closure(realized, n: int) -> set[tuple[int, ...]]:
-    """The partitions of n dominated by a realized one (dominance is reflexive)."""
-    return {mu for mu in partitions_of(n) if any(dominates(lam, mu) for lam in realized)}
+def _dominance_closure(realized) -> set[tuple[int, ...]]:
+    """The partitions dominated by a realized one (dominance is reflexive)."""
+    return set().union(*map(dominated_partitions, realized))
 
 
 def components_through(s: Matrix, l) -> set[tuple[int, ...]]:
     """Jordan types of strata whose closures contain the point (s, 0).
 
-    Enumerates the types of all 0/1 combinations of the solution-space basis,
-    then closes downward under dominance.  Exact for diagonal s whose entry
-    ratios are powers of l; heuristic otherwise (the basis need not consist of
-    matrix units then).
+    The types of all 0/1 combinations of the matrix units spanning the solution
+    space, closed downward under dominance in the whole nilpotent cone: a type
+    no N in the solution space has is listed too (2|2 at diag(4, 2, 1, 1)).
     """
-    _require_diagonal(s)
-    return _dominance_closure(_jordan_types(s, l), s.nrows)
+    return _dominance_closure(_jordan_types(s, l))
 
 
 def stratum_witnesses(s: Matrix, l) -> dict:
     """For each reported Jordan type, a 0/1-combination representative in the
     solution space together with its verified degeneration witness.
 
-    The keys are the types of ``components_through``, in decreasing order.  In
-    the power-of-l diagonal regime every reported type is realized by a 0/1
-    combination; a type reachable only through dominance closure (possible off
-    that regime) is mapped to None.
+    The keys are the types of ``components_through``, in decreasing order.  A
+    type that only the dominance closure reaches, such as 2|2 for
+    diag(4, 2, 1, 1) at l = 2, is mapped to None.
     """
-    _require_diagonal(s)
     n = s.nrows
     reps = _jordan_types(s, l)
     out = {}
-    for part in sorted(_dominance_closure(reps, n), reverse=True):
+    for part in sorted(_dominance_closure(reps), reverse=True):
         N = reps.get(part)
         if N is None:
             out[part] = None
@@ -162,7 +157,6 @@ def is_degenerate_satake(s: Matrix, l) -> bool:
     """True iff some pair of diagonal entries has ratio exactly l, equivalently
     the solution space at (s, l) is nonzero."""
     _require_diagonal(s)
-    l = Fraction(l)
     diag = [s.rows[i][i] for i in range(s.nrows)]
     return any(
         i != j and diag[i] == l * diag[j] for i in range(len(diag)) for j in range(len(diag))

@@ -441,6 +441,44 @@ def jordan_type_by_ranks(rows):
     return tuple(sum(1 for bk in b if bk >= i) for i in range(1, (b[0] if b else 0) + 1))
 
 
+# --- tame parameters: the linear system in n^2 unknowns, all partitions ------
+
+
+def solution_space_by_system(phi_rows, l) -> list[list[list[Fraction]]]:
+    """Basis of {N : phi N = l N phi} as n x n row lists, for any phi.
+
+    Writes phi N - l N phi = 0 as n^2 equations in the entries of N, row-major,
+    and reshapes each ``fraction_kernel`` vector: one matrix per free column,
+    in ascending order, so for diagonal phi the E_ij with phi_i = l phi_j come
+    in row-major order."""
+    n, l = len(phi_rows), Fraction(l)
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = [Fraction(0)] * (n * n)
+            for k in range(n):
+                row[k * n + b] += phi_rows[a][k]
+                row[a * n + k] -= l * phi_rows[k][b]
+            rows.append(row)
+    return [[vec[i * n : (i + 1) * n] for i in range(n)] for vec in fraction_kernel(rows)]
+
+
+def partitions_recursive(n: int):
+    """All partitions of n in reverse lexicographic order, by recursion on the
+    largest part: the first part runs down from n, the rest is a partition
+    of what is left into parts no larger."""
+
+    def rec(rest, largest):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, largest), 0, -1):
+            for tail in rec(rest - first, first):
+                yield (first,) + tail
+
+    yield from rec(n, n)
+
+
 # --- subspace counting over small prime fields -------------------------------
 
 

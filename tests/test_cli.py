@@ -176,6 +176,16 @@ class TestGraphCommands:
         assert code == 0
         assert [repr(field) for field in fields] == [f"GF({2**61 - 1})"]
 
+    def test_analyze_reads_both_determinants_off_the_kernel(self, capsys, k39_path, monkeypatch):
+        # the constant pair spans ker C, and its V0 part 1 has T0 1 = 18 * 1,
+        # so det C = 0 = det(18 Id - T0) with no Bareiss elimination
+        calls = []
+        det = cosets.int_matrix_det
+        monkeypatch.setattr(cosets, "int_matrix_det", lambda rows: calls.append(rows) or det(rows))
+        code, doc = run_json(capsys, "graph", "analyze", k39_path, "--prime", "3")
+        assert code == 0 and doc["results"]["det_lhs"] == 0
+        assert calls == []
+
     def test_analyze_eliminates_the_incidence_matrix_once_each_way(
         self, capsys, k39_path, monkeypatch
     ):
@@ -438,6 +448,11 @@ class TestBudgetRefusals:
             pytest.param(
                 ["moduli", "components", "--diag", "l,l,l,l,l,1,1,1,1", "--l", "2"],
                 "2^20 combinations", id="components-large-solution-space",
+            ),
+            # 145 digits of 4 bits fill 10 words: 145^2 * 10^2 = 2102500
+            pytest.param(
+                ["moduli", "components", "--diag=" + ",".join(["1"] * 145), "--l", "2"],
+                "--diag entries of 580 bits", id="components-145-ones",
             ),
             pytest.param(
                 ["slope", "factor", "--poly=1,-4,3", "--p", "3", "--h", "0",
@@ -791,6 +806,9 @@ _DIAG_TOKEN = st.one_of(
        st.one_of(st.none(), st.integers(-1, 10**7)))
 @example(l=7, tokens=["l^541175", "1", "1"], budget=None)
 @example(l=7, tokens=["l^541175", "1", "1"], budget=10**7)
+# the dominance closure once filtered all p(400) partitions of 400, and the
+# solution space built a 160000 x 160000 linear system
+@example(l=2, tokens=["1"] * 400, budget=10**8)
 def test_moduli_components_argv_fuzz_ends_in_a_verdict_or_an_error(deadline, l, tokens, budget):
     argv = [] if budget is None else ["--budget", str(budget)]
     argv += ["moduli", "components", f"--diag={','.join(tokens)}", "--l", str(l)]
@@ -927,9 +945,8 @@ class TestModuliCommands:
         ],
     )
     def test_components_of_a_huge_entry_in_time(self, capsys, deadline, power, seconds, sha256):
-        # phi is tested invertible by a rank; a Bareiss det long-divided the
-        # l^600000 entry (1.7 M bits) for about 6 s.  Digests recorded from
-        # the det route
+        # a Bareiss det long-divided the l^600000 entry (1.7 M bits) for
+        # about 6 s.  Digests recorded from the det route
         with deadline(seconds):
             code, out = run(
                 capsys, "--budget", "100000000000",
@@ -937,6 +954,34 @@ class TestModuliCommands:
             )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "tokens, partitions",
+        [
+            # the largest input the default budget admits: 144^2 * 9^2 = 1679616
+            (["1"] * 144, [[1] * 144]),
+            (["l", "1"] + ["l^3"] * 98, [[2] + [1] * 98, [1] * 100]),
+        ],
+        ids=["144-ones", "l-1-and-98-cubes"],
+    )
+    def test_components_cost_their_answer(self, capsys, deadline, tokens, partitions):
+        # filtering the p(n) partitions of n ran for minutes here
+        with deadline(5):
+            code, doc = run_json(
+                capsys, "moduli", "components", "--diag=" + ",".join(tokens), "--l", "2"
+            )
+        assert code == 0 and doc["passed"]
+        assert doc["results"]["partitions"] == partitions
+
+    def test_components_of_60_ones_in_time(self, capsys, deadline):
+        # digest recorded from the route that filtered all p(60) partitions of
+        # 60, which took about 16 s
+        with deadline(5):
+            code, out = run(
+                capsys, "moduli", "components", "--diag=" + ",".join(["1"] * 60), "--l", "2"
+            )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("e3ea61ace39333e4")
 
     def test_pgl2(self, capsys):
         code, doc = run_json(capsys, "moduli", "pgl2", "--l", "2")

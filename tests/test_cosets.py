@@ -46,6 +46,7 @@ from .oracles import (
     automorphisms_two_stage,
     charpoly_cofactor,
     commutes_with_level_maps_dense,
+    fraction_det,
     gamma_chain_from_composite,
     gf_rank,
     integer_roots_with_multiplicity,
@@ -380,6 +381,25 @@ class TestDetIdentity:
         for _ in range(4):
             g = random_biregular_graph(2, 2, rng)
             assert det_identity_check(level_matrix(g))["ok"]
+
+    @pytest.mark.parametrize("broken", ["v0-parts-zero", "t0-shifted"])
+    def test_bareiss_without_a_kernel_witness(self, k39, broken, monkeypatch):
+        # the kernel's V0 parts vanish, or T0 + Id has no eigenvalue l(l^3+1):
+        # then det(l(l^3+1) Id - T0) is eliminated, not read off a witness
+        block = level_matrix(k39)
+        n0 = block.n0
+        if broken == "v0-parts-zero":
+            block.kernel = [[0] * n0 + vec[n0:] for vec in block.kernel]
+        else:
+            block.T0 = block.T0 + Matrix.identity(n0)
+        calls = []
+        det = cosets.int_matrix_det
+        monkeypatch.setattr(cosets, "int_matrix_det", lambda rows: calls.append(rows) or det(rows))
+        rep = det_identity_check(block)
+        shifted = Matrix.identity(n0).scale(18) - block.T0
+        assert len(calls) == 1
+        assert rep["rhs"] == 3 ** (block.n1 - n0) * fraction_det(shifted.rows)
+        assert rep["ok"] is (rep["rhs"] == 0) is (broken == "v0-parts-zero")
 
 
 # graphs on which the raising-map answers meet the dense composite's

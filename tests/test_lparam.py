@@ -1,15 +1,18 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from u3local import lparam
 from u3local.linalg import Matrix
 from u3local.lparam import (
     DegenerationWitness,
     NoWitnessError,
     components_through,
     degeneration_witness,
+    dominated_partitions,
     dominates,
     is_degenerate_satake,
     jordan_partition,
@@ -19,7 +22,7 @@ from u3local.lparam import (
     stratum_witnesses,
 )
 
-from .oracles import jordan_type_by_ranks
+from .oracles import jordan_type_by_ranks, partitions_recursive, solution_space_by_system
 
 
 def matrix_unit(n: int, i: int, j: int) -> Matrix:
@@ -82,10 +85,32 @@ class TestSolutionSpace:
             solution_space(diag(0, 1), 2)
 
     def test_nondiagonal_phi(self):
-        # conjugating diag(2,1) keeps the dimension
+        # refused like every other entry point: no command passes one
         g = Matrix([[1, 1], [0, 1]])
         phi = g @ diag(2, 1) @ g.inverse()
-        assert len(solution_space(phi, 2)) == 1
+        with pytest.raises(ValueError, match="^s must be diagonal$"):
+            solution_space(phi, 2)
+
+    @pytest.mark.parametrize("l", [2, 3, Fraction(3), 1])
+    def test_matches_the_linear_system_in_order(self, l):
+        # entries u * l^k share a unit u often enough for many pairs s_i = l s_j;
+        # at l = 1 every E_ii joins the basis
+        rng = random.Random(f"system:{l}")
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            entries = [
+                rng.choice([1, -1, Fraction(2, 3)]) * Fraction(l) ** rng.randint(-1, 2)
+                for _ in range(n)
+            ]
+            s = diag(*entries)
+            assert [b.rows for b in solution_space(s, l)] == solution_space_by_system(s.rows, l)
+
+    def test_no_elimination(self, monkeypatch):
+        calls = []
+        rref = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda m: calls.append(m.shape) or rref(m))
+        assert len(solution_space(diag(4, 2, 2, 1), 2)) == 4
+        assert calls == []
 
     def test_int_diagonal_stays_on_ints(self):
         s = Matrix([[9, 0, 0], [0, 3, 0], [0, 0, 1]])
@@ -203,6 +228,40 @@ class TestJordanAgainstOracle:
             monkeypatch.undo()
             # the products are N^2, ..., N^k for the index k = the largest block
             assert len(products) <= part[0] - 1
+
+
+class TestPartitionsAgainstOracle:
+    """The recursion on the largest part, filtered by ``dominates``."""
+
+    @staticmethod
+    def _mismatches(n_max):
+        return [
+            lam
+            for n in range(1, n_max + 1)
+            for lam in partitions_recursive(n)
+            if list(dominated_partitions(lam))
+            != [mu for mu in partitions_recursive(n) if dominates(lam, mu)]
+        ]
+
+    def test_dominated_partitions(self):
+        assert self._mismatches(12) == []
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_partitions_of(self, n):
+        assert list(partitions_of(n)) == list(partitions_recursive(n))
+
+    def test_dropped_prefix_cap_is_caught(self, monkeypatch):
+        # every prefix capped at n: all partitions of n, dominated or not
+        monkeypatch.setattr(
+            lparam, "itertools", SimpleNamespace(accumulate=lambda lam: [sum(lam)] * len(lam))
+        )
+        assert self._mismatches(4)
+
+    def test_closure_filters_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lparam, "dominates", lambda *a: calls.append(a) or dominates(*a))
+        assert components_through(diag(8, 4, 2, 1), 2) == set(partitions_of(4))
+        assert calls == []
 
 
 class TestComponentsThrough:
