@@ -40,15 +40,6 @@ class AnalyticModel:
             raise ValueError("need m >= 1 and a nonnegative degree bound")
         self.p, self.m, self.degree_bound = p, m, degree_bound
 
-    def _key(self):
-        return self.p, self.m, self.degree_bound
-
-    def __eq__(self, other):
-        return isinstance(other, AnalyticModel) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def ball_side(self) -> int:
         return self.p**self.m
@@ -173,9 +164,6 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self._key() == other._key()
 
-    def __hash__(self):
-        return hash(self._key())
-
     def is_trivial(self):
         return all(e == 0 for e in self.exps)
 
@@ -194,15 +182,6 @@ class Weight:
         if len({(c.p, c.k) for c in (chi1, chi2, chi3)}) != 1:
             raise ValueError("all three characters must share p and level")
         self.chi1, self.chi2, self.chi3 = chi1, chi2, chi3
-
-    def _key(self):
-        return self.chi1, self.chi2, self.chi3
-
-    def __eq__(self, other):
-        return isinstance(other, Weight) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def central_weight_test(w: Weight) -> bool:

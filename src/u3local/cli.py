@@ -59,31 +59,17 @@ def _rational_text(x) -> str:
 def jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
-    if isinstance(x, float):
-        return "inf" if x == float("inf") else x
     if isinstance(x, Fraction):
         return _rational_text(x)
     if isinstance(x, enum.Enum):
         return x.value
     if isinstance(x, Poly):
         return [_rational_text(c) for c in x.coeffs]
-    if isinstance(x, Matrix):
-        return [[_rational_text(c) for c in row] for row in x.rows]
     if isinstance(x, dict):
-        return {_key(k): jsonable(v) for k, v in x.items()}
+        return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted((jsonable(v) for v in x), key=repr)
-    return str(x)
-
-
-def _key(k):
-    if isinstance(k, str):
-        return k
-    if isinstance(k, tuple):
-        return ",".join(str(v) for v in k)
-    return str(k)
+    raise TypeError(f"no report encoding for {type(x).__name__}")
 
 
 def digest(payload: str) -> str:
@@ -161,7 +147,10 @@ def parse_fraction(text: str, budget: int) -> Fraction:
     the number is formed (reading a decimal string takes time quadratic in
     its length)."""
     _within_decimal_budget([text], budget)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _within_decimal_budget(tokens, budget: int):
@@ -171,8 +160,9 @@ def _within_decimal_budget(tokens, budget: int):
     _within_budget(bits, budget, f"decimal digits of {bits} bits")
 
 
-def parse_diag(spec: str, l: int, budget: int):
-    """Comma list of diagonal entries; tokens may use the letter l, e.g. l^2.
+def parse_diag(spec: str, l: int, budget: int) -> list:
+    """The diagonal entries of a comma list, as ints and Fractions; tokens may
+    use the letter l, e.g. l^2.
 
     The estimate is n^2 times the square of the 64-bit words the entries hold
     (powers of l, powers of ten and digits): the cost of long divisions of
@@ -185,7 +175,8 @@ def parse_diag(spec: str, l: int, budget: int):
     plain = [tok for tok in tokens if not tok.startswith("l^")]
     bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()
     bits += _exponent_bits(plain) + _digit_bits(plain)
-    words = -(-bits // 64)
+    # a bare l or l^0 spells no bits, yet n such entries still take n^2 work
+    words = max(1, -(-bits // 64))
     _within_budget(len(tokens) ** 2 * words**2, budget, f"--diag entries of {bits} bits")
     entries = []
     for tok in tokens:
@@ -195,8 +186,7 @@ def parse_diag(spec: str, l: int, budget: int):
             entries.append(l)
         else:
             entries.append(QQ.exact(parse_fraction(tok, budget)))
-    n = len(entries)
-    return Matrix.from_support(n, n, {(i, i): x for i, x in enumerate(entries)})
+    return entries
 
 
 def parse_matrix(spec: str, budget: int) -> Matrix:
@@ -317,8 +307,8 @@ def cmd_graph_levelraise(args):
         args.budget,
         f"{scans} residue scans mod {args.prime} and {members} operators on {g.nedges} edges",
     )
-    if args.aux == "auto":
-        perms = cosets.find_automorphisms(g, limit=args.aux_limit + 1)
+    if members:
+        perms = cosets.find_automorphisms(g, limit=members + 1)
         fam = cosets.AuxOperatorFamily.from_automorphisms(g, perms[1:])
     else:
         fam = cosets.AuxOperatorFamily.empty(g)
@@ -385,9 +375,9 @@ def cmd_moduli_components(args):
     # the witnesses walk all 2^dim 0/1 combinations of the solution space, where
     # dim = #{(i, j) : s_i = l s_j} for nonzero s_i, and each nonzero one costs
     # an n x n Jordan type; past the budget's bits the exact power does not matter
-    counts = Counter(s.rows[i][i] for i in range(s.nrows))
+    counts = Counter(s)
     dim = sum(c * counts[args.l * x] for x, c in counts.items() if x)
-    estimate = (2 ** min(dim, args.budget.bit_length() + 1) - 1) * s.nrows**3
+    estimate = (2 ** min(dim, args.budget.bit_length() + 1) - 1) * len(s) ** 3
     _within_budget(estimate, args.budget, f"a walk over 2^{dim} combinations of the solution space")
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
     witnesses = lparam.stratum_witnesses(s, args.l)
@@ -407,7 +397,7 @@ def cmd_moduli_components(args):
         "every_partition_witnessed",
         all(w is not None and w["verified"] for w in witnesses.values()),
     )
-    nontrivial = any(len(p) < s.nrows for p in witnesses)
+    nontrivial = any(len(p) < len(s) for p in witnesses)
     rep.check("degeneracy_matches_components", nontrivial == degenerate)
     return rep
 
@@ -415,7 +405,7 @@ def cmd_moduli_components(args):
 def cmd_moduli_witness(args):
     require_prime(args.l)
     s = parse_diag(args.diag, args.l, args.budget)
-    n = s.nrows
+    n = len(s)
     support = {}
     for pair in args.nilpotent.split(";"):
         i, j = (int(x) for x in pair.split(","))

@@ -736,8 +736,9 @@ class AuxOperatorFamily:
                 raise ValueError(f"operator {op.name!r} does not commute with the level maps")
 
     @classmethod
-    def from_automorphisms(cls, g: CosetGraph, perms, names=None):
-        """Permutation operators from graph automorphisms (sigma on V0, tau on V1).
+    def from_automorphisms(cls, g: CosetGraph, perms):
+        """Permutation operators from graph automorphisms (sigma on V0, tau on V1),
+        named perm0, perm1, ... in order.
 
         The edge permutation is forced: the k-th parallel edge of (v, w) goes to
         the k-th parallel edge of (sigma v, tau w).
@@ -754,8 +755,7 @@ class AuxOperatorFamily:
                     raise ValueError("permutation does not preserve edge multiplicities")
                 for e, f in zip(es, image):
                     edge_map[e] = f
-            name = names[idx] if names else f"perm{idx}"
-            members.append(AuxOperator(name, sigma, tau, edge_map))
+            members.append(AuxOperator(f"perm{idx}", sigma, tau, edge_map))
         return cls(g, members)
 
     @classmethod

@@ -1,7 +1,8 @@
 """Moduli of tame parameter pairs (phi, N) with Ad(phi) N = l N.
 
-Every entry point takes an invertible diagonal phi; the solutions N are then
-spanned by the matrix units E_ij with phi_i = l * phi_j.  Nilpotent orbits
+Every entry point takes an invertible diagonal phi as the list of its diagonal
+entries; the solutions N are then spanned by the matrix units E_ij with
+phi_i = l * phi_j, given as the index pairs (i, j).  Nilpotent orbits
 are partitions via Jordan type, and membership of the semisimple point
 (phi, 0) in the closure of a nilpotent stratum is certified constructively by
 a cocharacter mu with Ad(diag(t^mu)) N = t N, checked symbolically in t.
@@ -19,17 +20,18 @@ class NoWitnessError(ValueError):
     """The integer weight system for a degeneration witness is inconsistent."""
 
 
-def solution_space(s: Matrix, l) -> list[Matrix]:
-    """Basis of {N : s N s^(-1) = l N} for an invertible diagonal s.
+def solution_space(diag: list, l) -> list[tuple[int, int]]:
+    """Basis of {N : s N s^(-1) = l N} for s = diag(diag), invertible.
 
     Entrywise the equation reads (s_i - l s_j) N_ij = 0, so the basis is the
-    matrix units E_ij with s_i = l s_j, in row-major order.
+    matrix units E_ij with s_i = l s_j, returned as the pairs (i, j) in
+    row-major order; one dict from each value l s_j to its columns j finds them.
     """
-    _require_diagonal(s)
-    n = s.nrows
-    diag = [s.rows[i][i] for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(n) if diag[i] == l * diag[j]]
-    return [Matrix.from_support(n, n, {ij: 1}) for ij in pairs]
+    _require_invertible(diag)
+    columns: dict = {}
+    for j, x in enumerate(diag):
+        columns.setdefault(l * x, []).append(j)
+    return [(i, j) for i, x in enumerate(diag) for j in columns.get(x, ())]
 
 
 def jordan_partition(N: Matrix) -> tuple[int, ...]:
@@ -98,14 +100,15 @@ def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return True
 
 
-def _jordan_types(s: Matrix, l) -> dict[tuple[int, ...], Matrix]:
+def _jordan_types(diag: list, l) -> dict[tuple[int, ...], Matrix]:
     """The first 0/1 combination of the solution-space basis of each Jordan type."""
-    n = s.nrows
-    basis = solution_space(s, l)
+    n = len(diag)
+    pairs = solution_space(diag, l)
     reps: dict[tuple[int, ...], Matrix] = {}
-    for bits in itertools.product((0, 1), repeat=len(basis)):
-        chosen = [mat.rows for b, mat in zip(bits, basis) if b]
-        rows = [[sum(xs) for xs in zip([0] * n, *(m[i] for m in chosen))] for i in range(n)]
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        rows = [[0] * n for _ in range(n)]
+        for i, j in itertools.compress(pairs, bits):
+            rows[i][j] = 1
         N = Matrix._wrap(rows, QQ, n)
         reps.setdefault(jordan_partition(N), N)
     return reps
@@ -116,17 +119,17 @@ def _dominance_closure(realized) -> set[tuple[int, ...]]:
     return set().union(*map(dominated_partitions, realized))
 
 
-def components_through(s: Matrix, l) -> set[tuple[int, ...]]:
-    """Jordan types of strata whose closures contain the point (s, 0).
+def components_through(diag: list, l) -> set[tuple[int, ...]]:
+    """Jordan types of strata whose closures contain the point (diag(diag), 0).
 
     The types of all 0/1 combinations of the matrix units spanning the solution
     space, closed downward under dominance in the whole nilpotent cone: a type
     no N in the solution space has is listed too (2|2 at diag(4, 2, 1, 1)).
     """
-    return _dominance_closure(_jordan_types(s, l))
+    return _dominance_closure(_jordan_types(diag, l))
 
 
-def stratum_witnesses(s: Matrix, l) -> dict:
+def stratum_witnesses(diag: list, l) -> dict:
     """For each reported Jordan type, a 0/1-combination representative in the
     solution space together with its verified degeneration witness.
 
@@ -134,15 +137,15 @@ def stratum_witnesses(s: Matrix, l) -> dict:
     type that only the dominance closure reaches, such as 2|2 for
     diag(4, 2, 1, 1) at l = 2, is mapped to None.
     """
-    n = s.nrows
-    reps = _jordan_types(s, l)
+    n = len(diag)
+    reps = _jordan_types(diag, l)
     out = {}
     for part in sorted(_dominance_closure(reps), reverse=True):
         N = reps.get(part)
         if N is None:
             out[part] = None
             continue
-        witness = degeneration_witness(s, N, l)
+        witness = degeneration_witness(diag, N, l)
         out[part] = {
             "support": [(i, j) for i in range(n) for j in range(n) if N.rows[i][j] != 0],
             "witness": witness,
@@ -153,25 +156,15 @@ def stratum_witnesses(s: Matrix, l) -> dict:
     return out
 
 
-def is_degenerate_satake(s: Matrix, l) -> bool:
-    """True iff some pair of diagonal entries has ratio exactly l, equivalently
-    the solution space at (s, l) is nonzero."""
-    _require_diagonal(s)
-    diag = [s.rows[i][i] for i in range(s.nrows)]
-    return any(
-        i != j and diag[i] == l * diag[j] for i in range(len(diag)) for j in range(len(diag))
-    )
+def is_degenerate_satake(diag: list, l) -> bool:
+    """True iff two distinct diagonal entries have ratio exactly l: a basis pair
+    (i, j) of the solution space with i != j."""
+    return any(i != j for i, j in solution_space(diag, l))
 
 
-def _require_diagonal(s: Matrix):
-    if not s.is_square():
-        raise ValueError("s must be square")
-    for i in range(s.nrows):
-        if s.rows[i][i] == 0:
-            raise ValueError("s must be invertible diagonal")
-        for j in range(s.ncols):
-            if i != j and s.rows[i][j] != 0:
-                raise ValueError("s must be diagonal")
+def _require_invertible(diag: list):
+    if 0 in diag:
+        raise ValueError("s must be invertible diagonal")
 
 
 class DegenerationWitness:
@@ -198,14 +191,14 @@ class DegenerationWitness:
         }
 
 
-def degeneration_witness(s: Matrix, N: Matrix, l) -> DegenerationWitness:
+def degeneration_witness(diag: list, N: Matrix, l) -> DegenerationWitness:
     """Integer weights mu_i - mu_j = 1 on the support of N, verified symbolically.
 
     The verification conjugates N by diag(t^mu) with t a formal variable: every
     support entry must scale by exactly t^1, so the path (s, tN) stays on the
-    stratum of N for t != 0 and lands on (s, 0) at t = 0.
+    stratum of N for t != 0 and lands on (s, 0) at t = 0, s = diag(diag).
     """
-    _require_diagonal(s)
+    _require_invertible(diag)
     n = N.nrows
     support = [(i, j) for i in range(n) for j in range(n) if N.rows[i][j] != 0]
     mu = _solve_weights(support, n)
@@ -215,7 +208,7 @@ def degeneration_witness(s: Matrix, N: Matrix, l) -> DegenerationWitness:
     scaling = all(mu[i] - mu[j] == 1 for i, j in support)
     # the path (s, tN): Ad(s)(tN) = t * Ad(s)(N) = t * l * N = l * (tN), any t
     on_stratum = all(
-        s.rows[i][i] * N.rows[i][j] == Fraction(l) * N.rows[i][j] * s.rows[j][j]
+        diag[i] * N.rows[i][j] == Fraction(l) * N.rows[i][j] * diag[j]
         for i, j in support
     )
     return DegenerationWitness(tuple(mu), scaling, on_stratum, True)
@@ -266,7 +259,7 @@ def pgl2_check(l) -> dict:
     for b in basis:
         if b == b.scale(l):
             sols.append(b)
-    contrast = solution_space(Matrix([[l, 0], [0, 1]]), l)
+    contrast = solution_space([l, 1], l)
     return {
         "solution_dimension": len(sols),
         "not_intersection_point": len(sols) == 0,

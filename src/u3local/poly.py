@@ -55,9 +55,6 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self[i] + other[i] for i in range(n)])

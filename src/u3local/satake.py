@@ -54,15 +54,6 @@ class SatakeParam:
             raise ValueError("alpha must be nonzero")
         self.l = l
 
-    def _key(self):
-        return self.alpha, self.l
-
-    def __eq__(self, other):
-        return isinstance(other, SatakeParam) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 @lru_cache(maxsize=16)  # bounded: a process may meet many primes l
 def _dictionary_coefficients(l: int) -> tuple[Fraction, Fraction]:
@@ -113,15 +104,6 @@ class SplitEigensystem:
         self.t1, self.t2, self.t3 = Fraction(t1), Fraction(t2), Fraction(t3)
         if self.t3 == 0:
             raise ValueError("t3 must be invertible")
-
-    def _key(self):
-        return self.q, self.t1, self.t2, self.t3
-
-    def __eq__(self, other):
-        return isinstance(other, SplitEigensystem) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def very_eisenstein_check(es: SplitEigensystem, psi_val: Fraction) -> bool:

@@ -156,9 +156,7 @@ def test_criterion_08_moduli_proposition():
     for l in (2, 3):
         for n in (1, 2, 3):
             for exps in itertools.product(range(4), repeat=n):
-                s = Matrix.zeros(n, n)
-                for i, e in enumerate(exps):
-                    s.rows[i][i] = Fraction(l) ** e
+                s = [Fraction(l) ** e for e in exps]
                 comps = components_through(s, l)
                 nontrivial = any(p != (1,) * n for p in comps)
                 ok = ok and (nontrivial == is_degenerate_satake(s, l))

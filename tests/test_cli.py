@@ -155,6 +155,18 @@ class TestGraphCommands:
             "4b3bfe9830099b8fd8e0d60d47980c2c0a8a66ac1b7679c9f1f44227168eab64"
         )
 
+    def test_levelraise_aux_limit_zero_searches_nothing(self, capsys, k39_path, monkeypatch):
+        # with no member to find, the search (one recursion per vertex, a
+        # RecursionError at 1000 vertices) is skipped; the digest is the one
+        # the searching route printed
+        calls = []
+        monkeypatch.setattr(cosets, "find_automorphisms", lambda *a, **k: calls.append(a))
+        code, out = run(
+            capsys, "graph", "levelraise", k39_path, "--prime", "3", "--aux-limit", "0"
+        )
+        assert code == 0 and calls == []
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("feda7ce2d3cc695a")
+
     def test_analyze_builds_level_matrix_once(self, capsys, k39_path, monkeypatch):
         calls = []
         original = cosets.level_matrix
@@ -453,6 +465,16 @@ class TestBudgetRefusals:
             pytest.param(
                 ["moduli", "components", "--diag=" + ",".join(["1"] * 145), "--l", "2"],
                 "--diag entries of 580 bits", id="components-145-ones",
+            ),
+            # a bare l or l^0 spells no bits but still fills a word:
+            # 1415^2 * 1^2 = 2002225
+            pytest.param(
+                ["moduli", "components", "--diag=" + ",".join(["l"] * 1415), "--l", "2"],
+                "--diag entries of 0 bits", id="components-1415-bare-l",
+            ),
+            pytest.param(
+                ["moduli", "components", "--diag=" + ",".join(["l^0"] * 1415), "--l", "2"],
+                "--diag entries of 0 bits", id="components-1415-l-to-the-0",
             ),
             pytest.param(
                 ["slope", "factor", "--poly=1,-4,3", "--p", "3", "--h", "0",
@@ -961,8 +983,10 @@ class TestModuliCommands:
             # the largest input the default budget admits: 144^2 * 9^2 = 1679616
             (["1"] * 144, [[1] * 144]),
             (["l", "1"] + ["l^3"] * 98, [[2] + [1] * 98, [1] * 100]),
+            # the most bare l the default budget admits: 1414^2 * 1^2 = 1999396
+            (["l"] * 1414, [[1] * 1414]),
         ],
-        ids=["144-ones", "l-1-and-98-cubes"],
+        ids=["144-ones", "l-1-and-98-cubes", "1414-bare-l"],
     )
     def test_components_cost_their_answer(self, capsys, deadline, tokens, partitions):
         # filtering the p(n) partitions of n ran for minutes here
@@ -1138,6 +1162,31 @@ _LOCAL_DIGESTS = [
      "d72c1808606188eb2345be9a8559aab62421b915c310703a7b1d1092d10f1566"),
 ]
 
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["satake", "classify", "--alpha", "1/0", "--l", "2"], "1/0"),
+        (["satake", "ve-check", "--q", "2", "--psi", "2/0", "--t1", "7", "--t2", "7",
+          "--t3", "1"], "2/0"),
+        (["satake", "ve-check", "--q", "2", "--psi", "1", "--t1", "7/0", "--t2", "7",
+          "--t3", "1"], "7/0"),
+        (["slope", "factor", "--poly", "1,-4,3", "--p", "3", "--h", "1/0"], "1/0"),
+        (["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "1", "--delta", "3/0"],
+         "3/0"),
+        (["slope", "series", "--entries", "1,0;0,5/0", "--p", "3"], "5/0"),
+        (["slope", "polygon", "--poly", "1,-4/0,3", "--p", "3"], "-4/0"),
+        (["moduli", "components", "--diag", "l,1/0", "--l", "2"], "1/0"),
+    ],
+    ids=["alpha", "psi", "t1", "h", "delta", "entries", "poly", "diag"],
+)
+def test_zero_denominator_names_its_token(capsys, argv, token):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and repr(token) in err
+
+
 _DIGEST_GRAPHS = {
     "k39": lambda: complete_biregular(2),
     "twisted": lambda: cosets.twisted_complete(2),
@@ -1267,6 +1316,11 @@ class TestReportContract:
                     assert cli._rational_text(x) == str(x)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_unencodable_value_is_a_type_error(self):
+        # no report holds a set: it has no order of its own to print in
+        with pytest.raises(TypeError, match="set"):
+            cli.jsonable({1})
 
     def test_byte_determinism(self, capsys, k39_path):
         _, out1 = run(capsys, "graph", "analyze", k39_path, "--prime", "3")

@@ -888,10 +888,10 @@ class TestAutomorphismsAndSearch:
     def test_search_duplicate_names(self, name, p, matching):
         g = ORACLE_GRAPHS[name]()
         perms = find_automorphisms(g, limit=4)[1:]
-        distinct = level_raising_search(g, p, AuxOperatorFamily.from_automorphisms(g, perms))
-        same = level_raising_search(
-            g, p, AuxOperatorFamily.from_automorphisms(g, perms, names=["x"] * len(perms))
-        )
+        fam = AuxOperatorFamily.from_automorphisms(g, perms)
+        distinct = level_raising_search(g, p, fam)
+        renamed = [AuxOperator("x", op.sigma, op.tau, op.edge_map) for op in fam.members]
+        same = level_raising_search(g, p, AuxOperatorFamily(g, renamed))
 
         def values(rep):
             return [

@@ -41,28 +41,18 @@ def jordan_representative(partition: tuple[int, ...]) -> Matrix:
 
 
 def diag(*entries):
-    n = len(entries)
-    m = Matrix.zeros(n, n)
-    for i, x in enumerate(entries):
-        m.rows[i][i] = Fraction(x)
-    return m
+    return [Fraction(x) for x in entries]
 
 
 class TestSolutionSpace:
     def test_gl2_degenerate(self):
-        basis = solution_space(diag(2, 1), 2)
-        assert len(basis) == 1
-        assert basis[0] == matrix_unit(2, 0, 1)
+        assert solution_space(diag(2, 1), 2) == [(0, 1)]
 
     def test_gl2_identity(self):
         assert solution_space(diag(1, 1), 2) == []
 
     def test_gl3_two_steps(self):
-        basis = solution_space(diag(4, 2, 1), 2)
-        assert len(basis) == 2
-        mats = {tuple(tuple(r) for r in b.rows) for b in basis}
-        assert tuple(tuple(r) for r in matrix_unit(3, 0, 1).rows) in mats
-        assert tuple(tuple(r) for r in matrix_unit(3, 1, 2).rows) in mats
+        assert solution_space(diag(4, 2, 1), 2) == [(0, 1), (1, 2)]
 
     def test_dimension_counts_ratios(self):
         rng = random.Random(61)
@@ -81,15 +71,8 @@ class TestSolutionSpace:
             assert dim == expected
 
     def test_singular_phi_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^s must be invertible diagonal$"):
             solution_space(diag(0, 1), 2)
-
-    def test_nondiagonal_phi(self):
-        # refused like every other entry point: no command passes one
-        g = Matrix([[1, 1], [0, 1]])
-        phi = g @ diag(2, 1) @ g.inverse()
-        with pytest.raises(ValueError, match="^s must be diagonal$"):
-            solution_space(phi, 2)
 
     @pytest.mark.parametrize("l", [2, 3, Fraction(3), 1])
     def test_matches_the_linear_system_in_order(self, l):
@@ -102,8 +85,9 @@ class TestSolutionSpace:
                 rng.choice([1, -1, Fraction(2, 3)]) * Fraction(l) ** rng.randint(-1, 2)
                 for _ in range(n)
             ]
-            s = diag(*entries)
-            assert [b.rows for b in solution_space(s, l)] == solution_space_by_system(s.rows, l)
+            rows = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)]
+            units = [matrix_unit(n, i, j).rows for i, j in solution_space(entries, l)]
+            assert units == solution_space_by_system(rows, l)
 
     def test_no_elimination(self, monkeypatch):
         calls = []
@@ -113,12 +97,21 @@ class TestSolutionSpace:
         assert calls == []
 
     def test_int_diagonal_stays_on_ints(self):
-        s = Matrix([[9, 0, 0], [0, 3, 0], [0, 0, 1]])
-        basis = solution_space(s, 3)
-        assert len(basis) == 2
-        assert all(type(x) is int for b in basis for row in b.rows for x in row)
-        assert solution_space(s, Fraction(3)) == basis
-        assert solution_space(diag(9, 3, 1), Fraction(3)) == basis
+        pairs = solution_space([9, 3, 1], 3)
+        assert pairs == [(0, 1), (1, 2)]
+        assert solution_space([9, 3, 1], Fraction(3)) == pairs
+        assert solution_space(diag(9, 3, 1), Fraction(3)) == pairs
+        reps = lparam._jordan_types([9, 3, 1], 3)
+        assert all(type(x) is int for N in reps.values() for row in N.rows for x in row)
+
+    def test_witnesses_build_no_unit_matrix(self, monkeypatch):
+        calls = []
+        from_support = Matrix.from_support
+        monkeypatch.setattr(
+            Matrix, "from_support", lambda *a: calls.append(a) or from_support(*a)
+        )
+        assert stratum_witnesses([4, 2, 1, 1], 2)[3, 1]["verified"]
+        assert calls == []
 
 
 class TestJordan:
@@ -187,13 +180,10 @@ class TestJordanAgainstOracle:
 
     @pytest.mark.parametrize("exponents", [(5, 4, 3, 2, 1, 0), (2, 2, 1, 1, 0, 0)])
     def test_every_combination_of_a_solution_space(self, exponents):
-        basis = solution_space(diag(*(3**e for e in exponents)), 3)
-        assert len(basis) == sum(1 for a in exponents for b in exponents if a == b + 1)
-        for bits in itertools.product((0, 1), repeat=len(basis)):
-            N = Matrix.zeros(6, 6)
-            for b, mat in zip(bits, basis):
-                if b:
-                    N = N + mat
+        pairs = solution_space(diag(*(3**e for e in exponents)), 3)
+        assert len(pairs) == sum(1 for a in exponents for b in exponents if a == b + 1)
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            N = Matrix.from_support(6, 6, dict.fromkeys(itertools.compress(pairs, bits), 1))
             assert jordan_partition(N) == jordan_type_by_ranks(N.rows)
 
     @pytest.mark.parametrize(
@@ -351,13 +341,10 @@ class TestWitness:
             n = rng.randint(2, 4)
             entries = [Fraction(l) ** rng.randint(0, 3) for _ in range(n)]
             s = diag(*entries)
-            basis = solution_space(s, l)
-            if not basis:
+            pairs = solution_space(s, l)
+            if not pairs:
                 continue
-            N = Matrix.zeros(n, n)
-            for b in basis:
-                if rng.random() < 0.7:
-                    N = N + b
+            N = Matrix.from_support(n, n, {ij: 1 for ij in pairs if rng.random() < 0.7})
             try:
                 w = degeneration_witness(s, N, l)
             except NoWitnessError:

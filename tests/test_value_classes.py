@@ -1,6 +1,7 @@
-"""The contract of the package's plain value classes: value equality and hashing
-where values are compared, validation and coercion in ``__init__``, a fresh
-container per instance, and the witness fields that reach a report."""
+"""The contract of the package's plain value classes: value equality for the
+characters that the weight checks compare, validation and coercion in
+``__init__``, a fresh container per instance, and the witness fields that
+reach a report."""
 
 import json
 from fractions import Fraction
@@ -17,30 +18,13 @@ from u3local.slope import NewtonPolygon, SlopeDecomposition, SlopeFactorization
 
 
 class TestValueEquality:
-    def test_characters_equal_after_reduction_hash_equal(self):
+    def test_characters_equal_after_reduction(self):
         a, b = Character(2, 3, (3, 5)), Character(2, 3, (1, 1))
-        assert a == b and hash(a) == hash(b)
+        assert a == b
         assert a.exps == (1, 1)
-        assert len({a, b, Character(3, 2, (-1,)), Character(3, 2, (5,))}) == 2
+        assert Character(3, 2, (-1,)) == Character(3, 2, (5,))
         assert Character(3, 2, (1,)) != Character(3, 2, (2,))
         assert Character(3, 2, (1,)) != Character(3, 1, (1,))
-
-    def test_weights_compare_by_characters(self):
-        chi, psi = Character(3, 2, (1,)), Character(3, 2, (7,))
-        assert Weight(chi, chi, chi) == Weight(psi, psi, psi)
-        assert hash(Weight(chi, chi, chi)) == hash(Weight(psi, psi, psi))
-        assert Weight(chi, chi, chi) != Weight(chi, chi, Character(3, 2, (0,)))
-
-    def test_frozen_classes_compare_and_hash_by_value(self):
-        pairs = [
-            (SatakeParam(4, 2), SatakeParam(Fraction(8, 2), 2)),
-            (SplitEigensystem(2, 7, 7, 1), SplitEigensystem(2, Fraction(7), 7, Fraction(2, 2))),
-            (AnalyticModel(2, 1, 3), AnalyticModel(2, 1, 3)),
-        ]
-        for a, b in pairs:
-            assert a is not b and a == b and hash(a) == hash(b)
-        assert SatakeParam(4, 2) != SatakeParam(4, 3)
-        assert SatakeParam(4, 2) != (Fraction(4), 2)
 
     def test_coercion_to_fractions(self):
         assert type(SatakeParam(3, 2).alpha) is Fraction
