@@ -236,6 +236,12 @@ def _load_graph_file(path):
 
 def cmd_graph_analyze(args):
     g, text_digest = _load_graph_file(args.path)
+    # inc, E x |V|, is eliminated once per orientation
+    _within_budget(
+        g.nedges * (g.n0 + g.n1),
+        args.budget,
+        f"eliminations of the {g.nedges}x{g.n0 + g.n1} incidence matrix",
+    )
     rep = Report("graph analyze", {"path_digest": text_digest, "prime": args.prime})
     rep.put("l", g.l)
     rep.put("v0", g.n0)
@@ -299,13 +305,15 @@ def cmd_graph_levelraise(args):
         lab.validate(g)
     # one scan of the p residues per auxiliary member, one more for the
     # characters of a nontrivial labeling; each member also costs an
-    # elimination over the E-long new-space basis, counted as E x E
+    # elimination over the E-long new-space basis, counted as E x E; inc is
+    # eliminated as in graph analyze
     members = args.aux_limit if args.aux == "auto" else 0
     scans = members + (lab is not None and lab.order > 1)
     _within_budget(
-        args.prime * scans + members * g.nedges**2,
+        args.prime * scans + members * g.nedges**2 + g.nedges * (g.n0 + g.n1),
         args.budget,
-        f"{scans} residue scans mod {args.prime} and {members} operators on {g.nedges} edges",
+        f"{scans} residue scans mod {args.prime} and {members} operators on {g.nedges} edges"
+        f" and the {g.nedges}x{g.n0 + g.n1} incidence matrix",
     )
     if members:
         perms = cosets.find_automorphisms(g, limit=members + 1)

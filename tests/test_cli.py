@@ -506,11 +506,32 @@ class TestBudgetRefusals:
         assert err.startswith("error:") and message in err and "budget" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "analyze", "{graph}", "--prime", "3"],
+            ["graph", "levelraise", "{graph}", "--prime", "3", "--aux-limit", "0"],
+        ],
+        ids=["analyze", "levelraise-no-members"],
+    )
+    def test_graph_of_1000_vertices_refused(self, capsys, tmp_path, deadline, argv):
+        # 2250 edges x 1000 vertices; analyze ran 13.6 s and levelraise 11.8 s
+        path = tmp_path / "r250-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 250, random.Random(1)).describe())
+        with deadline(5):
+            code = main([a.format(graph=path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "2250x1000 incidence matrix" in err and "budget" in err
+
+    @pytest.mark.parametrize(
         "argv, cost",
         [
             # three auxiliary members, each a scan over the 37 residues and an
-            # operator on the 27 edges of K39: 3 * 37 + 3 * 27^2
-            (["graph", "levelraise", "{graph}", "--prime", "37", "--aux", "auto"], 2298),
+            # operator on the 27 edges of K39, and the 27 x 12 incidence matrix:
+            # 3 * 37 + 3 * 27^2 + 27 * 12
+            (["graph", "levelraise", "{graph}", "--prime", "37", "--aux", "auto"], 2622),
+            # the 27 x 12 entries of the incidence matrix of K39
+            (["graph", "analyze", "{graph}", "--prime", "3"], 324),
             # blocks of sides 1; 2, 1, 1; 3, 2, 2, 1, 1, 1 at degrees 0, 1, 2
             (["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "2"], 27),
             # the nine residues mod 3^2
@@ -524,7 +545,10 @@ class TestBudgetRefusals:
             # the char poly of the 4 x 4 identity: one prime, 1 * (1 * 5 + 4^3)
             (["slope", "series", "--entries", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--p", "3"], 69),
         ],
-        ids=["levelraise", "ihara", "weight", "components", "factor", "decompose", "series"],
+        ids=[
+            "levelraise", "analyze", "ihara", "weight", "components", "factor", "decompose",
+            "series",
+        ],
     )
     def test_budget_is_the_estimate(self, capsys, k39_path, argv, cost):
         argv = [a.format(graph=k39_path) for a in argv]

@@ -1,8 +1,8 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from u3local import cosets
 from u3local.cosets import (
@@ -15,7 +15,6 @@ from u3local.cosets import (
     GraphFormatError,
     LabelingError,
     StratumError,
-    _commutes_with_level_maps,
     _permutation_order,
     complete_biregular,
     congruence_module,
@@ -793,36 +792,22 @@ class TestAutomorphismsAndSearch:
         fam = AuxOperatorFamily.from_automorphisms(k39, perms[1:])
         assert len(fam.members) == 3
 
-    def test_family_rejects_non_commuting(self, k39):
-        # automorphism vertex maps with the edges rotated by one
-        sigma, tau = find_automorphisms(k39, limit=2)[1]
-        bad = AuxOperator("bad", sigma, tau, [(e + 1) % 27 for e in range(27)])
-        with pytest.raises(ValueError, match="does not commute"):
-            AuxOperatorFamily(k39, [bad])
-
-    def test_family_rejects_v0_swap_without_edge_map(self, k39):
-        bad = AuxOperator("swap", [1, 0, 2], list(range(9)), list(range(27)))
-        with pytest.raises(ValueError, match="does not commute"):
-            AuxOperatorFamily(k39, [bad])
-
     def test_family_rejects_misshapen_operator(self, k39):
-        cases = [[list(range(n)) for n in sizes] for sizes in ((3, 9, 28), (3, 8, 27), (2, 9, 27))]
-        for k in range(3):  # a repeated entry in sigma, tau or edge_map
-            cases.append([list(range(n)) for n in (3, 9, 27)])
+        cases = [[list(range(n)) for n in sizes] for sizes in ((3, 8), (2, 9), (4, 9), (3, 10))]
+        for k in range(2):  # a repeated entry in sigma or tau
+            cases.append([list(range(n)) for n in (3, 9)])
             cases[-1][k][1] = 0
         for perms in cases:
-            with pytest.raises(ValueError, match="needs permutations of 3, 9 and 27 points"):
+            with pytest.raises(ValueError, match="needs permutations of 3 and 9 points"):
                 AuxOperatorFamily(k39, [AuxOperator("shape", *perms)])
 
-    def test_family_checks_the_lowering_map(self, m13):
-        # edges 0 and 1 are parallel: sending both to edge 0 keeps every edge's
-        # ends, so the raising-map side holds, but the lowering map sums edge 0
-        # twice at its ends and never reads edge 1
-        edge_map = [0, 0] + list(range(2, 9))
-        triple = ([0], [0, 1, 2], edge_map)
-        assert not commutes_with_level_maps_dense(m13, *map(perm_matrix, triple))
-        with pytest.raises(ValueError):
-            AuxOperatorFamily(m13, [AuxOperator("merge", *triple)])
+    def test_family_rejects_a_pair_that_changes_multiplicities(self):
+        # twisted K39 has parallel edges; swapping V1 vertices 0 and 2 alone
+        # sends a vertex pair to one of another multiplicity
+        g = twisted_complete(2)
+        tau = [2, 1, 0] + list(range(3, g.n1))
+        with pytest.raises(ValueError, match="does not preserve edge multiplicities"):
+            AuxOperatorFamily(g, [AuxOperator("swap", list(range(g.n0)), tau)])
 
     @pytest.mark.parametrize("name", ["k39", "twisted", "random4"])
     def test_commutation_matches_dense_oracle(self, name):
@@ -832,22 +817,6 @@ class TestAutomorphismsAndSearch:
         for op in fam.members:
             expanded = map(perm_matrix, (op.sigma, op.tau, op.edge_map))
             assert commutes_with_level_maps_dense(g, *expanded)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["k39", "twisted", "random4"]), st.integers(0, 7), st.data())
-    def test_commutation_agrees_with_dense_oracle_after_a_transposition(self, name, k, data):
-        # an automorphism's edge_map composed with a transposition (i j) of the
-        # edges commutes exactly when i and j have the same ends
-        g = ORACLE_GRAPHS[name]()
-        perms = find_automorphisms(g, limit=8)
-        op = AuxOperatorFamily.from_automorphisms(g, [perms[k % len(perms)]]).members[0]
-        i = data.draw(st.integers(0, g.nedges - 1))
-        j = data.draw(st.integers(0, g.nedges - 1))
-        edge_map = list(op.edge_map)
-        edge_map[i], edge_map[j] = edge_map[j], edge_map[i]
-        swapped = AuxOperator("swapped", op.sigma, op.tau, edge_map)
-        dense = commutes_with_level_maps_dense(g, *map(perm_matrix, (op.sigma, op.tau, edge_map)))
-        assert _commutes_with_level_maps(g, swapped) == dense == (g.edges[i] == g.edges[j])
 
     @pytest.mark.parametrize("perm", [[0], [1, 0], [1, 2, 0, 4, 3], [2, 0, 1, 3, 5, 6, 4, 8, 7]])
     def test_permutation_order_is_the_least_power_to_identity(self, perm):
@@ -890,7 +859,7 @@ class TestAutomorphismsAndSearch:
         perms = find_automorphisms(g, limit=4)[1:]
         fam = AuxOperatorFamily.from_automorphisms(g, perms)
         distinct = level_raising_search(g, p, fam)
-        renamed = [AuxOperator("x", op.sigma, op.tau, op.edge_map) for op in fam.members]
+        renamed = [AuxOperator("x", op.sigma, op.tau) for op in fam.members]
         same = level_raising_search(g, p, AuxOperatorFamily(g, renamed))
 
         def values(rep):
@@ -964,6 +933,20 @@ class TestAutomorphismsAndSearch:
             perms = find_automorphisms(random_biregular_graph(2, n0, random.Random(1)), 4)
         assert len(perms) == count
         assert perms[0] == (list(range(n0)), list(range(3 * n0)))
+
+    def test_find_automorphisms_does_not_recurse_per_vertex(self):
+        # 128 vertices against a limit of 100 frames above this one
+        g = random_biregular_graph(2, 32, random.Random(1))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            perms = find_automorphisms(g, 1)
+        finally:
+            sys.setrecursionlimit(previous)
+        assert perms == [(list(range(32)), list(range(96)))]
 
     def test_search_rejects_foreign_family(self, k39, m13):
         fam = AuxOperatorFamily.empty(m13)

@@ -65,7 +65,7 @@ class TestValidation:
 class TestFreshContainers:
     def test_report_and_segments_are_per_instance(self):
         m = Matrix([[1]])
-        ops = [BlockHeckeOperator(2, 1, 1, m, m, m, m, m, []) for _ in range(2)]
+        ops = [BlockHeckeOperator(2, 1, 1, m, m, m, []) for _ in range(2)]
         ops[0].report["ok"] = True
         assert ops[1].report == {}
         fact = SlopeFactorization(Poly.one(), Poly.one(), Fraction(0), 0, 2, None, exact=True)
