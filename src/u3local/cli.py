@@ -147,6 +147,12 @@ def parse_fraction(text: str, budget: int) -> Fraction:
     the number is formed (reading a decimal string takes time quadratic in
     its length)."""
     _within_decimal_budget([text], budget)
+    return _rational(text)
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), a zero denominator refused as ``ValueError``; the caller
+    has checked the decimal budget."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -190,15 +196,20 @@ def parse_diag(spec: str, l: int, budget: int) -> list:
 
 
 def parse_matrix(spec: str, budget: int) -> Matrix:
+    """The matrix of rows split by ';' and entries by ','.  The budget is
+    checked once on all entries: its bit counts are sums over the tokens, so
+    no single token can pass it after all of them did."""
     rows = [row.split(",") for row in spec.split(";")]
     _within_decimal_budget([x for row in rows for x in row], budget)
-    return Matrix([[QQ.exact(parse_fraction(x, budget)) for x in row] for row in rows])
+    return Matrix([[QQ.exact(_rational(x)) for x in row] for row in rows])
 
 
 def parse_poly(spec: str, budget: int) -> Poly:
+    """The polynomial of comma-separated coefficients, constant term first;
+    the budget is checked once, as in ``parse_matrix``."""
     tokens = spec.split(",")
     _within_decimal_budget(tokens, budget)
-    return Poly([parse_fraction(x, budget) for x in tokens])
+    return Poly([_rational(x) for x in tokens])
 
 
 def _within_budget(estimate: int, budget: int, work: str):

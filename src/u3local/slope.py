@@ -20,17 +20,21 @@ reported modulo p^precision.
 
 The decomposition splits the ambient space into ker Qt(U) and its polynomial
 complement, where Qt(T) = T^m Q(1/T); the projector comes from a Bezout
-identity between Qt and the complementary factor of the characteristic
-polynomial.
+identity b Qt + c St = 1 between Qt and the complementary factor St of the
+characteristic polynomial.  It is formed over one denominator, as
+Pi = (D b)(U) St(U) with D the lcm of the denominators of b, and checked by
+identities on Pi (Pi^2 = D Pi, Pi v = D v on ker Qt(U)), so an integer U
+keeps every matrix product and kernel vector on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Matrix, rational_reconstruction
+from .linalg import QQ, Matrix, rational_reconstruction
 from .poly import Poly, xgcd
-from .scalars import INF, padic_valuation, require_prime
+from .scalars import INF, int_valuation, require_prime
 
 
 class NoBreakError(ValueError):
@@ -87,13 +91,9 @@ def newton_polygon(P: Poly, p: int) -> NewtonPolygon:
     require_prime(p)
     if P.is_zero():
         raise ValueError("zero polynomial has no polygon")
-    if padic_valuation(P.coeffs[0], p) != 0:
+    if _coeff_valuation(P.coeffs[0], p) != 0:
         raise ValueError("constant term must be a p-adic unit")
-    points = [
-        (i, Fraction(padic_valuation(c, p)))
-        for i, c in enumerate(P.coeffs)
-        if c != 0
-    ]
+    points = [(i, _coeff_valuation(c, p)) for i, c in enumerate(P.coeffs) if c]
     hull = [points[0]]
     for pt in points[1:]:
         while len(hull) >= 2 and _turns_up(hull[-2], hull[-1], pt):
@@ -102,7 +102,7 @@ def newton_polygon(P: Poly, p: int) -> NewtonPolygon:
     segments = []
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
         segments.append((Fraction(v1 - v0, i1 - i0), i1 - i0))
-    return NewtonPolygon(p, hull, segments)
+    return NewtonPolygon(p, [(i, Fraction(v)) for i, v in hull], segments)
 
 
 def _turns_up(a, b, c):
@@ -129,9 +129,17 @@ class SlopeFactorization:
         return _valuation(P - self.Q * self.S, self.p)
 
 
+def _coeff_valuation(c, p: int):
+    """v_p of a coefficient (an int or a Fraction); INF for zero.  The callers
+    have checked that p is prime."""
+    if type(c) is int:
+        return int_valuation(c, p)
+    return int_valuation(c.numerator, p) - int_valuation(c.denominator, p)
+
+
 def _valuation(f: Poly, p: int):
     """The least v_p of a nonzero coefficient of f; INF for the zero polynomial."""
-    return min((padic_valuation(c, p) for c in f.coeffs if c != 0), default=INF)
+    return min((_coeff_valuation(c, p) for c in f.coeffs if c), default=INF)
 
 
 def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactorization:
@@ -207,12 +215,12 @@ def _newton_step(Q, S, E, m, d, p, work):
 
     def system(Q, S, E):
         # column b of each block holds the coefficients of S T^b (or Q T^b) in
-        # degrees 1..d, that is S[j - b] in row j
-        rows = [
-            [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
-            for j in range(1, d + 1)
-        ]
-        return rows, [E[j] for j in range(1, d + 1)]
+        # degrees 1..d, that is S[j - b] in row j: a window of the padded list
+        s, q = ([0] * d + list(f.coeffs) + [0] * d for f in (S, Q))
+        cols = [s[d + 1 - b : 2 * d + 1 - b] for b in range(1, m + 1)]
+        cols += [q[d + 1 - b : 2 * d + 1 - b] for b in range(1, d - m + 1)]
+        e = list(E.coeffs[1 : d + 1])
+        return [list(row) for row in zip(*cols)], e + [0] * (d - len(e))
 
     sol = None
     residues = [_residues(f, p, work) for f in (Q, S, E)]
@@ -310,12 +318,16 @@ def _validate_split(fact: SlopeFactorization, p, h, integral):
 
 
 class SlopeDecomposition:
-    """Splitting into the slope <= h part and its polynomial complement."""
+    """Splitting into the slope <= h part and its polynomial complement.
+
+    The bases are integer vectors (each kernel vector scaled by the lcm of its
+    denominators); ``projector`` is the rational projector onto the first
+    summand along the second."""
 
     def __init__(
         self,
-        q_part_basis: list[list[Fraction]],
-        complement_basis: list[list[Fraction]],
+        q_part_basis: list[list[int]],
+        complement_basis: list[list[int]],
         projector: Matrix,
         factorization: SlopeFactorization,
         series: Poly,
@@ -333,9 +345,11 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
     """Split the space into ker Qt(U) and its complement, with a Bezout projector.
 
     Qt(U) vanishes on the first summand and is invertible on the second; both
-    are U-stable and their dimensions are m and n - m.  Requires the slope
-    factorization to land exactly (rational coefficients); a genuinely
-    irrational factor raises SlopePrecisionError.
+    are U-stable and their dimensions are m and n - m.  The projector checks
+    run on Pi = D b(U) St(U), which is an integer matrix when U is one.
+    Requires the slope factorization to land exactly (rational coefficients);
+    otherwise SlopePrecisionError names why: the series is not p-integral, so
+    no exact factor was sought, or the factor is not rational.
     """
     if not U.is_square():
         raise ValueError("matrix must be square")
@@ -344,9 +358,13 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
     P = fredholm_series(U)
     fact = slope_factorization(P, h, p, precision)
     if not fact.exact:
-        raise SlopePrecisionError(
-            "slope factor is not rational at this height; exact splitting unavailable"
+        # the exact snap is tried only on a p-integral series
+        cause = (
+            f"series det(1 - T U) is not {p}-integral, so no exact slope factor was sought"
+            if _valuation(P, p) < 0
+            else "slope factor is not rational at this height"
         )
+        raise SlopePrecisionError(f"{cause}; exact splitting unavailable")
     d = P.degree
     m = fact.Q.degree
     qt = fact.Q.reverse(m)
@@ -354,13 +372,15 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
     st_full = Poly([0] * (n - d) + list(fact.S.reverse(d - m).coeffs))
     qt_U = qt.at_matrix(U)
     st_U = st_full.at_matrix(U)
-    q_part = qt_U.kernel_basis()
-    complement = st_U.kernel_basis()
-    # xgcd returns a monic g, so a coprime pair gives a*qt + b*st = 1 exactly
+    q_part = _integer_kernel(qt_U)
+    complement = _integer_kernel(st_U)
+    # xgcd returns a monic g, so a coprime pair gives a*qt + b*st = 1 exactly,
+    # and Pi = (D b)(U) St(U) is D times the projector
     g, _, b = xgcd(qt, st_full)
     if g.degree != 0:
         raise SlopePrecisionError("factors of the characteristic polynomial not coprime")
-    projector = b.at_matrix(U) @ st_U
+    D = lcm(*(c.denominator for c in b.coeffs))
+    pi = (b * D).at_matrix(U) @ st_U
     checks = {
         "q_dim_matches_polygon": len(q_part) == m,
         "dims_sum": len(q_part) + len(complement) == n,
@@ -368,20 +388,31 @@ def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecom
             all(x == 0 for x in qt_U.apply(v)) for v in q_part
         ),
         "qt_invertible_on_complement": _invertible_on(qt_U, complement),
-        "projector_idempotent": projector @ projector == projector,
-        "projector_commutes": projector @ U == U @ projector,
+        "projector_idempotent": pi @ pi == pi.scale(D),
+        "projector_commutes": pi @ U == U @ pi,
         "projector_fixes_q_part": all(
-            projector.apply(v) == v for v in q_part
+            pi.apply(v) == [D * x for x in v] for v in q_part
         ),
         "projector_kills_complement": all(
-            all(x == 0 for x in projector.apply(v)) for v in complement
+            all(x == 0 for x in pi.apply(v)) for v in complement
         ),
         "u_stable_q_part": _stable_under(U, q_part),
         "u_stable_complement": _stable_under(U, complement),
     }
+    projector = Matrix._wrap([[QQ.div(x, D) for x in row] for row in pi.rows], QQ, n)
     return SlopeDecomposition(
         q_part, complement, projector, fact, P, {"ok": all(checks.values()), **checks}
     )
+
+
+def _integer_kernel(op: Matrix) -> list[list[int]]:
+    """``kernel_basis`` with each vector scaled by the lcm of its denominators:
+    the same span, on ints."""
+    out = []
+    for v in op.kernel_basis():
+        d = lcm(*(x.denominator for x in v))
+        out.append([x.numerator * (d // x.denominator) for x in v])
+    return out
 
 
 def _stable_under(op: Matrix, basis) -> bool:

@@ -1093,6 +1093,22 @@ class TestSlopeCommands:
         )
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "entries, cause",
+        [
+            # Q = 1 - T/3 is rational, but P = 1 - 19/3 T + 2 T^2 is not
+            # 3-integral, so the exact snap is never tried
+            ("6,0;0,1/3", "series det(1 - T U) is not 3-integral, so no exact slope factor was sought"),
+            # companion matrix of x^2 - x + 3: the slope 0 factor is irrational
+            ("0,-3;1,1", "slope factor is not rational at this height"),
+        ],
+        ids=["not-p-integral", "irrational"],
+    )
+    def test_decompose_refusal_names_its_cause(self, capsys, entries, cause):
+        assert main(["slope", "decompose", f"--entries={entries}", "--p", "3", "--h", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cause};")
+
     def test_series_from_file(self, capsys, tmp_path):
         mf = tmp_path / "u.mat"
         mf.write_text("1,0;0,3\n")
@@ -1184,6 +1200,15 @@ _LOCAL_DIGESTS = [
      "ae7095bfd34491b536e81b30acfd2f7e19b046bd2d86f6417b071938554cb6f8"),
     (["graph", "levelraise", "{m13}", "--prime", "3", "--aux", "auto", "--aux-limit", "8"], 0,
      "d72c1808606188eb2345be9a8559aab62421b915c310703a7b1d1092d10f1566"),
+    # decompositions of rational matrices (q 1 / complement 1 and 1 / 2) and of
+    # the benchmark's 8x8 u8-3-3 matrix from a file; recorded from the
+    # implementation that formed the projector b(U) St(U) over QQ
+    (["slope", "decompose", "--entries=1/2,1;0,3", "--p", "3", "--h", "0"], 0,
+     "4703d3f3db3d5d148ae8d1f1d5718d23f4dbf72be0adbec2508e08f98bef522b"),
+    (["slope", "decompose", "--entries=1/2,1,0;0,6,1;0,0,9/7", "--p", "3", "--h", "0"], 0,
+     "140864fbe6c38585963e2ecb054cc57653dac27c867441de2f61fa24c8bd525f"),
+    (["slope", "decompose", "--matrix-file", "{u8}", "--p", "3", "--h", "0"], 0,
+     "db062c79bc339b5009ada8d8fe4f27952afea1e14bad0fdcade13304b22fd0e5"),
 ]
 
 
@@ -1218,6 +1243,11 @@ _DIGEST_GRAPHS = {
     "m13": lambda: parallel_multigraph(2),
 }
 
+_DIGEST_MATRICES = {
+    "u8": "1,0,4,0,2,0,-8,0;0,18,0,0,0,0,0,0;-38,0,7,-132,73,66,-50,0;0,0,0,3,0,0,0,0;"
+    "0,0,2,0,2,0,-4,0;0,0,0,-24,0,15,0,0;-19,0,0,-66,38,33,-18,0;45,0,0,-66,-90,33,45,-63\n",
+}
+
 
 @pytest.mark.parametrize(
     "argv, code, sha256", _LOCAL_DIGESTS, ids=[f"{a[0]}-{a[1]}-{i}" for i, (a, _, _) in enumerate(_LOCAL_DIGESTS)]
@@ -1227,6 +1257,9 @@ def test_local_reports_are_byte_identical(capsys, deadline, tmp_path, argv, code
     for name, build in _DIGEST_GRAPHS.items():
         paths[name] = tmp_path / f"{name}.graph"
         paths[name].write_text(build().describe())
+    for name, text in _DIGEST_MATRICES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
     argv = [a.format(**paths) for a in argv]
     with deadline(5):
         got, out = run(capsys, *argv)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from u3local import slope
 from u3local.linalg import Matrix, rational_reconstruction
 from u3local.poly import Poly
 from u3local.scalars import INF, padic_valuation
@@ -329,6 +330,39 @@ class TestSlopeDecomposition:
         U = Matrix([[0, -3], [1, 1]])
         with pytest.raises(SlopePrecisionError):
             slope_decomposition(U, 0, 3)
+
+    # the 6x6 p = 3 decomposition of the local workload: q 3 / complement 3
+    _U6 = Matrix([
+        [-7, -22, 0, 22, -53, 0], [28, -65, 0, 44, -60, 0], [0, 0, 3, 0, 0, 0],
+        [28, -80, 0, 59, -86, 0], [0, 0, 0, 0, 2, 0], [12, 22, 0, -22, 56, 5],
+    ])
+
+    def test_integer_matrix_stays_on_ints(self, monkeypatch):
+        operands = []
+        original = Matrix.__matmul__
+        monkeypatch.setattr(
+            Matrix, "__matmul__", lambda a, b: operands.extend((a, b)) or original(a, b)
+        )
+        dec = slope_decomposition(self._U6, 0, 3)
+        assert dec.report["ok"], dec.report
+        assert dec.q_part_basis and dec.complement_basis
+        for v in dec.q_part_basis + dec.complement_basis:
+            assert all(type(x) is int for x in v)
+        assert operands
+        assert not any(isinstance(x, Fraction) for m in operands for row in m.rows for x in row)
+
+    def test_projector_checks_catch_a_doubled_bezout_cofactor(self, monkeypatch):
+        original = slope.xgcd
+
+        def doubled(a, b):
+            g, s, t = original(a, b)
+            return g, s, t * 2
+
+        monkeypatch.setattr(slope, "xgcd", doubled)
+        dec = slope_decomposition(self._U6, 0, 3)
+        assert not dec.report["projector_idempotent"]
+        assert not dec.report["projector_fixes_q_part"]
+        assert not dec.report["ok"]
 
 
 class TestSubspaceChecks:
