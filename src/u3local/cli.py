@@ -78,6 +78,38 @@ def digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, newline: str) -> str:
+    """json.dumps(x, sort_keys=True, indent=2) for the types of a report, where
+    ``newline`` is a newline and the indent of x's own line.  With an indent,
+    json falls back to its pure-Python encoder; this writer takes json's own
+    escaping of strings, and raises TypeError on any other type."""
+    if isinstance(x, str):
+        return _json_string(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 class Report:
     def __init__(self, command: str, inputs: dict):
         self.command = command
@@ -113,7 +145,7 @@ class Report:
     def render(self, fmt="json", timing=None):
         doc = self.document(timing)
         if fmt == "json":
-            return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            return _json_text(doc, "\n") + "\n"
         lines = [f"== {self.command} =="]
         for key in sorted(self.results):
             lines.append(f"  {key}: {json.dumps(self.results[key], sort_keys=True)}")
@@ -392,8 +424,10 @@ def cmd_moduli_components(args):
     require_prime(args.l)
     s = parse_diag(args.diag, args.l, args.budget)
     # the witnesses walk all 2^dim 0/1 combinations of the solution space, where
-    # dim = #{(i, j) : s_i = l s_j} for nonzero s_i, and each nonzero one costs
-    # an n x n Jordan type; past the budget's bits the exact power does not matter
+    # dim = #{(i, j) : s_i = l s_j} for nonzero s_i, block by block with the
+    # ranks of small block products; n^3 per combination, the cost of an n x n
+    # Jordan type, stays the estimate, so the inputs refused do not move.  Past
+    # the budget's bits the exact power does not matter
     counts = Counter(s)
     dim = sum(c * counts[args.l * x] for x, c in counts.items() if x)
     estimate = (2 ** min(dim, args.budget.bit_length() + 1) - 1) * len(s) ** 3
@@ -429,6 +463,13 @@ def cmd_moduli_witness(args):
     for pair in args.nilpotent.split(";"):
         i, j = (int(x) for x in pair.split(","))
         support[i, j] = 1
+    # a nilpotent 0/1 N with k support entries has index at most k + 1, and the
+    # ranks of any N stop falling within n powers: at most that many n x n ranks
+    # and products
+    k = len(support)
+    _within_budget(
+        n**3 * min(n, k + 1), args.budget, f"the Jordan type of a {n}x{n} matrix with {k} entries"
+    )
     N = Matrix.from_support(n, n, support)
     rep = Report(
         "moduli witness",

@@ -11,6 +11,7 @@ a cocharacter mu with Ad(diag(t^mu)) N = t N, checked symbolically in t.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .linalg import QQ, Matrix
@@ -50,9 +51,15 @@ def jordan_partition(N: Matrix) -> tuple[int, ...]:
         ranks.append(r)
         if r:
             power = power @ N
+    return _partition_of_ranks(ranks)
+
+
+def _partition_of_ranks(ranks) -> tuple[int, ...]:
+    """The Jordan type of a nilpotent N from ranks[k] = rank N^k, k = 0, 1, ...
+    up to a zero power; zeros past it change nothing."""
     # rank(N^(k-1)) - rank(N^k) blocks have size >= k, so the second difference
     # counts the blocks of size exactly k
-    ranks.append(0)
+    ranks = [*ranks, 0]
     partition = []
     for k in range(len(ranks) - 2, 0, -1):
         partition.extend([k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]))
@@ -101,22 +108,127 @@ def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
 
 
 def _jordan_types(diag: list, l) -> dict[tuple[int, ...], Matrix]:
-    """The first 0/1 combination of the solution-space basis of each Jordan type."""
+    """The first 0/1 combination of the solution-space basis of each Jordan type
+    in ``itertools.product`` order over ``solution_space``, as an int Matrix;
+    the types come in the order they first appear.
+
+    N maps the basis vectors whose entry is y to those whose entry is l y, by
+    the block B_y of N between the two classes, so N^k maps class y by the
+    product B_(l^(k-1) y) ... B_y alone and rank N^k is the sum of the ranks
+    of these products.  The walk chooses each block's 0/1 entries in turn along
+    the chains y, l y, l^2 y, ..., and carries the nonzero products of the
+    chain that end at the block last chosen; a zero product stays zero however
+    it is extended.  At each leaf the ranks fix the type, and the index of the
+    combination in product order is the sum of its chosen pairs' bits.
+    """
     n = len(diag)
     pairs = solution_space(diag, l)
-    reps: dict[tuple[int, ...], Matrix] = {}
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
+    if pairs and l * l == 1:
+        # l = 1 puts an E_ii in the basis, l = -1 both E_ij and E_ji
+        raise ValueError("matrix is not nilpotent")
+    bit = {pair: 1 << k for k, pair in enumerate(reversed(pairs))}
+    classes: dict = {}
+    for i, x in enumerate(diag):
+        classes.setdefault(x, []).append(i)
+    memo: dict = {}  # rank of each block and product met in this call
+
+    def rank(m):
+        r = memo.get(m)
+        if r is None:
+            if len(m) == 1 or len(m[0]) == 1:
+                r = int(any(map(any, m)))
+            else:
+                r = Matrix._wrap(m, QQ).rank()
+            memo[m] = r
+        return r
+
+    # per block: whether it starts a chain, and its (choice, bits, rank) list
+    blocks, longest = [], 0
+    reached = {l * y for y in classes}
+    for y in classes:
+        if y in reached:
+            continue
+        length = 0
+        while l * y in classes:
+            choices = _block_choices(classes[l * y], classes[y], bit)
+            blocks.append((not length, [(C, bits, rank(C)) for C, bits in choices]))
+            y, length = l * y, length + 1
+        longest = max(longest, length)
+
+    # ranks[k] = rank N^k over the blocks chosen so far; N^(longest + 1) = 0
+    ranks = [n] + [0] * (longest + 1)
+    first: dict = {}  # ranks at a leaf -> smallest index
+
+    def walk(b, chain, index):
+        # chain[k - 1]: the product of the last k blocks chosen and its rank,
+        # for every k below the first zero product
+        starts, choices = blocks[b]
+        if starts:
+            chain = ()
+        for C, bits, r in choices:
+            grown = []
+            if r:
+                grown.append((C, r))
+                for P, _ in chain:
+                    P = _block_product(C, P)
+                    r = rank(P)
+                    if not r:
+                        break  # C P' = (C P) B for the next longer product P'
+                    grown.append((P, r))
+            for k, (_, r) in enumerate(grown, 1):
+                ranks[k] += r
+            if b + 1 < len(blocks):
+                walk(b + 1, grown, index | bits)
+            else:
+                key, leaf = tuple(ranks), index | bits
+                first[key] = min(first.get(key, leaf), leaf)
+            for k, (_, r) in enumerate(grown, 1):
+                ranks[k] -= r
+
+    if blocks:
+        walk(0, (), 0)
+    else:
+        first[tuple(ranks)] = 0
+    reps = {}
+    for key, index in sorted(first.items(), key=lambda item: item[1]):
         rows = [[0] * n for _ in range(n)]
-        for i, j in itertools.compress(pairs, bits):
-            rows[i][j] = 1
-        N = Matrix._wrap(rows, QQ, n)
-        reps.setdefault(jordan_partition(N), N)
+        for (i, j), w in bit.items():
+            if index & w:
+                rows[i][j] = 1
+        reps[_partition_of_ranks(key)] = Matrix._wrap(rows, QQ, n)
     return reps
 
 
+def _block_choices(rows: list, cols: list, bit: dict) -> list:
+    """Every 0/1 block from the columns ``cols`` to the rows ``rows`` as a tuple
+    of row tuples, with the product-order bits of its chosen pairs."""
+    cells = [(i, j) for i in rows for j in cols]
+    m = len(cols)
+    return [
+        (
+            tuple(chosen[a : a + m] for a in range(0, len(cells), m)),
+            sum(bit[cell] for cell, c in zip(cells, chosen) if c),
+        )
+        for chosen in itertools.product((0, 1), repeat=len(cells))
+    ]
+
+
+def _block_product(C: tuple, P: tuple) -> tuple:
+    """C @ P on tuples of row tuples."""
+    cols = list(zip(*P))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in C)
+
+
 def _dominance_closure(realized) -> set[tuple[int, ...]]:
-    """The partitions dominated by a realized one (dominance is reflexive)."""
-    return set().union(*map(dominated_partitions, realized))
+    """The partitions dominated by a realized one (dominance is reflexive).
+
+    A type above another is also reverse-lexicographically above it, so in
+    that order a type already closed over adds nothing and is skipped."""
+    closure: set = set()
+    for lam in sorted(realized, reverse=True):
+        if lam not in closure:
+            closure.update(dominated_partitions(lam))
+    return closure
 
 
 def components_through(diag: list, l) -> set[tuple[int, ...]]:
@@ -208,7 +320,7 @@ def degeneration_witness(diag: list, N: Matrix, l) -> DegenerationWitness:
     scaling = all(mu[i] - mu[j] == 1 for i, j in support)
     # the path (s, tN): Ad(s)(tN) = t * Ad(s)(N) = t * l * N = l * (tN), any t
     on_stratum = all(
-        diag[i] * N.rows[i][j] == Fraction(l) * N.rows[i][j] * diag[j]
+        diag[i] * N.rows[i][j] == l * N.rows[i][j] * diag[j]
         for i, j in support
     )
     return DegenerationWitness(tuple(mu), scaling, on_stratum, True)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from u3local.cosets import FormTriple, GammaChain
-from u3local.linalg import lattice_basis, lattice_saturation
+from u3local.linalg import Matrix, lattice_basis, lattice_saturation
+from u3local.lparam import jordan_partition
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -439,6 +440,22 @@ def jordan_type_by_ranks(rows):
         return None
     b = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
     return tuple(sum(1 for bk in b if bk >= i) for i in range(1, (b[0] if b else 0) + 1))
+
+
+def jordan_types_by_combinations(diag, l) -> dict:
+    """The support of the first 0/1 combination of each Jordan type, in first-seen
+    order, over all 2^dim combinations of the matrix units E_ij with
+    diag_i = l diag_j in ``itertools.product`` order: one ``jordan_partition``
+    of the whole n x n matrix per combination (``jordan_partition`` is itself
+    checked against ``jordan_type_by_ranks``)."""
+    n = len(diag)
+    pairs = [(i, j) for i in range(n) for j in range(n) if diag[i] == l * diag[j]]
+    supports = {}
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        chosen = list(itertools.compress(pairs, bits))
+        part = jordan_partition(Matrix.from_support(n, n, dict.fromkeys(chosen, 1)))
+        supports.setdefault(part, chosen)
+    return supports
 
 
 # --- tame parameters: the linear system in n^2 unknowns, all partitions ------

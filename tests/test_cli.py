@@ -505,6 +505,19 @@ class TestBudgetRefusals:
         assert code == 2
         assert err.startswith("error:") and message in err and "budget" in err
 
+    def test_witness_of_a_1414_chain_refused(self, capsys, deadline):
+        # 1414 bare l pass the --diag budget; a chain on them took 0.71 s at
+        # n = 150 and 4.2 s at n = 300 before the witness booked its ranks
+        n = 1414
+        chain = ";".join(f"{i},{i + 1}" for i in range(n - 1))
+        with deadline(2):
+            code = main(["moduli", "witness", "--diag=" + ",".join(["l"] * n), "--l", "2",
+                         "--nilpotent", chain])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "1414x1414 matrix with 1413 entries" in err
+        assert "budget" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1344,6 +1357,14 @@ class TestAnalyticCommands:
         assert searches == [(3, 12)]
 
 
+# report strings: quotes, backslashes, control and non-ASCII characters
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_JSON_SCALARS = (
+    st.none() | st.booleans() | _JSON_TEXT
+    | st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+)
+
+
 class TestReportContract:
     def test_report_prints_past_4300_digits(self, capsys, deadline):
         # 1e4000 is 16 000 bits, inside the default budget, and its eigenvalue
@@ -1378,6 +1399,25 @@ class TestReportContract:
         # no report holds a set: it has no order of its own to print in
         with pytest.raises(TypeError, match="set"):
             cli.jsonable({1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            _JSON_SCALARS,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+            max_leaves=30,
+        )
+    )
+    @example({"a": {}, "b": [], "c": [[], {}, ()], "d": [True, 1, False, 0, None]})
+    def test_writer_is_json_dumps(self, doc):
+        assert cli._json_text(doc, "\n") == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {1}, {"a": [b"x"]}, {1: 2}])
+    def test_writer_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value, "\n")
 
     def test_byte_determinism(self, capsys, k39_path):
         _, out1 = run(capsys, "graph", "analyze", k39_path, "--prime", "3")

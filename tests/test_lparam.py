@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from u3local import lparam
 from u3local.linalg import Matrix
@@ -22,7 +24,12 @@ from u3local.lparam import (
     stratum_witnesses,
 )
 
-from .oracles import jordan_type_by_ranks, partitions_recursive, solution_space_by_system
+from .oracles import (
+    jordan_type_by_ranks,
+    jordan_types_by_combinations,
+    partitions_recursive,
+    solution_space_by_system,
+)
 
 
 def matrix_unit(n: int, i: int, j: int) -> Matrix:
@@ -218,6 +225,94 @@ class TestJordanAgainstOracle:
             monkeypatch.undo()
             # the products are N^2, ..., N^k for the index k = the largest block
             assert len(products) <= part[0] - 1
+
+
+def _powers(exponents, l):
+    return [Fraction(l) ** e for e in exponents]
+
+
+# the benchmark's moduli FAIL and HEAVY diagonals, an unsorted chain, two diagonals
+# of two chains each and one block of 3 x 4 pairs
+_WALK_CASES = [
+    *((_powers(e, l), l) for e in [(2, 2, 1, 1, 0, 0), (5, 4, 3, 2, 1, 0),
+                                  (4, 3, 2, 1, 0, 0), (3, 2, 1, 0, 0, 0),
+                                  (0, 1, 0, 2, 1, 0)] for l in (2, 3)),
+    (diag(2, -1, -2, 1, 4, -4), 2),
+    (diag(3, 1, Fraction(1, 2), Fraction(3, 2), Fraction(3, 4), 6), 2),
+    (_powers((1, 1, 1, 0, 0, 0, 0), 2), 2),
+]
+_oracle_types: dict = {}
+
+
+def _walk_mismatches(cases):
+    """The cases whose types, first-seen order or representative supports
+    differ from those of the 2^dim product loop."""
+    bad = []
+    for entries, l in cases:
+        key = (tuple(entries), l)
+        if key not in _oracle_types:
+            _oracle_types[key] = list(jordan_types_by_combinations(entries, l).items())
+        n = len(entries)
+        got = [
+            (part, [(i, j) for i in range(n) for j in range(n) if N.rows[i][j]])
+            for part, N in lparam._jordan_types(entries, l).items()
+        ]
+        if got != _oracle_types[key]:
+            bad.append((entries, l))
+    return bad
+
+
+class TestJordanTypesAgainstOracle:
+    """The block walk against the product loop over all 0/1 combinations."""
+
+    def test_fixed_diagonals(self):
+        assert _walk_mismatches(_WALK_CASES) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.tuples(st.sampled_from([1, -1, 5]), st.integers(0, 3)), max_size=6),
+    )
+    def test_unit_multiples_of_powers(self, l, entries):
+        assert _walk_mismatches([([u * Fraction(l) ** e for u, e in entries], l)]) == []
+
+    def test_last_combination_per_type_is_caught(self, monkeypatch):
+        monkeypatch.setattr(lparam, "min", max, raising=False)
+        assert _walk_mismatches(_WALK_CASES)
+
+    def test_dropped_cross_block_products_are_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            lparam, "_block_product", lambda C, P: tuple((0,) * len(P[0]) for _ in C)
+        )
+        assert _walk_mismatches(_WALK_CASES)
+
+    @pytest.mark.parametrize("entries, l", [((1, 1), 1), ((2, 1), 1), ((-1, 1), -1)])
+    def test_l_of_order_two_is_not_nilpotent(self, entries, l):
+        # the classes close into cycles: the sum of the basis is not nilpotent
+        for types in (lparam._jordan_types, jordan_types_by_combinations):
+            with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+                types(diag(*entries), l)
+
+    def test_no_square_elimination(self, monkeypatch):
+        rows, calls = [], []
+        rref = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda m: rows.append(m.nrows) or rref(m))
+        monkeypatch.setattr(
+            lparam, "jordan_partition", lambda N: calls.append(N) or jordan_partition(N)
+        )
+        assert all(w["verified"] for w in stratum_witnesses([9, 9, 3, 3, 1, 1], 3).values() if w)
+        assert 6 not in rows and calls == []
+
+    def test_one_block_memory(self):
+        # 2^12 combinations of the 3 x 4 block between the classes of 2 and 1:
+        # only that block's choices are ever held
+        tracemalloc.start()
+        try:
+            reps = lparam._jordan_types(_powers((1, 1, 1, 0, 0, 0, 0), 2), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == 4 and peak < 4_000_000
 
 
 class TestPartitionsAgainstOracle:
