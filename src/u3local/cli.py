@@ -318,6 +318,17 @@ def cmd_graph_analyze(args):
 
 def cmd_graph_congruence(args):
     g, text_digest = _load_graph_file(args.path)
+    # Smith forms of inc, E x |V|, and of the composite C = inc^T inc, |V| x |V|.
+    # The form of C fills in and its entries grow, so on random l = 2 graphs the
+    # command's time grows about as n0^4 (3.8 s at n0 = 150, 16.6 s at 210),
+    # faster than analyze's eliminations of inc: the entries of both matrices
+    # are booked, not analyze's E x |V| alone, which admitted n0 = 230
+    nv = g.n0 + g.n1
+    _within_budget(
+        g.nedges * nv + nv**2,
+        args.budget,
+        f"Smith forms of the {g.nedges}x{nv} incidence matrix and the {nv}x{nv} composite",
+    )
     rep = Report("graph congruence", {"path_digest": text_digest})
     data = cosets.congruence_module(g)
     for key in (
@@ -460,8 +471,11 @@ def cmd_moduli_witness(args):
     s = parse_diag(args.diag, args.l, args.budget)
     n = len(s)
     support = {}
-    for pair in args.nilpotent.split(";"):
-        i, j = (int(x) for x in pair.split(","))
+    for index, pair in enumerate(args.nilpotent.split(";"), 1):
+        try:
+            i, j = map(int, pair.split(","))
+        except ValueError:
+            raise ValueError(f"--nilpotent pair {index} ({pair!r}) is not i,j") from None
         support[i, j] = 1
     # a nilpotent 0/1 N with k support entries has index at most k + 1, and the
     # ranks of any N stop falling within n powers: at most that many n x n ranks
@@ -657,13 +671,132 @@ def cmd_analytic_weight(args):
 # --- argument wiring ---------------------------------------------------------
 
 
+def _flat_level(parser):
+    """One parser's part of the flat read: its option strings of plain store
+    and flag actions, its positionals in order, the defaults its namespace
+    starts from (a string default converted by its type, as argparse does
+    when the option is not given) and its required actions."""
+    options, positionals, defaults = {}, [], {}
+    for a in parser._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            d = a.default
+            defaults.setdefault(a.dest, parser._get_value(a, d) if isinstance(d, str) else d)
+        if not a.option_strings:
+            positionals.append(a)
+        elif isinstance(a, argparse._StoreConstAction) or (
+            type(a) is argparse._StoreAction and a.nargs is None
+        ):
+            options.update(dict.fromkeys(a.option_strings, a))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, positionals, defaults, [a for a in parser._actions if a.required]
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top parser.  ``parse_args`` first reads plain argv in one flat pass
+    over a table taken from the parser's own actions: exact option names with
+    their values (``--opt value`` or ``--opt=value``), the top options before
+    the group, and the leaf's options and positionals after group and command.
+    It declines everything else (help, abbreviations, ``--``, a separate value
+    that looks like an option, unknown tokens, bad values, missing arguments),
+    and argparse reads that argv, so every help text, error message and exit
+    code is argparse's own.  Where it does not decline, its namespace is the one
+    argparse's three nested parses would give."""
+
+    _flat = None  # (top options, top defaults, leaves): built by the first parse
+
+    def parse_args(self, args=None, namespace=None):
+        if namespace is None:
+            ns = self._read_flat(sys.argv[1:] if args is None else list(args))
+            if ns is not None:
+                return ns
+        return super().parse_args(args, namespace)
+
+    def _flat_table(self):
+        # the shape build_parser declares: two levels of subcommands, leaves
+        # whose positionals take one value each, and no option that looks like
+        # a negative number or that abbreviates two options of a parser above
+        # a leaf (each parser classifies every token after it); the argv fuzz
+        # against argparse's own read checks that this holds
+        options, (groups,), defaults, required = _flat_level(self)
+        leaves = {}
+        for group, group_parser in groups.choices.items():
+            _, (cmds,), group_defaults, _ = _flat_level(group_parser)
+            for cmd, leaf in cmds.choices.items():
+                leaf_options, positionals, leaf_defaults, leaf_required = _flat_level(leaf)
+                # argparse merges the namespaces of group and leaf over the top's
+                base = {groups.dest: group, **group_defaults, cmds.dest: cmd, **leaf_defaults}
+                leaf_required += [a for a in required if a is not groups]
+                leaves[group, cmd] = (leaf_options, positionals, base, leaf_required)
+        return options, defaults, leaves
+
+    def _read_flat(self, argv):
+        """The namespace of plain argv, or None to leave argv to argparse."""
+        if self._flat is None:
+            self._flat = self._flat_table()
+        options, defaults, leaves = self._flat
+        values, seen = dict(defaults), set()
+        i = self._read_tokens(argv, 0, options, None, values, seen)
+        leaf = leaves.get(tuple(argv[i : i + 2])) if i is not None else None
+        if leaf is None:
+            return None
+        leaf_options, positionals, base, required = leaf
+        values.update(base)
+        if self._read_tokens(argv, i + 2, leaf_options, positionals, values, seen) is None:
+            return None
+        return argparse.Namespace(**values) if all(a in seen for a in required) else None
+
+    def _read_tokens(self, argv, i, options, positionals, values, seen):
+        """Reads argv[i:] into values, adding each action read to seen.  With
+        positionals None (the top) it stops at the first positional token and
+        returns its index; otherwise it fills the positionals in order and
+        returns len(argv).  None declines."""
+        pending = iter(positionals or ())
+        while i < len(argv):
+            tok = argv[i]
+            i += 1
+            if tok[:1] != "-":  # a positional to every parser
+                if positionals is None:
+                    return i - 1
+                action, text = next(pending, None), tok
+            elif tok in options:
+                action, text = options[tok], None
+                if action.nargs != 0:
+                    # argparse reads a separate token starting with '-' as an
+                    # option, unless it is a negative number
+                    if i == len(argv) or (
+                        argv[i][:1] == "-" and not self._negative_number_matcher.match(argv[i])
+                    ):
+                        return None
+                    text = argv[i]
+                    i += 1
+            else:
+                name, eq, text = tok.partition("=")
+                action = options.get(name) if eq and text != "--" else None
+                if action is not None and action.nargs == 0:
+                    return None  # a flag given a value
+            if action is None:
+                return None
+            if text is None:
+                values[action.dest] = action.const
+            else:
+                try:
+                    value = self._get_value(action, text)
+                    self._check_value(action, value)
+                except argparse.ArgumentError:
+                    return None
+                values[action.dest] = value
+            seen.add(action)
+        return None if positionals is None else i
+
+
 def build_parser():
-    top = argparse.ArgumentParser(prog="u3local", description=__doc__)
+    top = _Parser(prog="u3local", description=__doc__)
     top.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
     top.add_argument("--budget", type=int, default=2_000_000, help="bound on work estimated before it starts")
     top.add_argument("--format", choices=("json", "table"), default="json")
     top.add_argument("--timing", action="store_true", help="include elapsed ms (breaks determinism)")
-    sub = top.add_subparsers(dest="group", required=True)
+    sub = top.add_subparsers(dest="group", required=True, parser_class=argparse.ArgumentParser)
 
     tr = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
     v = tr.add_parser("verify")

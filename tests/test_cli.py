@@ -366,6 +366,21 @@ class TestGraphCommands:
         ),
         pytest.param(
             None, None,
+            ["moduli", "witness", "--diag", "l,1,1", "--l", "2", "--nilpotent=0,1,2"],
+            "pair 1 ('0,1,2') is not i,j", id="nilpotent-pair-of-three",
+        ),
+        pytest.param(
+            None, None,
+            ["moduli", "witness", "--diag", "l,1,1", "--l", "2", "--nilpotent=0,1;"],
+            "pair 2 ('') is not i,j", id="nilpotent-empty-pair",
+        ),
+        pytest.param(
+            None, None,
+            ["moduli", "witness", "--diag", "l,1,1", "--l", "2", "--nilpotent=a,b"],
+            "pair 1 ('a,b') is not i,j", id="nilpotent-pair-not-integers",
+        ),
+        pytest.param(
+            None, None,
             ["graph", "levelraise", "{graph}", "--prime", "3", "--aux", "auto", "--aux-limit", "-4"],
             "--aux-limit", id="negative-aux-limit",
         ),
@@ -536,9 +551,34 @@ class TestBudgetRefusals:
         assert code == 2
         assert err.startswith("error:") and "2250x1000 incidence matrix" in err and "budget" in err
 
+    def test_congruence_of_920_vertices_refused(self, capsys, tmp_path, deadline):
+        # 2070 edges x 920 vertices and the 920 x 920 composite: 2750800; the
+        # command was still running after 65 s
+        path = tmp_path / "r230-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 230, random.Random(1)).describe())
+        with deadline(2):
+            code = main(["graph", "congruence", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "920x920 composite" in err and "budget" in err
+
+    def test_congruence_at_desk_scale_admitted(self, capsys, tmp_path, monkeypatch):
+        # n0 = 150 (600 vertices, 3.8 s) books 1350 * 600 + 600^2 = 1170000 of
+        # the default budget; the Smith forms themselves are left out here
+        path = tmp_path / "r150-1.graph"
+        path.write_text(cosets.random_biregular_graph(2, 150, random.Random(1)).describe())
+        k39, graphs = complete_biregular(2), []
+        original = cosets.congruence_module
+        monkeypatch.setattr(cosets, "congruence_module", lambda g: graphs.append(g) or original(k39))
+        assert main(["graph", "congruence", str(path)]) == 0
+        assert [g.n0 + g.n1 for g in graphs] == [600]
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "argv, cost",
         [
+            # the 27 x 12 incidence matrix of K39 and its 12 x 12 composite
+            (["graph", "congruence", "{graph}"], 468),
             # three auxiliary members, each a scan over the 37 residues and an
             # operator on the 27 edges of K39, and the 27 x 12 incidence matrix:
             # 3 * 37 + 3 * 27^2 + 27 * 12
@@ -559,7 +599,7 @@ class TestBudgetRefusals:
             (["slope", "series", "--entries", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--p", "3"], 69),
         ],
         ids=[
-            "levelraise", "analyze", "ihara", "weight", "components", "factor", "decompose",
+            "congruence", "levelraise", "analyze", "ihara", "weight", "components", "factor", "decompose",
             "series",
         ],
     )
@@ -1494,3 +1534,164 @@ class TestParserReuse:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert done.stdout.split() == ["0", "None"]
+
+
+@functools.cache
+def _reference_parser():
+    return cli.build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's own read of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(argparse.ArgumentParser.parse_args(_reference_parser(), list(argv)))
+        except SystemExit:
+            return None
+
+
+def _flat_agrees(parser, argv):
+    """The flat read of argv declines, or gives argparse's namespace; where
+    argparse exits, it must have declined."""
+    flat = parser._read_flat(list(argv))
+    return flat is None or vars(flat) == _argparse_vars(argv)
+
+
+# (argv, whether the flat read takes it)
+_FLAT_ROWS = [
+    (["satake", "eig", "--alpha", "4", "--l", "2"], True),
+    (["satake", "eig", "--alpha", "-2", "--l", "2"], True),
+    (["satake", "eig", "--alpha", "-x", "--l", "2"], False),
+    (["satake", "eig", "--alpha=-x", "--l", "2"], True),
+    (["satake", "eig", "--alpha=--", "--l", "2"], False),
+    (["satake", "eig", "--alpha", "--", "--l", "2"], False),
+    (["satake", "eig", "--alp=4", "--l", "2"], False),
+    (["-h"], False),
+    (["satake", "eig", "-h"], False),
+    (["--format=xml", "satake", "eig", "--alpha", "4", "--l", "2"], False),
+    (["--format", "table", "satake", "eig", "--alpha", "4", "--l", "2"], True),
+    (["graph", "levelraise", "g", "--prime", "3", "--aux=maybe"], False),
+    (["graph", "levelraise", "g", "--prime", "3", "--aux=none", "--aux-limit", "-1"], True),
+    (["satake", "eig", "--alpha", "4", "--l", "x"], False),
+    (["--timing=1", "satake", "eig", "--alpha", "4", "--l", "2"], False),
+    (["--timing", "satake", "eig", "--alpha", "4", "--l", "2"], True),
+    (["satake", "eig", "--alpha", "4"], False),
+    (["satake", "eig", "--alpha", "4", "--l", "2", "--budget", "5"], False),
+    (["--budget", "5", "--budget=-6", "satake", "eig", "--alpha", "4", "--l", "2"], True),
+    (["satake", "eig", "--alpha", "4", "--l", "2", "--l", "3"], True),
+    (["graph", "analyze", "--prime", "3", "g"], True),
+    (["graph", "analyze", "g", "h"], False),
+    (["graph", "analyze", "--prime", "3"], False),
+    (["satake", "nope", "--alpha", "4", "--l", "2"], False),
+    (["satake"], False),
+    ([], False),
+    (["moduli", "components", "--diag", "l,1", "--l", "2", "--group", "pgl3"], True),
+]
+
+
+@st.composite
+def _flat_argv(draw):
+    """An argv in the forms the flat read takes and around them: each option
+    as --opt=value or --opt value, sometimes repeated, the leaf's options
+    before and after its positional, and now and then a top option moved past
+    the command, a required option dropped or a token from the argv fuzz."""
+    top = _reference_parser()
+    group = draw(st.sampled_from(sorted(_subcommands(top))))
+    leaves = _subcommands(_subcommands(top)[group])
+    name = draw(st.sampled_from(sorted(leaves)))
+
+    def words(parser):
+        options, positionals = [], []
+        for action in parser._actions:
+            if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+                continue
+            if action.required and draw(st.integers(0, 19)) == 0:
+                continue  # a required argument dropped
+            for _ in range(draw(st.integers(1 if action.required else 0, 2))):
+                value = draw(_value_strategy(action))
+                if not action.option_strings:
+                    positionals.append([value])
+                elif value is None:
+                    options.append([action.option_strings[0]])
+                elif draw(st.booleans()):
+                    options.append([f"{action.option_strings[0]}={value}"])
+                else:
+                    options.append([action.option_strings[0], value])
+        for p in positionals:
+            options.insert(draw(st.integers(0, len(options))), p)
+        return options
+
+    top_items, leaf_items = words(top), words(leaves[name])
+    if top_items and draw(st.integers(0, 9)) == 0:
+        leaf_items.append(top_items.pop())  # a top option past the command
+    if draw(st.integers(0, 9)) == 0:
+        leaf_items.insert(draw(st.integers(0, len(leaf_items))), [draw(_ARGV_TEXT)])
+    return [w for item in top_items + [[group, name]] + leaf_items for w in item]
+
+
+class TestFlatRead:
+    """The top parser reads plain argv in one flat pass and leaves the rest to
+    argparse; wherever it reads, its namespace is argparse's."""
+
+    @pytest.mark.parametrize("argv, taken", _FLAT_ROWS, ids=[" ".join(a) for a, _ in _FLAT_ROWS])
+    def test_row(self, argv, taken):
+        parser = cli.build_parser()
+        assert (parser._read_flat(argv) is not None) == taken
+        assert _flat_agrees(parser, argv)
+
+    @pytest.mark.parametrize("argv", [a for a, _, _ in _LOCAL_DIGESTS],
+                             ids=[str(i) for i in range(len(_LOCAL_DIGESTS))])
+    def test_local_digest_argv_is_read_flat(self, argv):
+        flat = cli.build_parser()._read_flat(argv)
+        assert flat is not None and vars(flat) == _argparse_vars(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_flat_argv())
+    def test_flat_read_declines_or_agrees(self, argv):
+        assert _flat_agrees(cli.build_parser(), argv)
+
+    def test_a_reader_that_skips_the_type_call_is_caught(self, monkeypatch):
+        parser = cli.build_parser()
+        parser._read_flat([])  # the table, built before the mutation
+        monkeypatch.setattr(parser, "_get_value", lambda action, text: text)
+        assert not all(_flat_agrees(parser, argv) for argv, _ in _FLAT_ROWS)
+
+    def test_a_reader_that_skips_the_choices_check_is_caught(self, monkeypatch):
+        parser = cli.build_parser()
+        monkeypatch.setattr(parser, "_check_value", lambda action, value: None)
+        assert not all(_flat_agrees(parser, argv) for argv, _ in _FLAT_ROWS)
+
+    def test_a_reader_that_skips_the_required_check_is_caught(self):
+        parser = cli.build_parser()
+        actions = [a for group in _subcommands(parser).values()
+                   for leaf in _subcommands(group).values() for a in leaf._actions if a.required]
+        for a in actions:
+            a.required = False
+        parser._read_flat([])  # the table, built while nothing is required
+        for a in actions:
+            a.required = True
+        assert not all(_flat_agrees(parser, argv) for argv, _ in _FLAT_ROWS)
+
+    def test_a_wrapped_parse_args_sees_one_call_per_main(self, capsys, monkeypatch):
+        # the way a tracer times the read: a wrapper on the built parser's method
+        calls = []
+        original = cli.build_parser
+
+        def build():
+            parser = original()
+            parse = parser.parse_args
+            parser.parse_args = lambda *a, **k: calls.append(a) or parse(*a, **k)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        monkeypatch.setattr(cli, "_parser", None)
+        argvs = [
+            ["satake", "eig", "--alpha", "4", "--l", "2"],  # read flat
+            ["satake", "eig", "--alp=4", "--l", "2"],  # argparse, by abbreviation
+            ["satake", "eig", "--alpha", "4"],  # argparse's error
+        ]
+        for n, argv in enumerate(argvs, 1):
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert len(calls) == n
+        capsys.readouterr()
