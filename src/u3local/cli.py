@@ -56,22 +56,6 @@ def _rational_text(x) -> str:
     return _digits(int(x))
 
 
-def jsonable(x):
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, Fraction):
-        return _rational_text(x)
-    if isinstance(x, enum.Enum):
-        return x.value
-    if isinstance(x, Poly):
-        return [_rational_text(c) for c in x.coeffs]
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    raise TypeError(f"no report encoding for {type(x).__name__}")
-
-
 def digest(payload: str) -> str:
     import hashlib  # off the start-up path: only graph and matrix files are digested
 
@@ -81,11 +65,12 @@ def digest(payload: str) -> str:
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_text(x, newline: str) -> str:
-    """json.dumps(x, sort_keys=True, indent=2) for the types of a report, where
-    ``newline`` is a newline and the indent of x's own line.  With an indent,
-    json falls back to its pure-Python encoder; this writer takes json's own
-    escaping of strings, and raises TypeError on any other type."""
+def _json_text(x, newline: str | None) -> str:
+    """json.dumps(x, sort_keys=True, indent=2) of a report value, converted as
+    it is written: a Fraction is its ``_rational_text``, an enum its value, a
+    Poly its coefficient strings, an int ``_digits`` and a dict key str(key);
+    any other type raises TypeError.  ``newline`` is a newline and the indent
+    of x's own line, or None for the one-line json.dumps(x, sort_keys=True)."""
     if isinstance(x, str):
         return _json_string(x)
     if x is None:
@@ -95,19 +80,26 @@ def _json_text(x, newline: str) -> str:
     if x is False:
         return "false"
     if isinstance(x, int):
-        return int.__repr__(x)
-    inner = newline + "  "
+        return _digits(x)
+    inner = None if newline is None else newline + "  "
     if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = [_json_text(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(x.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        items, ends = [_json_text(v, inner) for v in x], "[]"
+    elif isinstance(x, dict):
+        keyed = sorted({str(k): v for k, v in x.items()}.items())
+        items, ends = [_json_string(k) + ": " + _json_text(v, inner) for k, v in keyed], "{}"
+    elif isinstance(x, Fraction):
+        return _json_string(_rational_text(x))
+    elif isinstance(x, enum.Enum):
+        return _json_text(x.value, newline)
+    elif isinstance(x, Poly):
+        items, ends = [_json_string(_rational_text(c)) for c in x.coeffs], "[]"
+    else:
+        raise TypeError(f"no report encoding for {type(x).__name__}")
+    if not items:
+        return ends
+    if newline is None:
+        return ends[0] + ", ".join(items) + ends[1]
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 class Report:
@@ -118,37 +110,33 @@ class Report:
         self.assertions = []
 
     def put(self, key, value):
-        self.results[key] = jsonable(value)
+        self.results[key] = value
 
     def check(self, name, passed, detail=None):
         entry = {"name": name, "passed": bool(passed)}
         if detail is not None:
-            entry["detail"] = jsonable(detail)
+            entry["detail"] = detail
         self.assertions.append(entry)
 
     @property
     def passed(self):
         return all(a["passed"] for a in self.assertions)
 
-    def document(self, timing=None):
-        doc = {
-            "command": self.command,
-            "inputs": jsonable(self.inputs),
-            "results": self.results,
-            "assertions": self.assertions,
-            "passed": self.passed,
-        }
-        if timing is not None:
-            doc["timing_ms"] = timing
-        return doc
-
     def render(self, fmt="json", timing=None):
-        doc = self.document(timing)
         if fmt == "json":
+            doc = {
+                "command": self.command,
+                "inputs": self.inputs,
+                "results": self.results,
+                "assertions": self.assertions,
+                "passed": self.passed,
+            }
+            if timing is not None:
+                doc["timing_ms"] = timing
             return _json_text(doc, "\n") + "\n"
         lines = [f"== {self.command} =="]
         for key in sorted(self.results):
-            lines.append(f"  {key}: {json.dumps(self.results[key], sort_keys=True)}")
+            lines.append(f"  {key}: {_json_text(self.results[key], None)}")
         for a in self.assertions:
             tag = "PASS" if a["passed"] else "FAIL"
             lines.append(f"{tag}  {a['name']}")
@@ -160,11 +148,21 @@ class Report:
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+def _within_digit_limit(tokens, what: str):
+    """Refuse integer text past the interpreter's default 4300 digits, leading
+    zeros aside, before int() reads it in time quadratic in the digits (main
+    lifts the limit after reading argv); no budget admits such a number."""
+    for tok in tokens:
+        if sum(map(str.isdigit, tok.lstrip(" +-0_"))) > 4300:
+            raise ValueError(f"{what} has more than 4300 digits")
+
+
 def _exponent_bits(tokens) -> int:
     """Bits of the powers of ten the decimal exponents of ``tokens`` ask for:
     |e|·bit_length(10) per token, the estimate of the l^e tokens of --diag."""
-    exps = (_EXPONENT.search(tok) for tok in tokens)
-    return sum(abs(int(m[1])) for m in exps if m) * (10).bit_length()
+    exps = [m[1] for m in map(_EXPONENT.search, tokens) if m]
+    _within_digit_limit(exps, "a decimal exponent")
+    return sum(abs(int(e)) for e in exps) * (10).bit_length()
 
 
 def _digit_bits(tokens) -> int:
@@ -211,7 +209,9 @@ def parse_diag(spec: str, l: int, budget: int) -> list:
     power is formed."""
     tokens = [tok.strip() for tok in spec.split(",")]
     plain = [tok for tok in tokens if not tok.startswith("l^")]
-    bits = sum(abs(int(tok[2:])) for tok in tokens if tok.startswith("l^")) * l.bit_length()
+    powers = [tok[2:] for tok in tokens if tok.startswith("l^")]
+    _within_digit_limit(powers, "an exponent of l^K in --diag")
+    bits = sum(abs(int(k)) for k in powers) * l.bit_length()
     bits += _exponent_bits(plain) + _digit_bits(plain)
     # a bare l or l^0 spells no bits, yet n such entries still take n^2 work
     words = max(1, -(-bits // 64))
@@ -391,7 +391,7 @@ def cmd_graph_levelraise(args):
 
 def cmd_satake_classify(args):
     s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
-    rep = Report("satake classify", {"alpha": _rational_text(s.alpha), "l": args.l})
+    rep = Report("satake classify", {"alpha": s.alpha, "l": args.l})
     cls = satake.classify_principal_series(s)
     lam = satake.spherical_eigenvalue(s)
     rep.put("classification", cls)
@@ -406,7 +406,7 @@ def cmd_satake_classify(args):
 
 def cmd_satake_eig(args):
     s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
-    rep = Report("satake eig", {"alpha": _rational_text(s.alpha), "l": args.l})
+    rep = Report("satake eig", {"alpha": s.alpha, "l": args.l})
     lam = satake.spherical_eigenvalue(s)
     rep.put("eigenvalue", lam)
     rep.put("degree", satake.deg_inert_Tl(args.l))
@@ -421,10 +421,7 @@ def cmd_satake_ve_check(args):
         args.q, *(parse_fraction(t, args.budget) for t in (args.t1, args.t2, args.t3))
     )
     psi = parse_fraction(args.psi, args.budget)
-    rep = Report(
-        "satake ve-check",
-        {"q": args.q, "psi": _rational_text(psi), "t": [args.t1, args.t2, args.t3]},
-    )
+    rep = Report("satake ve-check", {"q": args.q, "psi": psi, "t": [args.t1, args.t2, args.t3]})
     verdict = satake.very_eisenstein_check(es, psi)
     rep.put("very_eisenstein", verdict)
     rep.check("pattern_evaluated", True)
@@ -472,6 +469,7 @@ def cmd_moduli_witness(args):
     n = len(s)
     support = {}
     for index, pair in enumerate(args.nilpotent.split(";"), 1):
+        _within_digit_limit(pair.split(","), f"an index of --nilpotent pair {index}")
         try:
             i, j = map(int, pair.split(","))
         except ValueError:
@@ -554,9 +552,10 @@ def cmd_slope_polygon(args):
     P = parse_poly(args.poly, args.budget)
     rep = Report("slope polygon", {"poly": args.poly, "p": args.p})
     np = slope.newton_polygon(P, args.p)
+    slopes = np.slopes()
     rep.put("vertices", np.vertices)
-    rep.put("slopes", np.slopes())
-    rep.check("slopes_weakly_increasing", np.slopes() == sorted(np.slopes()))
+    rep.put("slopes", slopes)
+    rep.check("slopes_weakly_increasing", slopes == sorted(slopes))
     return rep
 
 
@@ -578,10 +577,8 @@ def cmd_slope_factor(args):
     P = parse_poly(args.poly, args.budget)
     h = parse_fraction(args.h, args.budget)
     _within_precision_budget(args, P.degree)
-    rep = Report(
-        "slope factor",
-        {"poly": args.poly, "p": args.p, "h": _rational_text(h), "precision": args.precision},
-    )
+    inputs = {"poly": args.poly, "p": args.p, "h": h, "precision": args.precision}
+    rep = Report("slope factor", inputs)
     fact = slope.slope_factorization(P, h, args.p, args.precision)
     rep.put("Q", fact.Q)
     rep.put("S", fact.S)
@@ -600,10 +597,7 @@ def cmd_slope_decompose(args):
     U, src = _matrix_input(args)
     h = parse_fraction(args.h, args.budget)
     _within_precision_budget(args, U.nrows)
-    rep = Report(
-        "slope decompose",
-        {**src, "p": args.p, "h": _rational_text(h), "precision": args.precision},
-    )
+    rep = Report("slope decompose", {**src, "p": args.p, "h": h, "precision": args.precision})
     dec = slope.slope_decomposition(U, h, args.p, args.precision)
     rep.put("q_part_dim", len(dec.q_part_basis))
     rep.put("complement_dim", len(dec.complement_basis))
@@ -895,6 +889,8 @@ def build_parser():
 
 
 _parser = None  # (builder, parser): built by the first call to main, not at import
+# the interpreter's int digit limit as the module loads (0: none, as before Python 3.10.7)
+_ARGV_DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 
 
 def main(argv=None) -> int:
@@ -903,11 +899,13 @@ def main(argv=None) -> int:
     # wrapper) gets a parser of its own
     if _parser is None or _parser[0] is not build_parser:
         _parser = (build_parser, build_parser())
-    # --budget bounds every number before it is formed, so a report prints
-    # whatever the budget admits, past the interpreter's 4300-digit default
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # argv is read under the interpreter's digit limit; past it, --budget bounds
+    # every number before it is formed, so a report prints whatever it admits
+    if _ARGV_DIGITS:
+        sys.set_int_max_str_digits(_ARGV_DIGITS)
     args = _parser[1].parse_args(argv)
+    if _ARGV_DIGITS:
+        sys.set_int_max_str_digits(0)
     t0 = time.monotonic()
     try:
         # Python 3.11's argparse reads `--opt=--` as an empty list, past the

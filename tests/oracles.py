@@ -11,6 +11,7 @@ algebra.  Slow is fine; these run on tiny inputs.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -18,6 +19,7 @@ from math import gcd
 from u3local.cosets import FormTriple, GammaChain
 from u3local.linalg import Matrix, lattice_basis, lattice_saturation
 from u3local.lparam import jordan_partition
+from u3local.poly import Poly
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -797,3 +799,26 @@ def automorphisms_two_stage(g, limit: int):
 
     rec_sigma(0, [], [False] * g.n0)
     return found
+
+
+# --- report values -------------------------------------------------------------
+
+
+def jsonable(x):
+    """The JSON form of a report value as a converted copy, for json.dumps: a
+    Fraction is its str(), an enum its value, a Poly the list of its
+    coefficient strings, a dict key str(key), a tuple a list; any other type
+    raises TypeError.  The report writer converts while it writes instead."""
+    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
+        return x
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, Poly):
+        return [str(c) for c in x.coeffs]
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    raise TypeError(f"no report encoding for {type(x).__name__}")

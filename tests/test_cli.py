@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import functools
 import hashlib
 import io
@@ -17,6 +18,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from u3local import analytic, cli, cosets, slope, tree
 from u3local.cli import main
 from u3local.cosets import complete_biregular, parallel_multigraph
+from u3local.poly import Poly
+from u3local.satake import PrincipalSeries
+
+from .oracles import jsonable
 
 
 @pytest.fixture()
@@ -425,6 +430,9 @@ def test_malformed_input_is_an_error(capsys, tmp_path, graph_text, labels_text, 
     assert "Traceback" not in err
 
 
+_MILLION_DIGITS = "1" * 1_000_000
+
+
 class TestBudgetRefusals:
     """Work that would run without bound is refused before it starts."""
 
@@ -532,6 +540,44 @@ class TestBudgetRefusals:
         assert code == 2
         assert err.startswith("error:") and "1414x1414 matrix with 1413 entries" in err
         assert "budget" in err
+
+    # int() reads digits in quadratic time that no budget bounds (0.25 s for
+    # 100 000 digits on a 2-core VM, so about 25 s for a million): argv
+    # integers are read under the interpreter's 4300-digit limit
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["satake", "eig", "--alpha", "1e" + _MILLION_DIGITS, "--l", "2"],
+                         "a decimal exponent has more than 4300 digits", id="decimal-exponent"),
+            pytest.param(["moduli", "components", "--diag", f"l^{_MILLION_DIGITS},1", "--l", "2"],
+                         "an exponent of l^K in --diag has more than 4300 digits", id="diag-power"),
+            pytest.param(["moduli", "witness", "--diag", "l,1", "--l", "2",
+                          "--nilpotent", "0," + _MILLION_DIGITS],
+                         "an index of --nilpotent pair 1 has more than 4300 digits",
+                         id="nilpotent-index"),
+        ],
+    )
+    def test_long_argv_integer_refused(self, capsys, deadline, argv, message):
+        with deadline(5):
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n" and len(err) < 200
+
+    def test_long_int_option_is_an_argparse_error(self, capsys, deadline):
+        assert main(["moduli", "pgl2", "--l", "2"]) == 0  # lifts the limit past the read
+        with deadline(5), pytest.raises(SystemExit) as exc:
+            main(["--seed", _MILLION_DIGITS, "moduli", "pgl2", "--l", "2"])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value" in capsys.readouterr().err
+
+    def test_leading_zeros_are_not_digits(self, capsys):
+        # l^(5000 zeros)2 is l^2, as int() reads it
+        argv = ["moduli", "components", "--diag", "l^" + "0" * 5000 + "2,l,1", "--l", "2"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["results"] == run_json(capsys, "moduli", "components", "--diag", "l^2,l,1",
+                                          "--l", "2")[1]["results"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -666,12 +712,16 @@ class TestBudgetRefusals:
         assert main(["--budget", "20"] + argv) == 0
         capsys.readouterr()
 
-    def test_exponent_of_5000_digits_is_refused_by_the_budget(self, capsys, deadline):
+    def test_exponent_at_the_digit_limit_is_refused_by_the_budget(self, capsys, deadline):
+        # 4300 digits are read, and their power of ten passes the budget; one
+        # more digit is refused unread
         with deadline(2):
-            code = main(["satake", "eig", "--alpha=1e" + "9" * 5000, "--l", "2"])
+            code = main(["satake", "eig", "--alpha=1e" + "9" * 4300, "--l", "2"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: decimal exponents of ") and "budget" in err
+        assert main(["satake", "eig", "--alpha=1e" + "9" * 4301, "--l", "2"]) == 2
+        assert capsys.readouterr().err == "error: a decimal exponent has more than 4300 digits\n"
 
     def test_decimal_digits_budget_is_the_estimate(self, capsys):
         # five digits, bit_length(10) = 4 bits each; the exponent counts apart
@@ -1405,6 +1455,26 @@ _JSON_SCALARS = (
 )
 
 
+class _Tag(enum.Enum):
+    WORD = "word"
+    NUMBER = 7
+
+
+_FRACTIONS = st.fractions(max_denominator=10**6).filter(lambda q: abs(q.numerator) < 2**200)
+# what commands hand a report: Fractions, enums and Polys among the JSON
+# scalars, tuples, and dicts whose keys are strings or ints
+_REPORT_VALUES = st.recursive(
+    _JSON_SCALARS
+    | _FRACTIONS
+    | st.sampled_from([*_Tag, *PrincipalSeries])
+    | st.lists(_FRACTIONS | st.integers(), max_size=4).map(Poly),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT | st.integers(-3, 3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
 class TestReportContract:
     def test_report_prints_past_4300_digits(self, capsys, deadline):
         # 1e4000 is 16 000 bits, inside the default budget, and its eigenvalue
@@ -1438,7 +1508,7 @@ class TestReportContract:
     def test_unencodable_value_is_a_type_error(self):
         # no report holds a set: it has no order of its own to print in
         with pytest.raises(TypeError, match="set"):
-            cli.jsonable({1})
+            cli._json_text({1}, "\n")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1454,10 +1524,22 @@ class TestReportContract:
     def test_writer_is_json_dumps(self, doc):
         assert cli._json_text(doc, "\n") == json.dumps(doc, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("value", [1.5, {1}, {"a": [b"x"]}, {1: 2}])
+    @settings(max_examples=200, deadline=None)
+    @given(_REPORT_VALUES)
+    @example({1: Fraction(1, 2), "1": 0, 2: [PrincipalSeries.IRREDUCIBLE, Poly([1, Fraction(-7, 2)])]})
+    @example((Poly([]), Poly([3]), Fraction(4), _Tag.NUMBER, {}, [()]))
+    @example({1: 2})  # written as {"1": 2}
+    def test_writer_converts_as_the_oracle(self, value):
+        converted = jsonable(value)
+        assert cli._json_text(value, "\n") == json.dumps(converted, sort_keys=True, indent=2)
+        assert cli._json_text(value, None) == json.dumps(converted, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {1}, {"a": [b"x"]}])
     def test_writer_refuses_other_types(self, value):
         with pytest.raises(TypeError):
             cli._json_text(value, "\n")
+        with pytest.raises(TypeError):
+            cli._json_text(value, None)
 
     def test_byte_determinism(self, capsys, k39_path):
         _, out1 = run(capsys, "graph", "analyze", k39_path, "--prime", "3")
@@ -1476,6 +1558,33 @@ class TestReportContract:
         )
         assert code == 0
         assert "PASS" in out and "overall: PASS" in out
+
+    # a Fraction and an enum (classify), Polys (series, decompose), and nested
+    # dicts with a null (components); recorded from the implementation that
+    # wrote each result by json.dumps of its converted copy
+    @pytest.mark.parametrize(
+        "argv, code, sha256",
+        [
+            (["satake", "classify", "--alpha", "4", "--l", "2"], 0,
+             "523455034d4902056151dc80144fdcfa7b54109f8f6b9122ed6f638f79316777"),
+            (["satake", "classify", "--alpha", "3", "--l", "2"], 0,
+             "b219bb9c51d2430bcb5a696fb86cd911aea0907325fa68381046922441e62498"),
+            (["slope", "series", "--entries=1/2,1;0,3", "--p", "3"], 0,
+             "513f9c6d17d659e8737dfb528f68c8dbe190d7fac77c90f3c13007172261424c"),
+            (["slope", "decompose", "--entries=1/2,1;0,3", "--p", "3", "--h", "0"], 0,
+             "7fb8f8ea2d7aae7b3bc43e6bd94aec6eadfee591b9fc75000728564d6a35cd51"),
+            (["moduli", "components", "--diag", "l^2,l,1", "--l", "2"], 0,
+             "b48c2a25bdb9864109237ca6b55a806065072e5e52bcd636b44c8c00f4ca27f3"),
+            (["moduli", "components", "--diag", "l^2,l^2,l,l,1,1", "--l", "3"], 1,
+             "ba082d0f4c1d99ccbcfd42e995a9dfb91c6941d5b8b546731065a839311e11e8"),
+        ],
+        ids=["classify-steinberg", "classify-irreducible", "series", "decompose",
+             "components", "components-unwitnessed"],
+    )
+    def test_table_format_is_pinned(self, capsys, argv, code, sha256):
+        got, out = run(capsys, "--format", "table", *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_exit_code_tracks_assertions(self, capsys, tmp_path):
         # an exactness failure must flip the exit code; a wrong-degree graph
