@@ -560,10 +560,13 @@ def cmd_slope_polygon(args):
 
 
 def _within_precision_budget(args, degree):
-    """Refuse the Hensel iteration of ``slope`` past --budget before it starts:
-    it solves degree x degree systems on numbers of (precision + margin) p-adic
-    digits, so it costs about degree^3 times the square of their 64-bit words.
-    A precision below 1 is left to the iteration's own error."""
+    """Refuse the Hensel iteration of ``slope`` past --budget before it starts.
+    Its Newton route over QQ solves degree x degree systems on numbers of
+    (precision + margin) p-adic digits, so it costs about degree^3 times the
+    square of their 64-bit words.  The Hensel lift of a coprime split costs
+    about degree^2 products of such numbers per step, so the estimate is an
+    upper bound there, kept so that no input it refused now runs.  A precision
+    below 1 is left to the iteration's own error."""
     digits = max(args.precision, 1) + slope.RECONSTRUCTION_MARGIN
     words = -(-digits * args.p.bit_length() // 64)
     _within_budget(
@@ -647,6 +650,11 @@ def cmd_analytic_weight(args):
     # past the budget without the power
     units = args.p ** min(args.level, args.budget.bit_length() + 1)
     _within_budget(units, args.budget, f"the units mod {args.p}^{args.level}")
+    # int() reads the exponents in time quadratic in their digits: the square
+    # of the 64-bit words they spell, booked before any is read
+    digits = sum(map(str.isdigit, args.chi1 + args.chi2 + args.chi3))
+    words = -(-digits * (10).bit_length() // 64)
+    _within_budget(words**2, args.budget, f"--chi1..--chi3 exponents of {digits} digits")
     chis = []
     for spec in (args.chi1, args.chi2, args.chi3):
         exps = tuple(int(x) for x in spec.split(",")) if spec else ()
@@ -686,7 +694,25 @@ def _flat_level(parser):
     return options, positionals, defaults, [a for a in parser._actions if a.required]
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, except that an int option whose text has more than
+    the interpreter's default 4300 digits is refused by name and digit count
+    before int() reads it (argparse's own error would echo the whole token)."""
+
+    def _get_value(self, action, arg_string):
+        if len(arg_string) > 4300 and action.type is int:
+            digits = sum(map(str.isdigit, arg_string))
+            if digits > 4300:
+                name = "/".join(action.option_strings)
+                self.exit(
+                    2,
+                    f"{self.prog}: error: argument {name}: invalid int value of "
+                    f"{digits} digits, more than 4300\n",
+                )
+        return super()._get_value(action, arg_string)
+
+
+class _Parser(_ArgumentParser):
     """The top parser.  ``parse_args`` first reads plain argv in one flat pass
     over a table taken from the parser's own actions: exact option names with
     their values (``--opt value`` or ``--opt=value``), the top options before
@@ -790,7 +816,7 @@ def build_parser():
     top.add_argument("--budget", type=int, default=2_000_000, help="bound on work estimated before it starts")
     top.add_argument("--format", choices=("json", "table"), default="json")
     top.add_argument("--timing", action="store_true", help="include elapsed ms (breaks determinism)")
-    sub = top.add_subparsers(dest="group", required=True, parser_class=argparse.ArgumentParser)
+    sub = top.add_subparsers(dest="group", required=True, parser_class=_ArgumentParser)
 
     tr = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
     v = tr.add_parser("verify")

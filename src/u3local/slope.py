@@ -6,17 +6,23 @@ Hessenberg reduction, with its coefficients reversed.  Its Newton polygon at
 p reads off the valuations of the eigenvalues of U (one slope per eigenvalue,
 counted with multiplicity).  For a slope bound h the series factors as
 P = Q S with Q collecting exactly the reciprocal roots of valuation <= h,
-computed by a quadratically convergent Hensel/Newton iteration started from
-the polygon truncation.  For p-integral P (a denominator prime to p included)
-the iterates are ints reduced mod p^work, work = precision +
-RECONSTRUCTION_MARGIN, and each Newton linearization is solved on the residues
-of its coefficients over Z/p^work with unit pivots, while the error P - Q S is
-taken against P itself; a step whose system has no unit pivot (its
-determinant is divisible by p), and every step of a P that is not p-integral,
-solves over QQ instead.  When the true factor has rational
-coefficients of moderate height the iteration is snapped to it by rational
-reconstruction and everything downstream is exact; otherwise the factors are
-reported modulo p^precision.
+computed from the polygon truncation Q0 = P mod T^(m+1) and S0 = P/Q0 mod
+T^(d-m+1).  Residues are taken mod p^work, work = precision +
+RECONSTRUCTION_MARGIN.  When P is p-integral (a denominator prime to p
+included) and the monic reversals Qt0, St0 (Qt(T) = T^m Q(1/T)) are coprime
+mod p, which is the split of the slope-0 part from the positive slopes, the
+reversals are Hensel-lifted on int lists together with one Bezout pair
+s Qt + t St = 1, found mod p and lifted alongside (von zur Gathen-Gerhard,
+Modern Computer Algebra, Alg. 15.10): the modulus about doubles each step
+up to p^work, and every step costs O(d^2) products of ints.  Monic lifts of
+coprime factors are unique, so these are the residues of the true factors.
+Every other split runs a quadratically convergent Newton iteration over QQ
+from Q0 and S0, each step solving a d x d linear system; its iterates are
+reduced mod p^work when they are p-integral.  Either way the error P - Q S
+is taken against P itself and must vanish mod p^work.  When the true factor
+has rational coefficients of moderate height the factors are snapped to it
+by rational reconstruction and everything downstream is exact; otherwise
+they are reported modulo p^precision.
 
 The decomposition splits the ambient space into ker Qt(U) and its polynomial
 complement, where Qt(T) = T^m Q(1/T); the projector comes from a Bezout
@@ -164,6 +170,8 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     work = precision + RECONSTRUCTION_MARGIN
     Q = P.truncate(m + 1)
     S = (P * Q.series_inverse(d - m + 1)).truncate(d - m + 1)
+    if integral:  # a lifted pair passes the certificate on the loop's first pass
+        Q, S = _hensel_lift(P, Q, S, m, p, work) or (Q, S)
     best = -1
     stall = 0
     for _ in range(80):
@@ -178,7 +186,7 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
         else:
             best = ev
             stall = 0
-        dq, ds = _newton_step(Q, S, E, m, d, p, work)
+        dq, ds = _newton_step(Q, S, E, m, d)
         Q, S = Q + dq, S + ds
         if integral:  # a non-integral iterate is left untouched
             Q = _residues(Q, p, work) or Q
@@ -203,32 +211,22 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     return fact
 
 
-def _newton_step(Q, S, E, m, d, p, work):
+def _newton_step(Q, S, E, m, d):
     """Solve S dq + Q ds = E with dq(0) = ds(0) = 0, deg dq <= m, deg ds <= d-m.
 
-    When every coefficient is p-integral the system is solved on their
-    residues mod p^work, which gives the residues of the rational solution
-    whenever its determinant is a p-adic unit; a system with no unit pivot, or
-    with a coefficient that is not p-integral (as every non-integral P has), is
-    solved over QQ on the coefficients themselves.
+    The QQ route of the iteration: it runs on every split that
+    ``_hensel_lift`` declines (P not p-integral, or Qt, St not coprime mod p,
+    so that the determinant of the system, the resultant of Qt and St up to
+    sign, is divisible by p) and solves the system over QQ on the
+    coefficients themselves.
     """
-
-    def system(Q, S, E):
-        # column b of each block holds the coefficients of S T^b (or Q T^b) in
-        # degrees 1..d, that is S[j - b] in row j: a window of the padded list
-        s, q = ([0] * d + list(f.coeffs) + [0] * d for f in (S, Q))
-        cols = [s[d + 1 - b : 2 * d + 1 - b] for b in range(1, m + 1)]
-        cols += [q[d + 1 - b : 2 * d + 1 - b] for b in range(1, d - m + 1)]
-        e = list(E.coeffs[1 : d + 1])
-        return [list(row) for row in zip(*cols)], e + [0] * (d - len(e))
-
-    sol = None
-    residues = [_residues(f, p, work) for f in (Q, S, E)]
-    if None not in residues:
-        sol = _solve_mod_prime_power(*system(*residues), p, work)
-    if sol is None:
-        rows, rhs = system(Q, S, E)
-        sol = Matrix(rows).solve(rhs)
+    # column b of each block holds the coefficients of S T^b (or Q T^b) in
+    # degrees 1..d, that is S[j - b] in row j: a window of the padded list
+    s, q = ([0] * d + list(f.coeffs) + [0] * d for f in (S, Q))
+    cols = [s[d + 1 - b : 2 * d + 1 - b] for b in range(1, m + 1)]
+    cols += [q[d + 1 - b : 2 * d + 1 - b] for b in range(1, d - m + 1)]
+    e = list(E.coeffs[1 : d + 1])
+    sol = Matrix([list(row) for row in zip(*cols)]).solve(e + [0] * (d - len(e)))
     if sol is None:
         raise SlopePrecisionError("linearized system is singular; factors not coprime")
     dq = Poly([0] + list(sol[:m]))
@@ -236,32 +234,95 @@ def _newton_step(Q, S, E, m, d, p, work):
     return dq, ds
 
 
-def _solve_mod_prime_power(rows, rhs, p: int, k: int) -> list[int] | None:
-    """The solution of the square int system rows x = rhs modulo p^k, as ints
-    in [0, p^k); None when some column has no unit pivot, that is when the
-    determinant is divisible by p.
+def _hensel_lift(P, Q, S, m, p, work):
+    """For a p-integral P: Q and S replaced by the residues mod p^work of the
+    true factors, as ints in [0, p^work); None unless the monic reversals Qt,
+    St of Q and S (degrees m and d - m) are coprime mod p with Qt St equal to
+    P's reversal Pt mod p.
 
-    Gauss-Jordan over Z/p^k: each pivot is a p-adic unit, inverted mod p^k.  A
-    unit determinant makes the rational solution p-integral, and its residues
-    are the unique solution mod p^k, so the two routes agree.
+    The quadratic Hensel step on int lists, lowest degree first, g = Qt and
+    h = St: from Pt = g h and s g + t h = 1 mod p^k, with deg s < deg h and
+    deg t < deg g, the error e = Pt - g h gives g + (t e rem g) and
+    h + (s e rem h), whose product is Pt mod p^2k; with b = s g + t h - 1 on
+    the new pair, s - (s b rem h) and t - (t b rem g) are its Bezout pair mod
+    p^2k.  The exponents halve down from work (45, 23, 12, 6, 3, 2, 1), so
+    each step at most doubles k, and the last step skips the cofactors.
     """
-    q = p**k
-    n = len(rows)
-    a = [[x % q for x in row] + [b % q] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] % p), None)
-        if pr is None:
-            return None
-        a[c], a[pr] = a[pr], a[c]
-        inv = pow(a[c][c], -1, q)
-        # columns left of c are zero outside their pivot rows
-        pivot = [x * inv % q for x in a[c][c:]]
-        a[c][c:] = pivot
-        for i in range(n):
-            f = a[i][c]
-            if f and i != c:
-                a[i][c:] = [(x - f * y) % q for x, y in zip(a[i][c:], pivot)]
-    return [row[n] for row in a]
+    d = P.degree
+    f = _residues(P, p, work).reverse(d).coeffs
+    g, h = (list(_residues(F, p, 1).reverse(n).coeffs) for F, n in ((Q, m), (S, d - m)))
+    if any((x - y) % p for x, y in zip(f, _mul(g, h))):
+        return None
+    bezout = _bezout_mod_p(g, h, p)
+    if bezout is None:
+        return None
+    s, t = bezout
+    ks = [work]
+    while ks[-1] > 1:
+        ks.append((ks[-1] + 1) // 2)
+    ks.pop()  # k = 1: the reductions mod p
+    while ks:
+        q = p ** ks.pop()
+        e = [(x - y) % q for x, y in zip(f, _mul(g, h))]
+        g = [(x + y) % q for x, y in zip(g, _rem(_mul(t, e), g, q))] + [1]
+        h = [(x + y) % q for x, y in zip(h, _rem(_mul(s, e), h, q))] + [1]
+        if ks:
+            b = [x + y for x, y in zip(_mul(s, g), _mul(t, h))]
+            b[0] -= 1
+            s = [(x - y) % q for x, y in zip(s, _rem(_mul(s, b), h, q))]
+            t = [(x - y) % q for x, y in zip(t, _rem(_mul(t, b), g, q))]
+    return Poly(g[::-1]), Poly(h[::-1])
+
+
+def _bezout_mod_p(g, h, p):
+    """(s, t) with s g + t h = 1 mod p, as lists of deg h and deg g int
+    coefficients, for monic int lists g and h; None when they share a factor
+    mod p.  The extended Euclidean algorithm, one leading term at a time."""
+    a, b = [g, [1], []], [h, [], [1]]  # each [r, s, t] with s g + t h = r mod p
+    while b[0]:
+        inv = pow(b[0][-1], -1, p)
+        while len(a[0]) >= len(b[0]):
+            c, k = a[0][-1] * inv, len(a[0]) - len(b[0])
+            a = [_sub_mod(x, [0] * k + [c * y for y in z], p) for x, z in zip(a, b)]
+        a, b = b, a
+    r, s, t = a
+    if len(r) != 1:
+        return None
+    c = pow(r[0], -1, p)
+    s = [x * c % p for x in s] + [0] * len(h)
+    t = [x * c % p for x in t] + [0] * len(g)
+    return s[: len(h) - 1], t[: len(g) - 1]
+
+
+def _sub_mod(a, b, p):
+    """a - b mod p for int lists, without trailing zeros."""
+    n = max(len(a), len(b))
+    out = [(x - y) % p for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a, b):
+    """The product of two int coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _rem(a, g, q):
+    """The remainder of the int list a (at least as long as g) by the monic g,
+    mod q: deg g coefficients."""
+    a, n = list(a), len(g) - 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % q
+        if c:
+            for j in range(n):
+                a[i - n + j] -= c * g[j]
+    return [x % q for x in a[:n]]
 
 
 def _residues(f: Poly, p: int, k: int) -> Poly | None:

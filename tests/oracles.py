@@ -20,6 +20,7 @@ from u3local.cosets import FormTriple, GammaChain
 from u3local.linalg import Matrix, lattice_basis, lattice_saturation
 from u3local.lparam import jordan_partition
 from u3local.poly import Poly
+from u3local.scalars import padic_valuation
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -421,6 +422,80 @@ def fraction_poly_at_matrix(a, rows):
         total = [[t + Fraction(c) * x for t, x in zip(tr, pr)] for tr, pr in zip(total, power)]
         power = _matmul(power, rows)
     return total
+
+
+# --- slope factors by Newton steps on linear systems ------------------------
+
+
+def solve_mod_prime_power(rows, rhs, p: int, k: int) -> list[int] | None:
+    """The solution of the square int system rows x = rhs modulo p^k, as ints
+    in [0, p^k); None when some column has no unit pivot, that is when the
+    determinant is divisible by p.
+
+    Gauss-Jordan over Z/p^k: each pivot is a p-adic unit, inverted mod p^k.  A
+    unit determinant makes the rational solution p-integral, and its residues
+    are the unique solution mod p^k, so the two routes agree.
+    """
+    q = p**k
+    n = len(rows)
+    a = [[x % q for x in row] + [b % q] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] % p), None)
+        if pr is None:
+            return None
+        a[c], a[pr] = a[pr], a[c]
+        inv = pow(a[c][c], -1, q)
+        # columns left of c are zero outside their pivot rows
+        pivot = [x * inv % q for x in a[c][c:]]
+        a[c][c:] = pivot
+        for i in range(n):
+            f = a[i][c]
+            if f and i != c:
+                a[i][c:] = [(x - f * y) % q for x, y in zip(a[i][c:], pivot)]
+    return [row[n] for row in a]
+
+
+def newton_slope_factors(P: Poly, m: int, p: int, work: int):
+    """The (Q, S) with P = Q S mod p^work, deg Q <= m, that a Newton iteration
+    from Q0 = P mod T^(m+1) reaches: each step solves the d x d linearization
+    S dq + Q ds = P - Q S with dq(0) = ds(0) = 0 on the residues mod p^work
+    with unit pivots, over QQ when it has none, and reduces the new iterates
+    mod p^work when they are p-integral.  P is p-integral and 0 < m < deg P."""
+    d, q = P.degree, p**work
+    Q = P.truncate(m + 1)
+    S = (P * Q.series_inverse(d - m + 1)).truncate(d - m + 1)
+    for _ in range(80):
+        E = P - Q * S
+        if all(padic_valuation(c, p) >= work for c in E.coeffs):
+            return Q, S
+        # column b of the dq (ds) block holds S T^b (Q T^b) in degrees 1..d
+        rows = [
+            [S[j - b] for b in range(1, m + 1)] + [Q[j - b] for b in range(1, d - m + 1)]
+            for j in range(1, d + 1)
+        ]
+        rhs = [E[j] for j in range(1, d + 1)]
+        sol = None
+        if all(Fraction(c).denominator % p for row in rows + [rhs] for c in row):
+            res = [[_residue(c, q) for c in row] for row in rows + [rhs]]
+            sol = solve_mod_prime_power(res[:-1], res[-1], p, work)
+        if sol is None:
+            sol = Matrix(rows).solve(rhs)
+        Q = poly_residues(Q + Poly([0] + list(sol[:m])), p, work)
+        S = poly_residues(S + Poly([0] + list(sol[m:])), p, work)
+    raise ArithmeticError("Newton iteration did not reach p^work")
+
+
+def poly_residues(f: Poly, p: int, k: int) -> Poly:
+    """f with its int residues mod p^k as coefficients, or f itself when some
+    coefficient is not p-integral."""
+    if any(Fraction(c).denominator % p == 0 for c in f.coeffs):
+        return f
+    return Poly([_residue(c, p**k) for c in f.coeffs])
+
+
+def _residue(c, q: int) -> int:
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, q) % q
 
 
 # --- Jordan types from the ranks of powers -----------------------------------

@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from u3local import slope
 from u3local.linalg import Matrix, rational_reconstruction
 from u3local.poly import Poly
 from u3local.scalars import INF, padic_valuation
 from u3local.slope import (
+    RECONSTRUCTION_MARGIN,
     NoBreakError,
+    _hensel_lift,
     _invertible_on,
-    _solve_mod_prime_power,
     _stable_under,
     SlopePrecisionError,
     fredholm_series,
@@ -20,7 +21,12 @@ from u3local.slope import (
     slope_factorization,
 )
 
-from .oracles import fredholm_interpolation
+from .oracles import (
+    fredholm_interpolation,
+    newton_slope_factors,
+    poly_residues,
+    solve_mod_prime_power,
+)
 
 
 def diag(*entries):
@@ -185,7 +191,9 @@ def _counting_solve(monkeypatch):
 
 
 class TestNewtonStepRoute:
-    """The Newton step solves on ints mod p^work when it can, over QQ otherwise."""
+    """A p-integral split whose factors are coprime mod p is Hensel-lifted on
+    ints with no linear solve; every other split solves Newton systems over
+    QQ.  The mod p^k solve of the old route is kept as an oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -203,7 +211,7 @@ class TestNewtonStepRoute:
     @example(3, 5, ([[1, 1], [1, 4]], [0, 1]))  # det 3: invertible over QQ only
     def test_matches_the_residues_of_the_rational_solution(self, p, k, system):
         rows, rhs = system
-        got = _solve_mod_prime_power(rows, rhs, p, k)
+        got = solve_mod_prime_power(rows, rhs, p, k)
         det = Matrix(rows).det()
         if det % p == 0:
             assert got is None
@@ -214,8 +222,8 @@ class TestNewtonStepRoute:
         assert got == want
 
     def test_degree_8_split_never_solves_over_qq(self, monkeypatch):
-        # the heaviest slope factor of the local workload: every Newton system
-        # has a unit determinant
+        # the heaviest slope factor of the local workload: its factors are
+        # coprime mod 3, so the split is lifted
         P = Poly([1, -63, 1310, -5742, -137223, 1566945, -213192, -55581876, 180033840])
         calls = _counting_solve(monkeypatch)
         fact = slope_factorization(P, 0, 3)
@@ -223,7 +231,7 @@ class TestNewtonStepRoute:
         assert calls == []
 
     def test_a_denominator_prime_to_p_never_solves_over_qq(self, monkeypatch):
-        # p-integral with the coefficients 1/2 and 9/2: the steps solve on their
+        # p-integral with the coefficients 1/2 and 9/2: the lift runs on their
         # residues mod 3^work, and the product is certified against P itself
         P = Poly([1, -4, 3]) * Poly([1, Fraction(1, 2)]) * Poly([1, -9, Fraction(9, 2)])
         calls = _counting_solve(monkeypatch)
@@ -240,6 +248,58 @@ class TestNewtonStepRoute:
         assert calls
         assert fact.exact
         assert fact.Q == Poly([1, -1]) * Poly([1, -3]) and fact.S == Poly([1, -9])
+
+
+def _integral_factors(p):
+    """Factors 1 + a T and 1 + b T + c T^2 of a p-integral series: a and c carry
+    p^0..p^2, so their reciprocal roots are units or not, and the
+    denominators are prime to p."""
+    den = st.sampled_from([1, 1, 2, 3, 5, 7]).filter(lambda x: x % p)
+    coeff = st.builds(Fraction, st.integers(-40, 40), den)
+    power = st.sampled_from([1, 1, p, p * p])
+    linear = st.builds(lambda a, u: [1, a * u], coeff, power)
+    quadratic = st.builds(lambda b, c, u: [1, b, c * u], coeff, coeff, power)
+    return st.lists(linear | quadratic, min_size=2, max_size=4)
+
+
+class TestHenselLift:
+    """``_hensel_lift`` against the Newton iteration on linear systems that
+    ``slope_factorization`` ran before it (``oracles.newton_slope_factors``)."""
+
+    @staticmethod
+    def lift(P, h, p, precision):
+        m = newton_polygon(P, p).length_at_most(h)
+        d = P.degree
+        Q = P.truncate(m + 1)
+        S = (P * Q.series_inverse(d - m + 1)).truncate(d - m + 1)
+        return m, _hensel_lift(P, Q, S, m, p, precision + RECONSTRUCTION_MARGIN)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(st.just(p), _integral_factors(p))),
+        st.integers(1, 40),
+    )
+    @example((3, [[1, -1], [1, -3]]), 1)
+    @example((2, [[1, 0, Fraction(1, 3)], [1, 1, 2], [1, 4]]), 40)
+    def test_residues_match_the_newton_route(self, drawn, precision):
+        p, factors = drawn
+        P = Poly.one()
+        for f in factors:
+            P = P * Poly(f)
+        d = P.degree
+        assume(0 < newton_polygon(P, p).length_at_most(0) < d)
+        # at h = 0 the low factor holds the unit roots, so both reduce to
+        # coprime factors mod p
+        m, got = self.lift(P, 0, p, precision)
+        assert got is not None
+        work = precision + RECONSTRUCTION_MARGIN
+        want = [poly_residues(f, p, work) for f in newton_slope_factors(P, m, p, work)]
+        assert list(got) == want
+
+    def test_declines_factors_with_a_common_root_mod_p(self):
+        # eigenvalues 1, 3, 9 at h = 1: Qt = T(T - 1) and St = T mod 3
+        P = Poly([1, -1]) * Poly([1, -3]) * Poly([1, -9])
+        assert self.lift(P, 1, 3, 20) == (2, None)
 
 
 class TestRationalReconstruction:
