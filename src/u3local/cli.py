@@ -181,12 +181,24 @@ def parse_fraction(text: str, budget: int) -> Fraction:
 
 
 def _rational(text: str) -> Fraction:
-    """Fraction(text), a zero denominator refused as ``ValueError``; the caller
-    has checked the decimal budget."""
+    """Fraction(text), a zero denominator or a malformed token refused as
+    ``ValueError`` that quotes it (its first 100 characters, as int() does
+    with 200); the caller has checked the decimal budget."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{text!r:.100} is not a rational number") from None
+
+
+def _integer(text: str, what: str) -> int:
+    """int(text), a malformed token refused as ``ValueError`` that quotes it
+    as ``_rational`` does; the caller has checked the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r:.100} is not an integer") from None
 
 
 def _within_decimal_budget(tokens, budget: int):
@@ -211,7 +223,7 @@ def parse_diag(spec: str, l: int, budget: int) -> list:
     plain = [tok for tok in tokens if not tok.startswith("l^")]
     powers = [tok[2:] for tok in tokens if tok.startswith("l^")]
     _within_digit_limit(powers, "an exponent of l^K in --diag")
-    bits = sum(abs(int(k)) for k in powers) * l.bit_length()
+    bits = sum(abs(_integer(k, "--diag exponent")) for k in powers) * l.bit_length()
     bits += _exponent_bits(plain) + _digit_bits(plain)
     # a bare l or l^0 spells no bits, yet n such entries still take n^2 work
     words = max(1, -(-bits // 64))
@@ -656,8 +668,8 @@ def cmd_analytic_weight(args):
     words = -(-digits * (10).bit_length() // 64)
     _within_budget(words**2, args.budget, f"--chi1..--chi3 exponents of {digits} digits")
     chis = []
-    for spec in (args.chi1, args.chi2, args.chi3):
-        exps = tuple(int(x) for x in spec.split(",")) if spec else ()
+    for name, spec in (("--chi1", args.chi1), ("--chi2", args.chi2), ("--chi3", args.chi3)):
+        exps = tuple(_integer(x, f"{name} exponent") for x in spec.split(",")) if spec else ()
         chis.append(analytic.Character(args.p, args.level, exps))
     w = analytic.Weight(*chis)
     rigidity = analytic.torus_rigidity_check(w)

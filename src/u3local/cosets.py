@@ -39,10 +39,6 @@ class GraphFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class StratumError(ValueError):
-    """Operands live on different strata (vertex space vs edge space)."""
-
-
 class LabelingError(ValueError):
     """A determinant labeling violates its walk-shift invariant."""
 
@@ -296,67 +292,6 @@ def random_biregular_graph(l: int, n0: int, rng):
 
 
 # ---------------------------------------------------------------------------
-# forms and the raising / lowering maps
-# ---------------------------------------------------------------------------
-
-
-class FormTriple:
-    """A pair of functions on V0 and V1 (the two coarse levels)."""
-
-    def __init__(self, f0: list, f1: list):
-        self.f0, self.f1 = f0, f1
-
-    def stacked(self):
-        return list(self.f0) + list(self.f1)
-
-    @classmethod
-    def from_stacked(cls, vec, n0):
-        return cls(list(vec[:n0]), list(vec[n0:]))
-
-
-class EdgeForm:
-    """A function on the edge set (the fine level)."""
-
-    def __init__(self, m: list):
-        self.m = m
-
-
-def map_i(t: FormTriple, g: CosetGraph) -> EdgeForm:
-    """Level raising: m(e) = f0(v) + f1(w) on the edge e = (v, w)."""
-    if len(t.f0) != g.n0 or len(t.f1) != g.n1:
-        raise ValueError("form does not match the graph")
-    return EdgeForm([t.f0[v] + t.f1[w] for v, w in g.edges])
-
-
-def map_iplus(m: EdgeForm, g: CosetGraph) -> FormTriple:
-    """Level lowering: sum an edge function over the edges at each vertex."""
-    if len(m.m) != g.nedges:
-        raise ValueError("edge form does not match the graph")
-    f0 = [0] * g.n0
-    f1 = [0] * g.n1
-    for e, (v, w) in enumerate(g.edges):
-        f0[v] = f0[v] + m.m[e]
-        f1[w] = f1[w] + m.m[e]
-    return FormTriple(f0, f1)
-
-
-def pairing(a, b):
-    """Sum of pointwise products over the common stratum; symmetric and positive
-    definite over the rationals."""
-    if isinstance(a, FormTriple) and isinstance(b, FormTriple):
-        if len(a.f0) != len(b.f0) or len(a.f1) != len(b.f1):
-            raise ValueError("size mismatch")
-        return sum(x * y for x, y in zip(a.f0, b.f0)) + sum(
-            x * y for x, y in zip(a.f1, b.f1)
-        )
-    if isinstance(a, EdgeForm) and isinstance(b, EdgeForm):
-        if len(a.m) != len(b.m):
-            raise ValueError("size mismatch")
-        return sum(x * y for x, y in zip(a.m, b.m))
-    raise StratumError("pairing requires both operands on the same stratum")
-
-
-# ---------------------------------------------------------------------------
 # the level-changing block matrix and walk operators
 # ---------------------------------------------------------------------------
 
@@ -460,20 +395,22 @@ def old_new_decomposition(g: CosetGraph):
         "edges": g.nedges,
         "direct_sum": len(old_basis) + len(new_basis) == g.nedges,
         # <i f, n> = <f, i+ n>, so n is orthogonal to im(i) exactly when i+ n = 0
-        "orthogonal": all(_lowers_to_zero(g, n) for n in new_basis),
+        "orthogonal": all(not any(lower(g, n)) for n in new_basis),
     }
     return old_basis, new_basis, dims
 
 
-def _lowers_to_zero(g: CosetGraph, m) -> bool:
-    """Whether i+ m = 0, summing over the support of the edge function m only."""
-    sums, n0, ends = {}, g.n0, g.edges
+def lower(g: CosetGraph, m) -> list:
+    """The level lowering map i+: the sums of the edge function m over the
+    edges at each vertex, stacked as V0 + V1, read off the support of m only.
+    It is the transpose of the raising map, whose matrix is ``incidence_rows``."""
+    out, n0, ends = [0] * (g.n0 + g.n1), g.n0, g.edges
     for e, x in enumerate(m):
         if x:
             v, w = ends[e]
-            sums[v] = sums.get(v, 0) + x
-            sums[n0 + w] = sums.get(n0 + w, 0) + x
-    return not any(sums.values())
+            out[v] += x
+            out[n0 + w] += x
+    return out
 
 
 def kernel_eigenvalue_check(block: BlockHeckeOperator) -> dict:
@@ -538,10 +475,6 @@ class DetLabeling:
         self.gshift = gshift % order
         self.v0_labels = [x % order for x in v0_labels]
         self.v1_labels = [x % order for x in v1_labels]
-
-    @classmethod
-    def trivial(cls, g: CosetGraph) -> "DetLabeling":
-        return cls(1, 0, [0] * g.n0, [0] * g.n1)
 
     def validate(self, g: CosetGraph) -> None:
         """Every ordered non-backtracking 2-walk must shift the V0 label by gshift."""
@@ -639,22 +572,15 @@ class GammaChain:
     ):
         self.gamma0, self.gamma1, self.gamma2, self.gamma3 = gamma0, gamma1, gamma2, gamma3
 
-    def ranks(self):
-        return {
-            "gamma0": len(self.gamma0),
-            "gamma1": len(self.gamma1),
-            "gamma2": len(self.gamma2),
-            "gamma3": len(self.gamma3),
-        }
-
 
 def gamma_chain(g: CosetGraph) -> GammaChain:
     """The chain, each lattice as the Hermite normal form basis of its generators.
 
-    gamma3 lowers one Hermite basis ``old`` of the incidence columns in Z^E: a
-    linear image of a lattice is spanned by the images of any basis.  gamma2 is
-    gamma3's list, since im(i) is its own saturation when the incidence matrix
-    has no torsion.  No command calls this: `congruence_module` reads the
+    gamma3 lowers one Hermite basis ``old`` of the incidence columns in Z^E
+    with ``lower``, the map that `old_new_decomposition` runs: a linear image
+    of a lattice is spanned by the images of any basis.  gamma2 is gamma3's
+    list, since im(i) is its own saturation when the incidence matrix has no
+    torsion.  No command calls this: `congruence_module` reads the
     chain's quotients off two Smith forms instead, and the function stays only
     as a target of perfbench/tracer.py, which the tests compare with the
     oracle's construction.
@@ -663,7 +589,7 @@ def gamma_chain(g: CosetGraph) -> GammaChain:
     gamma0 = [[int(i == j) for i in range(nv)] for j in range(nv)]  # already in HNF
     inc = g.incidence_rows()
     old = lattice_basis([list(c) for c in zip(*inc)], g.nedges)
-    gamma3 = lattice_basis([map_iplus(EdgeForm(m), g).stacked() for m in old], nv)
+    gamma3 = lattice_basis([lower(g, m) for m in old], nv)
     return GammaChain(gamma0, lattice_basis(inc, nv), gamma3, gamma3)
 
 

@@ -339,19 +339,6 @@ class Matrix:
             a, prev, rank = rest, pk, rank + 1
         return rank, sign, prev
 
-    def inverse(self):
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = Matrix._wrap(
-            [list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(self.rows)],
-            self.field,
-        )
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix._wrap([r[n:] for r in red.rows], self.field, n)
-
     def char_poly(self):
         """Coefficients of det(xI - M), degree-ascending, exact.
 

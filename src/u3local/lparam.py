@@ -89,24 +89,6 @@ def dominated_partitions(lam: tuple[int, ...]):
         total -= 1
 
 
-def partitions_of(n: int):
-    """All partitions of n, weakly decreasing, in reverse lexicographic order."""
-    return dominated_partitions((n,))
-
-
-def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """Dominance order on partitions of the same integer: lam >= mu."""
-    if sum(lam) != sum(mu):
-        return False
-    acc_l = acc_m = 0
-    for k in range(max(len(lam), len(mu))):
-        acc_l += lam[k] if k < len(lam) else 0
-        acc_m += mu[k] if k < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True
-
-
 def _jordan_types(diag: list, l) -> dict[tuple[int, ...], Matrix]:
     """The first 0/1 combination of the solution-space basis of each Jordan type
     in ``itertools.product`` order over ``solution_space``, as an int Matrix;

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from u3local.cosets import FormTriple, GammaChain
+from u3local.cosets import GammaChain
 from u3local.linalg import Matrix, lattice_basis, lattice_saturation
 from u3local.lparam import jordan_partition
 from u3local.poly import Poly
@@ -573,6 +573,19 @@ def partitions_recursive(n: int):
     yield from rec(n, n)
 
 
+def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """Dominance order on partitions of the same integer: lam >= mu."""
+    if sum(lam) != sum(mu):
+        return False
+    acc_l = acc_m = 0
+    for k in range(max(len(lam), len(mu))):
+        acc_l += lam[k] if k < len(lam) else 0
+        acc_m += mu[k] if k < len(mu) else 0
+        if acc_l < acc_m:
+            return False
+    return True
+
+
 # --- subspace counting over small prime fields -------------------------------
 
 
@@ -684,7 +697,7 @@ def abelian_forms(g, lab, chi_gen_image: Fraction):
             walked[a] += f0[b]
     expected = Fraction(g.l * (g.l**3 + 1)) * zeta**lab.gshift
     ok = walked == [expected * x for x in f0]
-    return FormTriple(f0, f1), {"eigenvalue": expected, "ok": ok}
+    return (f0, f1), {"eigenvalue": expected, "ok": ok}
 
 
 # --- the old and new edge spaces ---------------------------------------------

@@ -411,6 +411,18 @@ class TestGraphCommands:
             ["moduli", "witness", "--diag", "l,1", "--l", "6", "--nilpotent", "0,1"],
             "6 is not prime", id="moduli-witness-composite-l",
         ),
+        pytest.param(
+            None, None, ["moduli", "components", "--diag", "l^x", "--l", "2"],
+            "--diag exponent 'x' is not an integer", id="moduli-diag-exponent-not-an-integer",
+        ),
+        pytest.param(
+            None, None, ["analytic", "weight", "--p", "3", "--level", "1", "--chi1", "x"],
+            "--chi1 exponent 'x' is not an integer", id="analytic-chi-not-an-integer",
+        ),
+        pytest.param(
+            None, None, ["slope", "polygon", "--poly=", "--p", "3"],
+            "'' is not a rational number", id="slope-poly-not-a-rational",
+        ),
         # 399165290221 * 798330580441, a strong pseudoprime to every base 2, ..., 37
         pytest.param(
             None, None, ["tree", "verify", "--l", "318665857834031151167461", "--radius", "0"],
@@ -563,6 +575,20 @@ class TestBudgetRefusals:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {message}\n" and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moduli", "components", "--diag", "l^" + "x" * 1_000_000, "--l", "2"],
+            ["analytic", "weight", "--p", "3", "--level", "1", "--chi1", "x" * 1_000_000],
+            ["slope", "polygon", "--poly=" + "x" * 1_000_000, "--p", "3"],
+        ],
+        ids=["diag-exponent", "chi-exponent", "poly-coefficient"],
+    )
+    def test_long_bad_token_is_quoted_short(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'xxx" in err and len(err) < 200
 
     def test_long_int_option_is_an_argparse_error(self, capsys, deadline):
         assert main(["moduli", "pgl2", "--l", "2"]) == 0  # lifts the limit past the read

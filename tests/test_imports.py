@@ -8,6 +8,11 @@ load context, which includes the base of an attribute access).  The one
 exception is a name that ``perfbench/tracer.py`` patches in that module: the
 tracer wraps the binding to see the calls made through it.
 
+Every top-level function and class is read somewhere in the package outside
+its own body, so code that no command reaches does not stay in ``src/``.  The
+exceptions are the names that ``perfbench/tracer.py`` patches and the graph
+constructors that only the tests build graphs with.
+
 Every CLI command pays for the start-up of ``u3local.cli``, so the package does
 not use ``dataclasses`` (with ``inspect`` and ``ast`` it costs about half of
 that start-up), and ``hashlib`` is imported by the one function that takes a
@@ -109,3 +114,50 @@ def test_cli_start_up_stays_light():
     loaded = set(done.stdout.split())
     assert "u3local.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "hashlib", "_hashlib"} == set()
+
+
+# graph constructors that only the tests call
+TEST_ONLY_DEFS = {
+    ("cosets", "parallel_multigraph"),
+    ("cosets", "twisted_complete"),
+    ("cosets", "disjoint_union"),
+    ("cosets", "random_biregular_graph"),
+}
+
+
+def _unread_defs(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """The top-level functions and classes of the modules in ``sources`` (module
+    name to source text) that no code outside their own body reads, by name or
+    as an attribute."""
+    defs, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (module, node.name)
+                defs.append(owner)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    reads.append((sub.id, owner))
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    reads.append((sub.attr, owner))
+    readers = {}
+    for name, owner in reads:
+        readers.setdefault(name, set()).add(owner)
+    return [d for d in defs if not readers.get(d[1], set()) - {d}]
+
+
+def test_unread_defs_are_found():
+    source = (
+        "def a(n):\n    return a(n - 1) if n else 0\n"
+        "def b():\n    return a(2)\n"
+        "class C:\n    def a(self):\n        return C\n"
+        "x = m.D\n"
+    )
+    assert _unread_defs({"m": source, "n": "class D:\n    pass\n"}) == [("m", "b"), ("m", "C")]
+
+
+def test_every_def_is_reached():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    exempt = {(module, attr) for module, attr in _targets()} | TEST_ONLY_DEFS
+    assert [d for d in _unread_defs(sources) if d not in exempt] == []

@@ -21,7 +21,6 @@ from u3local.linalg import (
 from .oracles import (
     charpoly_cofactor,
     fraction_det,
-    fraction_inverse,
     fraction_kernel,
     fraction_matvec,
     fraction_rank,
@@ -278,11 +277,10 @@ class TestKernelAndRank:
         (v,) = M.kernel_basis()
         assert all(x == 0 for x in M.apply(v))
 
-    def test_solve_and_inverse(self):
+    def test_solve_example(self):
         M = Matrix([[2, 1], [1, 1]])
         x = M.solve([Fraction(3), Fraction(2)])
         assert M.apply(x) == [Fraction(3), Fraction(2)]
-        assert M.inverse() @ M == Matrix.identity(2)
         assert Matrix([[1, 1], [1, 1]]).solve([1, 0]) is None
 
     def test_det_matches_bareiss(self):
@@ -509,18 +507,10 @@ class TestRationalProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(_square())
-    def test_det_inverse_and_char_poly(self, rows):
+    def test_det_and_char_poly(self, rows):
         M = Matrix(rows)
         d = M.det()
         assert type(d) is int and d == fraction_det(rows)
-        want = fraction_inverse(rows)
-        if want is None:
-            with pytest.raises(ZeroDivisionError):
-                M.inverse()
-        else:
-            inv = M.inverse()
-            assert inv.rows == want
-            assert not any(isinstance(x, float) for x in _entries(inv))
         cp = M.char_poly()
         assert cp == charpoly_cofactor(rows)
         assert not any(isinstance(x, float) for x in cp)
@@ -558,8 +548,6 @@ class TestPrimeFieldProperties:
             outputs.append(x)
         S = M @ Mt
         outputs += [S.det(), S.char_poly()]
-        if S.det():
-            outputs.append(S.inverse())
         for out in outputs:
             assert self._reduced(out, p), out
 
