@@ -5,17 +5,22 @@ Reports are JSON documents with sorted keys: a command echo, an input digest,
 a results tree, and a list of named assertions.  The process exits 0 exactly
 when every assertion passed.  Identical invocations produce byte-identical
 output; timing is only included on request (it breaks determinism).
+
+Reading argv: ``_COMMANDS`` declares every command once, and ``build_parser``
+reads plain argv flat from it; argparse is imported, and its parser built from
+the same table, only for help, abbreviations and errors.  The top help shows
+the two paragraphs above.
 """
 
 from __future__ import annotations
 
-import argparse
 import enum
-import json
+import functools
 import math
 import re
 import sys
 import time
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -62,7 +67,21 @@ def digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-_json_string = json.encoder.encode_basestring_ascii
+# json's escapes of ASCII text: \" \\ \b \f \n \r \t, and \u00XX for the other
+# C0 controls and DEL
+_ASCII_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}
+_ASCII_ESCAPES.update((ord(c), "\\" + e) for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt'))
+
+
+def _json_string(s: str) -> str:
+    """json.dumps(s); json is imported only for text that is not ASCII."""
+    if not s.isascii():
+        import json  # off the start-up path: few reports hold text that is not ASCII
+
+        return json.dumps(s)
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'  # nothing to escape, as in most report strings
+    return '"' + s.translate(_ASCII_ESCAPES) + '"'
 
 
 def _json_text(x, newline: str | None) -> str:
@@ -520,7 +539,9 @@ def cmd_moduli_pgl2(args):
 def _matrix_input(args):
     """The matrix of --entries or --matrix-file, whose char poly the caller
     computes: that is refused past --budget here, before it starts."""
-    if getattr(args, "matrix_file", None):
+    if args.entries is not None and args.matrix_file is not None:
+        raise ValueError("give --entries or --matrix-file, not both")
+    if args.matrix_file:
         with open(args.matrix_file) as fh:
             spec = fh.read().strip()
         U, src = parse_matrix(spec, args.budget), {"matrix_file_digest": digest(spec)}
@@ -684,105 +705,141 @@ def cmd_analytic_weight(args):
 
 # --- argument wiring ---------------------------------------------------------
 
+# Every command once: (group, command) -> (its run function, its arguments).  An
+# argument is its name (a positional when it has no leading '-') and argparse's
+# keywords for it; the flat read takes the type, default, choices, required
+# flag and store_true action from the same keywords.
+_INT = {"type": int, "required": True}
+_TEXT = {"required": True}
+_PRECISION = {"type": int, "default": 20}
+_TOP = (
+    ("--seed", {"type": int, "default": 0, "help": "seed echoed into reports"}),
+    ("--budget", {"type": int, "default": 2_000_000, "help": "bound on work estimated before it starts"}),
+    ("--format", {"choices": ("json", "table"), "default": "json"}),
+    ("--timing", {"action": "store_true", "help": "include elapsed ms (breaks determinism)"}),
+)
+_COMMANDS = {
+    ("tree", "verify"): (cmd_tree_verify, (("--l", _INT), ("--radius", _INT))),
+    ("graph", "analyze"): (cmd_graph_analyze, (("path", {}), ("--prime", {"type": int}))),
+    ("graph", "congruence"): (cmd_graph_congruence, (("path", {}),)),
+    ("graph", "levelraise"): (cmd_graph_levelraise, (
+        ("path", {}), ("--prime", _INT), ("--labels", {}),
+        ("--aux", {"choices": ("auto", "none"), "default": "auto"}),
+        ("--aux-limit", {"type": int, "default": 3}),
+    )),
+    ("satake", "classify"): (cmd_satake_classify, (("--alpha", _TEXT), ("--l", _INT))),
+    ("satake", "eig"): (cmd_satake_eig, (("--alpha", _TEXT), ("--l", _INT))),
+    ("satake", "ve-check"): (cmd_satake_ve_check, (
+        ("--q", _INT), ("--psi", _TEXT), ("--t1", _TEXT), ("--t2", _TEXT), ("--t3", _TEXT),
+    )),
+    ("moduli", "components"): (cmd_moduli_components, (
+        ("--diag", _TEXT), ("--l", _INT), ("--group", {"default": "gl3"}),
+    )),
+    ("moduli", "witness"): (cmd_moduli_witness, (
+        ("--diag", _TEXT), ("--l", _INT), ("--nilpotent", {**_TEXT, "help": "support pairs like '0,1;1,2'"}),
+    )),
+    ("moduli", "pgl2"): (cmd_moduli_pgl2, (("--l", _INT),)),
+    ("slope", "series"): (cmd_slope_series, (
+        ("--entries", {"help": "rows 'a,b;c,d'"}),
+        ("--matrix-file", {"help": "file holding the same row format"}),
+        ("--p", _INT),
+    )),
+    ("slope", "polygon"): (cmd_slope_polygon, (
+        ("--poly", {**_TEXT, "help": "coefficients 'a0,a1,...'"}), ("--p", _INT),
+    )),
+    ("slope", "factor"): (cmd_slope_factor, (
+        ("--poly", _TEXT), ("--p", _INT), ("--h", _TEXT), ("--precision", _PRECISION),
+    )),
+    ("slope", "decompose"): (cmd_slope_decompose, (
+        ("--entries", {}), ("--matrix-file", {}), ("--p", _INT), ("--h", _TEXT), ("--precision", _PRECISION),
+    )),
+    ("analytic", "ihara"): (cmd_analytic_ihara, (
+        ("--p", _INT), ("--m", _INT), ("--degree", _INT), ("--delta", {"default": "1"}),
+    )),
+    ("analytic", "weight"): (cmd_analytic_weight, (
+        ("--p", _INT), ("--level", _INT),
+        ("--chi1", {"default": ""}), ("--chi2", {"default": ""}), ("--chi3", {"default": ""}),
+    )),
+}
 
-def _flat_level(parser):
-    """One parser's part of the flat read: its option strings of plain store
-    and flag actions, its positionals in order, the defaults its namespace
-    starts from (a string default converted by its type, as argparse does
-    when the option is not given) and its required actions."""
-    options, positionals, defaults = {}, [], {}
-    for a in parser._actions:
-        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
-            d = a.default
-            defaults.setdefault(a.dest, parser._get_value(a, d) if isinstance(d, str) else d)
-        if not a.option_strings:
-            positionals.append(a)
-        elif isinstance(a, argparse._StoreConstAction) or (
-            type(a) is argparse._StoreAction and a.nargs is None
-        ):
-            options.update(dict.fromkeys(a.option_strings, a))
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, positionals, defaults, [a for a in parser._actions if a.required]
+# argparse's test for a separate value that starts with '-' yet is no option,
+# compiled by re at its first use, off the start-up path
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse's parser, except that an int option whose text has more than
-    the interpreter's default 4300 digits is refused by name and digit count
-    before int() reads it (argparse's own error would echo the whole token)."""
+class _Arg:
+    """One argument of the flat read: the attribute its value sets, the type
+    that converts its text (None for a store_true flag) and its choices."""
 
-    def _get_value(self, action, arg_string):
-        if len(arg_string) > 4300 and action.type is int:
-            digits = sum(map(str.isdigit, arg_string))
-            if digits > 4300:
-                name = "/".join(action.option_strings)
-                self.exit(
-                    2,
-                    f"{self.prog}: error: argument {name}: invalid int value of "
-                    f"{digits} digits, more than 4300\n",
-                )
-        return super()._get_value(action, arg_string)
+    __slots__ = ("dest", "type", "choices")
+
+    def __init__(self, name, keywords):
+        self.dest = name.lstrip("-").replace("-", "_")
+        self.type = None if keywords.get("action") == "store_true" else keywords.get("type", str)
+        self.choices = keywords.get("choices")
 
 
-class _Parser(_ArgumentParser):
-    """The top parser.  ``parse_args`` first reads plain argv in one flat pass
-    over a table taken from the parser's own actions: exact option names with
-    their values (``--opt value`` or ``--opt=value``), the top options before
-    the group, and the leaf's options and positionals after group and command.
-    It declines everything else (help, abbreviations, ``--``, a separate value
-    that looks like an option, unknown tokens, bad values, missing arguments),
-    and argparse reads that argv, so every help text, error message and exit
-    code is argparse's own.  Where it does not decline, its namespace is the one
-    argparse's three nested parses would give."""
+def _level(arguments):
+    """One parser's part of the flat read: its options by name, its positionals
+    in order, the defaults its namespace starts from and its required dests."""
+    options, positionals, defaults, required = {}, [], {}, set()
+    for name, keywords in arguments:
+        arg = _Arg(name, keywords)
+        defaults[arg.dest] = keywords.get("default", False if arg.type is None else None)
+        if name[:1] != "-":
+            positionals.append(arg)
+            required.add(arg.dest)
+        else:
+            options[name] = arg
+            if keywords.get("required"):
+                required.add(arg.dest)
+    return options, positionals, defaults, required
 
-    _flat = None  # (top options, top defaults, leaves): built by the first parse
 
-    def parse_args(self, args=None, namespace=None):
-        if namespace is None:
-            ns = self._read_flat(sys.argv[1:] if args is None else list(args))
-            if ns is not None:
-                return ns
-        return super().parse_args(args, namespace)
+class _Reader:
+    """The argv reader of ``_COMMANDS``.  ``parse_args`` reads plain argv in one
+    flat pass: exact option names with their values (``--opt value`` or
+    ``--opt=value``), the top options before the group, and the leaf's options
+    and positionals after group and command.  It declines everything else
+    (help, abbreviations, ``--``, a separate value that looks like an option,
+    unknown tokens, bad values, missing arguments), and argparse's parser of
+    the same table reads that argv, so every help text, error message and exit
+    code is argparse's own.  Where it does not decline, its namespace is the
+    one argparse's three nested parses would give."""
 
-    def _flat_table(self):
-        # the shape build_parser declares: two levels of subcommands, leaves
-        # whose positionals take one value each, and no option that looks like
-        # a negative number or that abbreviates two options of a parser above
-        # a leaf (each parser classifies every token after it); the argv fuzz
-        # against argparse's own read checks that this holds
-        options, (groups,), defaults, required = _flat_level(self)
-        leaves = {}
-        for group, group_parser in groups.choices.items():
-            _, (cmds,), group_defaults, _ = _flat_level(group_parser)
-            for cmd, leaf in cmds.choices.items():
-                leaf_options, positionals, leaf_defaults, leaf_required = _flat_level(leaf)
-                # argparse merges the namespaces of group and leaf over the top's
-                base = {groups.dest: group, **group_defaults, cmds.dest: cmd, **leaf_defaults}
-                leaf_required += [a for a in required if a is not groups]
-                leaves[group, cmd] = (leaf_options, positionals, base, leaf_required)
-        return options, defaults, leaves
+    def __init__(self):
+        self.options, _, self.defaults, _ = _level(_TOP)
+        self.leaves = {}
+        for (group, cmd), (run, arguments) in _COMMANDS.items():
+            options, positionals, defaults, required = _level(arguments)
+            # argparse merges the namespaces of group and leaf over the top's
+            base = {"group": group, "cmd": cmd, **defaults, "run": run}
+            self.leaves[group, cmd] = (options, positionals, base, required)
 
-    def _read_flat(self, argv):
+    def parse_args(self, args=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        ns = self.read(argv)
+        return _argparse_parser().parse_args(argv) if ns is None else ns
+
+    def read(self, argv):
         """The namespace of plain argv, or None to leave argv to argparse."""
-        if self._flat is None:
-            self._flat = self._flat_table()
-        options, defaults, leaves = self._flat
-        values, seen = dict(defaults), set()
-        i = self._read_tokens(argv, 0, options, None, values, seen)
-        leaf = leaves.get(tuple(argv[i : i + 2])) if i is not None else None
+        values = dict(self.defaults)
+        i = self._read_tokens(argv, 0, self.options, None, values, set())
+        leaf = self.leaves.get(tuple(argv[i : i + 2])) if i is not None else None
         if leaf is None:
             return None
-        leaf_options, positionals, base, required = leaf
+        options, positionals, base, required = leaf
         values.update(base)
-        if self._read_tokens(argv, i + 2, leaf_options, positionals, values, seen) is None:
+        seen = set()
+        if self._read_tokens(argv, i + 2, options, positionals, values, seen) is None:
             return None
-        return argparse.Namespace(**values) if all(a in seen for a in required) else None
+        return types.SimpleNamespace(**values) if required <= seen else None
 
     def _read_tokens(self, argv, i, options, positionals, values, seen):
-        """Reads argv[i:] into values, adding each action read to seen.  With
-        positionals None (the top) it stops at the first positional token and
-        returns its index; otherwise it fills the positionals in order and
-        returns len(argv).  None declines."""
+        """Reads argv[i:] into values, adding the dest of each argument read to
+        seen.  With positionals None (the top) it stops at the first positional
+        token and returns its index; otherwise it fills the positionals in
+        order and returns len(argv).  None declines."""
         pending = iter(positionals or ())
         while i < len(argv):
             tok = argv[i]
@@ -790,151 +847,92 @@ class _Parser(_ArgumentParser):
             if tok[:1] != "-":  # a positional to every parser
                 if positionals is None:
                     return i - 1
-                action, text = next(pending, None), tok
+                arg, text = next(pending, None), tok
             elif tok in options:
-                action, text = options[tok], None
-                if action.nargs != 0:
+                arg, text = options[tok], None
+                if arg.type is not None:
                     # argparse reads a separate token starting with '-' as an
                     # option, unless it is a negative number
-                    if i == len(argv) or (
-                        argv[i][:1] == "-" and not self._negative_number_matcher.match(argv[i])
-                    ):
+                    if i == len(argv) or (argv[i][:1] == "-" and not re.match(_NEGATIVE_NUMBER, argv[i])):
                         return None
                     text = argv[i]
                     i += 1
             else:
                 name, eq, text = tok.partition("=")
-                action = options.get(name) if eq and text != "--" else None
-                if action is not None and action.nargs == 0:
+                arg = options.get(name) if eq and text != "--" else None
+                if arg is not None and arg.type is None:
                     return None  # a flag given a value
-            if action is None:
+            if arg is None:
                 return None
-            if text is None:
-                values[action.dest] = action.const
-            else:
-                try:
-                    value = self._get_value(action, text)
-                    self._check_value(action, value)
-                except argparse.ArgumentError:
-                    return None
-                values[action.dest] = value
-            seen.add(action)
+            try:
+                values[arg.dest] = True if text is None else self._value(arg, text)
+            except ValueError:
+                return None
+            seen.add(arg.dest)
         return None if positionals is None else i
+
+    @staticmethod
+    def _value(arg, text):
+        """text converted by the argument's type; ValueError if the type or
+        the choices refuse it."""
+        value = arg.type(text)
+        if arg.choices is not None and value not in arg.choices:
+            raise ValueError(f"{value!r} is not a choice")
+        return value
 
 
 def build_parser():
-    top = _Parser(prog="u3local", description=__doc__)
-    top.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
-    top.add_argument("--budget", type=int, default=2_000_000, help="bound on work estimated before it starts")
-    top.add_argument("--format", choices=("json", "table"), default="json")
-    top.add_argument("--timing", action="store_true", help="include elapsed ms (breaks determinism)")
-    sub = top.add_subparsers(dest="group", required=True, parser_class=_ArgumentParser)
+    """The flat argv reader of ``_COMMANDS``; ``main`` builds one per process."""
+    return _Reader()
 
-    tr = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
-    v = tr.add_parser("verify")
-    v.add_argument("--l", type=int, required=True)
-    v.add_argument("--radius", type=int, required=True)
-    v.set_defaults(run=cmd_tree_verify)
 
-    gr = sub.add_parser("graph").add_subparsers(dest="cmd", required=True)
-    a = gr.add_parser("analyze")
-    a.add_argument("path")
-    a.add_argument("--prime", type=int)
-    a.set_defaults(run=cmd_graph_analyze)
-    c = gr.add_parser("congruence")
-    c.add_argument("path")
-    c.set_defaults(run=cmd_graph_congruence)
-    r = gr.add_parser("levelraise")
-    r.add_argument("path")
-    r.add_argument("--prime", type=int, required=True)
-    r.add_argument("--labels")
-    r.add_argument("--aux", choices=("auto", "none"), default="auto")
-    r.add_argument("--aux-limit", type=int, default=3)
-    r.set_defaults(run=cmd_graph_levelraise)
+@functools.cache
+def _argparse_parser():
+    """argparse's parser of ``_COMMANDS``, for the argv the flat read declines:
+    imported and built at the first such argv, then kept for the process."""
+    import argparse
 
-    sa = sub.add_parser("satake").add_subparsers(dest="cmd", required=True)
-    cl = sa.add_parser("classify")
-    cl.add_argument("--alpha", required=True)
-    cl.add_argument("--l", type=int, required=True)
-    cl.set_defaults(run=cmd_satake_classify)
-    ei = sa.add_parser("eig")
-    ei.add_argument("--alpha", required=True)
-    ei.add_argument("--l", type=int, required=True)
-    ei.set_defaults(run=cmd_satake_eig)
-    ve = sa.add_parser("ve-check")
-    ve.add_argument("--q", type=int, required=True)
-    ve.add_argument("--psi", required=True)
-    ve.add_argument("--t1", required=True)
-    ve.add_argument("--t2", required=True)
-    ve.add_argument("--t3", required=True)
-    ve.set_defaults(run=cmd_satake_ve_check)
+    class Parser(argparse.ArgumentParser):
+        """argparse's parser, except that an int option whose text has more
+        than the interpreter's default 4300 digits is refused by name and digit
+        count before int() reads it (argparse's own error would echo the whole
+        token)."""
 
-    mo = sub.add_parser("moduli").add_subparsers(dest="cmd", required=True)
-    co = mo.add_parser("components")
-    co.add_argument("--diag", required=True)
-    co.add_argument("--l", type=int, required=True)
-    co.add_argument("--group", default="gl3")
-    co.set_defaults(run=cmd_moduli_components)
-    wi = mo.add_parser("witness")
-    wi.add_argument("--diag", required=True)
-    wi.add_argument("--l", type=int, required=True)
-    wi.add_argument("--nilpotent", required=True, help="support pairs like '0,1;1,2'")
-    wi.set_defaults(run=cmd_moduli_witness)
-    pg = mo.add_parser("pgl2")
-    pg.add_argument("--l", type=int, required=True)
-    pg.set_defaults(run=cmd_moduli_pgl2)
+        def _get_value(self, action, arg_string):
+            if len(arg_string) > 4300 and action.type is int:
+                digits = sum(map(str.isdigit, arg_string))
+                if digits > 4300:
+                    name = "/".join(action.option_strings)
+                    self.exit(
+                        2,
+                        f"{self.prog}: error: argument {name}: invalid int value of "
+                        f"{digits} digits, more than 4300\n",
+                    )
+            return super()._get_value(action, arg_string)
 
-    sl = sub.add_parser("slope").add_subparsers(dest="cmd", required=True)
-    se = sl.add_parser("series")
-    se.add_argument("--entries", help="rows 'a,b;c,d'")
-    se.add_argument("--matrix-file", help="file holding the same row format")
-    se.add_argument("--p", type=int, required=True)
-    se.set_defaults(run=cmd_slope_series)
-    po = sl.add_parser("polygon")
-    po.add_argument("--poly", required=True, help="coefficients 'a0,a1,...'")
-    po.add_argument("--p", type=int, required=True)
-    po.set_defaults(run=cmd_slope_polygon)
-    fa = sl.add_parser("factor")
-    fa.add_argument("--poly", required=True)
-    fa.add_argument("--p", type=int, required=True)
-    fa.add_argument("--h", required=True)
-    fa.add_argument("--precision", type=int, default=20)
-    fa.set_defaults(run=cmd_slope_factor)
-    de = sl.add_parser("decompose")
-    de.add_argument("--entries")
-    de.add_argument("--matrix-file")
-    de.add_argument("--p", type=int, required=True)
-    de.add_argument("--h", required=True)
-    de.add_argument("--precision", type=int, default=20)
-    de.set_defaults(run=cmd_slope_decompose)
-
-    an = sub.add_parser("analytic").add_subparsers(dest="cmd", required=True)
-    ih = an.add_parser("ihara")
-    ih.add_argument("--p", type=int, required=True)
-    ih.add_argument("--m", type=int, required=True)
-    ih.add_argument("--degree", type=int, required=True)
-    ih.add_argument("--delta", default="1")
-    ih.set_defaults(run=cmd_analytic_ihara)
-    we = an.add_parser("weight")
-    we.add_argument("--p", type=int, required=True)
-    we.add_argument("--level", type=int, required=True)
-    we.add_argument("--chi1", default="")
-    we.add_argument("--chi2", default="")
-    we.add_argument("--chi3", default="")
-    we.set_defaults(run=cmd_analytic_weight)
-
+    top = Parser(prog="u3local", description=__doc__ and __doc__.partition("\n\nReading argv")[0])
+    for name, keywords in _TOP:
+        top.add_argument(name, **keywords)
+    groups, commands = top.add_subparsers(dest="group", required=True, parser_class=Parser), {}
+    for (group, cmd), (run, arguments) in _COMMANDS.items():
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
+        leaf = commands[group].add_parser(cmd)
+        for name, keywords in arguments:
+            leaf.add_argument(name, **keywords)
+        leaf.set_defaults(run=run)
     return top
 
 
-_parser = None  # (builder, parser): built by the first call to main, not at import
+_parser = None  # (builder, reader): built by the first call to main, not at import
 # the interpreter's int digit limit as the module loads (0: none, as before Python 3.10.7)
 _ARGV_DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 
 
 def main(argv=None) -> int:
     global _parser
-    # one parser per process; a replaced build_parser (a test's patch, a tracer's
-    # wrapper) gets a parser of its own
+    # one reader per process; a replaced build_parser (a test's patch, a tracer's
+    # wrapper) gets a reader of its own
     if _parser is None or _parser[0] is not build_parser:
         _parser = (build_parser, build_parser())
     # argv is read under the interpreter's digit limit; past it, --budget bounds

@@ -15,8 +15,9 @@ constructors that only the tests build graphs with.
 
 Every CLI command pays for the start-up of ``u3local.cli``, so the package does
 not use ``dataclasses`` (with ``inspect`` and ``ast`` it costs about half of
-that start-up), and ``hashlib`` is imported by the one function that takes a
-digest.
+that start-up), ``hashlib`` is imported by the one function that takes a
+digest, and neither the import nor a command that reads its argv flat and
+writes an ASCII report loads ``argparse``, ``gettext`` or ``json``.
 """
 
 import ast
@@ -101,19 +102,62 @@ def test_no_dataclasses(path):
     assert "dataclasses" not in _imported_modules(path.read_text())
 
 
-def test_cli_start_up_stays_light():
+def _run_loaded(code: str, *args: str) -> tuple[list[str], set[str]]:
+    """The stdout lines of ``code`` run in a fresh interpreter with the package
+    importable, and the modules loaded when it ends (its last line)."""
     # -S: the modules that .pth files of site-packages load are not the package's
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import u3local.cli; "
-        "print(' '.join(sorted(sys.modules)))"
-    )
+    code = f"import sys; sys.path.insert(0, sys.argv[1])\n{code}\nprint(' '.join(sorted(sys.modules)))"
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
+        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent), *args],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    loaded = set(done.stdout.split())
+    *lines, loaded = done.stdout.splitlines()
+    return lines, set(loaded.split())
+
+
+# argparse (with gettext) only reads the argv that the flat read declines, and
+# json only encodes text that is not ASCII
+ARGV_ONLY = {"argparse", "gettext", "json"}
+
+
+def test_cli_start_up_stays_light():
+    _, loaded = _run_loaded("import u3local.cli")
     assert "u3local.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "hashlib", "_hashlib"} == set()
+    assert loaded & ({"dataclasses", "inspect", "hashlib", "_hashlib"} | ARGV_ONLY) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "verify", "--l", "2", "--radius", "3"],
+        ["graph", "analyze", "{graph}", "--prime", "3"],
+        ["satake", "eig", "--alpha", "4", "--l", "2"],
+        ["moduli", "components", "--diag", "l^2,l,1", "--l", "2"],
+        ["--format", "table", "slope", "polygon", "--poly=1,-4,3", "--p", "3"],
+        ["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "1"],
+    ],
+    ids=["tree", "graph", "satake", "moduli", "slope", "analytic"],
+)
+def test_a_command_loads_neither_argparse_nor_json(tmp_path, argv):
+    from u3local.cosets import complete_biregular
+
+    graph = tmp_path / "k39.graph"
+    graph.write_text(complete_biregular(2).describe())
+    argv = [a.format(graph=graph) for a in argv]
+    code = "import u3local.cli\nprint(u3local.cli.main(sys.argv[2:]))"
+    lines, loaded = _run_loaded(code, *argv)
+    assert lines[-1] in ("0", "1")  # a verdict
+    assert loaded & ARGV_ONLY == set()
+
+
+def test_help_loads_argparse():
+    code = (
+        "import u3local.cli\n"
+        "try:\n    u3local.cli.main(['-h'])\nexcept SystemExit as exc:\n    print(exc.code)"
+    )
+    lines, loaded = _run_loaded(code)
+    assert lines[0].startswith("usage: u3local") and lines[-1] == "0"
+    assert "argparse" in loaded
 
 
 # graph constructors that only the tests call
