@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import analytic, cosets, lparam, satake, slope, tree
 from .linalg import QQ, Matrix
 from .poly import Poly
-from .scalars import require_prime
+from .scalars import require_prime, within_budget
 
 
 def _digits(n: int) -> str:
@@ -222,9 +222,9 @@ def _integer(text: str, what: str) -> int:
 
 def _within_decimal_budget(tokens, budget: int):
     bits = _exponent_bits(tokens)
-    _within_budget(bits, budget, f"decimal exponents of {bits} bits")
+    within_budget(bits, budget, f"decimal exponents of {bits} bits")
     bits = _digit_bits(tokens)
-    _within_budget(bits, budget, f"decimal digits of {bits} bits")
+    within_budget(bits, budget, f"decimal digits of {bits} bits")
 
 
 def parse_diag(spec: str, l: int, budget: int) -> list:
@@ -246,7 +246,7 @@ def parse_diag(spec: str, l: int, budget: int) -> list:
     bits += _exponent_bits(plain) + _digit_bits(plain)
     # a bare l or l^0 spells no bits, yet n such entries still take n^2 work
     words = max(1, -(-bits // 64))
-    _within_budget(len(tokens) ** 2 * words**2, budget, f"--diag entries of {bits} bits")
+    within_budget(len(tokens) ** 2 * words**2, budget, f"--diag entries of {bits} bits")
     entries = []
     for tok in tokens:
         if tok.startswith("l^"):
@@ -273,12 +273,6 @@ def parse_poly(spec: str, budget: int) -> Poly:
     tokens = spec.split(",")
     _within_decimal_budget(tokens, budget)
     return Poly([_rational(x) for x in tokens])
-
-
-def _within_budget(estimate: int, budget: int, work: str):
-    """Refuse work whose estimated size passes --budget, before it starts."""
-    if estimate > budget:
-        raise ValueError(f"{work} would pass the budget {budget}; raise --budget to run it")
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -311,7 +305,7 @@ def _load_graph_file(path):
 def cmd_graph_analyze(args):
     g, text_digest = _load_graph_file(args.path)
     # inc, E x |V|, is eliminated once per orientation
-    _within_budget(
+    within_budget(
         g.nedges * (g.n0 + g.n1),
         args.budget,
         f"eliminations of the {g.nedges}x{g.n0 + g.n1} incidence matrix",
@@ -355,7 +349,7 @@ def cmd_graph_congruence(args):
     # faster than analyze's eliminations of inc: the entries of both matrices
     # are booked, not analyze's E x |V| alone, which admitted n0 = 230
     nv = g.n0 + g.n1
-    _within_budget(
+    within_budget(
         g.nedges * nv + nv**2,
         args.budget,
         f"Smith forms of the {g.nedges}x{nv} incidence matrix and the {nv}x{nv} composite",
@@ -394,7 +388,7 @@ def cmd_graph_levelraise(args):
     # eliminated as in graph analyze
     members = args.aux_limit if args.aux == "auto" else 0
     scans = members + (lab is not None and lab.order > 1)
-    _within_budget(
+    within_budget(
         args.prime * scans + members * g.nedges**2 + g.nedges * (g.n0 + g.n1),
         args.budget,
         f"{scans} residue scans mod {args.prime} and {members} operators on {g.nedges} edges"
@@ -470,7 +464,7 @@ def cmd_moduli_components(args):
     counts = Counter(s)
     dim = sum(c * counts[args.l * x] for x, c in counts.items() if x)
     estimate = (2 ** min(dim, args.budget.bit_length() + 1) - 1) * len(s) ** 3
-    _within_budget(estimate, args.budget, f"a walk over 2^{dim} combinations of the solution space")
+    within_budget(estimate, args.budget, f"a walk over 2^{dim} combinations of the solution space")
     rep = Report("moduli components", {"diag": args.diag, "l": args.l, "group": args.group})
     witnesses = lparam.stratum_witnesses(s, args.l)
     degenerate = lparam.is_degenerate_satake(s, args.l)
@@ -510,7 +504,7 @@ def cmd_moduli_witness(args):
     # ranks of any N stop falling within n powers: at most that many n x n ranks
     # and products
     k = len(support)
-    _within_budget(
+    within_budget(
         n**3 * min(n, k + 1), args.budget, f"the Jordan type of a {n}x{n} matrix with {k} entries"
     )
     N = Matrix.from_support(n, n, support)
@@ -564,7 +558,7 @@ def _within_char_poly_budget(U, budget):
     d = math.lcm(*(Fraction(x).denominator for r in U.rows for x in r))
     R = max((sum(abs(x) * d for x in r) for r in U.rows), default=0)
     k = (n * (1 + int(R)).bit_length() + 1) // 61 + 1
-    _within_budget(
+    within_budget(
         k * (k * (n + 1) + n**3), budget, f"a {n}x{n} char poly modulo {k} word primes"
     )
 
@@ -592,30 +586,12 @@ def cmd_slope_polygon(args):
     return rep
 
 
-def _within_precision_budget(args, degree):
-    """Refuse the Hensel iteration of ``slope`` past --budget before it starts.
-    Its Newton route over QQ solves degree x degree systems on numbers of
-    (precision + margin) p-adic digits, so it costs about degree^3 times the
-    square of their 64-bit words.  The Hensel lift of a coprime split costs
-    about degree^2 products of such numbers per step, so the estimate is an
-    upper bound there, kept so that no input it refused now runs.  A precision
-    below 1 is left to the iteration's own error."""
-    digits = max(args.precision, 1) + slope.RECONSTRUCTION_MARGIN
-    words = -(-digits * args.p.bit_length() // 64)
-    _within_budget(
-        max(degree, 0) ** 3 * words**2,
-        args.budget,
-        f"precision {args.precision} mod {args.p} at degree {degree}",
-    )
-
-
 def cmd_slope_factor(args):
     P = parse_poly(args.poly, args.budget)
     h = parse_fraction(args.h, args.budget)
-    _within_precision_budget(args, P.degree)
     inputs = {"poly": args.poly, "p": args.p, "h": h, "precision": args.precision}
     rep = Report("slope factor", inputs)
-    fact = slope.slope_factorization(P, h, args.p, args.precision)
+    fact = slope.slope_factorization(P, h, args.p, args.precision, args.budget)
     rep.put("Q", fact.Q)
     rep.put("S", fact.S)
     rep.put("m", fact.m)
@@ -632,9 +608,8 @@ def cmd_slope_factor(args):
 def cmd_slope_decompose(args):
     U, src = _matrix_input(args)
     h = parse_fraction(args.h, args.budget)
-    _within_precision_budget(args, U.nrows)
     rep = Report("slope decompose", {**src, "p": args.p, "h": h, "precision": args.precision})
-    dec = slope.slope_decomposition(U, h, args.p, args.precision)
+    dec = slope.slope_decomposition(U, h, args.p, args.precision, args.budget)
     rep.put("q_part_dim", len(dec.q_part_basis))
     rep.put("complement_dim", len(dec.complement_basis))
     rep.put("Q", dec.factorization.Q)
@@ -658,7 +633,7 @@ def cmd_analytic_ihara(args):
     # block per (j, k), the sum over n <= D+1 of n^2 (D+2-n)(D+3-n)/2 in closed
     # form, where the tests rank one block per side
     entries = math.comb(args.degree + 5, 5) + math.comb(args.degree + 4, 5)
-    _within_budget(entries, args.budget, f"the rank tests up to degree {args.degree}")
+    within_budget(entries, args.budget, f"the rank tests up to degree {args.degree}")
     table = {}
     for d in range(args.degree + 1):
         model = analytic.make_model(args.p, args.m, d, budget=args.budget)
@@ -682,12 +657,12 @@ def cmd_analytic_weight(args):
     # other p is refused as not prime) a level past the budget's bit length is
     # past the budget without the power
     units = args.p ** min(args.level, args.budget.bit_length() + 1)
-    _within_budget(units, args.budget, f"the units mod {args.p}^{args.level}")
+    within_budget(units, args.budget, f"the units mod {args.p}^{args.level}")
     # int() reads the exponents in time quadratic in their digits: the square
     # of the 64-bit words they spell, booked before any is read
     digits = sum(map(str.isdigit, args.chi1 + args.chi2 + args.chi3))
     words = -(-digits * (10).bit_length() // 64)
-    _within_budget(words**2, args.budget, f"--chi1..--chi3 exponents of {digits} digits")
+    within_budget(words**2, args.budget, f"--chi1..--chi3 exponents of {digits} digits")
     chis = []
     for name, spec in (("--chi1", args.chi1), ("--chi2", args.chi2), ("--chi3", args.chi3)):
         exps = tuple(_integer(x, f"{name} exponent") for x in spec.split(",")) if spec else ()
@@ -801,11 +776,11 @@ class _Reader:
     flat pass: exact option names with their values (``--opt value`` or
     ``--opt=value``), the top options before the group, and the leaf's options
     and positionals after group and command.  It declines everything else
-    (help, abbreviations, ``--``, a separate value that looks like an option,
-    unknown tokens, bad values, missing arguments), and argparse's parser of
-    the same table reads that argv, so every help text, error message and exit
-    code is argparse's own.  Where it does not decline, its namespace is the
-    one argparse's three nested parses would give."""
+    (help, abbreviations, ``--`` and ``--opt=--``, a separate value that looks
+    like an option, unknown tokens, bad values, missing arguments), and
+    argparse's parser of the same table reads that argv, so every help text,
+    error message and exit code is argparse's own.  Where it does not decline,
+    its namespace is the one argparse's three nested parses would give."""
 
     def __init__(self):
         self.options, _, self.defaults, _ = _level(_TOP)
@@ -896,7 +871,13 @@ def _argparse_parser():
         """argparse's parser, except that an int option whose text has more
         than the interpreter's default 4300 digits is refused by name and digit
         count before int() reads it (argparse's own error would echo the whole
-        token)."""
+        token), and ``--opt=--`` by a ValueError, where argparse would pass
+        the option an empty list (3.10-3.12) or the string '--' (3.13)."""
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:
+                raise ValueError(f"{action.option_strings[-1]} expects one value")
+            return super()._get_values(action, arg_strings)
 
         def _get_value(self, action, arg_string):
             if len(arg_string) > 4300 and action.type is int:
@@ -939,16 +920,11 @@ def main(argv=None) -> int:
     # every number before it is formed, so a report prints whatever it admits
     if _ARGV_DIGITS:
         sys.set_int_max_str_digits(_ARGV_DIGITS)
-    args = _parser[1].parse_args(argv)
-    if _ARGV_DIGITS:
-        sys.set_int_max_str_digits(0)
-    t0 = time.monotonic()
     try:
-        # Python 3.11's argparse reads `--opt=--` as an empty list, past the
-        # option's type; no option here takes a list
-        for name, value in vars(args).items():
-            if value == []:
-                raise ValueError(f"--{name.replace('_', '-')} expects one value")
+        args = _parser[1].parse_args(argv)
+        if _ARGV_DIGITS:
+            sys.set_int_max_str_digits(0)
+        t0 = time.monotonic()
         report = args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 The rational type is the standard library ``fractions.Fraction`` (always
 stored reduced, positive denominator).  Prime-field
 elements are plain ints in [0, p), handled by ``linalg.PrimeField``; this
-module holds everything valuation-flavoured.
+module holds everything valuation-flavoured, and the budget check that work
+whose cost grows with its input passes before it starts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,13 @@ import math
 from fractions import Fraction
 
 INF = math.inf  # valuation of zero
+
+
+def within_budget(estimate: int, budget: int | None, work: str):
+    """Refuse work whose estimated size passes the budget (None: no bound),
+    before it starts."""
+    if budget is not None and estimate > budget:
+        raise ValueError(f"{work} would pass the budget {budget}; raise --budget to run it")
 
 
 # the least strong pseudoprime to the twelve prime bases 2, ..., 37

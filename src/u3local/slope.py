@@ -5,24 +5,18 @@ the Fredholm series.  It is the characteristic polynomial of U, from one
 Hessenberg reduction, with its coefficients reversed.  Its Newton polygon at
 p reads off the valuations of the eigenvalues of U (one slope per eigenvalue,
 counted with multiplicity).  For a slope bound h the series factors as
-P = Q S with Q collecting exactly the reciprocal roots of valuation <= h,
-computed from the polygon truncation Q0 = P mod T^(m+1) and S0 = P/Q0 mod
-T^(d-m+1).  Residues are taken mod p^work, work = precision +
-RECONSTRUCTION_MARGIN.  When P is p-integral (a denominator prime to p
-included) and the monic reversals Qt0, St0 (Qt(T) = T^m Q(1/T)) are coprime
-mod p, which is the split of the slope-0 part from the positive slopes, the
-reversals are Hensel-lifted on int lists together with one Bezout pair
-s Qt + t St = 1, found mod p and lifted alongside (von zur Gathen-Gerhard,
-Modern Computer Algebra, Alg. 15.10): the modulus about doubles each step
-up to p^work, and every step costs O(d^2) products of ints.  Monic lifts of
-coprime factors are unique, so these are the residues of the true factors.
-Every other split runs a quadratically convergent Newton iteration over QQ
-from Q0 and S0, each step solving a d x d linear system; its iterates are
-reduced mod p^work when they are p-integral.  Either way the error P - Q S
-is taken against P itself and must vanish mod p^work.  When the true factor
-has rational coefficients of moderate height the factors are snapped to it
-by rational reconstruction and everything downstream is exact; otherwise
-they are reported modulo p^precision.
+P = Q S with Q(0) = 1 and Q collecting exactly the reciprocal roots of
+valuation <= h.  The split runs on P1(T) = P(p^k T), with the least k >= 0
+that makes P1 p-integral (a denominator prime to p included), on its int
+residues mod p^work, work = precision + RECONSTRUCTION_MARGIN + k d, since
+T -> T/p^k costs up to k d digits.  A split coprime mod p (the slope-0 part
+from the positive slopes) is Hensel-lifted (``_hensel_lift``); every other
+runs the master factorization iteration (``_master_factor``), whose step
+count is known before it starts; neither solves a linear system.  When the
+true factor has rational coefficients of moderate height, the residues of
+Q(p^k T) are snapped to it by rational reconstruction and the snap is checked
+by exact division of P, so everything downstream is exact; otherwise the
+factors are reported modulo p^precision.
 
 The decomposition splits the ambient space into ker Qt(U) and its polynomial
 complement, where Qt(T) = T^m Q(1/T); the projector comes from a Bezout
@@ -36,11 +30,11 @@ keeps every matrix product and kernel vector on ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
 from .linalg import QQ, Matrix, rational_reconstruction
 from .poly import Poly, xgcd
-from .scalars import INF, int_valuation, require_prime
+from .scalars import INF, int_valuation, require_prime, within_budget
 
 
 class NoBreakError(ValueError):
@@ -132,7 +126,9 @@ class SlopeFactorization:
         self.exact = exact
 
     def residual_valuation(self, P: Poly):
-        return _valuation(P - self.Q * self.S, self.p)
+        """The least v_p of a nonzero coefficient of P - Q S; INF when it is 0."""
+        E = P - self.Q * self.S
+        return min((_coeff_valuation(c, self.p) for c in E.coeffs if c), default=INF)
 
 
 def _coeff_valuation(c, p: int):
@@ -143,13 +139,11 @@ def _coeff_valuation(c, p: int):
     return int_valuation(c.numerator, p) - int_valuation(c.denominator, p)
 
 
-def _valuation(f: Poly, p: int):
-    """The least v_p of a nonzero coefficient of f; INF for the zero polynomial."""
-    return min((_coeff_valuation(c, p) for c in f.coeffs if c), default=INF)
-
-
-def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactorization:
-    """Split off the slope <= h part of P (constant term 1) at the prime p."""
+def slope_factorization(
+    P: Poly, h, p: int, precision: int = 20, budget: int | None = None
+) -> SlopeFactorization:
+    """Split off the slope <= h part of P (constant term 1) at the prime p;
+    past ``budget`` (None: no bound) a ValueError refuses the split unstarted."""
     require_prime(p)
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -166,72 +160,102 @@ def slope_factorization(P: Poly, h, p: int, precision: int = 20) -> SlopeFactori
     if all(i != m for i, _ in polygon.vertices):
         raise NoBreakError(f"no polygon vertex at horizontal position {m}")
 
-    integral = _valuation(P, p) >= 0
-    work = precision + RECONSTRUCTION_MARGIN
-    Q = P.truncate(m + 1)
-    S = (P * Q.series_inverse(d - m + 1)).truncate(d - m + 1)
-    if integral:  # a lifted pair passes the certificate on the loop's first pass
-        Q, S = _hensel_lift(P, Q, S, m, p, work) or (Q, S)
-    best = -1
-    stall = 0
-    for _ in range(80):
-        E = P - Q * S
-        ev = _valuation(E, p)
-        if ev >= work:
-            break
-        if ev <= best:
-            stall += 1
-            if stall >= 4:
-                raise SlopePrecisionError("iteration stalled before reaching precision")
-        else:
-            best = ev
-            stall = 0
-        dq, ds = _newton_step(Q, S, E, m, d)
-        Q, S = Q + dq, S + ds
-        if integral:  # a non-integral iterate is left untouched
-            Q = _residues(Q, p, work) or Q
-            S = _residues(S, p, work) or S
-    else:
-        raise SlopePrecisionError("iteration budget exhausted")
+    # T -> p^k T adds k to every slope, and v_p(a_i) >= i * (first slope), so
+    # k = max(0, max_i -floor(v_p(a_i) / i)) makes P1 p-integral; T -> T / p^k
+    # costs coefficient i of a factor k i digits, so k d more are worked
+    k = max(0, -floor(polygon.segments[0][0]))
+    work = precision + RECONSTRUCTION_MARGIN + k * d
+    words = -(-work * p.bit_length() // 64)
+    # a lift step costs about d^2 products of numbers of such words, bounded
+    # by d^3 words^2; the master route books its steps itself
+    within_budget(d**3 * words**2, budget, f"precision {precision} mod {p} at degree {d}")
+    P1 = _scaled(P, p**k) if k else P
+    Q = P1.truncate(m + 1)
+    S = (P1 * Q.series_inverse(d - m + 1)).truncate(d - m + 1)
+    lifted = _hensel_lift(P1, Q, S, m, p, work)
+    if lifted is None:
+        s = max(slope for slope, _ in polygon.segments if slope <= h) + k
+        t = min(slope for slope, _ in polygon.segments if slope > h) + k
+        lifted = _master_factor(P1, m, s, t, p, work, budget)
+    Q1, S1 = lifted
 
-    exact = _try_exact_snap(P, Q, h, p, work, integral)
+    exact = _try_exact_snap(P, Q1, k, h, p, work)
     if exact is not None:
         return exact
-
-    Qa = _residues(Q, p, precision) or Q
-    Sa = _residues(S, p, precision) or S
-    fact = SlopeFactorization(Qa, Sa, h, m, p, precision, exact=False)
-    if fact.residual_valuation(P) < precision and (Qa is Q or Sa is S):
-        # reducing only one factor of a non-integral pair costs the residual the
-        # valuation of the other; the unreduced pair keeps it
-        fact = SlopeFactorization(Q, S, h, m, p, precision, exact=False)
+    # P1 = Q1 S1 mod p^(precision + k d) leaves P - Q S of valuation >= precision
+    q = p ** (precision + k * d)
+    Q, S = (_scaled(Poly([c % q for c in F.coeffs]), Fraction(1, p**k)) for F in (Q1, S1))
+    fact = SlopeFactorization(Q, S, h, m, p, precision, exact=False)
     if fact.residual_valuation(P) < precision:
         raise SlopePrecisionError("could not certify the factorization mod p^precision")
-    _validate_split(fact, p, h, integral)
+    if any(s > h for s in newton_polygon(Q, p).slopes()):
+        raise SlopePrecisionError("low factor carries a slope above the bound")
     return fact
 
 
-def _newton_step(Q, S, E, m, d):
-    """Solve S dq + Q ds = E with dq(0) = ds(0) = 0, deg dq <= m, deg ds <= d-m.
+def _scaled(f: Poly, r) -> Poly:
+    """f(r T)."""
+    return Poly([c * r**i for i, c in enumerate(f.coeffs)])
 
-    The QQ route of the iteration: it runs on every split that
-    ``_hensel_lift`` declines (P not p-integral, or Qt, St not coprime mod p,
-    so that the determinant of the system, the resultant of Qt and St up to
-    sign, is divisible by p) and solves the system over QQ on the
-    coefficients themselves.
-    """
-    # column b of each block holds the coefficients of S T^b (or Q T^b) in
-    # degrees 1..d, that is S[j - b] in row j: a window of the padded list
-    s, q = ([0] * d + list(f.coeffs) + [0] * d for f in (S, Q))
-    cols = [s[d + 1 - b : 2 * d + 1 - b] for b in range(1, m + 1)]
-    cols += [q[d + 1 - b : 2 * d + 1 - b] for b in range(1, d - m + 1)]
-    e = list(E.coeffs[1 : d + 1])
-    sol = Matrix([list(row) for row in zip(*cols)]).solve(e + [0] * (d - len(e)))
-    if sol is None:
-        raise SlopePrecisionError("linearized system is singular; factors not coprime")
-    dq = Poly([0] + list(sol[:m]))
-    ds = Poly([0] + list(sol[m:]))
-    return dq, ds
+
+def _master_factor(P1, m, s, t, p, work, budget):
+    """The residues mod p^work of the factors Q (slopes <= s, Q(0) = 1) and S
+    of a p-integral P1 whose polygon breaks at m between the slopes s < t, by
+    the master factorization iteration (Kedlaya, p-adic Differential
+    Equations, CUP 2010, ch. 2) in the Gauss norm w(f) = min_i v_p(f_i) - s i.
+    Q's top term a_m = p^y u attains w(Q) = y - s m, and w(S - 1) >= t - s.
+    E = P1 - Q S = A Q + B with deg B < m gives Q + B and S + A, whose error
+    -B (S - 1) - A B is at least t - s higher in w while w(E) >= w(Q) + t - s,
+    as it is from Q = P1 mod T^(m+1) and S = 1 on; so the steps are bounded
+    before the loop.  Any norm w_c with s <= c < t would do, and c = s takes
+    the fewest steps at the least modulus, neither growing with t.  It stops
+    at w(E) >= work, not v_p(E) >= work: Q's later corrections are as small as
+    w(E) + s i in degree i.  The ints are kept mod p^M, M = work + ceil(s d),
+    which moves E by at least work in w; each leading coefficient of the
+    division is A_j a_m with v_p(A_j) >= t - s + s j >= 0, so a_m is divided
+    on ints, its y digits lost to A but not to the product A Q."""
+    d = P1.degree
+    M = work + ceil(s * d)
+    q = p**M
+    f = list(_residues(P1, p, M).coeffs)
+    f += [0] * (d + 1 - len(f))  # a top coefficient may vanish mod p^M
+    y = int_valuation(f[m], p)
+    steps = ceil((work - y + s * m) / (t - s))
+    words = -(-M * p.bit_length() // 64)
+    within_budget(steps * 2 * d * d * words**2, budget,
+                  f"{steps} steps of the master factorization mod {p}^{M} at degree {d}")
+    py = p**y
+    inv = pow(f[m] // py, -1, q)
+    # w(E) >= work: p^ceil(work + s i) divides E_i in every degree i
+    moduli = [p ** ceil(work + s * i) for i in range(d + 1)]
+    Q, S = f[: m + 1], [1] + [0] * (d - m)
+    for _ in range(steps + 1):
+        E = [x - z for x, z in zip(f, _mul(Q, S))]
+        if not any(e % r for e, r in zip(E, moduli)):
+            break
+        A, B = _divmod(E, Q, q, py, inv)
+        Q = [(x + z) % q for x, z in zip(Q, B + [0])]
+        S = [(x + z) % q for x, z in zip(S, A)]
+    else:
+        raise SlopePrecisionError(f"the master iteration did not reach {p}^{work} in {steps} steps")
+    u = Q[0]  # a unit: Q(0) = 1 mod p all along
+    w = pow(u, -1, q)
+    return Poly([x * w % q for x in Q]), Poly([x * u % q for x in S])
+
+
+def _divmod(e, g, q, py=1, inv=1):
+    """(A, B) with e = A g + B mod q and deg B < deg g, for int lists, where g's
+    top coefficient is py u with u inv = 1 mod q and every leading coefficient
+    the division meets is divisible by py; the defaults divide by a monic g."""
+    r, n = list(e), len(g) - 1
+    a = [0] * (len(r) - n)
+    for j in range(len(r) - 1, n - 1, -1):
+        x = r[j] % q // py * inv % q
+        if x:  # the top term r[j] - x g[n] vanishes mod q and is not read again
+            a[j - n] = x
+            for i in range(n):
+                r[j - n + i] -= x * g[i]
+    return a, [x % q for x in r[:n]]
 
 
 def _hensel_lift(P, Q, S, m, p, work):
@@ -264,13 +288,13 @@ def _hensel_lift(P, Q, S, m, p, work):
     while ks:
         q = p ** ks.pop()
         e = [(x - y) % q for x, y in zip(f, _mul(g, h))]
-        g = [(x + y) % q for x, y in zip(g, _rem(_mul(t, e), g, q))] + [1]
-        h = [(x + y) % q for x, y in zip(h, _rem(_mul(s, e), h, q))] + [1]
+        g = [(x + y) % q for x, y in zip(g, _divmod(_mul(t, e), g, q)[1])] + [1]
+        h = [(x + y) % q for x, y in zip(h, _divmod(_mul(s, e), h, q)[1])] + [1]
         if ks:
             b = [x + y for x, y in zip(_mul(s, g), _mul(t, h))]
             b[0] -= 1
-            s = [(x - y) % q for x, y in zip(s, _rem(_mul(s, b), h, q))]
-            t = [(x - y) % q for x, y in zip(t, _rem(_mul(t, b), g, q))]
+            s = [(x - y) % q for x, y in zip(s, _divmod(_mul(s, b), h, q)[1])]
+            t = [(x - y) % q for x, y in zip(t, _divmod(_mul(t, b), g, q)[1])]
     return Poly(g[::-1]), Poly(h[::-1])
 
 
@@ -313,69 +337,27 @@ def _mul(a, b):
     return out
 
 
-def _rem(a, g, q):
-    """The remainder of the int list a (at least as long as g) by the monic g,
-    mod q: deg g coefficients."""
-    a, n = list(a), len(g) - 1
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i] % q
-        if c:
-            for j in range(n):
-                a[i - n + j] -= c * g[j]
-    return [x % q for x in a[:n]]
-
-
-def _residues(f: Poly, p: int, k: int) -> Poly | None:
-    """f with each coefficient replaced by its int representative mod p^k, or
-    None when some coefficient is not p-integral."""
+def _residues(f: Poly, p: int, k: int) -> Poly:
+    """The p-integral f with each coefficient replaced by its int
+    representative mod p^k."""
     q = p**k
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, q) % q)
-    return Poly(out)
+    return Poly([c.numerator * pow(c.denominator, -1, q) % q for c in f.coeffs])
 
 
-def _try_exact_snap(P, Q, h, p, work, integral):
-    """Reconstruct a rational candidate for Q and verify it divides P exactly."""
-    if not integral:
+def _try_exact_snap(P, Q1, k, h, p, work):
+    """Reconstruct a rational candidate for Q(p^k T) from its residues Q1 mod
+    p^work and verify that the Q it gives divides P exactly."""
+    cand = [1] + [rational_reconstruction(rep, p**work) for rep in Q1.coeffs[1:]]
+    if None in cand:
         return None
-    residues = _residues(Q, p, work)
-    if residues is None:
-        return None
-    modulus = p**work
-    cand = [1]
-    for rep in residues.coeffs[1:]:
-        rec = rational_reconstruction(rep, modulus)
-        if rec is None:
-            return None
-        cand.append(rec)
-    Qe = Poly(cand)
-    if Qe.degree != Q.degree:
-        return None
+    Qe = _scaled(Poly(cand), Fraction(1, p**k)) if k else Poly(cand)
     quo, rem = P.divmod(Qe)
-    if not rem.is_zero():
+    # m slopes of Qe at most h leave the d - m of P / Qe above it
+    if Qe.degree != Q1.degree or not rem.is_zero():
         return None
-    fact = SlopeFactorization(Qe, quo, Fraction(h), Qe.degree, p, None, exact=True)
-    try:
-        _validate_split(fact, p, Fraction(h), integral)
-    except SlopePrecisionError:
+    if max(newton_polygon(Qe, p).slopes()) > h:
         return None
-    return fact
-
-
-def _validate_split(fact: SlopeFactorization, p, h, integral):
-    if fact.Q.degree >= 1:
-        if any(s > h for s in newton_polygon(fact.Q, p).slopes()):
-            raise SlopePrecisionError("low factor carries a slope above the bound")
-        if integral and _valuation(fact.Q, p) < 0:
-            raise SlopePrecisionError("low factor is not integral")
-    if fact.S.degree >= 1 and fact.exact:
-        if any(s <= h for s in newton_polygon(fact.S, p).slopes()):
-            raise SlopePrecisionError("high factor carries a slope at or below the bound")
-    if fact.Q.coeffs and fact.Q.coeffs[-1] == 0:
-        raise SlopePrecisionError("low factor lost its leading coefficient")
+    return SlopeFactorization(Qe, quo, h, Qe.degree, p, None, exact=True)
 
 
 class SlopeDecomposition:
@@ -402,30 +384,27 @@ class SlopeDecomposition:
         self.report = {} if report is None else report
 
 
-def slope_decomposition(U: Matrix, h, p: int, precision: int = 20) -> SlopeDecomposition:
+def slope_decomposition(
+    U: Matrix, h, p: int, precision: int = 20, budget: int | None = None
+) -> SlopeDecomposition:
     """Split the space into ker Qt(U) and its complement, with a Bezout projector.
 
     Qt(U) vanishes on the first summand and is invertible on the second; both
     are U-stable and their dimensions are m and n - m.  The projector checks
     run on Pi = D b(U) St(U), which is an integer matrix when U is one.
-    Requires the slope factorization to land exactly (rational coefficients);
-    otherwise SlopePrecisionError names why: the series is not p-integral, so
-    no exact factor was sought, or the factor is not rational.
+    Requires the slope factorization (``budget`` as there) to land exactly;
+    otherwise SlopePrecisionError says that the factor is not rational.
     """
     if not U.is_square():
         raise ValueError("matrix must be square")
     n = U.nrows
     h = Fraction(h)
     P = fredholm_series(U)
-    fact = slope_factorization(P, h, p, precision)
+    fact = slope_factorization(P, h, p, precision, budget)
     if not fact.exact:
-        # the exact snap is tried only on a p-integral series
-        cause = (
-            f"series det(1 - T U) is not {p}-integral, so no exact slope factor was sought"
-            if _valuation(P, p) < 0
-            else "slope factor is not rational at this height"
+        raise SlopePrecisionError(
+            "slope factor is not rational at this height; exact splitting unavailable"
         )
-        raise SlopePrecisionError(f"{cause}; exact splitting unavailable")
     d = P.degree
     m = fact.Q.degree
     qt = fact.Q.reverse(m)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -191,10 +192,21 @@ def _counting_solve(monkeypatch):
     return calls
 
 
-class TestNewtonStepRoute:
-    """A p-integral split whose factors are coprime mod p is Hensel-lifted on
-    ints with no linear solve; every other split solves Newton systems over
-    QQ.  The mod p^k solve of the old route is kept as an oracle."""
+def _counting_master(monkeypatch):
+    """Patch the master iteration to count its calls; returns the list of calls."""
+    calls = []
+    original = slope._master_factor
+    monkeypatch.setattr(
+        slope, "_master_factor", lambda *args: calls.append(args) or original(*args)
+    )
+    return calls
+
+
+class TestSplitRoutes:
+    """A split that is coprime mod p after T -> p^k T is Hensel-lifted on ints;
+    every other split runs the master iteration on ints.  Neither solves a
+    linear system.  The mod p^k solve of the old Newton route is kept as an
+    oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -222,33 +234,120 @@ class TestNewtonStepRoute:
                 for x in Matrix(rows).solve(rhs)]
         assert got == want
 
-    def test_degree_8_split_never_solves_over_qq(self, monkeypatch):
-        # the heaviest slope factor of the local workload: its factors are
-        # coprime mod 3, so the split is lifted
-        P = Poly([1, -63, 1310, -5742, -137223, 1566945, -213192, -55581876, 180033840])
-        calls = _counting_solve(monkeypatch)
+    @pytest.mark.parametrize(
+        "P, want",
+        [
+            # the heaviest slope factor of the local workload: its factors
+            # are coprime mod 3, so the split is lifted
+            (Poly([1, -63, 1310, -5742, -137223, 1566945, -213192, -55581876, 180033840]),
+             None),
+            # p-integral with the coefficients 1/2 and 9/2: the lift runs on
+            # their residues mod 3^work
+            (Poly([1, -4, 3]) * Poly([1, Fraction(1, 2)]) * Poly([1, -9, Fraction(9, 2)]),
+             Poly([1, -1]) * Poly([1, Fraction(1, 2)])),
+            # slopes 0 | 1, 2, 2: an integral series with k = 0
+            (Poly([1, -2]) * Poly([1, -6]) * Poly([1, 0, 81]), Poly([1, -2])),
+        ],
+        ids=["degree-8", "denominator-prime-to-p", "k-0"],
+    )
+    def test_coprime_split_never_enters_the_master_route(self, monkeypatch, P, want):
+        solves, masters = _counting_solve(monkeypatch), _counting_master(monkeypatch)
         fact = slope_factorization(P, 0, 3)
         assert fact.exact and fact.Q * fact.S == P
-        assert calls == []
+        assert want is None or fact.Q == want
+        assert solves == [] and masters == []
 
-    def test_a_denominator_prime_to_p_never_solves_over_qq(self, monkeypatch):
-        # p-integral with the coefficients 1/2 and 9/2: the lift runs on their
-        # residues mod 3^work, and the product is certified against P itself
-        P = Poly([1, -4, 3]) * Poly([1, Fraction(1, 2)]) * Poly([1, -9, Fraction(9, 2)])
-        calls = _counting_solve(monkeypatch)
-        fact = slope_factorization(P, 0, 3)
-        assert fact.exact and fact.Q * fact.S == P
-        assert fact.Q == Poly([1, -1]) * Poly([1, Fraction(1, 2)])
-        assert calls == []
+    def test_a_split_made_coprime_by_scaling_is_lifted(self, monkeypatch):
+        # slopes -2 | 0 at p = 3: T -> 9T makes the low part the slope-0 part
+        masters = _counting_master(monkeypatch)
+        fact = slope_factorization(Poly([1, Fraction(10, 9), Fraction(1, 9)]), -2, 3)
+        assert fact.exact and fact.Q == Poly([1, Fraction(1, 9)])
+        assert masters == []
 
-    def test_non_unit_resultant_falls_back_to_qq(self, monkeypatch):
+    def test_non_unit_resultant_runs_the_master_iteration(self, monkeypatch):
         # eigenvalues 1, 3, 9 at h = 1: the factors' resultant has v_3 = 1
         P = Poly([1, -1]) * Poly([1, -3]) * Poly([1, -9])
-        calls = _counting_solve(monkeypatch)
+        solves, masters = _counting_solve(monkeypatch), _counting_master(monkeypatch)
         fact = slope_factorization(P, 1, 3)
-        assert calls
+        assert solves == [] and len(masters) == 1
         assert fact.exact
         assert fact.Q == Poly([1, -1]) * Poly([1, -3]) and fact.S == Poly([1, -9])
+
+    @pytest.mark.parametrize(
+        "P, h, p",
+        [
+            (Poly([1, -1]) * Poly([1, -3]) * Poly([1, -9]), 1, 3),
+            # slopes 0, 3/7 x 7 | 1/2 x 2: the narrowest gap here
+            (Poly([1, 1, -2, -2, 0, 0, 0, -8, -8, 16, 16]), Fraction(3, 7), 2),
+            # binomials: slopes 1/2, 1/2 | 3/2, 3/2
+            (Poly([1, 0, -5]) * Poly([1, 0, -125]), Fraction(1, 2), 5),
+        ],
+        ids=["1-3-9", "3/7-1/2", "binomials"],
+    )
+    def test_master_steps_gain_the_bound(self, monkeypatch, P, h, p):
+        # each step raises w(E) = min_i v_p(E_i) - s i by at least t - s, and
+        # the loop ends within ceil((work - w(Q0)) / (t - s)) steps
+        errors = []
+        original = slope._divmod
+        monkeypatch.setattr(slope, "_divmod", lambda e, *a: errors.append(e) or original(e, *a))
+        masters = _counting_master(monkeypatch)
+        fact = slope_factorization(P, h, p)
+        assert fact.exact and fact.Q * fact.S == P
+        ((P1, m, s, t, _, work, _),) = masters
+        weights = [min(padic_valuation(x, p) - s * i for i, x in enumerate(e) if x) for e in errors]
+        assert all(b - a >= t - s for a, b in zip(weights, weights[1:]))
+        w_q = padic_valuation(P1[m], p) - s * m  # w of Q0 = P1 mod T^(m+1)
+        assert weights[0] >= w_q + (t - s)
+        assert 0 < len(errors) <= math.ceil((work - w_q) / (t - s))
+
+
+# factors 1 - lam T with lam = +-u p^e, u from small numerators and
+# denominators (5 and 7 among them), and binomials 1 - u p^a T^b, whose b
+# reciprocal roots have slope a/b
+_LAMBDA_UNITS = st.builds(Fraction, st.sampled_from([1, -1, 2, -3, 5, 7]), st.sampled_from([1, 1, 5, 7]))
+
+
+def _slope_factors(p):
+    unit = _LAMBDA_UNITS.filter(lambda u: u.numerator % p and u.denominator % p)
+    linear = st.builds(lambda u, e: (Poly([1, -u * Fraction(p) ** e]), Fraction(e)),
+                       unit, st.integers(-2, 3))
+    binomial = st.builds(
+        lambda u, a, b: (Poly([1] + [0] * (b - 1) + [-u * Fraction(p) ** a]), Fraction(a, b)),
+        unit, st.integers(-2, 4), st.integers(2, 3),
+    )
+    return st.lists(linear | binomial, min_size=2, max_size=5)
+
+
+class TestEveryVertex:
+    """``slope_factorization`` at every vertex of the polygon of a product of
+    known factors: the low factor is the product of those of slope <= h, on
+    the nose, whichever route the split takes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(st.just(p), _slope_factors(p))))
+    @example((3, [(Poly([1, -1]), Fraction(0)), (Poly([1, -3]), Fraction(1)),
+                  (Poly([1, -9]), Fraction(2))]))
+    @example((2, [(Poly([1, 0, -2]), Fraction(1, 2)), (Poly([1, 0, -8]), Fraction(3, 2))]))
+    # slopes 3/2, 3/2 | 2: a loop that stops at v_2(E) >= work leaves Q wrong in
+    # its last digits, and the snap fails
+    @example((2, [(Poly([1, -4]), Fraction(2)), (Poly([1, 0, -8]), Fraction(3, 2))]))
+    @example((2, [(Poly([1, Fraction(-1, 2)]), Fraction(-1)), (Poly([1, -1]), Fraction(0)),
+                  (Poly([1, 2]), Fraction(1))]))
+    def test_low_factor_is_the_product_of_the_low_factors(self, drawn):
+        p, factors = drawn
+        P = Poly.one()
+        for f, _ in factors:
+            P = P * f
+        slopes = sorted({s for _, s in factors})
+        for h in slopes[:-1]:
+            want = Poly.one()
+            for f, s in factors:
+                if s <= h:
+                    want = want * f
+            # precision 40 leaves room for the heights of five factors at p = 2
+            fact = slope_factorization(P, h, p, precision=40)
+            assert fact.exact
+            assert fact.Q == want and fact.Q * fact.S == P
 
 
 def _integral_factors(p):
