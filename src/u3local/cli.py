@@ -6,16 +6,15 @@ a results tree, and a list of named assertions.  The process exits 0 exactly
 when every assertion passed.  Identical invocations produce byte-identical
 output; timing is only included on request (it breaks determinism).
 
-Reading argv: ``_COMMANDS`` declares every command once, and ``build_parser``
-reads plain argv flat from it; argparse is imported, and its parser built from
-the same table, only for help, abbreviations and errors.  The top help shows
-the two paragraphs above.
+Reading argv: ``_COMMANDS`` declares every command once; ``build_parser``
+returns its one reader, which reads argv in one pass (unique prefixes of
+options included), writes each level's help from the table and refuses any
+other argv by a ValueError.  The top help shows the two paragraphs above.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import re
 import sys
@@ -143,22 +142,16 @@ class Report:
 
     def render(self, fmt="json", timing=None):
         if fmt == "json":
-            doc = {
-                "command": self.command,
-                "inputs": self.inputs,
-                "results": self.results,
-                "assertions": self.assertions,
-                "passed": self.passed,
-            }
+            doc = {"command": self.command, "inputs": self.inputs, "results": self.results,
+                   "assertions": self.assertions, "passed": self.passed}
             if timing is not None:
                 doc["timing_ms"] = timing
             return _json_text(doc, "\n") + "\n"
         lines = [f"== {self.command} =="]
-        for key in sorted(self.results):
-            lines.append(f"  {key}: {_json_text(self.results[key], None)}")
-        for a in self.assertions:
-            tag = "PASS" if a["passed"] else "FAIL"
-            lines.append(f"{tag}  {a['name']}")
+        lines += [f"  {key}: {_json_text(self.results[key], None)}" for key in sorted(self.results)]
+        lines += [f"{'PASS' if a['passed'] else 'FAIL'}  {a['name']}" for a in self.assertions]
+        if timing is not None:
+            lines.append(f"timing_ms: {timing}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -681,9 +674,9 @@ def cmd_analytic_weight(args):
 # --- argument wiring ---------------------------------------------------------
 
 # Every command once: (group, command) -> (its run function, its arguments).  An
-# argument is its name (a positional when it has no leading '-') and argparse's
-# keywords for it; the flat read takes the type, default, choices, required
-# flag and store_true action from the same keywords.
+# argument is its name (a positional when it has no leading '-') and its
+# keywords (type, default, choices, required, help, action="store_true"), which
+# the reference parser of tests/oracles.py takes as they are.
 _INT = {"type": int, "required": True}
 _TEXT = {"required": True}
 _PRECISION = {"type": int, "default": 20}
@@ -737,84 +730,124 @@ _COMMANDS = {
     )),
 }
 
-# argparse's test for a separate value that starts with '-' yet is no option,
+# a separate value that starts with '-' and is no option, as a negative number;
 # compiled by re at its first use, off the start-up path
 _NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 class _Arg:
-    """One argument of the flat read: the attribute its value sets, the type
-    that converts its text (None for a store_true flag) and its choices."""
+    """One argument of the reader: its name, the attribute its value sets, the
+    type that converts its text (None for a store_true flag) and its choices."""
 
-    __slots__ = ("dest", "type", "choices")
+    __slots__ = ("name", "dest", "type", "choices")
 
     def __init__(self, name, keywords):
-        self.dest = name.lstrip("-").replace("-", "_")
+        self.name, self.dest = name, name.lstrip("-").replace("-", "_")
         self.type = None if keywords.get("action") == "store_true" else keywords.get("type", str)
         self.choices = keywords.get("choices")
 
 
+_HELP = _Arg("--help", {"action": "store_true"})  # -h and --help, at every level
+
+
 def _level(arguments):
-    """One parser's part of the flat read: its options by name, its positionals
-    in order, the defaults its namespace starts from and its required dests."""
+    """One parser's part of the read: its options by name, its positionals in
+    order, the defaults its namespace starts from and its required dests."""
     options, positionals, defaults, required = {}, [], {}, set()
     for name, keywords in arguments:
         arg = _Arg(name, keywords)
         defaults[arg.dest] = keywords.get("default", False if arg.type is None else None)
         if name[:1] != "-":
             positionals.append(arg)
-            required.add(arg.dest)
         else:
             options[name] = arg
-            if keywords.get("required"):
-                required.add(arg.dest)
+        if name[:1] != "-" or keywords.get("required"):
+            required.add(arg.dest)
     return options, positionals, defaults, required
 
 
+def _option(tok, options):
+    """A token read among a level's options: (argument, text after '=' or
+    None) where it names one (``_HELP`` too) or is a unique prefix of one,
+    (None, tok) for a value and (None, None) for no option here; ``--`` and a
+    prefix of two options raise ValueError."""
+    name, eq, text = tok.partition("=")
+    if tok == "--":
+        raise ValueError("'--' is not read: give a value that starts with '-' as --opt=value")
+    names = ("-h", "--help", *options)
+    matches = [name] if name in names else [n for n in names if tok[:2] == "--" and n.startswith(name)]
+    if len(matches) > 1:
+        raise ValueError(f"{name!r:.100} abbreviates each of {', '.join(matches)}")
+    if matches:
+        return options.get(matches[0], _HELP), text if eq else None
+    if tok[:1] != "-" or len(tok) == 1 or re.match(_NEGATIVE_NUMBER, tok) or " " in tok:
+        return None, tok
+    return None, None
+
+
+def _help(level) -> str:
+    """The help of a level of ``_COMMANDS``: () the top, (group,) a group, or a
+    leaf's key.  Written only when asked for, the same at any terminal width."""
+    below = dict.fromkeys(key[len(level)] for key in _COMMANDS if key[: len(level)] == level[:1])
+    words, rows = ["[-h]"], [("-h, --help", "show this help and exit")]
+    for name, keywords in _COMMANDS[level][1] if len(level) == 2 else () if level else _TOP:
+        meta = "{" + ",".join(keywords["choices"]) + "}" if "choices" in keywords else _Arg(name, {}).dest.upper()
+        word = name if name[:1] != "-" or "action" in keywords else f"{name} {meta}"
+        words.append(word if name[:1] != "-" or keywords.get("required") else f"[{word}]")
+        rows.append((word, keywords.get("help", "")))
+    lines = [" ".join(("usage: u3local", *level))]
+    indent = " " * len(lines[0])
+    for word in words + ["{" + ",".join(below) + "} ..."] * (len(level) < 2):
+        lines += [indent] * (len(lines[-1]) + len(word) >= 79)  # wrapped before column 80
+        lines[-1] += " " + word
+    lines += ["", (__doc__ or "").partition("\n\nReading argv")[0]] * (not level) + ["", "arguments:"]
+    width = max(len(word) for word, _ in rows)
+    return "\n".join(lines + [f"  {word:<{width}}  {text}".rstrip() for word, text in rows]) + "\n"
+
+
 class _Reader:
-    """The argv reader of ``_COMMANDS``.  ``parse_args`` reads plain argv in one
-    flat pass: exact option names with their values (``--opt value`` or
-    ``--opt=value``), the top options before the group, and the leaf's options
-    and positionals after group and command.  It declines everything else
-    (help, abbreviations, ``--`` and ``--opt=--``, a separate value that looks
-    like an option, unknown tokens, bad values, missing arguments), and
-    argparse's parser of the same table reads that argv, so every help text,
-    error message and exit code is argparse's own.  Where it does not decline,
-    its namespace is the one argparse's three nested parses would give."""
+    """The argv reader of ``_COMMANDS``: one pass reads argv as three nested
+    parsers of the table would, a unique prefix of an option included.
+    ``-h`` gives the help of the level it is read at; any argv they refuse,
+    ``--`` and ``--opt=--`` too, raises ValueError naming the token at fault."""
 
     def __init__(self):
         self.options, _, self.defaults, _ = _level(_TOP)
         self.leaves = {}
         for (group, cmd), (run, arguments) in _COMMANDS.items():
             options, positionals, defaults, required = _level(arguments)
-            # argparse merges the namespaces of group and leaf over the top's
+            # as in nested parsers, the leaf's names win over the group's and the top's
             base = {"group": group, "cmd": cmd, **defaults, "run": run}
             self.leaves[group, cmd] = (options, positionals, base, required)
 
     def parse_args(self, args=None):
+        """The namespace of argv, or the help text that its -h asks for."""
         argv = sys.argv[1:] if args is None else list(args)
-        ns = self.read(argv)
-        return _argparse_parser().parse_args(argv) if ns is None else ns
-
-    def read(self, argv):
-        """The namespace of plain argv, or None to leave argv to argparse."""
         values = dict(self.defaults)
         i = self._read_tokens(argv, 0, self.options, None, values, set())
-        leaf = self.leaves.get(tuple(argv[i : i + 2])) if i is not None else None
+        if i is None:
+            return _help(())
+        key = tuple(argv[i : i + 2])
+        leaf = self.leaves.get(key)
         if leaf is None:
-            return None
+            if key[:1] in {k[:1] for k in self.leaves} and _option(key[-1], {}) == (_HELP, None):
+                return _help(key[:1])
+            known = [" ".join(k) for k in self.leaves if k[:1] == key[:1]] or map(" ".join, self.leaves)
+            raise ValueError(f"{' '.join(('u3local', *key))!r:.100} names no command; choose from {', '.join(known)}")
         options, positionals, base, required = leaf
         values.update(base)
         seen = set()
         if self._read_tokens(argv, i + 2, options, positionals, values, seen) is None:
-            return None
-        return types.SimpleNamespace(**values) if required <= seen else None
+            return _help(key)
+        if not required <= seen:
+            missing = [arg.name for arg in (*positionals, *options.values()) if arg.dest in required - seen]
+            raise ValueError(f"{' '.join(key)} needs {', '.join(missing)}")
+        return types.SimpleNamespace(**values)
 
     def _read_tokens(self, argv, i, options, positionals, values, seen):
-        """Reads argv[i:] into values, adding the dest of each argument read to
-        seen.  With positionals None (the top) it stops at the first positional
-        token and returns its index; otherwise it fills the positionals in
-        order and returns len(argv).  None declines."""
+        """Reads argv[i:] into values and the dest of each argument read into
+        seen, up to the first positional where positionals is None (the top):
+        the index it stops at, or None where it reads -h."""
         pending = iter(positionals or ())
         while i < len(argv):
             tok = argv[i]
@@ -825,84 +858,45 @@ class _Reader:
                 arg, text = next(pending, None), tok
             elif tok in options:
                 arg, text = options[tok], None
-                if arg.type is not None:
-                    # argparse reads a separate token starting with '-' as an
-                    # option, unless it is a negative number
-                    if i == len(argv) or (argv[i][:1] == "-" and not re.match(_NEGATIVE_NUMBER, argv[i])):
-                        return None
-                    text = argv[i]
-                    i += 1
             else:
                 name, eq, text = tok.partition("=")
-                arg = options.get(name) if eq and text != "--" else None
-                if arg is not None and arg.type is None:
-                    return None  # a flag given a value
+                arg = options.get(name) if eq else None
+                if arg is None or arg.type is None or text == "--":  # a prefix, -h, a value, no option
+                    arg, text = _option(tok, options)
+                    if arg is not None and text is not None and (arg.type is None or text == "--"):
+                        raise ValueError(f"{arg.name} {'takes no' if arg.type is None else 'expects one'} value")
+                    if arg is _HELP:
+                        return None
+                    if arg is None and text is not None:  # a value that starts with '-': a positional
+                        if positionals is None:
+                            return i - 1
+                        arg = next(pending, None)
             if arg is None:
-                return None
-            try:
-                values[arg.dest] = True if text is None else self._value(arg, text)
-            except ValueError:
-                return None
+                raise ValueError(f"unrecognized argument {tok!r:.100}")
+            if text is None and arg.type is not None:  # the value is the next token
+                if i == len(argv) or argv[i][:1] == "-" and _option(argv[i], options) != (None, argv[i]):
+                    raise ValueError(f"{arg.name} expects one value")
+                text, i = argv[i], i + 1
+            values[arg.dest] = True if text is None else self._value(arg, text)
             seen.add(arg.dest)
-        return None if positionals is None else i
+        return i
 
     @staticmethod
     def _value(arg, text):
-        """text converted by the argument's type; ValueError if the type or
-        the choices refuse it."""
-        value = arg.type(text)
-        if arg.choices is not None and value not in arg.choices:
-            raise ValueError(f"{value!r} is not a choice")
-        return value
+        """text converted by the argument's type and checked against its choices;
+        an int of over 4300 characters has its digits counted before int() runs."""
+        if arg.type is int:
+            if len(text) > 4300:
+                _within_digit_limit([text], arg.name)
+            text = _integer(text, arg.name)
+        if arg.choices is not None and text not in arg.choices:
+            raise ValueError(f"{arg.name} {text!r:.100} is not one of {', '.join(arg.choices)}")
+        return text
 
 
 def build_parser():
-    """The flat argv reader of ``_COMMANDS``; ``main`` builds one per process."""
+    """The argv reader of ``_COMMANDS``; ``main`` builds one per process."""
     return _Reader()
-
-
-@functools.cache
-def _argparse_parser():
-    """argparse's parser of ``_COMMANDS``, for the argv the flat read declines:
-    imported and built at the first such argv, then kept for the process."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """argparse's parser, except that an int option whose text has more
-        than the interpreter's default 4300 digits is refused by name and digit
-        count before int() reads it (argparse's own error would echo the whole
-        token), and ``--opt=--`` by a ValueError, where argparse would pass
-        the option an empty list (3.10-3.12) or the string '--' (3.13)."""
-
-        def _get_values(self, action, arg_strings):
-            if action.option_strings and arg_strings == ["--"]:
-                raise ValueError(f"{action.option_strings[-1]} expects one value")
-            return super()._get_values(action, arg_strings)
-
-        def _get_value(self, action, arg_string):
-            if len(arg_string) > 4300 and action.type is int:
-                digits = sum(map(str.isdigit, arg_string))
-                if digits > 4300:
-                    name = "/".join(action.option_strings)
-                    self.exit(
-                        2,
-                        f"{self.prog}: error: argument {name}: invalid int value of "
-                        f"{digits} digits, more than 4300\n",
-                    )
-            return super()._get_value(action, arg_string)
-
-    top = Parser(prog="u3local", description=__doc__ and __doc__.partition("\n\nReading argv")[0])
-    for name, keywords in _TOP:
-        top.add_argument(name, **keywords)
-    groups, commands = top.add_subparsers(dest="group", required=True, parser_class=Parser), {}
-    for (group, cmd), (run, arguments) in _COMMANDS.items():
-        if group not in commands:
-            commands[group] = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
-        leaf = commands[group].add_parser(cmd)
-        for name, keywords in arguments:
-            leaf.add_argument(name, **keywords)
-        leaf.set_defaults(run=run)
-    return top
 
 
 _parser = None  # (builder, reader): built by the first call to main, not at import
@@ -924,6 +918,9 @@ def main(argv=None) -> int:
         args = _parser[1].parse_args(argv)
         if _ARGV_DIGITS:
             sys.set_int_max_str_digits(0)
+        if isinstance(args, str):  # the help that -h asked for
+            sys.stdout.write(args)
+            return 0
         t0 = time.monotonic()
         report = args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -6,16 +6,22 @@ cofactor expansion instead of Hessenberg reduction or Bareiss elimination,
 adjugates instead of Gauss-Jordan inverses, determinant interpolation
 instead of the reversed characteristic polynomial, literal subspace enumeration
 instead of product formulas, explicit neighbour walks instead of operator
-algebra.  Slow is fine; these run on tiny inputs.
+algebra, and argparse's parser of the command table instead of the CLI's own
+argv reader.  Slow is fine; these run on tiny inputs.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import enum
+import functools
+import io
 import itertools
 from fractions import Fraction
 from math import gcd
 
+from u3local import cli
 from u3local.cosets import GammaChain
 from u3local.linalg import Matrix, lattice_basis, lattice_saturation
 from u3local.lparam import jordan_partition
@@ -910,3 +916,35 @@ def jsonable(x):
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     raise TypeError(f"no report encoding for {type(x).__name__}")
+
+
+# --- reading argv ----------------------------------------------------------------
+
+
+@functools.cache
+def argparse_parser() -> argparse.ArgumentParser:
+    """argparse's own parser of the CLI's command table, ``cli._TOP`` and
+    ``cli._COMMANDS``, built with no overrides: one subparser per group and one
+    per command below it, each keyword passed to ``add_argument`` as written."""
+    top = argparse.ArgumentParser(prog="u3local")
+    for name, keywords in cli._TOP:
+        top.add_argument(name, **keywords)
+    groups, commands = top.add_subparsers(dest="group", required=True), {}
+    for (group, cmd), (run, arguments) in cli._COMMANDS.items():
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
+        leaf = commands[group].add_parser(cmd)
+        for name, keywords in arguments:
+            leaf.add_argument(name, **keywords)
+        leaf.set_defaults(run=run)
+    return top
+
+
+def argparse_reading(argv):
+    """argparse's reading of argv: vars() of its namespace, "help" where it
+    prints a help text and exits 0, or None where it exits 2."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(argparse_parser().parse_args(list(argv)))
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else None

@@ -6,6 +6,9 @@ import io
 import json
 import os
 import random
+import re
+import shlex
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -19,6 +22,7 @@ from u3local.cosets import complete_biregular, parallel_multigraph
 from u3local.poly import Poly
 from u3local.satake import PrincipalSeries
 
+from . import oracles
 from .oracles import jsonable
 
 
@@ -588,14 +592,14 @@ class TestBudgetRefusals:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'xxx" in err and len(err) < 200
 
-    def test_long_int_option_is_an_argparse_error(self, capsys, deadline):
+    @pytest.mark.parametrize("option", ["--seed", "--se"])
+    def test_long_int_option_is_an_error(self, capsys, deadline, option):
         assert main(["moduli", "pgl2", "--l", "2"]) == 0  # lifts the limit past the read
-        with deadline(5), pytest.raises(SystemExit) as exc:
-            main(["--seed", _MILLION_DIGITS, "moduli", "pgl2", "--l", "2"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --seed: invalid int value" in err
-        assert "1000000 digits" in err and len(err) < 200
+        capsys.readouterr()
+        with deadline(5):
+            code = main([option, _MILLION_DIGITS, "moduli", "pgl2", "--l", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed has more than 4300 digits\n"
 
     def test_leading_zeros_are_not_digits(self, capsys):
         # l^(5000 zeros)2 is l^2, as int() reads it
@@ -896,9 +900,9 @@ _ALPHA = st.one_of(
     ],
 )
 def test_option_given_as_double_dash_is_an_error(argv, option):
-    # argparse passes `--opt=--` on as an empty list or as '--', by version,
-    # and an int option's '--' fails int(); the value is refused by name on
-    # every version, after an abbreviation that leaves the argv to argparse too
+    # argparse would pass `--opt=--` on as an empty list or as '--', by
+    # version; the reader refuses it by the option's full name, also after an
+    # abbreviation and for an int option
     code, err = _run_quietly(argv)
     assert code == 2
     assert err == f"error: {option} expects one value\n"
@@ -1661,6 +1665,14 @@ class TestReportContract:
         assert code == 0
         assert "PASS" in out and "overall: PASS" in out
 
+    def test_table_format_reports_timing(self, capsys):
+        code, out = run(
+            capsys, "--timing", "--format", "table", "satake", "eig", "--alpha", "4", "--l", "2"
+        )
+        assert code == 0
+        *_, timing, overall = out.splitlines()
+        assert re.fullmatch(r"timing_ms: \d+", timing) and overall == "overall: PASS"
+
     # a Fraction and an enum (classify), Polys (series, decompose), and nested
     # dicts with a null (components); recorded from the implementation that
     # wrote each result by json.dumps of its converted copy
@@ -1698,89 +1710,97 @@ class TestReportContract:
 class TestParserReuse:
     SEQUENCE = [
         ["satake", "eig", "--alpha", "4", "--l", "2"],
-        ["satake", "eig", "--alpha", "4"],  # --l missing: an argparse error
+        ["satake", "eig", "--alpha", "4"],  # --l missing: an error
         ["--budget", "100", "tree", "verify", "--l", "2", "--radius", "4"],
         ["tree", "verify", "--l", "2", "--radius", "4"],
-        ["satake", "eig", "--alp=4", "--l", "2"],  # argparse, by abbreviation
+        ["satake", "eig", "--alp=4", "--l", "2"],  # an abbreviation
     ]
 
     @staticmethod
     def outcome(capsys, argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = ("exit", exc.code)
+        code = main(list(argv))
         return code, capsys.readouterr().out
 
     def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
         fresh = []
         for argv in self.SEQUENCE:
             monkeypatch.setattr(cli, "_parser", None)
-            cli._argparse_parser.cache_clear()
             fresh.append(self.outcome(capsys, argv))
         monkeypatch.setattr(cli, "_parser", None)
-        cli._argparse_parser.cache_clear()
-        built, argparse_built = [], []
+        built = []
         original = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
-        reused = []
-        for argv in self.SEQUENCE:
-            reused.append(self.outcome(capsys, argv))
-            argparse_built.append(cli._argparse_parser.cache_info().misses)
+        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
         assert len(built) == 1
-        # argparse is built at the first argv the flat read declines, then reused
-        assert argparse_built == [0, 1, 1, 1, 1]
         assert reused == fresh
-        assert [code for code, _ in reused] == [0, ("exit", 2), 2, 0, 0]
+        assert [code for code, _ in reused] == [0, 2, 2, 0, 0]
         # the fourth call gets the default budget back, not 100
         assert json.loads(reused[3][1])["results"]["vertices"] > 100
 
 
-def _argparse_vars(argv):
-    """vars() of argparse's own read of argv, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(cli._argparse_parser().parse_args(list(argv)))
-        except SystemExit:
-            return None
+def _reads_as_argparse(reader, argv):
+    """The reader's outcome on argv is argparse's (``oracles.argparse_reading``):
+    the same namespace where argparse reads argv, and ValueError where argparse
+    exits 2 or argv holds '--' or '--opt=--', which argparse may read.  Where
+    either prints a help text the other may refuse argv instead: the reader
+    refuses the tokens before -h and reads none after it, where argparse reads
+    every token of the level first."""
+    expected = oracles.argparse_reading(argv)
+    try:
+        got = reader.parse_args(list(argv))
+    except ValueError:
+        return expected in (None, "help") or any(a == "--" or a.endswith("=--") for a in argv)
+    return isinstance(got, str) or expected == vars(got)
 
 
-def _flat_agrees(reader, argv):
-    """The flat read of argv declines, or gives argparse's namespace; where
-    argparse exits, it must have declined."""
-    flat = reader.read(list(argv))
-    return flat is None or vars(flat) == _argparse_vars(argv)
-
-
-# (argv, whether the flat read takes it)
-_FLAT_ROWS = [
-    (["satake", "eig", "--alpha", "4", "--l", "2"], True),
-    (["satake", "eig", "--alpha", "-2", "--l", "2"], True),
-    (["satake", "eig", "--alpha", "-x", "--l", "2"], False),
-    (["satake", "eig", "--alpha=-x", "--l", "2"], True),
-    (["satake", "eig", "--alpha=--", "--l", "2"], False),
-    (["satake", "eig", "--alpha", "--", "--l", "2"], False),
-    (["satake", "eig", "--alp=4", "--l", "2"], False),
-    (["-h"], False),
-    (["satake", "eig", "-h"], False),
-    (["--format=xml", "satake", "eig", "--alpha", "4", "--l", "2"], False),
-    (["--format", "table", "satake", "eig", "--alpha", "4", "--l", "2"], True),
-    (["graph", "levelraise", "g", "--prime", "3", "--aux=maybe"], False),
-    (["graph", "levelraise", "g", "--prime", "3", "--aux=none", "--aux-limit", "-1"], True),
-    (["satake", "eig", "--alpha", "4", "--l", "x"], False),
-    (["--timing=1", "satake", "eig", "--alpha", "4", "--l", "2"], False),
-    (["--timing", "satake", "eig", "--alpha", "4", "--l", "2"], True),
-    (["satake", "eig", "--alpha", "4"], False),
-    (["satake", "eig", "--alpha", "4", "--l", "2", "--budget", "5"], False),
-    (["--budget", "5", "--budget=-6", "satake", "eig", "--alpha", "4", "--l", "2"], True),
-    (["satake", "eig", "--alpha", "4", "--l", "2", "--l", "3"], True),
-    (["graph", "analyze", "--prime", "3", "g"], True),
-    (["graph", "analyze", "g", "h"], False),
-    (["graph", "analyze", "--prime", "3"], False),
-    (["satake", "nope", "--alpha", "4", "--l", "2"], False),
-    (["satake"], False),
-    ([], False),
-    (["moduli", "components", "--diag", "l,1", "--l", "2", "--group", "pgl3"], True),
+# (argv, what the reader gives: a namespace, a help text or an error)
+_READ_ROWS = [
+    (["satake", "eig", "--alpha", "4", "--l", "2"], "namespace"),
+    (["satake", "eig", "--alpha", "-2", "--l", "2"], "namespace"),
+    (["satake", "eig", "--alpha", "-x", "--l", "2"], "error"),
+    (["satake", "eig", "--alpha=-x", "--l", "2"], "namespace"),
+    (["satake", "eig", "--alpha=--", "--l", "2"], "error"),
+    (["satake", "eig", "--alpha", "--", "--l", "2"], "error"),
+    (["satake", "eig", "--alp=4", "--l", "2"], "namespace"),
+    (["-h"], "help"),
+    (["satake", "eig", "-h"], "help"),
+    (["--format=xml", "satake", "eig", "--alpha", "4", "--l", "2"], "error"),
+    (["--format", "table", "satake", "eig", "--alpha", "4", "--l", "2"], "namespace"),
+    (["graph", "levelraise", "g", "--prime", "3", "--aux=maybe"], "error"),
+    (["graph", "levelraise", "g", "--prime", "3", "--aux=none", "--aux-limit", "-1"], "namespace"),
+    (["satake", "eig", "--alpha", "4", "--l", "x"], "error"),
+    (["--timing=1", "satake", "eig", "--alpha", "4", "--l", "2"], "error"),
+    (["--timing", "satake", "eig", "--alpha", "4", "--l", "2"], "namespace"),
+    (["satake", "eig", "--alpha", "4"], "error"),
+    (["satake", "eig", "--alpha", "4", "--l", "2", "--budget", "5"], "error"),
+    (["--budget", "5", "--budget=-6", "satake", "eig", "--alpha", "4", "--l", "2"], "namespace"),
+    (["satake", "eig", "--alpha", "4", "--l", "2", "--l", "3"], "namespace"),
+    (["graph", "analyze", "--prime", "3", "g"], "namespace"),
+    (["graph", "analyze", "g", "h"], "error"),
+    (["graph", "analyze", "--prime", "3"], "error"),
+    (["satake", "nope", "--alpha", "4", "--l", "2"], "error"),
+    (["satake"], "error"),
+    ([], "error"),
+    (["moduli", "components", "--diag", "l,1", "--l", "2", "--group", "pgl3"], "namespace"),
+    # unique prefixes, at the top and at a leaf, of a flag and of --help
+    (["--tim", "--bud=5", "satake", "eig", "--alp", "4", "--l=2"], "namespace"),
+    (["slope", "factor", "--poly", "1,1", "--p", "3", "--h", "0", "--pr", "5"], "namespace"),
+    (["satake", "eig", "--he"], "help"),
+    (["analytic", "weight", "--p", "3", "--level", "1", "--chi", "2"], "error"),
+    (["graph", "levelraise", "g", "--a", "none", "--prime", "3"], "error"),
+    # -h at a group; a token no argument takes before -h, and a prefix of two
+    # options after it, where argparse refuses both argv and prints no help
+    (["satake", "-h"], "help"),
+    (["satake", "--he"], "help"),
+    (["satake", "--bogus", "eig", "-h"], "error"),
+    (["satake", "eig", "--bogus", "-h"], "error"),
+    (["graph", "levelraise", "g", "-h", "--a"], "help"),
+    (["--help=1"], "error"),
+    # separate values that start with '-' and that argparse reads as values
+    (["moduli", "components", "--diag", "1", "--l", "2", "--group", "-"], "namespace"),
+    (["moduli", "components", "--diag", "1", "--l", "2", "--group", "-x y"], "namespace"),
+    (["graph", "analyze", "-"], "namespace"),
+    (["satake", "eig", "--alpha", "-.5", "--l", "2"], "namespace"),
 ]
 
 
@@ -1822,25 +1842,28 @@ def _flat_argv(draw):
 
 
 class TestFlatRead:
-    """The reader reads plain argv in one flat pass and leaves the rest to
-    argparse; wherever it reads, its namespace is argparse's."""
+    """The reader reads argv in one flat pass; its namespace, help or error is
+    argparse's outcome on the same argv."""
 
-    @pytest.mark.parametrize("argv, taken", _FLAT_ROWS, ids=[" ".join(a) for a, _ in _FLAT_ROWS])
-    def test_row(self, argv, taken):
+    @pytest.mark.parametrize("argv, outcome", _READ_ROWS, ids=[" ".join(a) for a, _ in _READ_ROWS])
+    def test_row(self, argv, outcome):
         reader = cli.build_parser()
-        assert (reader.read(argv) is not None) == taken
-        assert _flat_agrees(reader, argv)
+        try:
+            got = "help" if isinstance(reader.parse_args(argv), str) else "namespace"
+        except ValueError:
+            got = "error"
+        assert got == outcome
+        assert _reads_as_argparse(reader, argv)
 
     @pytest.mark.parametrize("argv", [a for a, _, _ in _LOCAL_DIGESTS],
                              ids=[str(i) for i in range(len(_LOCAL_DIGESTS))])
     def test_local_digest_argv_is_read_flat(self, argv):
-        flat = cli.build_parser().read(argv)
-        assert flat is not None and vars(flat) == _argparse_vars(argv)
+        assert vars(cli.build_parser().parse_args(argv)) == oracles.argparse_reading(argv)
 
     @settings(max_examples=300, deadline=None)
     @given(_flat_argv())
-    def test_flat_read_declines_or_agrees(self, argv):
-        assert _flat_agrees(cli.build_parser(), argv)
+    def test_flat_read_agrees_with_argparse(self, argv):
+        assert _reads_as_argparse(cli.build_parser(), argv)
 
     @staticmethod
     def args(reader):
@@ -1852,19 +1875,19 @@ class TestFlatRead:
     def test_a_reader_that_skips_the_type_call_is_caught(self, monkeypatch):
         reader = cli.build_parser()
         monkeypatch.setattr(reader, "_value", lambda arg, text: text)
-        assert not all(_flat_agrees(reader, argv) for argv, _ in _FLAT_ROWS)
+        assert not all(_reads_as_argparse(reader, argv) for argv, _ in _READ_ROWS)
 
     def test_a_reader_that_skips_the_choices_check_is_caught(self):
         reader = cli.build_parser()
         for arg in self.args(reader):
             arg.choices = None
-        assert not all(_flat_agrees(reader, argv) for argv, _ in _FLAT_ROWS)
+        assert not all(_reads_as_argparse(reader, argv) for argv, _ in _READ_ROWS)
 
     def test_a_reader_that_skips_the_required_check_is_caught(self):
         reader = cli.build_parser()
         for _, _, _, required in reader.leaves.values():
             required.clear()
-        assert not all(_flat_agrees(reader, argv) for argv, _ in _FLAT_ROWS)
+        assert not all(_reads_as_argparse(reader, argv) for argv, _ in _READ_ROWS)
 
     def test_a_wrapped_parse_args_sees_one_call_per_main(self, capsys, monkeypatch):
         # the way a tracer times the read: a wrapper on the built reader's method
@@ -1880,111 +1903,133 @@ class TestFlatRead:
         monkeypatch.setattr(cli, "build_parser", build)
         monkeypatch.setattr(cli, "_parser", None)
         argvs = [
-            ["satake", "eig", "--alpha", "4", "--l", "2"],  # read flat
-            ["satake", "eig", "--alp=4", "--l", "2"],  # argparse, by abbreviation
-            ["satake", "eig", "--alpha", "4"],  # argparse's error
+            ["satake", "eig", "--alpha", "4", "--l", "2"],
+            ["satake", "eig", "--alp=4", "--l", "2"],  # an abbreviation
+            ["satake", "eig", "--alpha", "4"],  # an error
+            ["satake", "eig", "-h"],  # a help text
         ]
         for n, argv in enumerate(argvs, 1):
-            with contextlib.suppress(SystemExit):
-                main(argv)
+            assert main(argv) == (2 if n == 3 else 0)
             assert len(calls) == n
         capsys.readouterr()
 
 
-# -h at the top, at each group and at each leaf, and the _FLAT_ROWS argv that
-# argparse rejects: the sha256 of "exit code\0stdout\0stderr" of main(argv) with
-# COLUMNS=80, recorded with Python 3.10.13 and 3.11.7 (the same on both) from
-# the CLI that built its argparse parser at the first call to main, so that
-# each help text and error stays argparse's own
-_ARGPARSE_PINS = [
+# -h at the top, at each group and at each leaf, and the _READ_ROWS argv that
+# argparse rejects: the sha256 of "exit code\0stdout\0stderr" of main(argv),
+# recorded from the reader that writes its own help and errors
+_HELP_AND_ERROR_PINS = [
     (["-h"],
-     "5d54f444741a173790c6a8fdde4f1c7c7b6d527caccd5a73500cecb73248b35c"),
+     "5c3fc7fb975cbebdf33b366a2197ab69bd722925e1a7cdf75df0f2b47077562d"),
     (["tree", "-h"],
-     "3289fe56a15834ba11d0931ac955c8221c72110ee956958244e11debe03bd439"),
+     "9c1822cf56e82d63ea6300a8e1b1c0929cee9a9b8b0000aa2e3827153b53b9fa"),
     (["graph", "-h"],
-     "c4a8f9e5f4b9d4e64bd1ea5f6f74f3f463665f522fb7613b14b5e075fbccb343"),
+     "8712d11b0d085eabf8280973e552ec6187753f895957b49235a110178582276f"),
     (["satake", "-h"],
-     "18a54af3c44a5e96e9726eff028c3e4361bf0519a26209f8cf3e3c210dfa89cf"),
+     "efaf7505edf078e0a052a2d4185a39d213c538fbb9924e6697c73fd2d5509b99"),
     (["moduli", "-h"],
-     "5652d309d65956b6f1991b88f6146595e644c6d2acfd3b6d751b37e3b0f25872"),
+     "be0db57b8315c07b9dee0bbb88ce4b6f06f7155c977c8b71311f89d860ebdd88"),
     (["slope", "-h"],
-     "e86de5c4164318bd76372818266a76e53ab00fc11c5c95a5e1cfac15126bf148"),
+     "1588f93d12bbbbc87022335c928eea52326d703b4e9e3a485825ca0984420e93"),
     (["analytic", "-h"],
-     "b806ef557db0eb86cb4681af51053bcd73f8d1927ae280cbf81b13e810a4a54d"),
+     "b5b8428cdfc55be8b1980b50dce55960e2e370f72fdd0d216fbec9d285d5cc0c"),
     (["tree", "verify", "-h"],
-     "91b801d6520442848cd87b8934bd090f9afbf89aa95ef6c17a45b9e4959430f2"),
+     "c8357ef40f21d012619b3dc44e031f4306342aa57a36694cd2f23af38f2f1e3d"),
     (["graph", "analyze", "-h"],
-     "8d1e7b74ac7f47b5792554ef173db3ea10c2bb034f410c733492efd3e5394f74"),
+     "3f1b0bf3526e912c9ef8722ed3a7aa53622575a2e7c7bfd859e1ee66627f4706"),
     (["graph", "congruence", "-h"],
-     "bde0acb4fea228a7d4d15c8b562a249795376e9451225c5f988ebe17d3343782"),
+     "d4efb467a2f7c6873c37a96d319e5a58ee8ba4ce889871fd8271c4d326292c79"),
     (["graph", "levelraise", "-h"],
-     "ed98a49639859fda16276d867d9af23561e40ae20d78dbcfcbd276409ea2e57d"),
+     "6bfe901c175a5c562d6bd067cba7b05f8005cf9ab4ab9d5bddd394a34b692150"),
     (["satake", "classify", "-h"],
-     "9ad8437ea1a1eee2595914a1d5ae6484e299d3de4d98d1dcc9b9d4123cd37201"),
+     "7c6ffdf581fba7bfd1de19a1e51a06b313143ac54646677db5d49c401d4a7155"),
     (["satake", "eig", "-h"],
-     "1639c3bbf6e239c01104d5451c56e9493d0a420de55131b26ce17a7ea32b0126"),
+     "24681869f22558b92448dfe30165a86494ba0f200d556a0c6ff83218e9a35b81"),
     (["satake", "ve-check", "-h"],
-     "1d80a5a8ca9634cf9dc5d536b5a4f2033ecf00b33372d1158cd74d96b495b681"),
+     "6ac42369c63af8cfa004256001f9a73d2c44d8812fbc4151720b505b7613323f"),
     (["moduli", "components", "-h"],
-     "7cc8188408c0663186cd3ea684bb0f02c71a58cb4677b8aa468ed2998a079971"),
+     "35d3b1bd9effaac30f1661cf32f27fcc1acb6a4c98660a9394cf39d6531b0fc8"),
     (["moduli", "witness", "-h"],
-     "5d3aede37e925264446a0ffd1729d798175f54a58b9d90c40bbcddc89df1e35b"),
+     "6ea51c5c6d51d1445f5abf96cd04992572cecc1e8eb7efda3e89539864001cba"),
     (["moduli", "pgl2", "-h"],
-     "9dd0b41d1043d65b9cc8c8aab1836e11750b39bf5a6e5efbbc92f4e470b2a694"),
+     "511aef3b35e967003bc8791b216c4dfbf40e5aafb3fa31ed28116ff7fe8afb40"),
     (["slope", "series", "-h"],
-     "105d48af661c7dbe56dbcffdc8b19c6000fe803005e2c073639a3ac6a66a2d0d"),
+     "6ea995b872f526db37276e89e309b487322b4337aa307fff3bfeedeaf9b3cbae"),
     (["slope", "polygon", "-h"],
-     "df771a20296c27bdf4b290741c2c64b75957da51a9c1317541a9ed64d2b96e31"),
+     "1bad50adf2c3c11895987924003733caed0aa5c71a251d898e17b5cf5bd00849"),
     (["slope", "factor", "-h"],
-     "ab99fecdbb454dba0c2fd45780d2717f4207e8302bba1930a4d4a6fdd8f9d609"),
+     "3e1b80f3e6360017eaaebc85faa3926779179a58a9cec9d758d8cd31231268a0"),
     (["slope", "decompose", "-h"],
-     "30cbe9f4ea7b65ca58419bebedd8d7936032d6528981b40e0acb7a2188d4c927"),
+     "6aefb3fed73960577da60d54ab191631f530ce5bda9c1af364faf5f9c155809a"),
     (["analytic", "ihara", "-h"],
-     "e0f2355ac98a45e776f212b225ae50bd24fa06161a2794c1d06d281a685e89e6"),
+     "fc66445e747bd2dd51debaf0bb60508378859f051aa3aece8ba0f6f8d6b9718a"),
     (["analytic", "weight", "-h"],
-     "046f9d351113602a68ad71f3e4a6e74b04666fac52a7a7466f0d437779b64c33"),
+     "29268080461c3335b9b9f1397c7993c76895ee9e8934fdfdb5f8aea233442e0c"),
     (["satake", "eig", "--alpha", "-x", "--l", "2"],
-     "11d2dd8e12b45d595e0624a0e2b1592c5887fdf1dece9086ce664be9a7764c7e"),
+     "8ae8178585d6a3db12055a61728e43044be95c0d57aab46b4fee643320419fa9"),
     (["satake", "eig", "--alpha", "--", "--l", "2"],
-     "11d2dd8e12b45d595e0624a0e2b1592c5887fdf1dece9086ce664be9a7764c7e"),
+     "26acf899ed19bb05403c1848a14a6eef243838631558bb315a1633979f37ae28"),
     (["--format=xml", "satake", "eig", "--alpha", "4", "--l", "2"],
-     "8a090d446cb8802181cafaf52d71d79a3f13ae844c272114877b694c17f69534"),
+     "ee2163cbe8e8238430fc6fd5c146ad951d5cf339d9741a7e3ebfd5dcdc5810e0"),
     (["graph", "levelraise", "g", "--prime", "3", "--aux=maybe"],
-     "a7e8fd96462b2d0915a5db8e6b3babac524599e4ea76e6e804e8b3307259fcfd"),
+     "2c8010c4168ccbee1d69875044434b5193cbd058051c600cb4cef0e619c81e80"),
     (["satake", "eig", "--alpha", "4", "--l", "x"],
-     "ac3ff6989b4df65b7f5830f19051cfbc9c736acde1987fde84184e3b6e7fd01c"),
+     "e2efde90d01d7a7419810f7db22ff6cc1135b94081c53bcedebbf8ed08d8d087"),
     (["--timing=1", "satake", "eig", "--alpha", "4", "--l", "2"],
-     "a78db7d405584550b2f4a3855907a70b61d0f2e2aa6ccb756897ed7a00acd615"),
+     "6632cdabe7daad8061a1a493253d8cccc6c152fbf2a7177a3a817b294f3c5571"),
     (["satake", "eig", "--alpha", "4"],
-     "14e229b1f620f5a503e9b4387c906ee89a43a340250fabe4b8e9f94851a197e5"),
+     "4c04d06d64f4d6e1211ada1d7d8d510f8929fd3debd6a582565a34abdfc04314"),
     (["satake", "eig", "--alpha", "4", "--l", "2", "--budget", "5"],
-     "69606b520c0efe9a52fecb6381b79d901a60cc7e93172d764e85f35ba09849d9"),
+     "7aea3d404d6f421590e564a2791d3171f2c7b78f69d95b8c4f2f24e70f8350bb"),
     (["graph", "analyze", "g", "h"],
-     "161726040a225116014e5fc37c0b775d16d0ae774223f959cefcfb1c8e6310bd"),
+     "2b8c619a0de526dfad3ec97df5ad8824766342716f1a1e3b8ae2ce19d19bff80"),
     (["graph", "analyze", "--prime", "3"],
-     "650960bb6be273ad55f9a6477bb13817e0478d4bc72062abf6e5bd4a6646d650"),
+     "d740326a54b5916298228d272fa3b1314ef7a3f56159868a0d5374d1f1f260d3"),
     (["satake", "nope", "--alpha", "4", "--l", "2"],
-     "d9af822b074d95f8454f0c73b59852299cffe7c6578905f79d21dd12b54c52c1"),
+     "3f144d7a66d913279dbdf3cb2b58e7ab9d27c3dd9a3e9998a9aa06e819a87037"),
     (["satake"],
-     "ef3be125dae1093cd158f48df941e70ece9cb4e158ef18bd9000b66f90e81001"),
+     "fe4e911f113a0b45c6a7027ed2855fba42e0f0a9c78f4b0db57c3b1a04475163"),
     ([],
-     "b3870bcc4d8ac670c913df536090bc0ac043f55f056b5de2430c63dfeffcf6bd"),
+     "77a80659f85d51a703711152ffffbb242b18de538b782dab3bdf09c2a4cdf17a"),
 ]
-_ARGPARSE_PINNED_ON = {(3, 10), (3, 11)}
 
 
-@pytest.mark.skipif(sys.version_info[:2] not in _ARGPARSE_PINNED_ON,
-                    reason="help and errors pinned for Python 3.10 and 3.11")
-@pytest.mark.parametrize("argv, sha256", _ARGPARSE_PINS,
-                         ids=[" ".join(a) or "(none)" for a, _ in _ARGPARSE_PINS])
-def test_help_and_errors_are_argparse_own(capsys, monkeypatch, argv, sha256):
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+@pytest.mark.parametrize("argv, sha256", _HELP_AND_ERROR_PINS,
+                         ids=[" ".join(a) or "(none)" for a, _ in _HELP_AND_ERROR_PINS])
+def test_help_and_errors_are_pinned(capsys, argv, sha256):
+    code = main(list(argv))
     out, err = capsys.readouterr()
     assert hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["graph", "levelraise", "-h"]], ids=["top", "leaf"])
+def test_help_ignores_the_terminal_width(capsys, monkeypatch, argv):
+    outs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("usage: u3local")
+
+
+_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_commands_are_leaves_that_run(capsys, tmp_path, monkeypatch):
+    # the README's shell blocks: every u3local line names a leaf of the table
+    # and ends in a verdict on the k39.graph that its generator line writes
+    with open(_README) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("u3local ")]
+    argvs = [shlex.split(line)[1:] for line in lines]
+    assert {tuple(argv[:2]) for argv in argvs} == set(cli._COMMANDS)
+    generator = next(block for block in blocks if "> k39.graph" in block)
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    subprocess.run(["sh", "-c", generator.replace("python3 ", shlex.quote(sys.executable) + " ", 1)],
+                   cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    monkeypatch.chdir(tmp_path)
+    for line, argv in zip(lines, argvs):
+        assert main(argv) in (0, 1), line
+        capsys.readouterr()
 
 
 @settings(max_examples=300, deadline=None)

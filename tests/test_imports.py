@@ -16,8 +16,10 @@ constructors that only the tests build graphs with.
 Every CLI command pays for the start-up of ``u3local.cli``, so the package does
 not use ``dataclasses`` (with ``inspect`` and ``ast`` it costs about half of
 that start-up), ``hashlib`` is imported by the one function that takes a
-digest, and neither the import nor a command that reads its argv flat and
-writes an ASCII report loads ``argparse``, ``gettext`` or ``json``.
+digest, and neither the import nor a command that writes an ASCII report
+loads ``json``.  No module imports ``argparse`` or ``gettext``: the CLI reads
+argv and writes its help and errors itself, so neither is loaded by any
+command or by ``-h``.
 """
 
 import ast
@@ -115,15 +117,20 @@ def _run_loaded(code: str, *args: str) -> tuple[list[str], set[str]]:
     return lines, set(loaded.split())
 
 
-# argparse (with gettext) only reads the argv that the flat read declines, and
 # json only encodes text that is not ASCII
-ARGV_ONLY = {"argparse", "gettext", "json"}
+ARGV_ONLY = {"json"}
+NEVER_LOADED = {"argparse", "gettext"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_argparse(path):
+    assert _imported_modules(path.read_text()) & NEVER_LOADED == set()
 
 
 def test_cli_start_up_stays_light():
     _, loaded = _run_loaded("import u3local.cli")
     assert "u3local.cli" in loaded
-    assert loaded & ({"dataclasses", "inspect", "hashlib", "_hashlib"} | ARGV_ONLY) == set()
+    assert loaded & ({"dataclasses", "inspect", "hashlib", "_hashlib"} | ARGV_ONLY | NEVER_LOADED) == set()
 
 
 @pytest.mark.parametrize(
@@ -147,17 +154,16 @@ def test_a_command_loads_neither_argparse_nor_json(tmp_path, argv):
     code = "import u3local.cli\nprint(u3local.cli.main(sys.argv[2:]))"
     lines, loaded = _run_loaded(code, *argv)
     assert lines[-1] in ("0", "1")  # a verdict
-    assert loaded & ARGV_ONLY == set()
+    assert loaded & (ARGV_ONLY | NEVER_LOADED) == set()
 
 
-def test_help_loads_argparse():
-    code = (
-        "import u3local.cli\n"
-        "try:\n    u3local.cli.main(['-h'])\nexcept SystemExit as exc:\n    print(exc.code)"
-    )
-    lines, loaded = _run_loaded(code)
+@pytest.mark.parametrize("argv", [["-h"], ["slope", "--help"], ["slope", "factor", "-h"]],
+                         ids=["top", "group", "leaf"])
+def test_help_loads_no_argparse(argv):
+    code = "import u3local.cli\nprint(u3local.cli.main(sys.argv[2:]))"
+    lines, loaded = _run_loaded(code, *argv)
     assert lines[0].startswith("usage: u3local") and lines[-1] == "0"
-    assert "argparse" in loaded
+    assert loaded & NEVER_LOADED == set()
 
 
 # graph constructors that only the tests call
