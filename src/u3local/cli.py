@@ -23,9 +23,13 @@ import types
 from collections import Counter
 from fractions import Fraction
 
-from . import analytic, cosets, lparam, satake, slope, tree
+# Of the layers only cosets and linalg, half of the layers' source, load with
+# cli; every other command imports its own layer.  In a process that runs
+# command after command from a fresh checkout without writing bytecode
+# (python -B), these two would otherwise be compiled inside its first graph
+# command: some 13 ms, eight times the command's own time.
+from . import cosets
 from .linalg import QQ, Matrix
-from .poly import Poly
 from .scalars import require_prime, within_budget
 
 
@@ -109,10 +113,12 @@ def _json_text(x, newline: str | None) -> str:
         return _json_string(_rational_text(x))
     elif isinstance(x, enum.Enum):
         return _json_text(x.value, newline)
-    elif isinstance(x, Poly):
-        items, ends = [_json_string(_rational_text(c)) for c in x.coeffs], "[]"
     else:
-        raise TypeError(f"no report encoding for {type(x).__name__}")
+        from .poly import Poly  # off the start-up path: only slope reports hold one
+
+        if not isinstance(x, Poly):
+            raise TypeError(f"no report encoding for {type(x).__name__}")
+        items, ends = [_json_string(_rational_text(c)) for c in x.coeffs], "[]"
     if not items:
         return ends
     if newline is None:
@@ -156,8 +162,9 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-# a decimal exponent as Fraction reads one: the last thing in the token
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# a decimal exponent as Fraction reads one: the last thing in the token; compiled
+# by re at its first use, off the start-up path
+_EXPONENT = r"(?i)e([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
 def _within_digit_limit(tokens, what: str):
@@ -172,7 +179,7 @@ def _within_digit_limit(tokens, what: str):
 def _exponent_bits(tokens) -> int:
     """Bits of the powers of ten the decimal exponents of ``tokens`` ask for:
     |e|·bit_length(10) per token, the estimate of the l^e tokens of --diag."""
-    exps = [m[1] for m in map(_EXPONENT.search, tokens) if m]
+    exps = [m[1] for m in (re.search(_EXPONENT, tok) for tok in tokens) if m]
     _within_digit_limit(exps, "a decimal exponent")
     return sum(abs(int(e)) for e in exps) * (10).bit_length()
 
@@ -180,7 +187,7 @@ def _exponent_bits(tokens) -> int:
 def _digit_bits(tokens) -> int:
     """Bits of the numbers the digits of ``tokens`` spell, exponents aside:
     bit_length(10) per digit, since k digits are below 16^k."""
-    return sum(sum(map(str.isdigit, _EXPONENT.sub("", tok))) for tok in tokens) * 4
+    return sum(sum(map(str.isdigit, re.sub(_EXPONENT, "", tok))) for tok in tokens) * 4
 
 
 def parse_fraction(text: str, budget: int) -> Fraction:
@@ -260,18 +267,25 @@ def parse_matrix(spec: str, budget: int) -> Matrix:
     return Matrix([[QQ.exact(_rational(x)) for x in row] for row in rows])
 
 
-def parse_poly(spec: str, budget: int) -> Poly:
-    """The polynomial of comma-separated coefficients, constant term first;
+def parse_poly(spec: str, budget: int):
+    """The ``Poly`` of comma-separated coefficients, constant term first;
     the budget is checked once, as in ``parse_matrix``."""
+    from .poly import Poly
+
     tokens = spec.split(",")
     _within_decimal_budget(tokens, budget)
     return Poly([_rational(x) for x in tokens])
 
 
 # --- subcommand bodies -------------------------------------------------------
+# A command of the tree, satake, moduli, slope or analytic group imports its
+# layer at its top and reads it as module attributes, as the graph commands read
+# cosets, so a patch of a layer's function is seen by every command.
 
 
 def cmd_tree_verify(args):
+    from . import tree
+
     rep = Report("tree verify", {"l": args.l, "radius": args.radius})
     ball = tree.TreeBall(args.l, args.radius, vertex_budget=args.budget)
     rep.put("shell_counts", ball.shell_counts())
@@ -408,6 +422,8 @@ def cmd_graph_levelraise(args):
 
 
 def cmd_satake_classify(args):
+    from . import satake
+
     s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
     rep = Report("satake classify", {"alpha": s.alpha, "l": args.l})
     cls = satake.classify_principal_series(s)
@@ -423,6 +439,8 @@ def cmd_satake_classify(args):
 
 
 def cmd_satake_eig(args):
+    from . import satake
+
     s = satake.SatakeParam(parse_fraction(args.alpha, args.budget), args.l)
     rep = Report("satake eig", {"alpha": s.alpha, "l": args.l})
     lam = satake.spherical_eigenvalue(s)
@@ -435,6 +453,8 @@ def cmd_satake_eig(args):
 
 
 def cmd_satake_ve_check(args):
+    from . import satake
+
     es = satake.SplitEigensystem(
         args.q, *(parse_fraction(t, args.budget) for t in (args.t1, args.t2, args.t3))
     )
@@ -447,6 +467,8 @@ def cmd_satake_ve_check(args):
 
 
 def cmd_moduli_components(args):
+    from . import lparam
+
     require_prime(args.l)
     s = parse_diag(args.diag, args.l, args.budget)
     # the witnesses walk all 2^dim 0/1 combinations of the solution space, where
@@ -482,6 +504,8 @@ def cmd_moduli_components(args):
 
 
 def cmd_moduli_witness(args):
+    from . import lparam
+
     require_prime(args.l)
     s = parse_diag(args.diag, args.l, args.budget)
     n = len(s)
@@ -514,6 +538,8 @@ def cmd_moduli_witness(args):
 
 
 def cmd_moduli_pgl2(args):
+    from . import lparam
+
     require_prime(args.l)
     rep = Report("moduli pgl2", {"l": args.l})
     data = lparam.pgl2_check(args.l)
@@ -557,6 +583,8 @@ def _within_char_poly_budget(U, budget):
 
 
 def cmd_slope_series(args):
+    from . import slope
+
     U, src = _matrix_input(args)
     rep = Report("slope series", {**src, "p": args.p})
     P = slope.fredholm_series(U)
@@ -569,6 +597,8 @@ def cmd_slope_series(args):
 
 
 def cmd_slope_polygon(args):
+    from . import slope
+
     P = parse_poly(args.poly, args.budget)
     rep = Report("slope polygon", {"poly": args.poly, "p": args.p})
     np = slope.newton_polygon(P, args.p)
@@ -580,6 +610,8 @@ def cmd_slope_polygon(args):
 
 
 def cmd_slope_factor(args):
+    from . import slope
+
     P = parse_poly(args.poly, args.budget)
     h = parse_fraction(args.h, args.budget)
     inputs = {"poly": args.poly, "p": args.p, "h": h, "precision": args.precision}
@@ -599,6 +631,8 @@ def cmd_slope_factor(args):
 
 
 def cmd_slope_decompose(args):
+    from . import slope
+
     U, src = _matrix_input(args)
     h = parse_fraction(args.h, args.budget)
     rep = Report("slope decompose", {**src, "p": args.p, "h": h, "precision": args.precision})
@@ -615,6 +649,8 @@ def cmd_slope_decompose(args):
 
 
 def cmd_analytic_ihara(args):
+    from . import analytic
+
     rep = Report(
         "analytic ihara",
         {"p": args.p, "m": args.m, "degree": args.degree, "delta": args.delta},
@@ -638,6 +674,8 @@ def cmd_analytic_ihara(args):
 
 
 def cmd_analytic_weight(args):
+    from . import analytic
+
     rep = Report(
         "analytic weight",
         {
@@ -733,6 +771,9 @@ _COMMANDS = {
 # a separate value that starts with '-' and is no option, as a negative number;
 # compiled by re at its first use, off the start-up path
 _NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+# the zeros of an int token before its first other digit, as int() reads them
+# (one '_' after each); compiled as _NEGATIVE_NUMBER is
+_LEADING_ZEROS = r"^(\s*[-+]?)(?:0_?)+(?=\d)"
 
 
 class _Arg:
@@ -884,10 +925,12 @@ class _Reader:
     @staticmethod
     def _value(arg, text):
         """text converted by the argument's type and checked against its choices;
-        an int of over 4300 characters has its digits counted before int() runs."""
+        an int of over 4300 characters has its digits counted before int() runs,
+        and int() reads it without the leading zeros that the count sets aside."""
         if arg.type is int:
             if len(text) > 4300:
                 _within_digit_limit([text], arg.name)
+                text = re.sub(_LEADING_ZEROS, r"\1", text, count=1)
             text = _integer(text, arg.name)
         if arg.choices is not None and text not in arg.choices:
             raise ValueError(f"{arg.name} {text!r:.100} is not one of {', '.join(arg.choices)}")

@@ -97,6 +97,18 @@ class TestTreeVerify:
         code = main(["--budget", "100", "tree", "verify", "--l", "2", "--radius", "4"])
         assert code == 2
 
+    def test_largest_l2_ball_the_budget_admits_finishes(self, capsys, deadline):
+        # radius 10 holds 1 887 436 vertices (about 2 s), radius 11 passes the
+        # default budget: the row follows the boundary if either count moves
+        admitted, refused = (sum(tree.expected_shell_counts(2, r)) for r in (10, 11))
+        assert admitted <= 2_000_000 < refused
+        with deadline(15):
+            code, doc = run_json(capsys, "tree", "verify", "--l", "2", "--radius", "10")
+        assert code == 0 and doc["passed"] and doc["results"]["vertices"] == admitted
+        assert main(["tree", "verify", "--l", "2", "--radius", "11"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ball would hold more than the budget of 2000000 vertices\n"
+
 
 class TestGraphCommands:
     def test_analyze(self, capsys, k39_path):
@@ -600,6 +612,25 @@ class TestBudgetRefusals:
             code = main([option, _MILLION_DIGITS, "moduli", "pgl2", "--l", "2"])
         assert code == 2
         assert capsys.readouterr().err == "error: --seed has more than 4300 digits\n"
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["--seed", "0" * 5000 + "2"], ["--seed", "2"]),
+            (["--seed", "-" + "0" * 5000 + "2"], ["--seed", "-2"]),
+            (["--seed", "+" + "0_" * 2500 + "2"], ["--seed", "2"]),
+            (["--l", "0" * 5000 + "2"], ["--l", "2"]),
+        ],
+        ids=["seed", "negative-seed", "seed-with-underscores", "leaf-option"],
+    )
+    def test_leading_zeros_of_an_int_option_are_not_digits(self, capsys, argv, same_as):
+        # over 4300 characters, the interpreter's limit while argv is read
+        def pgl2(option):
+            top, leaf = (option, ["--l", "2"]) if option[0] == "--seed" else ([], option)
+            return run(capsys, *top, "moduli", "pgl2", *leaf)
+
+        expected = pgl2(same_as)
+        assert expected[0] == 0 and pgl2(argv) == expected
 
     def test_leading_zeros_are_not_digits(self, capsys):
         # l^(5000 zeros)2 is l^2, as int() reads it

@@ -13,13 +13,16 @@ its own body, so code that no command reaches does not stay in ``src/``.  The
 exceptions are the names that ``perfbench/tracer.py`` patches and the graph
 constructors that only the tests build graphs with.
 
-Every CLI command pays for the start-up of ``u3local.cli``, so the package does
-not use ``dataclasses`` (with ``inspect`` and ``ast`` it costs about half of
-that start-up), ``hashlib`` is imported by the one function that takes a
-digest, and neither the import nor a command that writes an ASCII report
-loads ``json``.  No module imports ``argparse`` or ``gettext``: the CLI reads
-argv and writes its help and errors itself, so neither is loaded by any
-command or by ``-h``.
+Every CLI command pays for the start-up of ``u3local.cli``, so that import
+loads, of the package, ``u3local``, ``u3local.cli``, ``u3local.scalars`` and
+the graph commands' ``cosets`` with ``linalg``, and no other layer: each other
+command imports its own, and one command per group loads exactly that layer
+and what the layer imports.  The package does not use ``dataclasses`` (with
+``inspect`` and ``ast`` it costs about half of that start-up), ``hashlib`` is
+imported by the one function that takes a digest, and neither the import nor
+a command that writes an ASCII report loads ``json``.  No module imports
+``argparse`` or ``gettext``: the CLI reads argv and writes its help and
+errors itself, so neither is loaded by any command or by ``-h``.
 """
 
 import ast
@@ -127,25 +130,34 @@ def test_no_argparse(path):
     assert _imported_modules(path.read_text()) & NEVER_LOADED == set()
 
 
+# what `import u3local.cli` loads of the package: cosets and linalg, whose compile
+# would otherwise land in a first graph command, and no other layer
+START_UP = {"u3local", "u3local.cli", "u3local.scalars", "u3local.cosets", "u3local.linalg"}
+
+
+def _package(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.split(".")[0] == "u3local"}
+
+
 def test_cli_start_up_stays_light():
     _, loaded = _run_loaded("import u3local.cli")
-    assert "u3local.cli" in loaded
+    assert _package(loaded) == START_UP
     assert loaded & ({"dataclasses", "inspect", "hashlib", "_hashlib"} | ARGV_ONLY | NEVER_LOADED) == set()
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, layers",
     [
-        ["tree", "verify", "--l", "2", "--radius", "3"],
-        ["graph", "analyze", "{graph}", "--prime", "3"],
-        ["satake", "eig", "--alpha", "4", "--l", "2"],
-        ["moduli", "components", "--diag", "l^2,l,1", "--l", "2"],
-        ["--format", "table", "slope", "polygon", "--poly=1,-4,3", "--p", "3"],
-        ["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "1"],
+        (["tree", "verify", "--l", "2", "--radius", "3"], {"tree"}),
+        (["graph", "analyze", "{graph}", "--prime", "3"], set()),
+        (["satake", "eig", "--alpha", "4", "--l", "2"], {"satake"}),
+        (["moduli", "components", "--diag", "l^2,l,1", "--l", "2"], {"lparam"}),
+        (["--format", "table", "slope", "polygon", "--poly=1,-4,3", "--p", "3"], {"slope", "poly"}),
+        (["analytic", "ihara", "--p", "2", "--m", "1", "--degree", "1"], {"analytic"}),
     ],
     ids=["tree", "graph", "satake", "moduli", "slope", "analytic"],
 )
-def test_a_command_loads_neither_argparse_nor_json(tmp_path, argv):
+def test_a_command_loads_neither_argparse_nor_json(tmp_path, argv, layers):
     from u3local.cosets import complete_biregular
 
     graph = tmp_path / "k39.graph"
@@ -154,6 +166,7 @@ def test_a_command_loads_neither_argparse_nor_json(tmp_path, argv):
     code = "import u3local.cli\nprint(u3local.cli.main(sys.argv[2:]))"
     lines, loaded = _run_loaded(code, *argv)
     assert lines[-1] in ("0", "1")  # a verdict
+    assert _package(loaded) == START_UP | {f"u3local.{layer}" for layer in layers}
     assert loaded & (ARGV_ONLY | NEVER_LOADED) == set()
 
 
