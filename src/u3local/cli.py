@@ -288,11 +288,12 @@ def cmd_tree_verify(args):
 
     rep = Report("tree verify", {"l": args.l, "radius": args.radius})
     ball = tree.TreeBall(args.l, args.radius, vertex_budget=args.budget)
-    rep.put("shell_counts", ball.shell_counts())
+    shell_counts = ball.shell_counts()
+    rep.put("shell_counts", shell_counts)
     rep.put("vertices", ball.size)
     rep.check(
         "shell_counts_follow_growth_law",
-        ball.shell_counts() == tree.expected_shell_counts(args.l, args.radius),
+        shell_counts == tree.expected_shell_counts(args.l, args.radius),
     )
     comp = tree.verify_composition(ball)
     rep.put("composition_checked_deltas", comp["checked_deltas"])

@@ -57,25 +57,56 @@ class TreeBall:
         for d, n in enumerate(self.shell_counts()):
             self.dist += itertools.repeat(d, n)
 
+    # Each method below refuses a negative v itself, which ``dist[v]`` would read
+    # from the end, and ``dist[v]`` refuses v >= size.
+
     def kind(self, v: int) -> str:
+        if v < 0:
+            raise IndexError(f"vertex {v} is not in the ball")
         return HYPERSPECIAL if self.dist[v] % 2 == 0 else SPECIAL
 
     def children(self, v: int):
+        if v < 0:
+            raise IndexError(f"vertex {v} is not in the ball")
         d = self.dist[v]
         start = self._starts[d + 1] + (v - self._starts[d]) * self._branch[d]
         return range(start, start + self._branch[d])
 
     def neighbors(self, v: int) -> list[int]:
-        """The parent (if any), then the children."""
+        """The parent (if any), then the children (``children``'s range, inlined,
+        since the walk check calls this once per step of every 2-walk)."""
+        if v < 0:
+            raise IndexError(f"vertex {v} is not in the ball")
+        starts, branch = self._starts, self._branch
         d = self.dist[v]
-        out = [self._starts[d - 1] + (v - self._starts[d]) // self._branch[d - 1]] if d else []
-        out += self.children(v)
+        i = v - starts[d]  # v's place in shell d
+        out = [starts[d - 1] + i // branch[d - 1]] if d else []
+        start = starts[d + 1] + i * branch[d]
+        out += range(start, start + branch[d])
         return out
 
     def distance_two(self, v: int) -> list[int]:
-        """All vertices at tree distance exactly 2 from v (same kind as v)."""
-        nb = self.neighbors
-        return [u for w in nb(v) for u in nb(w) if u != v]
+        """All vertices at tree distance exactly 2 from v (same kind as v), read
+        off the shell offsets rather than walked: the grandparent (if any), the
+        siblings other than v, then the grandchildren, which BFS order numbers
+        as one consecutive block of shell d+2."""
+        if v < 0:
+            raise IndexError(f"vertex {v} is not in the ball")
+        starts, branch = self._starts, self._branch
+        d = self.dist[v]
+        out = []
+        if d:
+            p = (v - starts[d]) // branch[d - 1]  # the parent's place in shell d-1
+            if d > 1:
+                out.append(starts[d - 2] + p // branch[d - 2])
+            first = starts[d] + p * branch[d - 1]
+            out += range(first, v)
+            out += range(v + 1, first + branch[d - 1])
+        if branch[d]:
+            n = branch[d] * branch[d + 1]
+            start = starts[d + 2] + (v - starts[d]) * n
+            out += range(start, start + n)
+        return out
 
     def shell_counts(self) -> list[int]:
         return [b - a for a, b in itertools.pairwise(self._starts)]
@@ -118,15 +149,19 @@ def _verify_walk_identity(ball: TreeBall, kind: str, degree: int) -> dict:
     edge transfers A and B in the order that starts on that kind.
 
     Applied to delta_v, the two transfers count the endpoints of the 2-walks from
-    v, and T + degree * Id counts the vertices at distance 2 plus degree copies
-    of v; the check compares the two lists of vertices, sorted.  Only on a
-    mismatch are the lists counted into functions (vertex -> multiplicity), whose
-    differences are listed at the union of their supports."""
+    v, one ``neighbors`` list per neighbour w of v, and T + degree * Id counts the
+    vertices at distance 2, read off the shell offsets by ``distance_two`` without
+    walking, plus degree copies of v; the check compares the two lists of
+    vertices, sorted.  Only on a mismatch are the lists counted into functions
+    (vertex -> multiplicity), whose differences are listed at the union of their
+    supports."""
     interior = ball.vertices_of_kind(kind, ball.radius - 2)
     nb = ball.neighbors
     violations = []
     for v in interior:
-        walks = [u for w in nb(v) for u in nb(w)]
+        walks = []
+        for w in nb(v):
+            walks += nb(w)
         target = ball.distance_two(v) + [v] * degree
         walks.sort()
         target.sort()

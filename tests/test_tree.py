@@ -1,12 +1,16 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
+from u3local import tree
 from u3local.cli import main
 from u3local.tree import (
     HYPERSPECIAL,
@@ -73,6 +77,15 @@ class TestBuildBall:
     def test_rejects_composites(self):
         with pytest.raises(ValueError):
             TreeBall(4, 1)
+
+    @pytest.mark.parametrize("method", ["kind", "children", "neighbors", "distance_two"])
+    def test_vertices_outside_the_ball_are_refused(self, method):
+        b = TreeBall(2, 3)
+        for v in (-1, -2, -b.size, -b.size - 1, b.size, b.size + 7):
+            with pytest.raises(IndexError):
+                getattr(b, method)(v)
+        getattr(b, method)(0)
+        getattr(b, method)(b.size - 1)
 
 
 # The tree ladder of the benchmark's `tree` workload, without the desk-scale ball.
@@ -183,6 +196,8 @@ class TestCompositionIdentity:
         ]
 
     def test_missing_child_is_reported(self, ball2, monkeypatch):
+        # T reads the shell offsets, not ``neighbors``, so it still counts the
+        # lost child's l children that the 2-walks from the root no longer reach
         root, lost = 0, ball2.children(0)[-1]
         original = ball2.neighbors
         monkeypatch.setattr(
@@ -193,7 +208,10 @@ class TestCompositionIdentity:
         degree = ball2.l**3 + 1
         assert report["violations"] == [
             {"delta_at": root, "vertex": root, "lhs": degree - 1, "rhs": degree}
+        ] + [
+            {"delta_at": root, "vertex": u, "lhs": 0, "rhs": 1} for u in ball2.children(lost)
         ]
+        assert len(report["violations"]) == 1 + ball2.l
 
     def test_trivial_radius(self):
         assert verify_composition(TreeBall(2, 0))["checked_deltas"] == 0
@@ -203,23 +221,56 @@ class TestCompositionIdentity:
 def test_walk_lists_agree_with_the_operators(l, radius):
     # the lists the walk-identity check compares, against the explicit BFS ball:
     # B o A (or A o B) applied to delta_v counts the neighbours of v's neighbours,
-    # and T applied to it counts those of them other than v
+    # and T applied to it counts those of them other than v, in the order of
+    # that walk, at every vertex, the boundary shells included
     ball = TreeBall(l, radius)
     oracle = explicit_ball(l, radius)
     parent, children = oracle["parent"], oracle["children"]
 
     def around(v):
-        return children[v] + ([parent[v]] if parent[v] >= 0 else [])
+        return ([parent[v]] if parent[v] >= 0 else []) + children[v]
 
     nb = ball.neighbors
+    for v in range(ball.size):
+        walks = [u for w in around(v) for u in around(w)]
+        assert sorted(walks) == sorted(u for w in nb(v) for u in nb(w))
+        assert [u for u in walks if u != v] == ball.distance_two(v)
     interior = [v for v, d in enumerate(oracle["dist"]) if d <= radius - 2]
-    for v in interior:
-        walks = sorted(u for w in around(v) for u in around(w))
-        assert walks == sorted(u for w in nb(v) for u in nb(w))
-        assert [u for u in walks if u != v] == sorted(ball.distance_two(v))
     assert len(interior) == (
         verify_composition(ball)["checked_deltas"] + verify_mirror_composition(ball)["checked_deltas"]
     ) > 0
+
+
+def _mutant_distance_two(ball, old, new):
+    """``ball.distance_two`` with one edit of its source, bound to the ball."""
+    source = textwrap.dedent(inspect.getsource(TreeBall.distance_two))
+    assert source.count(old) == 1, f"{old!r} is not one line of distance_two"
+    namespace = {}
+    exec(source.replace(old, new), vars(tree), namespace)
+    return types.MethodType(namespace["distance_two"], ball)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # the siblings below v, then those above it, each range off by one
+        ("range(first, v)", "range(first + 1, v)"),
+        ("range(first, v)", "range(first, v + 1)"),
+        ("range(v + 1, first", "range(v + 2, first"),
+        ("first + branch[d - 1])", "first + branch[d - 1] + 1)"),
+        # the grandchild block shifted by one
+        ("range(start, start + n)", "range(start + 1, start + n + 1)"),
+        ("range(start, start + n)", "range(start - 1, start + n - 1)"),
+        # the grandparent one place off
+        ("p // branch[d - 2])", "p // branch[d - 2] + 1)"),
+    ],
+)
+@pytest.mark.parametrize("l,radius", [(2, 4), (3, 4)])
+def test_shell_arithmetic_mutants_are_reported(l, radius, old, new, monkeypatch):
+    ball = TreeBall(l, radius)
+    monkeypatch.setattr(ball, "distance_two", _mutant_distance_two(ball, old, new))
+    reports = verify_composition(ball), verify_mirror_composition(ball)
+    assert not all(report["ok"] for report in reports)
 
 
 def test_desk_scale_ball(capsys):
