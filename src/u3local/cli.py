@@ -352,10 +352,10 @@ def cmd_graph_analyze(args):
 def cmd_graph_congruence(args):
     g, text_digest = _load_graph_file(args.path)
     # Smith forms of inc, E x |V|, and of the composite C = inc^T inc, |V| x |V|.
-    # The form of C fills in and its entries grow, so on random l = 2 graphs the
-    # command's time grows about as n0^4 (3.8 s at n0 = 150, 16.6 s at 210),
-    # faster than analyze's eliminations of inc: the entries of both matrices
-    # are booked, not analyze's E x |V| alone, which admitted n0 = 230
+    # The form of C fills in and its entries grow, and its time jumps with the
+    # graph, not its size: 3.8 s at n0 = 150, 226 s at 160 and over 590 s at 196
+    # (random l = 2 graphs; ROADMAP item 2).  The entries of both matrices are
+    # booked, not analyze's E x |V| alone, which admitted n0 = 230
     nv = g.n0 + g.n1
     within_budget(
         g.nedges * nv + nv**2,

@@ -43,6 +43,11 @@ class LabelingError(ValueError):
     """A determinant labeling violates its walk-shift invariant."""
 
 
+def _degrees(l: int) -> tuple[int, int]:
+    """The U(3) degree pair: l^3+1 at each V0 vertex and l+1 at each V1 vertex."""
+    return l**3 + 1, l + 1
+
+
 class CosetGraph:
     """Biregular bipartite multigraph with V0-degrees l^3+1 and V1-degrees l+1.
 
@@ -70,7 +75,9 @@ class CosetGraph:
         self.n0 = n0
         self.n1 = n1
         self.edges = [(int(v), int(w)) for v, w in edges]
-        d0, d1 = l**3 + 1, l + 1
+        self.degrees = d0, d1 = _degrees(l)
+        # T0, T1 act on ker(i) by the 2-walk counts: f0(v) = -f1(w) = f0(v') on each
+        self.walk_eigenvalues = (d0 * (d1 - 1), d1 * (d0 - 1))
         # checked before the degree tables are allocated, so a huge declared
         # count is refused instead of allocated
         if not len(self.edges) == n0 * d0 == n1 * d1:
@@ -246,8 +253,7 @@ def complete_biregular(l: int) -> CosetGraph:
 
     For l = 2 this is K_{3,9}, the smallest simple example.
     """
-    n0 = l + 1
-    n1 = l**3 + 1
+    n1, n0 = _degrees(l)
     return CosetGraph(l, n0, n1, [(v, w) for v in range(n0) for w in range(n1)])
 
 
@@ -256,9 +262,9 @@ def parallel_multigraph(l: int) -> CosetGraph:
 
     For l = 2 this is M_{1,3}: nine edges in three parallel classes.
     """
-    n1 = l**2 - l + 1
-    edges = [(0, w) for w in range(n1) for _ in range(l + 1)]
-    return CosetGraph(l, 1, n1, edges)
+    d0, d1 = _degrees(l)
+    n1 = d0 // d1
+    return CosetGraph(l, 1, n1, [(0, w) for w in range(n1) for _ in range(d1)])
 
 
 def twisted_complete(l: int = 2) -> CosetGraph:
@@ -280,10 +286,11 @@ def disjoint_union(a: CosetGraph, b: CosetGraph) -> CosetGraph:
 
 def random_biregular_graph(l: int, n0: int, rng):
     """Configuration-model sample of a connected (l^3+1, l+1)-biregular multigraph."""
-    n1 = n0 * (l * l - l + 1)
-    stubs0 = [v for v in range(n0) for _ in range(l**3 + 1)]
+    d0, d1 = _degrees(l)
+    n1 = n0 * d0 // d1
+    stubs0 = [v for v in range(n0) for _ in range(d0)]
     for _ in range(200):
-        stubs1 = [w for w in range(n1) for _ in range(l + 1)]
+        stubs1 = [w for w in range(n1) for _ in range(d1)]
         rng.shuffle(stubs1)
         g = CosetGraph(l, n0, n1, list(zip(stubs0, stubs1)))
         if g.connected:
@@ -333,16 +340,15 @@ class BlockHeckeOperator:
 
     def __init__(
         self,
-        l: int,
-        n0: int,
-        n1: int,
+        g: CosetGraph,
         composite: Matrix,
         T0: Matrix,
         T1: Matrix,
         kernel: list,
         report: dict | None = None,
     ):
-        self.l, self.n0, self.n1 = l, n0, n1
+        self.n0, self.n1 = g.n0, g.n1
+        self.degrees, self.walk_eigenvalues = g.degrees, g.walk_eigenvalues
         self.composite = composite  # (n0+n1)^2, equals raising followed by lowering
         self.T0 = T0  # distance-2 walk operator on V0
         self.T1 = T1  # distance-2 walk operator on V1
@@ -350,39 +356,38 @@ class BlockHeckeOperator:
         self.report = {} if report is None else report
 
 
+def _add_diagonal(rows: list[list[int]], d: int, offset: int = 0) -> list[list[int]]:
+    """Add d at (i, offset + i) in each row i, in place, and return the rows."""
+    for i, row in enumerate(rows):
+        row[offset + i] += d
+    return rows
+
+
 def level_matrix(g: CosetGraph) -> BlockHeckeOperator:
     """Assemble the block matrix and verify its shape and walk identities exactly.
 
-    Checks, entrywise over the integers:
-      * composite = [[(l^3+1) Id, B], [A, (l+1) Id]]
-      * B A = T0 + (l^3+1) Id   and   A B = T1 + (l+1) Id
+    Checks, entrywise on int rows, with (d0, d1) the graph's degree pair:
+      * composite = [[d0 Id, B], [A, d1 Id]]
+      * B A = T0 + d0 Id   and   A B = T1 + d1 Id
     with B the V0 x V1 multiplicity table, A = B^T, and T0, T1 the
     independently enumerated distance-2 walk operators.
     """
-    n0, n1, l = g.n0, g.n1, g.l
-    composite = Matrix._wrap(g.composite_rows(), QQ)
-    B = Matrix._wrap(g.multiplicity_table(), QQ)
+    d0, d1 = g.degrees
+    rows = g.composite_rows()
+    B = Matrix._wrap(g.multiplicity_table(), QQ, g.n1)
     A = B.transpose()
-    T0 = Matrix._wrap(g.walk_v0, QQ)
-    T1 = Matrix._wrap(walk_operator_v1(g), QQ)
-
-    support = {(i, i): l**3 + 1 for i in range(n0)}
-    support.update({(n0 + j, n0 + j): l + 1 for j in range(n1)})
-    for i in range(n0):
-        for j in range(n1):
-            support[i, n0 + j] = B.rows[i][j]
-            support[n0 + j, i] = A.rows[j][i]
-    expected = Matrix.from_support(n0 + n1, n0 + n1, support)
-
+    t0, t1 = g.walk_v0, walk_operator_v1(g)
+    expected = _add_diagonal([[0] * g.n0 + b for b in B.rows], d0)
+    expected += _add_diagonal([a + [0] * g.n1 for a in A.rows], d1, g.n0)
     checks = {
-        "block_shape": composite == expected,
-        "v0_walk_identity": B @ A == T0 + Matrix.identity(n0).scale(l**3 + 1),
-        "v1_walk_identity": A @ B == T1 + Matrix.identity(n1).scale(l + 1),
+        "block_shape": rows == expected,
+        "v0_walk_identity": _add_diagonal((B @ A).rows, -d0) == t0,
+        "v1_walk_identity": _add_diagonal((A @ B).rows, -d1) == t1,
     }
     # v^T C v = |inc v|^2, so C and inc share their row space and rref kernel
     return BlockHeckeOperator(
-        l, n0, n1, composite, T0, T1, g.raising_kernel,
-        {"ok": all(checks.values()), **checks},
+        g, Matrix._wrap(rows, QQ), Matrix._wrap(t0, QQ), Matrix._wrap(t1, QQ),
+        g.raising_kernel, {"ok": all(checks.values()), **checks},
     )
 
 
@@ -416,13 +421,12 @@ def lower(g: CosetGraph, m) -> list:
 def kernel_eigenvalue_check(block: BlockHeckeOperator) -> dict:
     """Every rational kernel vector of the composite has walk eigenvalue l(l^3+1).
 
-    Takes the operator built by ``level_matrix``.  For each basis vector
-    (f0, f1) of ker(i+ o i) the V0 part satisfies (T0 - l(l^3+1)) f0 = 0 and
-    the V1 part (T1 - l^3(l+1)) f1 = 0, exactly.
+    Takes the operator built by ``level_matrix``.  For each basis vector (f0, f1)
+    of ker(i+ o i) the V0 part satisfies (T0 - lam0) f0 = 0 and the V1 part
+    (T1 - lam1) f1 = 0, exactly, with (lam0, lam1) = (l(l^3+1), l^3(l+1)).
     """
-    l, n0, kernel = block.l, block.n0, block.kernel
-    lam0 = l * (l**3 + 1)
-    lam1 = l**3 * (l + 1)
+    n0, kernel = block.n0, block.kernel
+    lam0, lam1 = block.walk_eigenvalues
     failures = []
     for vec in kernel:
         sides = (("v0", block.T0, lam0, vec[:n0]), ("v1", block.T1, lam1, vec[n0:]))
@@ -446,16 +450,16 @@ def det_identity_check(block: BlockHeckeOperator) -> dict:
     consequence of the block shape; |V1| >= |V0| required so the exponent is
     nonnegative.
     """
-    l, n0, n1 = block.l, block.n0, block.n1
+    n0, n1 = block.n0, block.n1
     if n1 < n0:
         raise ValueError("requires |V1| >= |V0|")
     # a nonzero w with C w = 0 proves det C = 0, and a nonzero V0 part f of one
     # with T0 f = lam0 f proves det(lam0 Id - T0) = 0; Bareiss only without one
     lhs = 0 if block.kernel else int_matrix_det(block.composite.to_int_rows())
-    lam0 = l * (l**3 + 1)
+    lam0 = block.walk_eigenvalues[0]
     witnessed = any(any(f) and block.T0.apply(f) == [lam0 * x for x in f]
                     for f in (vec[:n0] for vec in block.kernel))
-    rhs = 0 if witnessed else (l + 1) ** (n1 - n0) * int_matrix_det(
+    rhs = 0 if witnessed else block.degrees[1] ** (n1 - n0) * int_matrix_det(
         (Matrix.identity(n0).scale(lam0) - block.T0).to_int_rows())
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
@@ -817,14 +821,14 @@ def level_raising_search(
     if aux.graph is not g:
         raise ValueError("operator family was built for a different graph")
     gf = PrimeField(p)
-    lam = (g.l * (g.l**3 + 1)) % p
+    lam = g.walk_eigenvalues[0] % p
     t0 = g.walk_v0
     base = (Matrix(t0, gf) - Matrix.identity(g.n0, gf).scale(lam)).kernel_basis()
 
     # exact eigenvalue bookkeeping for the report; T0 is symmetric, since
     # _two_walks yields both orders of each pair of edges at a star, and its
     # integer eigenvalues are bounded by its constant row sum l(l^3+1)
-    int_roots = _integer_eigenvalues(t0, g.l * (g.l**3 + 1))
+    int_roots = _integer_eigenvalues(t0, g.walk_eigenvalues[0])
     congruent_roots = sorted(set(r for r in int_roots if (r - lam) % p == 0))
 
     # members are carried by position, so equal names cannot mix them up

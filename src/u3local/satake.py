@@ -61,7 +61,7 @@ def _dictionary_coefficients(l: int) -> tuple[Fraction, Fraction]:
     pairs of the last 16 primes l are kept, so repeated calls at one l solve
     it once."""
     pts = [
-        (Fraction(l) ** 2, Fraction(l * (l**3 + 1))),
+        (Fraction(l) ** 2, Fraction(deg_inert_Tl(l))),
         (Fraction(-l), Fraction(-(l**3 + 1))),
     ]
     m = Matrix([[1, a + 1 / a] for a, _ in pts])

@@ -21,7 +21,7 @@ factors are reported modulo p^precision.
 The decomposition splits the ambient space into ker Qt(U) and its polynomial
 complement, where Qt(T) = T^m Q(1/T); the projector comes from a Bezout
 identity b Qt + c St = 1 between Qt and the complementary factor St of the
-characteristic polynomial.  It is formed over one denominator, as
+characteristic polynomial.  Only D times it is formed, as
 Pi = (D b)(U) St(U) with D the lcm of the denominators of b, and checked by
 identities on Pi (Pi^2 = D Pi, Pi v = D v on ker Qt(U)), so an integer U
 keeps every matrix product and kernel vector on ints.
@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .linalg import QQ, Matrix, rational_reconstruction
+from .linalg import Matrix, rational_reconstruction
 from .poly import Poly, xgcd
 from .scalars import INF, int_valuation, require_prime, within_budget
 
@@ -364,21 +364,19 @@ class SlopeDecomposition:
     """Splitting into the slope <= h part and its polynomial complement.
 
     The bases are integer vectors (each kernel vector scaled by the lcm of its
-    denominators); ``projector`` is the rational projector onto the first
-    summand along the second."""
+    denominators); the report holds the checks of the Bezout projector, run on
+    D times it, Pi = D b(U) St(U)."""
 
     def __init__(
         self,
         q_part_basis: list[list[int]],
         complement_basis: list[list[int]],
-        projector: Matrix,
         factorization: SlopeFactorization,
         series: Poly,
         report: dict | None = None,
     ):
         self.q_part_basis = q_part_basis
         self.complement_basis = complement_basis
-        self.projector = projector
         self.factorization = factorization
         self.series = series  # det(1 - T U), the series that was factored
         self.report = {} if report is None else report
@@ -439,10 +437,7 @@ def slope_decomposition(
         "u_stable_q_part": _stable_under(U, q_part),
         "u_stable_complement": _stable_under(U, complement),
     }
-    projector = Matrix._wrap([[QQ.div(x, D) for x in row] for row in pi.rows], QQ, n)
-    return SlopeDecomposition(
-        q_part, complement, projector, fact, P, {"ok": all(checks.values()), **checks}
-    )
+    return SlopeDecomposition(q_part, complement, fact, P, {"ok": all(checks.values()), **checks})
 
 
 def _integer_kernel(op: Matrix) -> list[list[int]]:

@@ -25,6 +25,11 @@ SPECIAL = "special"
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
 
+def _degrees(l: int) -> tuple[int, int]:
+    """The U(3) degree pair: l^3+1 at a hyperspecial vertex, l+1 at a special one."""
+    return l**3 + 1, l + 1
+
+
 class BallSizeError(ValueError):
     """The requested ball exceeds the vertex budget."""
 
@@ -42,14 +47,14 @@ class TreeBall:
         require_prime(l)
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        # stop at the first shell past the budget: the counts grow exponentially
-        if any(total > vertex_budget for total in itertools.accumulate(_shell_counts(l, radius))):
-            raise BallSizeError(f"ball would hold more than the budget of {vertex_budget} vertices")
         self.l = l
         self.radius = radius
-        # children of a vertex in shell d: the root has all l^3+1 neighbours, an
-        # inner vertex all but its parent (l^3 hyperspecial, l special), the boundary none
-        self._branch = [(l if d % 2 else l**3) + (d == 0) for d in range(radius)] + [0]
+        self.degrees = degrees = _degrees(l)
+        # stop at the first shell past the budget: the counts grow exponentially
+        if any(n > vertex_budget for n in itertools.accumulate(_shell_counts(degrees, radius))):
+            raise BallSizeError(f"ball would hold more than the budget of {vertex_budget} vertices")
+        # children per vertex of shell d: the root's degree, one less inside, none on the boundary
+        self._branch = [degrees[d % 2] - (d > 0) for d in range(radius)] + [0]
         counts = itertools.accumulate(self._branch[:-1], operator.mul, initial=1)
         self._starts = [0, *itertools.accumulate(counts)]  # shell d is starts[d]..starts[d+1]-1
         self.size = self._starts[-1]
@@ -127,20 +132,16 @@ class TreeBall:
 
 def expected_shell_counts(l: int, radius: int) -> list[int]:
     """Shell sizes forced by the degrees: 1, l^3+1, l(l^3+1), then factors l^3, l, ..."""
-    return list(_shell_counts(l, radius))
+    return list(_shell_counts(_degrees(l), radius))
 
 
-def _shell_counts(l: int, radius: int):
-    count = 1
-    yield count
+def _shell_counts(degrees: tuple[int, int], radius: int):
+    """Shell sizes in closed form, apart from the ball's running product of its
+    branching: 1, then d0 (d1-1)^(d//2) (d0-1)^((d-1)//2) at distance d."""
+    d0, d1 = degrees
+    yield 1
     for d in range(1, radius + 1):
-        if d == 1:
-            count = l**3 + 1
-        elif d % 2 == 1:
-            count *= l**3
-        else:
-            count *= l
-        yield count
+        yield d0 * (d1 - 1) ** (d // 2) * (d0 - 1) ** ((d - 1) // 2)
 
 
 def _verify_walk_identity(ball: TreeBall, kind: str, degree: int) -> dict:
@@ -174,11 +175,11 @@ def _verify_walk_identity(ball: TreeBall, kind: str, degree: int) -> dict:
 
 
 def verify_composition(ball: TreeBall) -> dict:
-    """Check (B o A) = T + (l^3+1) Id on every delta at an interior hyperspecial
-    vertex; returns a report dict with any violations (expected none)."""
-    return _verify_walk_identity(ball, HYPERSPECIAL, ball.l**3 + 1)
+    """Check (B o A) = T + d0 Id, d0 = l^3+1, on every delta at an interior
+    hyperspecial vertex; returns a report dict with any violations (expected none)."""
+    return _verify_walk_identity(ball, HYPERSPECIAL, ball.degrees[0])
 
 
 def verify_mirror_composition(ball: TreeBall) -> dict:
-    """The mirror identity (A o B) = T' + (l+1) Id on interior special deltas."""
-    return _verify_walk_identity(ball, SPECIAL, ball.l + 1)
+    """The mirror identity (A o B) = T' + d1 Id, d1 = l+1, on interior special deltas."""
+    return _verify_walk_identity(ball, SPECIAL, ball.degrees[1])

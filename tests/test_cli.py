@@ -110,6 +110,34 @@ class TestTreeVerify:
         assert err == "error: ball would hold more than the budget of 2000000 vertices\n"
 
 
+def _swap_pair(obj):
+    """Swap the stored degree pair (and the walk eigenvalues, where held) after
+    construction: the checks must not pass on either pair."""
+    obj.degrees = obj.degrees[::-1]
+    if hasattr(obj, "walk_eigenvalues"):
+        obj.walk_eigenvalues = obj.walk_eigenvalues[::-1]
+    return obj
+
+
+class TestSwappedDegreePair:
+    @pytest.mark.parametrize("path", ["k39_path", "m13_path"])
+    def test_graph_checks_fail(self, capsys, monkeypatch, request, path):
+        load = cosets.load_graph
+        monkeypatch.setattr(cosets, "load_graph", lambda text: _swap_pair(load(text)))
+        code, doc = run_json(capsys, "graph", "analyze", request.getfixturevalue(path))
+        verdicts = {a["name"]: a["passed"] for a in doc["assertions"]}
+        assert code == 1
+        assert verdicts["level_matrix_blocks"] is verdicts["kernel_walk_eigenvalue"] is False
+
+    def test_tree_checks_fail(self, capsys, monkeypatch):
+        build = tree.TreeBall
+        monkeypatch.setattr(tree, "TreeBall", lambda *a, **k: _swap_pair(build(*a, **k)))
+        code, doc = run_json(capsys, "tree", "verify", "--l", "2", "--radius", "4")
+        verdicts = {a["name"]: a["passed"] for a in doc["assertions"]}
+        assert code == 1
+        assert verdicts["composition_identity"] is verdicts["mirror_identity"] is False
+
+
 class TestGraphCommands:
     def test_analyze(self, capsys, k39_path):
         code, doc = run_json(capsys, "graph", "analyze", k39_path)

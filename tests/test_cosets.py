@@ -247,6 +247,23 @@ class TestLevelMatrix:
         for j in range(9):
             assert block.composite.rows[3 + j][3 + j] == 3
 
+    @pytest.mark.parametrize("l,pair,eigenvalues", [(2, (9, 3), (18, 24)), (3, (28, 4), (84, 108))])
+    def test_pair_and_walk_eigenvalues(self, l, pair, eigenvalues):
+        g = parallel_multigraph(l)
+        block = level_matrix(g)
+        assert g.degrees == block.degrees == pair
+        assert g.walk_eigenvalues == block.walk_eigenvalues == eigenvalues
+
+    @pytest.mark.parametrize("make", [complete_biregular, parallel_multigraph], ids=["k39", "m13"])
+    def test_swapped_pair_fails_every_check(self, make):
+        g = make(2)
+        g.degrees, g.walk_eigenvalues = g.degrees[::-1], g.walk_eigenvalues[::-1]
+        block = level_matrix(g)
+        assert block.report == {
+            "ok": False, "block_shape": False, "v0_walk_identity": False, "v1_walk_identity": False
+        }
+        assert not kernel_eigenvalue_check(block)["ok"]
+
     def test_k39_walk_operator(self, k39):
         t = walk_operator_v0(k39)
         assert all(t[v][v] == 0 for v in range(3))

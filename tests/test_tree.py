@@ -216,6 +216,14 @@ class TestCompositionIdentity:
     def test_trivial_radius(self):
         assert verify_composition(TreeBall(2, 0))["checked_deltas"] == 0
 
+    @pytest.mark.parametrize("l,pair", [(2, (9, 3)), (3, (28, 4))])
+    def test_swapped_pair_fails_both_identities(self, l, pair):
+        b = TreeBall(l, 4)
+        assert b.degrees == pair
+        b.degrees = pair[::-1]
+        assert not verify_composition(b)["ok"]
+        assert not verify_mirror_composition(b)["ok"]
+
 
 @pytest.mark.parametrize("l,radius", [(2, 4), (3, 3), (5, 2)])
 def test_walk_lists_agree_with_the_operators(l, radius):

@@ -10,7 +10,7 @@ import pytest
 
 from u3local.analytic import AnalyticModel, Character, Weight
 from u3local.cli import main
-from u3local.cosets import BlockHeckeOperator, DetLabeling, LabelingError
+from u3local.cosets import BlockHeckeOperator, DetLabeling, LabelingError, complete_biregular
 from u3local.linalg import Matrix
 from u3local.poly import Poly
 from u3local.satake import SatakeParam, SplitEigensystem
@@ -65,11 +65,11 @@ class TestValidation:
 class TestFreshContainers:
     def test_report_and_segments_are_per_instance(self):
         m = Matrix([[1]])
-        ops = [BlockHeckeOperator(2, 1, 1, m, m, m, []) for _ in range(2)]
+        ops = [BlockHeckeOperator(complete_biregular(2), m, m, m, []) for _ in range(2)]
         ops[0].report["ok"] = True
         assert ops[1].report == {}
         fact = SlopeFactorization(Poly.one(), Poly.one(), Fraction(0), 0, 2, None, exact=True)
-        decs = [SlopeDecomposition([], [], m, fact, Poly.one()) for _ in range(2)]
+        decs = [SlopeDecomposition([], [], fact, Poly.one()) for _ in range(2)]
         decs[0].report["ok"] = True
         assert decs[1].report == {}
         polys = [NewtonPolygon(2, [(0, Fraction(0))]) for _ in range(2)]
